@@ -18,7 +18,6 @@ from .fgab import (
     Homomorphism,
     Subgroup,
     direct_sum,
-    element_order,
     image,
     kernel,
     smith_normal_form,
@@ -52,7 +51,6 @@ from .projective import (
     REAL,
     correction_group,
     decompose_valid,
-    hopf_stable,
     parse_field,
     space,
 )

@@ -403,26 +403,6 @@ class GroupElement:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
 
-def elem_op(a: GroupElement, b: Optional[GroupElement], op: str, k: int = 0):
-    """Uniform entry point for element arithmetic: add/sub/neg/scale."""
-    if op == "add":
-        assert b is not None
-        return a + b
-    if op == "sub":
-        assert b is not None
-        return a - b
-    if op == "neg":
-        return -a
-    if op == "scale":
-        return a.scale(k)
-    raise FgAbError(f"unknown element operation {op!r}")
-
-
-def element_order(a: GroupElement) -> Optional[int]:
-    """Order of an element; None means infinite."""
-    return a.order()
-
-
 @dataclass(frozen=True)
 class Homomorphism:
     """A homomorphism given by its integer matrix on generator coordinates.
@@ -499,15 +479,6 @@ class Homomorphism:
         return Homomorphism(
             inner.domain, self.codomain, tuple(tuple(r) for r in prod)
         )
-
-
-def hom_apply(h: Homomorphism, x: GroupElement) -> GroupElement:
-    return h.apply(x)
-
-
-def hom_compose(g: Homomorphism, h: Homomorphism) -> Homomorphism:
-    """(g . h)(x) = g(h(x))."""
-    return g.compose(h)
 
 
 class Cmp(enum.Enum):

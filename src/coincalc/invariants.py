@@ -19,8 +19,8 @@ from .fgab import Cmp, FgAbError, subgroup_cmp
 from .projective import MapClass, ProjSpace, decompose_valid, parse_field
 from .selfco import Verdict, self_loose
 from .spheres import (
-    GammaValue,
     Membership,
+    MissingDataError,
     SphereClass,
     SphereTables,
     Unknown,
@@ -195,11 +195,6 @@ def reidemeister(sp: ProjSpace, m: int) -> InvariantValue:
     return fin(sp.reidemeister)
 
 
-def _gamma_verdict(gamma: GammaValue) -> tuple[Optional[bool], str]:
-    zero = gamma.is_zero()
-    return zero, str(gamma)
-
-
 def sphere_report(
     tables: SphereTables,
     m: int,
@@ -252,10 +247,10 @@ def sphere_report(
         n_plain: InvariantValue = fin(0)
     else:
         gamma = tables.gamma(delta)
-        zero, desc = _gamma_verdict(gamma)
-        deriv.append(f"Gamma(delta): {desc}")
-        n_tilde = unk("Gamma undetermined: " + desc) if zero is None else fin(0 if zero else 1)
-        stab = tables.stabilize(delta)
+        zero = gamma.is_zero()
+        deriv.append(f"Gamma(delta): {gamma}")
+        n_tilde = unk(f"Gamma undetermined: {gamma}") if zero is None else fin(0 if zero else 1)
+        stab = gamma.component(1)
         if isinstance(stab, Unknown):
             n_plain = unk(stab.reason)
         else:
@@ -385,10 +380,10 @@ def projective_report(
         n_plain: InvariantValue = fin(0)
     else:
         gamma = tables.gamma(delta)
-        zero, desc = _gamma_verdict(gamma)
-        deriv.append(f"Hopf-James test (N~): Gamma(delta): {desc}")
-        n_tilde = unk("Gamma undetermined: " + desc) if zero is None else fin(0 if zero else r_n)
-        stab = tables.stabilize(delta)
+        zero = gamma.is_zero()
+        deriv.append(f"Hopf-James test (N~): Gamma(delta): {gamma}")
+        n_tilde = unk(f"Gamma undetermined: {gamma}") if zero is None else fin(0 if zero else r_n)
+        stab = gamma.component(1)
         if isinstance(stab, Unknown):
             n_plain = unk(stab.reason)
         else:
@@ -473,7 +468,8 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
     """Decide N# == N~, N~ == N, N == 0 and N == NZ across all pairs at m.
 
     Reduces to kernel comparisons in the chain 0 <= Ker Gamma <=
-    Ker(h_K . E^inf) <= pi_m(S^q) whenever the lift criteria apply.
+    Ker(h_K . E^inf) <= pi_m(S^q) whenever the lift criteria apply; a gap
+    in the table data makes every verdict unknown.
     """
     if m < 1:
         raise FgAbError("m >= 1 required")
@@ -499,11 +495,15 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
         loose = self_loose(sp.field.tag, m, sp.n_prime)
         if loose.verdict is not Verdict.LOOSE:
             hypothesis_fail = f"self-coincidence looseness not established: {loose.reason}"
+        else:
+            try:
+                ker_gamma, ker_hopf, whole = tables.kernel_chain(m, sp.q, sp.field.tag)
+            except MissingDataError as exc:
+                hypothesis_fail = str(exc)  # a gap in the table data
     if hypothesis_fail:
         v = {k: (ScanVerdict.UNKNOWN, hypothesis_fail) for k in SCAN_KEYS}
         return ScanResult(sp.name, m, sp.n, v, None)
 
-    ker_gamma, ker_hopf, whole = tables.kernel_chain(m, sp.q, sp.field.tag)
     a_eq = ker_gamma.is_trivial
     b_eq = subgroup_cmp(ker_gamma, ker_hopf) is Cmp.EQUAL
     c_eq = ker_hopf.is_whole()

@@ -14,7 +14,6 @@ from typing import Optional
 
 from .fgab import FgAbError, FgAbGroup, GroupElement
 from .spheres import SphereClass, SphereTables
-from .stable import StableElement
 
 
 @dataclass(frozen=True)
@@ -86,11 +85,6 @@ class ProjSpace:
 
 def space(field_tag, n_prime: int) -> ProjSpace:
     return ProjSpace(parse_field(field_tag), n_prime)
-
-
-def hopf_stable(tables: SphereTables, field_tag) -> StableElement:
-    """Stable class of the Hopf projection S^{2d-1} -> KP(1)."""
-    return tables.ring.hopf_stable(parse_field(field_tag).tag)
 
 
 def correction_group(tables: SphereTables, sp: ProjSpace, m: int) -> FgAbGroup:

@@ -217,72 +217,56 @@ class SphereTables:
                 return x
         return x
 
-    # ------------------------------------------------------ stabilization
+    # ------------------------------------------- E^inf and the Hopf-James map
+
+    def _column(
+        self, entry: SphereEntry, i: int, k: int
+    ) -> Union[tuple[int, ...], Unknown]:
+        """Component k of generator i (k = 1 is E^inf), as stored coefficients."""
+        ann = entry.annotations[i]
+        coeffs = ann.stab if k == 1 else ann.gamma_component(k)
+        if coeffs is None:
+            what = "stabilization" if k == 1 else f"gamma k={k}"
+            return Unknown(
+                f"{what} of generator {entry.gen_names[i]} of "
+                f"pi_{entry.m}(S^{entry.q}) is not annotated"
+            )
+        return coeffs
+
+    def _component(self, x: SphereClass, k: int) -> Union[StableElement, Unknown]:
+        """Component k of Gamma(x), summed over the generator columns."""
+        entry = self.lookup(x.m, x.q)
+        degree = entry.gamma_degree(k)
+        try:
+            stem = self.ring.stem(degree)
+        except OutOfTabulatedRange:
+            return Unknown(f"pi_{degree}^S is not tabulated")
+        out = self.ring.zero(degree)
+        if stem.group.is_trivial or x.is_zero:
+            return out
+        for i, c in enumerate(x.value.coeffs):
+            if c == 0:
+                continue
+            coeffs = self._column(entry, i, k)
+            if isinstance(coeffs, Unknown):
+                return coeffs
+            out = out + self.ring.element(degree, coeffs).scale(c)
+        return out
 
     def stabilize(self, x: SphereClass) -> Union[StableElement, Unknown]:
         """E^inf: pi_m(S^q) -> pi_{m-q}^S."""
         if x.m < x.q:
             raise FgAbError("stabilization needs m >= q")
-        k = x.m - x.q
-        try:
-            stem = self.ring.stem(k)
-        except OutOfTabulatedRange:
-            return Unknown(f"pi_{k}^S is not tabulated")
-        if stem.group.is_trivial or x.is_zero:
-            return self.ring.zero(k)
-        entry = self.lookup(x.m, x.q)
-        out = self.ring.zero(k)
-        for i, c in enumerate(x.value.coeffs):
-            if c == 0:
-                continue
-            stab = entry.annotations[i].stab
-            if stab is None:
-                return Unknown(
-                    f"stabilization of generator {entry.gen_names[i]} of "
-                    f"pi_{x.m}(S^{x.q}) is not annotated"
-                )
-            out = out + self.ring.element(k, stab).scale(c)
-        return out
-
-    # ------------------------------------------------- Hopf-James invariant
+        return self._component(x, 1)
 
     def gamma(self, x: SphereClass) -> GammaValue:
         """Total stabilized Hopf-James invariant of x (component 1 = E^inf)."""
         if x.q < 2:
             raise FgAbError("the Hopf-James invariant needs q >= 2")
-        entry = self.lookup(x.m, x.q)
-        comps: list[tuple[int, Union[StableElement, Unknown]]] = []
-        comps.append((1, self.stabilize(x)))
-        for k in range(2, entry.k_max + 1):
-            degree = entry.gamma_degree(k)
-            try:
-                stem = self.ring.stem(degree)
-            except OutOfTabulatedRange:
-                comps.append((k, Unknown(f"pi_{degree}^S is not tabulated")))
-                continue
-            if stem.group.is_trivial or x.is_zero:
-                comps.append((k, self.ring.zero(degree)))
-                continue
-            total = self.ring.zero(degree)
-            blocked: Optional[Unknown] = None
-            for i, c in enumerate(x.value.coeffs):
-                if c == 0:
-                    continue
-                coeffs = entry.annotations[i].gamma_component(k)
-                if coeffs is None:
-                    blocked = Unknown(
-                        f"gamma k={k} of generator {entry.gen_names[i]} of "
-                        f"pi_{x.m}(S^{x.q}) is not annotated"
-                    )
-                    break
-                total = total + self.ring.element(degree, coeffs).scale(c)
-            comps.append((k, blocked if blocked else total))
+        k_max = self.lookup(x.m, x.q).k_max
+        comps = [(1, self.stabilize(x))]
+        comps += [(k, self._component(x, k)) for k in range(2, k_max + 1)]
         return GammaValue(x.m, x.q, tuple(comps))
-
-    def gamma_target(self, m: int, q: int) -> list:
-        """The stems receiving the Hopf-James components, in k order."""
-        entry = self.lookup(m, q)
-        return [self.ring.stem(entry.gamma_degree(k)).group for k in range(1, entry.k_max + 1)]
 
     # -------------------------------------------------------- antipodal map
 
@@ -334,19 +318,6 @@ class SphereTables:
 
     # ------------------------------------------------------- kernel chain
 
-    def _stab_or_raise(self, entry: SphereEntry, i: int) -> StableElement:
-        k = entry.m - entry.q
-        stem = self.ring.stem(k)
-        if stem.group.is_trivial:
-            return self.ring.zero(k)
-        stab = entry.annotations[i].stab
-        if stab is None:
-            raise MissingDataError(
-                f"stabilization of generator {entry.gen_names[i]} of "
-                f"pi_{entry.m}(S^{entry.q}) is not annotated"
-            )
-        return self.ring.element(k, stab)
-
     def kernel_chain(
         self, m: int, q: int, field_tag: str
     ) -> tuple[Subgroup, Subgroup, Subgroup]:
@@ -362,48 +333,38 @@ class SphereTables:
             triv = Subgroup.trivial(group)
             return triv, triv, whole
 
-        rows: list[list[int]] = []
-        orders: list[int] = []
-        for k in range(1, entry.k_max + 1):
+        def images(k: int) -> list[StableElement]:
+            """Component k of each generator; zero into a trivial stem."""
             degree = entry.gamma_degree(k)
-            stem = self.ring.stem(degree)
-            if stem.group.is_trivial:
-                continue
-            block = []
+            if self.ring.stem(degree).group.is_trivial:
+                return [self.ring.zero(degree)] * group.rank
+            out = []
             for i in range(group.rank):
-                if k == 1:
-                    el = self._stab_or_raise(entry, i)
-                else:
-                    coeffs = entry.annotations[i].gamma_component(k)
-                    if coeffs is None:
-                        raise MissingDataError(
-                            f"gamma k={k} of generator {entry.gen_names[i]} of "
-                            f"pi_{m}(S^{q}) is not annotated"
-                        )
-                    el = self.ring.element(degree, coeffs)
-                block.append(el.value.coeffs)
-            for r in range(stem.group.rank):
-                rows.append([block[i][r] for i in range(group.rank)])
-                orders.append(stem.group.coord_orders()[r])
-        ker_gamma = kernel_into_coords(group, rows, orders)
+                coeffs = self._column(entry, i, k)
+                if isinstance(coeffs, Unknown):
+                    raise MissingDataError(coeffs.reason)
+                out.append(self.ring.element(degree, coeffs))
+            return out
+
+        def kernel(blocks: list[list[StableElement]]) -> Subgroup:
+            """Common kernel of the maps sending generator i to block[i]."""
+            rows: list[list[int]] = []
+            orders: list[int] = []
+            for block in blocks:
+                target = block[0].value.group
+                rows += [[el.value.coeffs[r] for el in block] for r in range(target.rank)]
+                orders += target.coord_orders()
+            return kernel_into_coords(group, rows, orders)
+
+        stab = images(1)
+        ker_gamma = kernel([stab] + [images(k) for k in range(2, entry.k_max + 1)])
 
         hopf = self.ring.hopf_stable(field_tag)
-        target_degree = (m - q) + hopf.degree
-        target = self.ring.stem(target_degree)
-        rows_h: list[list[int]] = []
-        orders_h: list[int] = []
-        if not target.group.is_trivial:
-            block = []
-            for i in range(group.rank):
-                stab = self._stab_or_raise(entry, i)
-                prod = self.ring.multiply(hopf, stab)
-                if isinstance(prod, UnknownProduct):
-                    raise MissingDataError(prod.reason)
-                block.append(prod.value.coeffs)
-            for r in range(target.group.rank):
-                rows_h.append([block[i][r] for i in range(group.rank)])
-                orders_h.append(target.group.coord_orders()[r])
-        ker_hopf = kernel_into_coords(group, rows_h, orders_h)
+        products = [self.ring.multiply(hopf, el) for el in stab]
+        for prod in products:
+            if isinstance(prod, UnknownProduct):
+                raise MissingDataError(prod.reason)
+        ker_hopf = kernel([products])
 
         if subgroup_cmp(ker_gamma, ker_hopf) not in (Cmp.EQUAL, Cmp.PROPER_SUB):
             raise FgAbError(
@@ -425,10 +386,6 @@ class SphereTables:
 
         for (m, q), entry in sorted(self.raw.entries.items()):
             path = f"pi_{m}(S^{q})"
-            tors = entry.group.torsion
-            for a, b in zip(tors, tors[1:]):
-                if b % a != 0:
-                    bad(path, f"torsion orders {list(tors)} break the divisibility chain")
             for i, (name, ann) in enumerate(zip(entry.gen_names, entry.annotations)):
                 gpath = f"{path} gen {name}"
                 gen = self.generator(m, q, name)
@@ -506,11 +463,6 @@ class SphereTables:
                     twice = self.antipodal_compose(once)
                     if isinstance(twice, Unknown) or twice.value != g.value:
                         bad(path, f"antipodal action is not an involution on {name}")
-
-        for k, stem in sorted(self.raw.stems.items()):
-            for a, b in zip(stem.group.torsion, stem.group.torsion[1:]):
-                if b % a != 0:
-                    bad(f"pi_{k}^S", "torsion orders break the divisibility chain")
 
         # Registry constraints.
         for name, nc in sorted(self.raw.named.items()):

@@ -73,11 +73,7 @@ class StableRing:
 
     def __init__(self, tables: TableSet):
         self._tables = tables
-        self._gen_degrees = {
-            name: k
-            for k, stem in tables.stems.items()
-            for name in stem.gen_names
-        }
+        self._gen_degrees = tables.stem_gen_degrees
 
     @property
     def max_degree(self) -> int:

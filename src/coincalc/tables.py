@@ -142,12 +142,7 @@ class TableSet:
     stems: dict[int, StemEntry] = field(default_factory=dict)
     products: dict[tuple[str, str], ProductEntry] = field(default_factory=dict)
     named: dict[str, NamedClass] = field(default_factory=dict)
-
-    def stem_gen_degree(self, name: str) -> Optional[int]:
-        for k, stem in self.stems.items():
-            if name in stem.gen_names:
-                return k
-        return None
+    stem_gen_degrees: dict[str, int] = field(default_factory=dict)  # generator -> k
 
 
 def closed_form_entry(m: int, q: int) -> Optional[SphereEntry]:
@@ -254,6 +249,7 @@ def parse_tables(text: str) -> TableSet:
     stems: dict[int, StemEntry] = {}
     products: dict[tuple[str, str], ProductEntry] = {}
     named: dict[str, NamedClass] = {}
+    stem_gen_degrees: dict[str, int] = {}
     raw_products: list[tuple[str, str, int, tuple[int, ...], str, int]] = []
     open_entity: Optional[_OpenEntity] = None
     open_name: Optional[str] = None
@@ -482,7 +478,7 @@ def parse_tables(text: str) -> TableSet:
             raise ParseError(f"unknown directive {head!r}", line_no)
 
     close_entity()
-    tables = TableSet(entries, stems, products, named)
+    tables = TableSet(entries, stems, products, named, stem_gen_degrees)
 
     # Second pass: resolve lengths and degrees that may reference entities
     # declared anywhere in the file.
@@ -536,21 +532,20 @@ def parse_tables(text: str) -> TableSet:
                         gen_path,
                     )
 
-    all_stem_gens = {}
     for k, stem in stems.items():
         for g in stem.gen_names:
-            if g in all_stem_gens:
+            if g in stem_gen_degrees:
                 raise SchemaError(
                     f"stem generator name {g!r} reused across stems", f"pi_{k}^S"
                 )
-            all_stem_gens[g] = k
+            stem_gen_degrees[g] = k
     for a, b, degree, coeffs, source, line_no in raw_products:
         for g in (a, b):
-            if g not in all_stem_gens:
+            if g not in stem_gen_degrees:
                 raise SchemaError(
                     f"unknown stem generator {g!r}", f"prod {a} {b}"
                 )
-        expected = all_stem_gens[a] + all_stem_gens[b]
+        expected = stem_gen_degrees[a] + stem_gen_degrees[b]
         if degree != expected:
             raise SchemaError(
                 f"declares degree {degree}, expected {expected}", f"prod {a} {b}"

@@ -193,6 +193,22 @@ class TestDataHandling:
         code, out, _ = run(capsys, "--tables", str(path), "validate-data")
         assert code == 3 and "whitehead3" in out
 
+    def test_table_gap_makes_compare_unknown(self, capsys, tmp_path, table_text):
+        # A missing annotation is a gap in the data, not bad input: the scan
+        # rows turn unknown and the pointwise report still decides N~.
+        path = tmp_path / "gap.txt"
+        path.write_text(table_text.replace("gamma 2 3 14\n", ""))
+        argv = ["--tables", str(path), "compare", "--surface", "RP2", "--m-range", "6..6"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, "m=6: N# ?? N~ ?? N ?? NZ ?? 0\n", "")
+        code, _, err = run(capsys, "--strict", *argv)
+        assert code == 1 and "strict" in err
+        code, out, _ = run(
+            capsys, "--tables", str(path), "nielsen", "--field", "R", "--nprime", "2",
+            "--m", "6", "--f1", "eta_2_nu_p", "--f2", "zero", "--machine",
+        )
+        assert code == 0 and json.loads(out)["values"]["N_tilde"] == 2
+
     def test_env_variable(self, capsys, tmp_path, table_text, monkeypatch):
         path = tmp_path / "tables.txt"
         path.write_text(table_text)

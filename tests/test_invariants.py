@@ -19,7 +19,29 @@ from coincalc.invariants import (
     unk,
     wecken_status,
 )
-from coincalc.projective import space
+from coincalc.projective import decompose_valid, space
+from coincalc.selfco import Verdict, self_loose
+from coincalc.spheres import SphereClass, SphereTables
+from coincalc.tables import OutOfTabulatedRange, parse_tables
+
+
+def kernel_chain_cases(tables):
+    """(target, m) with n' <= 7 and 2 <= m <= 15 that equivalence_scan
+    decides by comparing the kernels of the bundled table."""
+    for tag in ("R", "C", "H"):
+        for n_prime in range(1, 8):
+            sp = space(tag, n_prime)
+            for m in range(2, 16):
+                if sp.n == 1 or (n_prime == 1 and m == sp.n):
+                    continue
+                try:
+                    if not decompose_valid(tables, sp, m):
+                        continue
+                    tables.kernel_chain(m, sp.q, tag)
+                except OutOfTabulatedRange:
+                    continue
+                if self_loose(tag, m, n_prime).verdict is Verdict.LOOSE:
+                    yield sp, m
 
 
 def assert_clean(rep):
@@ -235,25 +257,41 @@ class TestEquivalenceScan:
             assert scan.verdicts["n_eq_zero"][0] is ScanVerdict.HOLDS, m
 
     def test_scan_matches_pointwise_reports(self, tables):
-        # Oracle equivalence on the finite groups pi_m(S^3), m = 4, 5.
-        sp = space("C", 1)
-        for m in (4, 5):
+        # Oracle equivalence over the whole tabulated range: each report of
+        # (x, 0) depends on the pair only through delta = x, so running x over
+        # the lift group (the multiples |c| <= 24 of the generator of a Z)
+        # covers every pair the scan speaks about.
+        cases = list(kernel_chain_cases(tables))
+        groups = [tables.lookup(m, sp.q).group for sp, m in cases]
+        assert len(cases) == 65
+        assert sum(1 for g in groups if not g.is_finite) == 8
+        assert sum(g.order() for g in groups if g.is_finite) == 133
+        for (sp, m), group in zip(cases, groups):
+            if group.is_finite:
+                lifts = [SphereClass(m, sp.q, x) for x in group.elements()]
+            else:
+                assert str(group) == "Z"
+                lifts = [tables.cls(m, sp.q, [c]) for c in range(-24, 25)]
+            zero = tables.zero(m, sp.q)
+            reps = [projective_report(tables, sp, m, x, zero) for x in lifts]
+            pointwise = {
+                "nsharp_eq_ntilde": all(r.N_sharp == r.N_tilde for r in reps),
+                "ntilde_eq_n": all(r.N_tilde == r.N_plain for r in reps),
+                "n_eq_zero": all(r.N_plain == fin(0) for r in reps),
+                "n_eq_nz": all(r.N_plain == r.N_z for r in reps),
+            }
             scan = equivalence_scan(tables, sp, m)
-            entry = tables.lookup(m, 3)
-            agree_sharp_tilde = True
-            agree_tilde_n = True
-            n_always_zero = True
-            for a in range(2):
-                for b in range(2):
-                    rep = projective_report(
-                        tables, sp, m, tables.cls(m, 3, [a]), tables.cls(m, 3, [b])
-                    )
-                    agree_sharp_tilde &= rep.N_sharp == rep.N_tilde
-                    agree_tilde_n &= rep.N_tilde == rep.N_plain
-                    n_always_zero &= rep.N_plain == fin(0)
-            assert (scan.verdicts["nsharp_eq_ntilde"][0] is ScanVerdict.HOLDS) == agree_sharp_tilde
-            assert (scan.verdicts["ntilde_eq_n"][0] is ScanVerdict.HOLDS) == agree_tilde_n
-            assert (scan.verdicts["n_eq_zero"][0] is ScanVerdict.HOLDS) == n_always_zero
+            for key, holds in pointwise.items():
+                want = ScanVerdict.HOLDS if holds else ScanVerdict.FAILS
+                assert scan.verdicts[key][0] is want, (sp.name, m, key)
+            assert scan.nz_vanishes == all(r.N_z == fin(0) for r in reps), (sp.name, m)
+
+    def test_scan_unknown_on_table_gap(self, table_text):
+        gapped = SphereTables(parse_tables(table_text.replace("gamma 2 3 14\n", "")))
+        scan = equivalence_scan(gapped, space("R", 2), 6)
+        reason = "gamma k=2 of generator eta_2_nu_p of pi_6(S^2) is not annotated"
+        assert scan.verdicts == {k: (ScanVerdict.UNKNOWN, reason) for k in scan.verdicts}
+        assert scan.nz_vanishes is None
 
     def test_scan_unknown_when_hypotheses_fail(self, tables):
         scan = equivalence_scan(tables, space("C", 2), 6)

@@ -9,7 +9,6 @@ from coincalc.projective import (
     MapClass,
     correction_group,
     decompose_valid,
-    hopf_stable,
     parse_field,
     space,
 )
@@ -51,12 +50,6 @@ class TestSpaces:
             assert sp.q == sp.d * (np_ + 1) - 1
             assert sp.reidemeister in (1, 2)
             assert (sp.reidemeister == 2) == (tag == "R" and sp.n >= 2)
-
-
-def test_hopf_stable_orders(tables):
-    assert hopf_stable(tables, "R").order() is None
-    assert hopf_stable(tables, "C").order() == 2
-    assert hopf_stable(tables, "H").order() == 24
 
 
 def test_reidemeister_op():

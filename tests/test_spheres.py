@@ -104,15 +104,18 @@ class TestGamma:
                 ):
                     assert vxy == vx + vy
 
+    @staticmethod
+    def target_shape(tables, m, q):
+        entry = tables.lookup(m, q)
+        return [str(tables.ring.group(entry.gamma_degree(k))) for k in range(1, entry.k_max + 1)]
+
     def test_target_shape_at_9_2(self, tables):
-        groups = tables.gamma_target(9, 2)
-        assert [str(g) for g in groups] == [
+        assert self.target_shape(tables, 9, 2) == [
             "Z_240", "Z_2", "0", "0", "Z_24", "Z_2", "Z_2", "Z",
         ]
 
     def test_target_shape_at_9_3(self, tables):
-        groups = tables.gamma_target(9, 3)
-        assert [str(g) for g in groups] == ["Z_2", "0", "Z_2", "Z"]
+        assert self.target_shape(tables, 9, 3) == ["Z_2", "0", "Z_2", "Z"]
 
 
 class TestAntipodal:
@@ -209,6 +212,22 @@ class TestKernelChain:
         with pytest.raises(MissingDataError) as err:
             ts.kernel_chain(6, 2, "R")
         assert "gamma k=2" in str(err.value)
+
+    def test_one_missing_annotation_one_reason(self, table_text):
+        from coincalc.tables import parse_tables
+
+        # Drop the stabilization of eta_2: E^inf, Gamma and the kernel chain
+        # must all name the same gap in the same words.
+        faulty = table_text.replace("gen eta_2\nsusp 1\nstab 1 1\n", "gen eta_2\nsusp 1\n")
+        assert faulty != table_text
+        ts = SphereTables(parse_tables(faulty))
+        x = ts.generator(3, 2, "eta_2")
+        stab, first = ts.stabilize(x), ts.gamma(x).component(1)
+        with pytest.raises(MissingDataError) as err:
+            ts.kernel_chain(3, 2, "C")
+        assert isinstance(stab, Unknown) and isinstance(first, Unknown)
+        reason = "stabilization of generator eta_2 of pi_3(S^2) is not annotated"
+        assert stab.reason == first.reason == str(err.value) == reason
 
 
 def test_chain_wrong_dimension_errors(tables):
