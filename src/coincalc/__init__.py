@@ -37,7 +37,6 @@ from .invariants import (
     fin,
     kervaire_exception,
     projective_report,
-    reidemeister,
     sphere_report,
     unk,
     wecken_status,
@@ -72,10 +71,9 @@ from .spheres import (
     MissingDataError,
     SphereClass,
     SphereTables,
-    Unknown,
     ValidationReport,
 )
-from .stable import StableElement, StableRing, UnknownProduct
+from .stable import StableElement, StableRing, Unknown
 from .tables import (
     OutOfTabulatedRange,
     ParseError,

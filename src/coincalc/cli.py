@@ -277,6 +277,8 @@ def _fmt_scalar(s) -> str:
 
 
 def cmd_verify_s(args) -> int:
+    if args.samples < 1:
+        raise FgAbError("--samples must be >= 1")
     if args.field == "H":
         x, lam = quaternion_counterexample()
         sx = selfmap_s(x)

@@ -54,7 +54,8 @@ class _Parser:
 
     def take(self, expected=None):
         if self.index >= len(self.tokens):
-            raise ExprError(f"unexpected end of expression, wanted {expected!r}")
+            wanted = "" if expected is None else f", wanted {expected!r}"
+            raise ExprError(f"unexpected end of expression{wanted}")
         tok, pos = self.tokens[self.index]
         if expected is not None and tok != expected:
             raise ExprError(f"expected {expected!r} at position {pos}, got {tok!r}")
@@ -136,8 +137,17 @@ class _Parser:
             return self.tables.cls(m, q, [1])
         if tok == "whitehead":
             self.take("(")
-            qq, _ = self.take()
+            qq, qpos = self.take()
             self.take(")")
+            if not _INT_RE.fullmatch(qq):
+                raise ExprError(
+                    f"whitehead(q) needs an integer q, got {qq!r} at position {qpos}"
+                )
+            if f"whitehead{int(qq)}" not in self.tables.raw.named:
+                raise ExprError(
+                    f"whitehead({qq}) at position {pos} is not registered; named "
+                    f"classes are {sorted(self.tables.raw.named)}"
+                )
             return self._fit(self.tables.whitehead(int(qq)), m, q, f"whitehead({qq})", pos)
         if tok == "susp":
             return self._susp(m, q)

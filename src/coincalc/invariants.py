@@ -1,10 +1,10 @@
 """The decision core: Reidemeister, minimum and Nielsen numbers.
 
-For sphere targets the closed forms are evaluated directly on the homotopy
-classes; for projective targets the four Nielsen numbers and MCC are decided
-through the lift classes by vanishing criteria (difference class, its total
-Hopf-James invariant, the Hopf-multiplied stable image, and the top-degree
-obstruction), each worth 0 or the full Reidemeister number.  Every report
+Sphere and projective targets decide MCC and the four Nielsen numbers by the
+same ladder of vanishing criteria on a difference class (the class itself,
+its total Hopf-James invariant, the Hopf-multiplied stable image, and the
+top-degree obstruction), each worth 0 or a weight: 1 on a sphere, the full
+Reidemeister number on KP(n'), where the difference is of lifts.  Every report
 carries its derivation and is checked against the monotone chain
 MC >= MCC >= N# >= N~ >= N >= NZ >= 0 and the {0, R} dichotomy.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from .fgab import Cmp, FgAbError, subgroup_cmp
 from .projective import MapClass, ProjSpace, decompose_valid, parse_field
@@ -25,7 +25,7 @@ from .spheres import (
     SphereTables,
     Unknown,
 )
-from .stable import UnknownProduct
+from .stable import StableElement
 
 FINITE, INFINITE_KIND, UNKNOWN_KIND = "finite", "infinite", "unknown"
 
@@ -184,15 +184,41 @@ def dichotomy_check(report: Report, r_n: int) -> list[str]:
     return bad
 
 
-def reidemeister(sp: ProjSpace, m: int) -> InvariantValue:
-    """Reidemeister number of any pair S^m -> KP(n'), m >= 2.
+def _criteria(
+    tables: SphereTables,
+    delta: SphereClass,
+    top: bool,
+    weight: int,
+    n_factor: Callable[[StableElement], Union[StableElement, Unknown]],
+    labels: tuple[str, str],
+    deriv: list[str],
+) -> tuple[InvariantValue, InvariantValue, InvariantValue, InvariantValue]:
+    """(MCC = N#, N~, N, NZ) from the vanishing tests on delta.
 
-    The domain is simply connected, so the count depends only on the target:
-    2 for RP(n >= 2), otherwise 1 (including the circle RP(1), by contract).
+    Each number is 0 when its test vanishes and weight otherwise: delta for
+    MCC and N#, Gamma(delta) for N~, n_factor(E^inf(delta)) for N, and delta
+    again for NZ, in the top degree only (NZ = 0 elsewhere).  labels prefix
+    the derivation lines of the Gamma and the N test.
     """
-    if m < 2:
-        raise FgAbError("the Reidemeister count here assumes m >= 2")
-    return fin(sp.reidemeister)
+
+    def worth(vanishes: bool) -> InvariantValue:
+        return fin(0 if vanishes else weight)
+
+    mcc = worth(delta.is_zero)
+    n_z = mcc if top else fin(0)
+    if delta.is_zero:
+        return mcc, mcc, mcc, n_z
+    gamma = tables.gamma(delta)
+    zero = gamma.is_zero()
+    deriv.append(f"{labels[0]}{gamma}")
+    n_tilde = unk(f"Gamma undetermined: {gamma}") if zero is None else worth(zero)
+    image = gamma.component(1)
+    if not isinstance(image, Unknown):
+        image = n_factor(image)
+    if isinstance(image, Unknown):
+        return mcc, n_tilde, unk(image.reason), n_z
+    deriv.append(f"{labels[1]}{image}")
+    return mcc, n_tilde, worth(image.is_zero), n_z
 
 
 def sphere_report(
@@ -238,30 +264,14 @@ def sphere_report(
         return Report(target, m, n, inputs, r, u, u, u, u, u, u, notes, deriv)
     delta = f1 - af2
     deriv.append(f"delta = [f1] - [a . f2] = {delta.value} in pi_{m}(S^{n})")
-    nonzero = not delta.is_zero
-    mcc = fin(1 if nonzero else 0)
-    n_sharp = mcc
-
-    if not nonzero:
-        n_tilde: InvariantValue = fin(0)
-        n_plain: InvariantValue = fin(0)
-    else:
-        gamma = tables.gamma(delta)
-        zero = gamma.is_zero()
-        deriv.append(f"Gamma(delta): {gamma}")
-        n_tilde = unk(f"Gamma undetermined: {gamma}") if zero is None else fin(0 if zero else 1)
-        stab = gamma.component(1)
-        if isinstance(stab, Unknown):
-            n_plain = unk(stab.reason)
-        else:
-            deriv.append(f"E^inf(delta) = {stab}")
-            n_plain = fin(0 if stab.is_zero else 1)
-
-    n_z = n_sharp if m == n else fin(0)
+    labels = ("Gamma(delta): ", "E^inf(delta) = ")
+    mcc, n_tilde, n_plain, n_z = _criteria(
+        tables, delta, m == n, 1, lambda stab: stab, labels, deriv
+    )
     if m == n:
         notes.append("m = n: all six numbers agree (classical self-coincidence count)")
 
-    if not nonzero:
+    if delta.is_zero:
         mc: InvariantValue = fin(0)
     else:
         member = tables.suspension_image_contains(m, n, delta)
@@ -273,7 +283,7 @@ def sphere_report(
         else:
             mc = unk("suspension image membership undetermined")
     return Report(
-        target, m, n, inputs, r, mc, mcc, n_sharp, n_tilde, n_plain, n_z, notes, deriv
+        target, m, n, inputs, r, mc, mcc, mcc, n_tilde, n_plain, n_z, notes, deriv
     )
 
 
@@ -369,36 +379,20 @@ def projective_report(
     delta = lift1 - lift2
     deriv.append(f"delta = lift1 - lift2 = {delta.value} in pi_{m}(S^{sp.q})")
     nonzero = not delta.is_zero
-    mcc = fin(r_n if nonzero else 0)
-    n_sharp = mcc
     deriv.append(
-        f"difference test: delta {'nonzero' if nonzero else 'zero'} -> MCC = N# = {mcc}"
+        f"difference test: delta {'nonzero' if nonzero else 'zero'} -> "
+        f"MCC = N# = {r_n if nonzero else 0}"
     )
-
-    if not nonzero:
-        n_tilde: InvariantValue = fin(0)
-        n_plain: InvariantValue = fin(0)
-    else:
-        gamma = tables.gamma(delta)
-        zero = gamma.is_zero()
-        deriv.append(f"Hopf-James test (N~): Gamma(delta): {gamma}")
-        n_tilde = unk(f"Gamma undetermined: {gamma}") if zero is None else fin(0 if zero else r_n)
-        stab = gamma.component(1)
-        if isinstance(stab, Unknown):
-            n_plain = unk(stab.reason)
-        else:
-            hopf = tables.ring.hopf_stable(sp.field.tag)
-            prod = tables.ring.multiply(hopf, stab)
-            if isinstance(prod, UnknownProduct):
-                n_plain = unk(prod.reason)
-            else:
-                deriv.append(
-                    f"stable Hopf product test (N): h_{sp.field.tag} . "
-                    f"E^inf(delta) = {prod}"
-                )
-                n_plain = fin(0 if prod.is_zero else r_n)
-
-    n_z = fin(r_n if (m == sp.n and nonzero) else 0)
+    tag = sp.field.tag
+    labels = (
+        "Hopf-James test (N~): Gamma(delta): ",
+        f"stable Hopf product test (N): h_{tag} . E^inf(delta) = ",
+    )
+    ring = tables.ring
+    mcc, n_tilde, n_plain, n_z = _criteria(
+        tables, delta, m == sp.n, r_n,
+        lambda stab: ring.multiply(ring.hopf_stable(tag), stab), labels, deriv,
+    )
     deriv.append(
         f"top-degree test: m {'=' if m == sp.n else '!='} n -> NZ = {n_z}"
     )
@@ -416,7 +410,7 @@ def projective_report(
         mc = unk("MC is determined by these tables only for sphere targets")
 
     rep = Report(
-        sp.name, m, sp.n, inputs, r, mc, mcc, n_sharp, n_tilde, n_plain, n_z, notes, deriv
+        sp.name, m, sp.n, inputs, r, mc, mcc, mcc, n_tilde, n_plain, n_z, notes, deriv
     )
     bad = dichotomy_check(rep, r_n)
     if bad:
@@ -591,6 +585,8 @@ class WeckenAnswer:
 
 def wecken_status(sp: ProjSpace, m: int) -> WeckenAnswer:
     """Does MCC == N# hold for all pairs of maps S^m -> KP(n')?"""
+    if m < 1:
+        raise FgAbError("m must be >= 1")
     tag = sp.field.tag
     if (tag in ("R", "C") and sp.n_prime % 2 == 1) or (
         tag == "H" and sp.n_prime % 24 == 23

@@ -47,10 +47,6 @@ def s_zero(field: Field) -> Scalar:
     return (Fraction(0),) * field.d
 
 
-def s_one(field: Field) -> Scalar:
-    return (Fraction(1),) + (Fraction(0),) * (field.d - 1)
-
-
 def s_add(a: Scalar, b: Scalar) -> Scalar:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -13,17 +13,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 from .fgab import (
     Cmp,
     FgAbError,
+    FgAbGroup,
     GroupElement,
     Subgroup,
     kernel_into_coords,
     subgroup_cmp,
 )
-from .stable import StableElement, StableRing, UnknownProduct
+from .stable import StableElement, StableRing, Unknown
 from .tables import (
     OutOfTabulatedRange,
     SphereEntry,
@@ -31,13 +33,6 @@ from .tables import (
     TableSet,
     resolve_entry,
 )
-
-
-@dataclass(frozen=True)
-class Unknown:
-    """A value the tables cannot determine; carries the reason."""
-
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -192,23 +187,8 @@ class SphereTables:
             target = self.lookup(x.m + 1, x.q + 1)
         except OutOfTabulatedRange:
             return Unknown(f"pi_{x.m + 1}(S^{x.q + 1}) is not tabulated")
-        out = SphereClass(x.m + 1, x.q + 1, target.group.zero())
-        if target.group.is_trivial or x.is_zero:
-            return out
-        entry = self.lookup(x.m, x.q)
-        for i, c in enumerate(x.value.coeffs):
-            if c == 0:
-                continue
-            susp = entry.annotations[i].susp
-            if susp is None:
-                return Unknown(
-                    f"suspension of generator {entry.gen_names[i]} of "
-                    f"pi_{x.m}(S^{x.q}) is not annotated"
-                )
-            out = out + SphereClass(
-                x.m + 1, x.q + 1, target.group.element(susp).scale(c)
-            )
-        return out
+        make = partial(SphereClass, x.m + 1, x.q + 1)
+        return self._apply(x, "susp", target.group, make)
 
     def suspend_iter(self, x: SphereClass, times: int) -> Union[SphereClass, Unknown]:
         for _ in range(times):
@@ -217,41 +197,53 @@ class SphereTables:
                 return x
         return x
 
-    # ------------------------------------------- E^inf and the Hopf-James map
+    # ------------------------------------------------------ annotated maps
 
     def _column(
-        self, entry: SphereEntry, i: int, k: int
+        self, entry: SphereEntry, i: int, kind: Union[str, int]
     ) -> Union[tuple[int, ...], Unknown]:
-        """Component k of generator i (k = 1 is E^inf), as stored coefficients."""
+        """Stored image of generator i under kind: "susp", "antip", or the
+        Hopf-James component k >= 1 (k = 1 is E^inf)."""
         ann = entry.annotations[i]
-        coeffs = ann.stab if k == 1 else ann.gamma_component(k)
+        if kind == "susp":
+            coeffs, what = ann.susp, "suspension of"
+        elif kind == "antip":
+            coeffs, what = ann.antip, "antipodal action on"
+        elif kind == 1:
+            coeffs, what = ann.stab, "stabilization of"
+        else:
+            coeffs, what = ann.gamma_component(kind), f"gamma k={kind} of"
         if coeffs is None:
-            what = "stabilization" if k == 1 else f"gamma k={k}"
             return Unknown(
-                f"{what} of generator {entry.gen_names[i]} of "
+                f"{what} generator {entry.gen_names[i]} of "
                 f"pi_{entry.m}(S^{entry.q}) is not annotated"
             )
         return coeffs
 
-    def _component(self, x: SphereClass, k: int) -> Union[StableElement, Unknown]:
-        """Component k of Gamma(x), summed over the generator columns."""
+    def _apply(self, x: SphereClass, kind: Union[str, int], target: FgAbGroup, make):
+        """make(image of x in target under kind): zero when x or the target
+        is, else the sum of x's columns, or the first missing one's Unknown."""
+        out = target.zero()
+        if target.is_trivial or x.is_zero:
+            return make(out)
         entry = self.lookup(x.m, x.q)
-        degree = entry.gamma_degree(k)
+        for i, c in enumerate(x.value.coeffs):
+            if c == 0:
+                continue
+            coeffs = self._column(entry, i, kind)
+            if isinstance(coeffs, Unknown):
+                return coeffs
+            out = out + target.element(coeffs).scale(c)
+        return make(out)
+
+    def _component(self, x: SphereClass, k: int) -> Union[StableElement, Unknown]:
+        """Component k of Gamma(x) (k = 1 is E^inf)."""
+        degree = self.lookup(x.m, x.q).gamma_degree(k)
         try:
             stem = self.ring.stem(degree)
         except OutOfTabulatedRange:
             return Unknown(f"pi_{degree}^S is not tabulated")
-        out = self.ring.zero(degree)
-        if stem.group.is_trivial or x.is_zero:
-            return out
-        for i, c in enumerate(x.value.coeffs):
-            if c == 0:
-                continue
-            coeffs = self._column(entry, i, k)
-            if isinstance(coeffs, Unknown):
-                return coeffs
-            out = out + self.ring.element(degree, coeffs).scale(c)
-        return out
+        return self._apply(x, k, stem.group, partial(StableElement, degree))
 
     def stabilize(self, x: SphereClass) -> Union[StableElement, Unknown]:
         """E^inf: pi_m(S^q) -> pi_{m-q}^S."""
@@ -274,21 +266,8 @@ class SphereTables:
         """The class of a . f, a the antipodal map of the target sphere."""
         if x.q % 2 == 1:
             return x  # deg a = +1, a homotopic to the identity
-        entry = self.lookup(x.m, x.q)
-        if x.is_zero:
-            return x
-        out = self.zero(x.m, x.q)
-        for i, c in enumerate(x.value.coeffs):
-            if c == 0:
-                continue
-            antip = entry.annotations[i].antip
-            if antip is None:
-                return Unknown(
-                    f"antipodal action on generator {entry.gen_names[i]} of "
-                    f"pi_{x.m}(S^{x.q}) is not annotated"
-                )
-            out = out + SphereClass(x.m, x.q, entry.group.element(antip).scale(c))
-        return out
+        group = self.lookup(x.m, x.q).group
+        return self._apply(x, "antip", group, partial(SphereClass, x.m, x.q))
 
     # -------------------------------------------- suspension image membership
 
@@ -302,19 +281,12 @@ class SphereTables:
             source = self.lookup(m - 1, q - 1)
         except OutOfTabulatedRange:
             return Membership.UNKNOWN
-        target = self.lookup(m, q)
-        columns = []
-        complete = True
-        for i in range(source.group.rank):
-            susp = source.annotations[i].susp
-            if susp is None:
-                complete = False
-                continue
-            columns.append(target.group.element(susp))
-        sub = Subgroup(target.group, tuple(columns))
-        if sub.contains(x.value):
+        target = self.lookup(m, q).group
+        columns = [self._column(source, i, "susp") for i in range(source.group.rank)]
+        known = [target.element(c) for c in columns if not isinstance(c, Unknown)]
+        if Subgroup(target, tuple(known)).contains(x.value):
             return Membership.YES
-        return Membership.NO if complete else Membership.UNKNOWN
+        return Membership.NO if len(known) == len(columns) else Membership.UNKNOWN
 
     # ------------------------------------------------------- kernel chain
 
@@ -333,18 +305,18 @@ class SphereTables:
             triv = Subgroup.trivial(group)
             return triv, triv, whole
 
+        def known(value):
+            if isinstance(value, Unknown):
+                raise MissingDataError(value.reason)
+            return value
+
         def images(k: int) -> list[StableElement]:
             """Component k of each generator; zero into a trivial stem."""
             degree = entry.gamma_degree(k)
             if self.ring.stem(degree).group.is_trivial:
                 return [self.ring.zero(degree)] * group.rank
-            out = []
-            for i in range(group.rank):
-                coeffs = self._column(entry, i, k)
-                if isinstance(coeffs, Unknown):
-                    raise MissingDataError(coeffs.reason)
-                out.append(self.ring.element(degree, coeffs))
-            return out
+            columns = [known(self._column(entry, i, k)) for i in range(group.rank)]
+            return [self.ring.element(degree, c) for c in columns]
 
         def kernel(blocks: list[list[StableElement]]) -> Subgroup:
             """Common kernel of the maps sending generator i to block[i]."""
@@ -360,11 +332,7 @@ class SphereTables:
         ker_gamma = kernel([stab] + [images(k) for k in range(2, entry.k_max + 1)])
 
         hopf = self.ring.hopf_stable(field_tag)
-        products = [self.ring.multiply(hopf, el) for el in stab]
-        for prod in products:
-            if isinstance(prod, UnknownProduct):
-                raise MissingDataError(prod.reason)
-        ker_hopf = kernel([products])
+        ker_hopf = kernel([[known(self.ring.multiply(hopf, el)) for el in stab]])
 
         if subgroup_cmp(ker_gamma, ker_hopf) not in (Cmp.EQUAL, Cmp.PROPER_SUB):
             raise FgAbError(
@@ -386,22 +354,9 @@ class SphereTables:
 
         for (m, q), entry in sorted(self.raw.entries.items()):
             path = f"pi_{m}(S^{q})"
-            for i, (name, ann) in enumerate(zip(entry.gen_names, entry.annotations)):
+            for name, ann in zip(entry.gen_names, entry.annotations):
                 gpath = f"{path} gen {name}"
                 gen = self.generator(m, q, name)
-                # Degree arithmetic of stored annotations.
-                if ann.stab is not None:
-                    stem = self.raw.stems.get(m - q)
-                    if stem is None or len(ann.stab) != stem.group.rank:
-                        bad(gpath, "stab vector does not match pi_{}^S".format(m - q))
-                for k, coeffs in ann.gammas:
-                    degree = entry.gamma_degree(k)
-                    if k > entry.k_max or degree < 0:
-                        bad(gpath, f"gamma component k={k} out of range")
-                        continue
-                    stem = self.raw.stems.get(degree)
-                    if stem is None or len(coeffs) != stem.group.rank:
-                        bad(gpath, f"gamma k={k} vector does not match pi_{degree}^S")
                 # Diagram consistency at k = 1: a stored first component must
                 # equal the stabilization, and the Hopf products h_K . E^inf
                 # needed by the weakest criterion must be computable.
@@ -415,40 +370,26 @@ class SphereTables:
                             "gamma k=1 component disagrees with the stabilization "
                             f"({list(gamma1)} vs {list(ann.stab)})",
                         )
-                stab_el = None
-                stem = self.raw.stems.get(m - q)
-                if stem is not None and stem.group.is_trivial:
-                    stab_el = self.ring.zero(m - q)
-                elif ann.stab is not None and stem is not None:
-                    stab_el = self.ring.element(m - q, ann.stab)
-                if stab_el is not None:
+                s1 = self.stabilize(gen)
+                if not isinstance(s1, Unknown):
                     for tag in ("R", "C", "H"):
                         hopf = self.ring.hopf_stable(tag)
                         if (m - q) + hopf.degree > self.ring.max_degree:
-                            bad(
-                                gpath,
-                                f"h_{tag} product degree exceeds tabulated stems",
-                            )
+                            bad(gpath, f"h_{tag} product degree exceeds tabulated stems")
                             continue
-                        prod = self.ring.multiply(hopf, stab_el)
-                        if isinstance(prod, UnknownProduct):
+                        prod = self.ring.multiply(hopf, s1)
+                        if isinstance(prod, Unknown):
                             bad(gpath, f"h_{tag} . E^inf not computable: {prod.reason}")
                 # Stabilize-suspend coherence.
-                if ann.susp is not None:
+                if ann.susp is not None and not isinstance(s1, Unknown):
                     susp = self.suspend(gen)
-                    if not isinstance(susp, Unknown):
-                        s1 = self.stabilize(gen)
-                        s2 = self.stabilize(susp)
-                        if (
-                            not isinstance(s1, Unknown)
-                            and not isinstance(s2, Unknown)
-                            and s1.value != s2.value
-                        ):
-                            bad(
-                                gpath,
-                                f"stabilization not suspension-invariant: "
-                                f"{s1} vs {s2} after E",
-                            )
+                    s2 = susp if isinstance(susp, Unknown) else self.stabilize(susp)
+                    if not isinstance(s2, Unknown) and s1.value != s2.value:
+                        bad(
+                            gpath,
+                            f"stabilization not suspension-invariant: "
+                            f"{s1} vs {s2} after E",
+                        )
                 # Antipodal constraints.
                 if q % 2 == 1 and ann.antip is not None:
                     if entry.group.element(ann.antip) != gen.value:
@@ -457,11 +398,7 @@ class SphereTables:
             if q % 2 == 0 and all(a.antip is not None for a in entry.annotations):
                 for name in entry.gen_names:
                     g = self.generator(m, q, name)
-                    once = self.antipodal_compose(g)
-                    if isinstance(once, Unknown):
-                        break
-                    twice = self.antipodal_compose(once)
-                    if isinstance(twice, Unknown) or twice.value != g.value:
+                    if self.antipodal_compose(self.antipodal_compose(g)).value != g.value:
                         bad(path, f"antipodal action is not an involution on {name}")
 
         # Registry constraints.

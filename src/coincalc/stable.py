@@ -3,9 +3,10 @@
 The stems pi_k^S come straight from the table file; products are defined on
 generator pairs and extended bilinearly.  Products that land in a trivial
 stem, or have the unit iota or a zero factor, are computed without a table
-entry.  Anything else that is not stored comes back as UnknownProduct: the
-ring never guesses, because the coincidence criteria must degrade to Unknown
-rather than report a wrong vanishing.
+entry.  Anything else that is not stored comes back as Unknown: the ring
+never guesses, because the coincidence criteria must degrade to Unknown
+rather than report a wrong vanishing.  Unknown is the one "the tables cannot
+decide" value of the whole package.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ _DERIVED_NAMES: dict[str, tuple[int, tuple[int, ...]]] = {
     "eta3": (3, (12,)),  # eta^3 = 12 nu, the order-2 class of pi_3^S
     "einf_alpha1_3": (3, (8,)),  # stable image of alpha_1(3), order 3
 }
+
+
+@dataclass(frozen=True)
+class Unknown:
+    """A value the tables cannot determine; carries the reason."""
+
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -58,14 +66,7 @@ class StableElement:
         return f"{self.value} in pi_{self.degree}^S"
 
 
-@dataclass(frozen=True)
-class UnknownProduct:
-    """A product the table cannot resolve; carries the blocking pair."""
-
-    reason: str
-
-
-ProductResult = Union[StableElement, UnknownProduct]
+ProductResult = Union[StableElement, Unknown]
 
 
 class StableRing:
@@ -135,7 +136,7 @@ class StableRing:
         if entry is not None:
             sign = -1 if (ka % 2 == 1 and kb % 2 == 1) else 1
             return self.element(entry.degree, entry.coeffs).scale(sign)
-        return UnknownProduct(
+        return Unknown(
             f"product {name_a} * {name_b} (degrees {ka}+{kb}) not tabulated"
         )
 
@@ -162,7 +163,7 @@ class StableRing:
                 if cb == 0:
                     continue
                 part = self._gen_product(stem_a.gen_names[i], stem_b.gen_names[j])
-                if isinstance(part, UnknownProduct):
+                if isinstance(part, Unknown):
                     return part
                 total = total + part.scale(ca * cb)
         return total

@@ -134,6 +134,32 @@ class TestCompare:
         assert [row["m"] for row in doc["rows"]] == [3, 4]
 
 
+def _nielsen_rp2(f1):
+    return ["nielsen", "--field", "R", "--nprime", "2", "--m", "3", "--f1", f1, "--f2", "zero"]
+
+
+class TestExitContract:
+    """Bad input exits 2 with a one-line reason, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (_nielsen_rp2("whitehead(4)"), "named classes are ['alpha1_3',"),
+            (_nielsen_rp2("whitehead(x)"), "whitehead(q) needs an integer q, got 'x'"),
+            (_nielsen_rp2("whitehead("), "unexpected end of expression\n"),
+            (["wecken", "--field", "R", "--nprime", "2", "--m", "-5"], "m must be >= 1"),
+            (["verify-s", "--field", "C", "--samples", "0"], "--samples must be >= 1"),
+            (["verify-s", "--field", "R", "--samples", "-3"], "--samples must be >= 1"),
+        ],
+        ids=["whitehead-unregistered", "whitehead-not-int", "whitehead-open",
+             "wecken-negative-m", "verify-s-no-samples", "verify-s-negative-samples"],
+    )
+    def test_bad_input_exits_2(self, capsys, argv, reason):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert reason in err and "Traceback" not in err
+
+
 class TestWitnessesAndVerdicts:
     @pytest.mark.parametrize("claim", ["a", "b", "c"])
     def test_witness_claims(self, capsys, claim):

@@ -298,6 +298,74 @@ class TestEquivalenceScan:
         assert all(v is ScanVerdict.UNKNOWN for v, _w in scan.verdicts.values())
 
 
+def _eta2(ts):
+    return ts.generator(3, 2, "eta_2")
+
+
+# One dropped table line per annotation kind: (kept text, text after the
+# drop, [(probe, the exact reason it must report)]).
+_GAPS = {
+    "susp": (
+        "gen eta_2\nsusp 1\n",
+        "gen eta_2\n",
+        [(lambda ts: ts.suspend(_eta2(ts)).reason,
+          "suspension of generator eta_2 of pi_3(S^2) is not annotated")],
+    ),
+    "antip": (
+        "gamma 2 0 1\nantip 1\n",
+        "gamma 2 0 1\n",
+        [(lambda ts: ts.antipodal_compose(_eta2(ts)).reason,
+          "antipodal action on generator eta_2 of pi_3(S^2) is not annotated"),
+         (lambda ts: sphere_report(ts, 3, 2, ts.zero(3, 2), _eta2(ts)).N_plain.reason,
+          "antipodal action on generator eta_2 of pi_3(S^2) is not annotated")],
+    ),
+    "stab": (
+        "gen eta_2\nsusp 1\nstab 1 1\n",
+        "gen eta_2\nsusp 1\n",
+        [(lambda ts: ts.stabilize(_eta2(ts)).reason,
+          "stabilization of generator eta_2 of pi_3(S^2) is not annotated"),
+         (lambda ts: ts.gamma(_eta2(ts)).component(1).reason,
+          "stabilization of generator eta_2 of pi_3(S^2) is not annotated"),
+         (lambda ts: projective_report(
+             ts, space("R", 2), 3, _eta2(ts), ts.zero(3, 2)).N_plain.reason,
+          "stabilization of generator eta_2 of pi_3(S^2) is not annotated")],
+    ),
+    "gamma": (
+        "gamma 2 6 0\n",
+        "",
+        [(lambda ts: ts.gamma(ts.generator(9, 2, "eta_2_alpha")).component(2).reason,
+          "gamma k=2 of generator eta_2_alpha of pi_9(S^2) is not annotated"),
+         (lambda ts: projective_report(
+             ts, space("R", 2), 9, ts.generator(9, 2, "eta_2_alpha"), ts.zero(9, 2)
+         ).N_tilde.reason,
+          "Gamma undetermined: k=1: (0) in pi_7^S; k=2: unknown (gamma k=2 of "
+          "generator eta_2_alpha of pi_9(S^2) is not annotated); k=3: () in "
+          "pi_5^S; k=4: () in pi_4^S; k=5: (0) in pi_3^S; k=6: (0) in pi_2^S; "
+          "k=7: (0) in pi_1^S; k=8: (0) in pi_0^S")],
+    ),
+    "prod": (
+        "prod eta eta -> 2 1\n",
+        "",
+        [(lambda ts: ts.ring.multiply(ts.ring.named("eta"), ts.ring.named("eta")).reason,
+          "product eta * eta (degrees 1+1) not tabulated"),
+         (lambda ts: projective_report(
+             ts, space("C", 2), 6, ts.cls(6, 5, [1]), ts.zero(6, 5),
+             assume_self_loose=True,
+         ).N_plain.reason,
+          "product eta * eta (degrees 1+1) not tabulated")],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GAPS))
+def test_unknown_reason_for_each_dropped_line(table_text, kind):
+    kept, dropped, probes = _GAPS[kind]
+    assert table_text.count(kept) == 1
+    gapped = SphereTables(parse_tables(table_text.replace(kept, dropped)))
+    for probe, reason in probes:
+        assert probe(gapped) == reason
+
+
 class TestChainCheck:
     def test_injected_violation(self, tables):
         rep = sphere_report(tables, 9, 5, tables.whitehead(5), tables.zero(9, 5))

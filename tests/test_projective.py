@@ -53,14 +53,10 @@ class TestSpaces:
 
 
 def test_reidemeister_op():
-    from coincalc.invariants import fin, reidemeister
-
-    assert reidemeister(space("R", 5), 7) == fin(2)
-    assert reidemeister(space("C", 3), 9) == fin(1)
-    assert reidemeister(space("H", 2), 11) == fin(1)
-    assert reidemeister(space("R", 1), 9) == fin(1)
-    with pytest.raises(FgAbError):
-        reidemeister(space("R", 2), 1)
+    assert space("R", 5).reidemeister == 2
+    assert space("C", 3).reidemeister == 1
+    assert space("H", 2).reidemeister == 1
+    assert space("R", 1).reidemeister == 1
 
 
 class TestDecomposition:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from coincalc.stable import StableElement, UnknownProduct
+from coincalc.stable import StableElement, Unknown
 from coincalc.tables import OutOfTabulatedRange
 
 PINNED_STEMS = {
@@ -103,7 +103,7 @@ class TestMultiply:
     def test_unknown_product_is_honest(self, tables):
         ring = tables.ring
         out = ring.multiply(ring.named("sigma"), ring.named("sigma"))
-        assert isinstance(out, UnknownProduct)
+        assert isinstance(out, Unknown)
         assert "sigma" in out.reason
 
     def test_out_of_range_degree(self, tables):
