@@ -80,6 +80,7 @@ from .tables import (
     SchemaError,
     TableError,
     TableSet,
+    UnregisteredName,
     load_tables,
     parse_tables,
     serialize_tables,

@@ -44,7 +44,14 @@ from .selfco import (
     selfmap_s,
 )
 from .spheres import SphereTables
-from .tables import OutOfTabulatedRange, ParseError, SchemaError, TableError, load_tables
+from .tables import (
+    OutOfTabulatedRange,
+    ParseError,
+    SchemaError,
+    TableError,
+    UnregisteredName,
+    load_tables,
+)
 
 ENV_TABLES = "COINCALC_TABLES"
 
@@ -412,7 +419,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SchemaError) as exc:
+    except (ParseError, SchemaError, UnregisteredName) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OutOfTabulatedRange as exc:

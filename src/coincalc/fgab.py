@@ -3,15 +3,17 @@
 Groups are kept in invariant-factor normal form (torsion orders t1 | t2 | ...),
 elements are integer coefficient vectors with torsion coordinates reduced to
 [0, t), and homomorphisms are integer matrices acting on generator coordinates.
-Everything is built on an exact integer Smith normal form; kernels, images and
-subgroup comparisons reduce to integer linear algebra, so every answer is
-exact.  All values are immutable after construction.
+Kernels and images are built on an exact integer Smith normal form; each
+subgroup carries a canonical Hermite normal form basis, so membership and
+comparison are row reductions against it.  Every answer is exact, and all
+values are immutable after construction.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _iproduct
 from math import gcd
 from typing import Iterator, Optional, Sequence
@@ -488,32 +490,63 @@ class Cmp(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _solve_integer(
-    columns: list[list[int]], coord_orders: Sequence[int], target: Sequence[int]
-) -> bool:
-    """Decide whether target is an integer combination of columns modulo the
-    relations t_i * e_i given by nonzero coord_orders."""
+def _hnf(rows: Sequence[Sequence[int]], coord_orders: Sequence[int]) -> Matrix:
+    """Canonical row Hermite normal form of the lattice spanned by `rows`
+    together with the relations t_i * e_i for the nonzero coord_orders.
+
+    Rows come back sorted by pivot column, zero rows dropped, each pivot
+    positive and every entry above a pivot reduced into [0, pivot): the
+    unique basis of that lattice in this shape.  Each torsion coordinate has
+    a pivot dividing its order, since its relation lies in the lattice, so
+    entries there stay below that order (HNF modulo D, Cohen GTM 138, 2.4).
+    """
     dim = len(coord_orders)
-    cols = [list(c) for c in columns]
+    piv: dict[int, list[int]] = {}
     for i, t in enumerate(coord_orders):
         if t:
-            rel = [0] * dim
-            rel[i] = t
-            cols.append(rel)
-    if not cols:
-        return all(c == 0 for c in target)
-    a = [[col[i] for col in cols] for i in range(dim)]
-    u, d, _v = smith_normal_form(a)
-    y = [sum(u[i][k] * target[k] for k in range(dim)) for i in range(dim)]
-    diag = _diag(d)
-    for i in range(dim):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if y[i] != 0:
-                return False
-        elif y[i] % di != 0:
+            piv[i] = [t if j == i else 0 for j in range(dim)]
+    for row in rows:
+        v = list(row)
+        for c in range(dim):
+            if coord_orders[c]:
+                v[c] %= coord_orders[c]
+            a = v[c]
+            if a == 0:
+                continue
+            p = piv.get(c)
+            if p is None:
+                piv[c] = v if a > 0 else [-x for x in v]
+                break
+            b = p[c]
+            if a % b == 0:
+                quo = a // b
+                v = [x - quo * y for x, y in zip(v, p)]
+                continue
+            g, x, y = xgcd(b, a)
+            piv[c] = [x * pp + y * vv for pp, vv in zip(p, v)]
+            v = [(b // g) * vv - (a // g) * pp for pp, vv in zip(p, v)]
+    cols = sorted(piv)
+    for n, c in reversed(list(enumerate(cols))):
+        row = piv[c]
+        for d in cols[n + 1 :]:
+            quo = row[d] // piv[d][d]
+            if quo:
+                row = [x - quo * y for x, y in zip(row, piv[d])]
+        piv[c] = row
+    return [piv[c] for c in cols]
+
+
+def _reduces_to_zero(v: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
+    """Is v in the lattice with this canonical basis?  Clear v's entry at
+    each pivot, left to right; v is in it iff nothing is left."""
+    v = list(v)
+    for p in basis:
+        c = next(j for j, x in enumerate(p) if x)
+        quo, rem = divmod(v[c], p[c])
+        if rem:
             return False
-    return True
+        v = [x - quo * y for x, y in zip(v, p)]
+    return not any(v)
 
 
 def _kernel_generators(
@@ -553,7 +586,12 @@ def _kernel_generators(
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of an ambient group, given by a generating set."""
+    """A subgroup of an ambient group, given by a generating set.
+
+    Membership and comparison go through `basis`, a canonical form computed
+    once on first use; equality of Subgroup values stays equality of the
+    generating sets.
+    """
 
     ambient: FgAbGroup
     generators_: tuple[GroupElement, ...]
@@ -576,11 +614,17 @@ class Subgroup:
     def whole(cls, ambient: FgAbGroup) -> "Subgroup":
         return cls(ambient, tuple(ambient.generators()))
 
+    @cached_property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """Row HNF of the generators with the ambient torsion relations: two
+        subgroups are equal exactly when their bases are."""
+        rows = _hnf([g.coeffs for g in self.generators_], self.ambient.coord_orders())
+        return tuple(tuple(r) for r in rows)
+
     def contains(self, x: GroupElement) -> bool:
         if x.group != self.ambient:
             raise FgAbError("membership test against a different ambient group")
-        columns = [list(g.coeffs) for g in self.generators_]
-        return _solve_integer(columns, self.ambient.coord_orders(), list(x.coeffs))
+        return _reduces_to_zero(x.coeffs, self.basis)
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         if other.ambient != self.ambient:
@@ -592,7 +636,7 @@ class Subgroup:
         return all(g.is_zero for g in self.generators_)
 
     def is_whole(self) -> bool:
-        return self.contains_subgroup(Subgroup.whole(self.ambient))
+        return self.basis == tuple(tuple(r) for r in _identity(self.ambient.rank))
 
     def enumerate(self) -> set[tuple[int, ...]]:
         """All element coordinate tuples (finite ambient groups only)."""
@@ -649,13 +693,13 @@ def image(h: Homomorphism) -> Subgroup:
 
 def subgroup_cmp(a: Subgroup, b: Subgroup) -> Cmp:
     """Compare two subgroups of the same ambient group."""
-    fwd = b.contains_subgroup(a)
-    bwd = a.contains_subgroup(b)
-    if fwd and bwd:
+    if a.ambient != b.ambient:
+        raise FgAbError("subgroup comparison across ambient groups")
+    if a.basis == b.basis:
         return Cmp.EQUAL
-    if fwd:
+    if all(_reduces_to_zero(row, b.basis) for row in a.basis):
         return Cmp.PROPER_SUB
-    if bwd:
+    if all(_reduces_to_zero(row, a.basis) for row in b.basis):
         return Cmp.PROPER_SUPER
     return Cmp.INCOMPARABLE
 

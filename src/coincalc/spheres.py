@@ -31,6 +31,7 @@ from .tables import (
     SphereEntry,
     TableError,
     TableSet,
+    UnregisteredName,
     resolve_entry,
 )
 
@@ -138,12 +139,22 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+Chain = tuple[Subgroup, Subgroup, Subgroup]
+
+
 class SphereTables:
-    """The full query interface over one loaded TableSet."""
+    """The full query interface over one loaded TableSet.
+
+    The table is never changed after construction, so kernel chains are
+    computed once per (m, q, field) and kept on the instance.
+    """
 
     def __init__(self, tables: TableSet):
         self.raw = tables
         self.ring = StableRing(tables)
+        # (m, q, field_tag) -> the chain, or the reason text of its
+        # MissingDataError; bounded by the tabulated (m, q) times 3 fields.
+        self._chains: dict[tuple[int, int, str], Union[Chain, str]] = {}
 
     # ------------------------------------------------------------- lookup
 
@@ -169,7 +180,7 @@ class SphereTables:
         """Resolve a registered class (hopfC, whitehead5, alpha1_3, ...)."""
         nc = self.raw.named.get(name)
         if nc is None:
-            raise LookupError(
+            raise UnregisteredName(
                 f"unknown named class {name!r}; available: "
                 + ", ".join(sorted(self.raw.named))
             )
@@ -290,14 +301,27 @@ class SphereTables:
 
     # ------------------------------------------------------- kernel chain
 
-    def kernel_chain(
-        self, m: int, q: int, field_tag: str
-    ) -> tuple[Subgroup, Subgroup, Subgroup]:
+    def kernel_chain(self, m: int, q: int, field_tag: str) -> Chain:
         """(Ker Gamma, Ker(h_K . E^inf), whole group) for pi_m(S^q).
 
         Raises MissingDataError when an annotation or stable product the
-        criteria need is absent; the chain inclusions are verified.
+        criteria need is absent; the chain inclusions are verified.  Each
+        answer is computed once; a repeated gap raises a fresh error with
+        the same text.
         """
+        key = (m, q, field_tag)
+        chain = self._chains.get(key)
+        if chain is None:
+            try:
+                chain = self._build_chain(m, q, field_tag)
+            except MissingDataError as exc:
+                chain = str(exc)
+            self._chains[key] = chain
+        if isinstance(chain, str):
+            raise MissingDataError(chain)
+        return chain
+
+    def _build_chain(self, m: int, q: int, field_tag: str) -> Chain:
         entry = self.lookup(m, q)
         group = entry.group
         whole = Subgroup.whole(group)
@@ -331,7 +355,10 @@ class SphereTables:
         stab = images(1)
         ker_gamma = kernel([stab] + [images(k) for k in range(2, entry.k_max + 1)])
 
-        hopf = self.ring.hopf_stable(field_tag)
+        try:
+            hopf = self.ring.hopf_stable(field_tag)
+        except UnregisteredName as exc:
+            raise MissingDataError(str(exc)) from None
         ker_hopf = kernel([[known(self.ring.multiply(hopf, el)) for el in stab]])
 
         if subgroup_cmp(ker_gamma, ker_hopf) not in (Cmp.EQUAL, Cmp.PROPER_SUB):

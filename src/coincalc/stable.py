@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .fgab import FgAbGroup, GroupElement
-from .tables import OutOfTabulatedRange, StemEntry, TableSet
+from .tables import OutOfTabulatedRange, StemEntry, TableSet, UnregisteredName
 
 # Registry entries beyond the raw stem generators: (degree, coefficients).
 _DERIVED_NAMES: dict[str, tuple[int, tuple[int, ...]]] = {
@@ -112,7 +112,7 @@ class StableRing:
         if name in _DERIVED_NAMES:
             k, coeffs = _DERIVED_NAMES[name]
             return self.element(k, coeffs)
-        raise LookupError(
+        raise UnregisteredName(
             f"unknown stable class {name!r}; available: "
             + ", ".join(self.available_names())
         )

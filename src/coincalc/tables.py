@@ -60,6 +60,10 @@ class OutOfTabulatedRange(TableError, LookupError):
     """The requested group is outside the curated dataset."""
 
 
+class UnregisteredName(TableError, LookupError):
+    """A class the code needs by name is not registered in the loaded table."""
+
+
 @dataclass(frozen=True)
 class GenAnnotations:
     """Per-generator annotation record of an unstable entry."""

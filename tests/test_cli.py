@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -138,6 +139,19 @@ def _nielsen_rp2(f1):
     return ["nielsen", "--field", "R", "--nprime", "2", "--m", "3", "--f1", f1, "--f2", "zero"]
 
 
+def _without_eta(text):
+    """The table with the stem generator eta renamed in its gen and prod
+    lines: it still parses, but no stable class is called eta."""
+    return re.sub(
+        r"^(gen|prod) .*$", lambda line: re.sub(r"\beta\b", "eta1", line.group(0)),
+        text, flags=re.M,
+    )
+
+
+def _drop(line):
+    return lambda text: text.replace(line, "")
+
+
 class TestExitContract:
     """Bad input exits 2 with a one-line reason, never with a traceback."""
 
@@ -158,6 +172,44 @@ class TestExitContract:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert reason in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit,argv,reason",
+        [
+            (_drop("name whitehead5 9 5 1\n"), ["witnesses", "--claim", "a"],
+             "unknown named class 'whitehead5'"),
+            (_drop("name hopfC 3 2 1\n"), ["witnesses", "--claim", "b", "--machine"],
+             "unknown named class 'hopfC'"),
+            (_without_eta, ["nielsen", "--field", "C", "--nprime", "1", "--m", "4",
+                            "--f1", "eta_3", "--f2", "zero"], "unknown stable class 'eta'"),
+        ],
+        ids=["witnesses-no-whitehead5", "witnesses-no-hopfC", "nielsen-no-eta"],
+    )
+    def test_unregistered_class_exits_3(self, capsys, tmp_path, table_text, edit, argv, reason):
+        # A class the command needs by name is missing from the table: a
+        # data error, one line on stderr, never a LookupError traceback.
+        path = tmp_path / "gap.txt"
+        edited = edit(table_text)
+        assert edited != table_text
+        path.write_text(edited)
+        code, out, err = run(capsys, "--tables", str(path), *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("data error: ") and reason in err
+        assert err.count("\n") == 1
+
+    def test_missing_hopf_class_makes_compare_unknown(self, capsys, tmp_path, table_text):
+        # Without eta, h_C . E^inf cannot be formed: CP1 scan rows that need
+        # the kernel chain turn unknown instead of crashing.
+        path = tmp_path / "gap.txt"
+        path.write_text(_without_eta(table_text))
+        argv = ["--tables", str(path), "compare", "--surface", "CP1", "--m-range", "2..4"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "m=2: N# == N~ == N == NZ != 0",
+            "m=3: N# ?? N~ ?? N ?? NZ ?? 0",
+            "m=4: N# ?? N~ ?? N ?? NZ ?? 0",
+        ]
 
 
 class TestWitnessesAndVerdicts:

@@ -266,6 +266,134 @@ def test_oracle_equivalence_sample():
         assert verdict is expected
 
 
+@st.composite
+def infinite_subgroups(draw, max_gens=4):
+    """A subgroup of Z^r + Z/t1 + ... (r >= 1) by a random generating set."""
+    free = draw(st.integers(1, 2))
+    orders = draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), max_size=2))
+    ambient = direct_sum([FgAbGroup.free(free)] + [FgAbGroup.cyclic(t) for t in orders])
+    vector = st.lists(st.integers(-6, 6), min_size=ambient.rank, max_size=ambient.rank)
+    gens = draw(st.lists(vector, max_size=max_gens))
+    return Subgroup(ambient, tuple(ambient.element(g) for g in gens))
+
+
+def recombine(gens, rnd):
+    """Another generating set of the same subgroup: elementary unimodular
+    moves (add a multiple of one to another, swap, negate), then redundant
+    integer combinations appended."""
+    out = list(gens)
+    for _ in range(rnd.randint(0, 8) if len(out) >= 2 else 0):
+        i, j = rnd.sample(range(len(out)), 2)
+        move = rnd.randrange(3)
+        if move == 0:
+            out[i] = out[i] + out[j].scale(rnd.randint(-3, 3))
+        elif move == 1:
+            out[i], out[j] = out[j], out[i]
+        else:
+            out[i] = -out[i]
+    for _ in range(rnd.randint(0, 2) if out else 0):
+        extra = out[0].group.zero()
+        for g in out:
+            extra = extra + g.scale(rnd.randint(-2, 2))
+        out.insert(rnd.randint(0, len(out)), extra)
+    return tuple(out)
+
+
+class TestCanonicalBasis:
+    @given(infinite_subgroups(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_generating_sets_of_one_subgroup_share_a_basis(self, sub, rnd):
+        other = Subgroup(sub.ambient, recombine(sub.generators_, rnd))
+        assert other.basis == sub.basis
+        assert subgroup_cmp(sub, other) is Cmp.EQUAL
+
+    @given(infinite_subgroups())
+    @settings(max_examples=150, deadline=None)
+    def test_entries_reduced_below_pivots(self, sub):
+        orders = sub.ambient.coord_orders()
+        pivots = [next(j for j, x in enumerate(row) if x) for row in sub.basis]
+        assert pivots == sorted(set(pivots))
+        for i, (row, c) in enumerate(zip(sub.basis, pivots)):
+            assert row[c] > 0
+            assert all(other[c] == 0 for other in sub.basis[i + 1 :])
+            assert all(0 <= other[c] < row[c] for other in sub.basis[:i])
+        # Each torsion coordinate has a pivot dividing its order, so no
+        # other basis entry there reaches the order.
+        for j, t in enumerate(orders):
+            if t:
+                assert j in pivots and t % sub.basis[pivots.index(j)][j] == 0
+                assert all(0 <= row[j] < t for row, c in zip(sub.basis, pivots) if c != j)
+
+    def test_whole_and_trivial(self):
+        g = FgAbGroup(1, (2, 6))
+        assert Subgroup.whole(g).basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert Subgroup.trivial(g).basis == ((0, 2, 0), (0, 0, 6))
+        assert Subgroup(g, (g.element([2, 1, 3]), g.element([0, 1, 3]))).basis == (
+            (2, 0, 0), (0, 1, 3), (0, 0, 6)
+        )
+
+
+@pytest.fixture(scope="module")
+def lattice_hnf():
+    """The sympy HNF of the lattice spanned by some rows and the ambient's
+    torsion relations: equal lattices give equal matrices."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    def hnf(ambient, rows):
+        rows = [list(r) for r in rows]
+        for i, t in enumerate(ambient.coord_orders()):
+            if t:
+                rows.append([t if j == i else 0 for j in range(ambient.rank)])
+        if not rows:
+            return sympy.zeros(ambient.rank, 0)
+        return hermite_normal_form(sympy.Matrix(rows).T)
+
+    return hnf
+
+
+class TestSympyOracle:
+    @given(infinite_subgroups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_contains_agrees(self, lattice_hnf, sub, data):
+        amb = sub.ambient
+        gens = [g.coeffs for g in sub.generators_]
+        assert lattice_hnf(amb, sub.basis) == lattice_hnf(amb, gens)
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+        inside = amb.zero()
+        for c, g in zip(coeffs, sub.generators_):
+            inside = inside + g.scale(c)
+        anywhere = amb.element(
+            data.draw(st.lists(st.integers(-6, 6), min_size=amb.rank, max_size=amb.rank))
+        )
+        for x in (inside, anywhere, inside + anywhere):
+            expected = lattice_hnf(amb, gens + [x.coeffs]) == lattice_hnf(amb, gens)
+            assert sub.contains(x) is expected
+        assert sub.contains(inside)
+
+    @given(infinite_subgroups(max_gens=3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_subgroup_cmp_agrees(self, lattice_hnf, a, data):
+        amb = a.ambient
+        vector = st.lists(st.integers(-6, 6), min_size=amb.rank, max_size=amb.rank)
+        extra = data.draw(st.lists(vector, max_size=2))
+        # b shares a's generators half the time, so that inclusions occur.
+        base = data.draw(st.sampled_from([(), a.generators_, a.generators_[:1]]))
+        b = Subgroup(amb, tuple(base) + tuple(amb.element(v) for v in extra))
+        ga = [g.coeffs for g in a.generators_]
+        gb = [g.coeffs for g in b.generators_]
+        both = lattice_hnf(amb, ga + gb)
+        sub, sup = both == lattice_hnf(amb, gb), both == lattice_hnf(amb, ga)
+        expected = {
+            (True, True): Cmp.EQUAL,
+            (True, False): Cmp.PROPER_SUB,
+            (False, True): Cmp.PROPER_SUPER,
+            (False, False): Cmp.INCOMPARABLE,
+        }[(sub, sup)]
+        assert subgroup_cmp(a, b) is expected
+        assert (a.basis == b.basis) is (expected is Cmp.EQUAL)
+
+
 class TestDirectSum:
     def test_crt(self):
         assert direct_sum([FgAbGroup.cyclic(2), FgAbGroup.cyclic(3)]) == FgAbGroup.cyclic(6)

@@ -1,5 +1,6 @@
 """The decision core: reports, criteria, scans, Wecken status, chain."""
 
+import itertools
 import random
 
 import pytest
@@ -125,6 +126,22 @@ class TestSymmetryAndTranslation:
             right = sphere_report(tables, 3, 2, tables.zero(3, 2), cls)
             assert left.N_sharp == right.N_sharp
             assert left.N_tilde == right.N_tilde
+
+    def test_sphere_reports_symmetric_everywhere(self, tables):
+        # N(f1, f2) = N(f2, f1) for every invariant: over every tabulated
+        # pi_m(S^q), all pairs of classes with free coordinates in -2..2.
+        pairs = 0
+        for (m, q), entry in sorted(tables.raw.entries.items()):
+            group = entry.group
+            ranges = [range(-2, 3)] * group.free_rank + [range(t) for t in group.torsion]
+            classes = [tables.cls(m, q, c) for c in itertools.product(*ranges)]
+            for i, f1 in enumerate(classes):
+                for f2 in classes[i:]:
+                    left = sphere_report(tables, m, q, f1, f2).values()
+                    right = sphere_report(tables, m, q, f2, f1).values()
+                    assert left == right, (m, q, f1.value, f2.value)
+                    pairs += 2 if f1 != f2 else 1
+        assert pairs == 4552
 
     def test_translation_invariance(self, tables):
         sp = space("R", 2)

@@ -1,6 +1,7 @@
 """Unstable operations: suspension, stabilization, Gamma, antipode, kernels."""
 
 import random
+import traceback
 
 import pytest
 
@@ -228,6 +229,45 @@ class TestKernelChain:
         assert isinstance(stab, Unknown) and isinstance(first, Unknown)
         reason = "stabilization of generator eta_2 of pi_3(S^2) is not annotated"
         assert stab.reason == first.reason == str(err.value) == reason
+
+    def test_repeated_chain_is_equal(self, table_text):
+        from coincalc.tables import parse_tables
+
+        ts = SphereTables(parse_tables(table_text))
+        for m, q, tag in ((3, 2, "C"), (6, 2, "R"), (7, 4, "H"), (9, 3, "R")):
+            first = ts.kernel_chain(m, q, tag)
+            assert ts.kernel_chain(m, q, tag) == first
+
+    def test_repeated_gap_raises_fresh_errors(self, table_text):
+        from coincalc.tables import parse_tables
+
+        # A cached gap is raised again with the same text, each time as a
+        # new exception object (so no traceback grows across calls).
+        ts = SphereTables(parse_tables(table_text.replace("gamma 2 3 14\n", "")))
+        errors = []
+        for _ in range(3):
+            with pytest.raises(MissingDataError) as err:
+                ts.kernel_chain(6, 2, "R")
+            errors.append(err.value)
+        assert len({str(e) for e in errors}) == 1 and "gamma k=2" in str(errors[0])
+        assert len({id(e) for e in errors}) == 3
+        depths = {len(traceback.extract_tb(e.__traceback__)) for e in errors}
+        assert len(depths) == 1
+
+    def test_each_table_keeps_its_own_chains(self, table_text):
+        from coincalc.tables import parse_tables
+
+        # The memo lives on the instance: a bundled and a gapped table in one
+        # process each answer as if it were alone, whichever asks first.
+        gapped_text = table_text.replace("gamma 2 3 14\n", "")
+        alone = SphereTables(parse_tables(table_text)).kernel_chain(6, 2, "R")
+        bundled = SphereTables(parse_tables(table_text))
+        gapped = SphereTables(parse_tables(gapped_text))
+        for _ in range(2):
+            with pytest.raises(MissingDataError):
+                gapped.kernel_chain(6, 2, "R")
+            assert bundled.kernel_chain(6, 2, "R") == alone
+        assert [str(k) for k in alone] == ["<0>", "<(1)>", "<(1)>"]
 
 
 def test_chain_wrong_dimension_errors(tables):
