@@ -3,17 +3,18 @@
 Groups are kept in invariant-factor normal form (torsion orders t1 | t2 | ...),
 elements are integer coefficient vectors with torsion coordinates reduced to
 [0, t), and homomorphisms are integer matrices acting on generator coordinates.
-Kernels and images are built on an exact integer Smith normal form; each
-subgroup carries a canonical Hermite normal form basis, so membership and
-comparison are row reductions against it.  Every answer is exact, and all
-values are immutable after construction.
+The one lattice algorithm at run time is a canonical Hermite normal form
+(HNF) taken modulo the torsion orders: a subgroup value is its HNF basis, so
+membership is a row reduction and equality is equality of values, and a
+kernel is read off the HNF of the graph of its map.  The Smith normal form
+stays as a library function and as the oracle the tests check against.
+Every answer is exact, and all values are immutable after construction.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import product as _iproduct
 from math import gcd
 from typing import Iterator, Optional, Sequence
@@ -199,10 +200,6 @@ def smith_normal_form(
         add_col_into(violation + 1, violation)
         diagonalize()
     return u, d, v
-
-
-def _diag(d: Matrix) -> list[int]:
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
 def _normalize_orders(orders: Sequence[int], free: int) -> tuple[int, tuple[int, ...]]:
@@ -549,62 +546,28 @@ def _reduces_to_zero(v: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
     return not any(v)
 
 
-def _kernel_generators(
-    matrix_rows: list[list[int]],
-    codomain_orders: Sequence[int],
-    domain: FgAbGroup,
-) -> list[GroupElement]:
-    """Generators of {x in domain : M x == 0 in the codomain coordinates}.
-
-    codomain_orders holds the order of each codomain coordinate (0 = free).
-    """
-    a_dim = domain.rank
-    c_dim = len(codomain_orders)
-    if c_dim == 0:
-        return [g for g in domain.generators()]
-    # Solve M x = R y over Z, i.e. find the nullspace of [M | -R].
-    cols = a_dim
-    rel_cols = [i for i, t in enumerate(codomain_orders) if t]
-    a = [list(matrix_rows[i]) + [0] * len(rel_cols) for i in range(c_dim)]
-    for jj, i in enumerate(rel_cols):
-        a[i][cols + jj] = -codomain_orders[i]
-    _u, d, v = smith_normal_form(a)
-    total_cols = cols + len(rel_cols)
-    diag = _diag(d)
-    rank = sum(1 for x in diag if x != 0)
-    gens = []
-    for j in range(rank, total_cols):
-        x = [v[i][j] for i in range(cols)]
-        el = domain.element(x)
-        if not el.is_zero:
-            gens.append(el)
-    # Torsion relations of the domain itself always land in the kernel and
-    # are implicit; the projection above already accounts for them because
-    # elements are canonically reduced.
-    return gens
-
-
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of an ambient group, given by a generating set.
+    """A subgroup of an ambient group, kept in canonical form.
 
-    Membership and comparison go through `basis`, a canonical form computed
-    once on first use; equality of Subgroup values stays equality of the
-    generating sets.
+    Construction computes `basis`, the row HNF of the given generators with
+    the ambient torsion relations, and keeps as `generators_` its rows that
+    are nonzero elements; so two Subgroup values are equal, and hash alike,
+    exactly when they are the same subgroup.
     """
 
     ambient: FgAbGroup
     generators_: tuple[GroupElement, ...]
+    basis: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         for g in self.generators_:
             if g.group != self.ambient:
                 raise FgAbError("subgroup generator outside the ambient group")
-        object.__setattr__(
-            self,
-            "generators_",
-            tuple(g for g in self.generators_ if not g.is_zero),
-        )
+        rows = _hnf([g.coeffs for g in self.generators_], self.ambient.coord_orders())
+        object.__setattr__(self, "basis", tuple(tuple(r) for r in rows))
+        gens = (self.ambient.element(r) for r in self.basis)
+        object.__setattr__(self, "generators_", tuple(g for g in gens if not g.is_zero))
 
     @classmethod
     def trivial(cls, ambient: FgAbGroup) -> "Subgroup":
@@ -614,13 +577,6 @@ class Subgroup:
     def whole(cls, ambient: FgAbGroup) -> "Subgroup":
         return cls(ambient, tuple(ambient.generators()))
 
-    @cached_property
-    def basis(self) -> tuple[tuple[int, ...], ...]:
-        """Row HNF of the generators with the ambient torsion relations: two
-        subgroups are equal exactly when their bases are."""
-        rows = _hnf([g.coeffs for g in self.generators_], self.ambient.coord_orders())
-        return tuple(tuple(r) for r in rows)
-
     def contains(self, x: GroupElement) -> bool:
         if x.group != self.ambient:
             raise FgAbError("membership test against a different ambient group")
@@ -629,11 +585,11 @@ class Subgroup:
     def contains_subgroup(self, other: "Subgroup") -> bool:
         if other.ambient != self.ambient:
             raise FgAbError("subgroup comparison across ambient groups")
-        return all(self.contains(g) for g in other.generators_)
+        return all(_reduces_to_zero(row, self.basis) for row in other.basis)
 
     @property
     def is_trivial(self) -> bool:
-        return all(g.is_zero for g in self.generators_)
+        return not self.generators_
 
     def is_whole(self) -> bool:
         return self.basis == tuple(tuple(r) for r in _identity(self.ambient.rank))
@@ -661,10 +617,7 @@ class Subgroup:
 
 def kernel(h: Homomorphism) -> Subgroup:
     """The kernel of a homomorphism, as a subgroup of its domain."""
-    gens = _kernel_generators(
-        [list(r) for r in h.matrix], h.codomain.coord_orders(), h.domain
-    )
-    return Subgroup(h.domain, tuple(gens))
+    return kernel_into_coords(h.domain, h.matrix, h.codomain.coord_orders())
 
 
 def kernel_into_coords(
@@ -672,13 +625,23 @@ def kernel_into_coords(
 ) -> Subgroup:
     """Kernel of the map given by `rows` into coordinates with the given
     orders (0 = free).  Used when the codomain is a plain coordinate block,
-    e.g. a direct sum of tabulated stems, without renormalizing it."""
+    e.g. a direct sum of tabulated stems, without renormalizing it.
+
+    The graph rows (M e_j | e_j), with the torsion relations of both sides,
+    span a lattice whose HNF rows with a zero codomain part are exactly the
+    kernel's canonical basis."""
     if len(rows) != len(coord_orders):
         raise FgAbError("one coordinate order per matrix row required")
     for row in rows:
         if len(row) != domain.rank:
             raise FgAbError("matrix width must match domain rank")
-    gens = _kernel_generators([list(r) for r in rows], list(coord_orders), domain)
+    c_dim = len(rows)
+    graph = [
+        [row[j] for row in rows] + [int(i == j) for i in range(domain.rank)]
+        for j in range(domain.rank)
+    ]
+    hnf = _hnf(graph, tuple(coord_orders) + domain.coord_orders())
+    gens = (domain.element(r[c_dim:]) for r in hnf if not any(r[:c_dim]))
     return Subgroup(domain, tuple(gens))
 
 
@@ -695,11 +658,11 @@ def subgroup_cmp(a: Subgroup, b: Subgroup) -> Cmp:
     """Compare two subgroups of the same ambient group."""
     if a.ambient != b.ambient:
         raise FgAbError("subgroup comparison across ambient groups")
-    if a.basis == b.basis:
+    if a == b:
         return Cmp.EQUAL
-    if all(_reduces_to_zero(row, b.basis) for row in a.basis):
+    if b.contains_subgroup(a):
         return Cmp.PROPER_SUB
-    if all(_reduces_to_zero(row, a.basis) for row in b.basis):
+    if a.contains_subgroup(b):
         return Cmp.PROPER_SUPER
     return Cmp.INCOMPARABLE
 

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .fgab import Cmp, FgAbError, subgroup_cmp
+from .fgab import FgAbError
 from .projective import MapClass, ProjSpace, decompose_valid, parse_field
 from .selfco import Verdict, self_loose
 from .spheres import (
@@ -499,20 +499,18 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
         return ScanResult(sp.name, m, sp.n, v, None)
 
     a_eq = ker_gamma.is_trivial
-    b_eq = subgroup_cmp(ker_gamma, ker_hopf) is Cmp.EQUAL
+    b_eq = ker_gamma == ker_hopf
     c_eq = ker_hopf.is_whole()
+    gamma_text, hopf_text = f"Ker Gamma = {ker_gamma}", f"Ker(h . E^inf) = {ker_hopf}"
     verdicts = {
-        "nsharp_eq_ntilde": (
-            ScanVerdict.HOLDS if a_eq else ScanVerdict.FAILS,
-            f"Ker Gamma = {ker_gamma}",
-        ),
+        "nsharp_eq_ntilde": (ScanVerdict.HOLDS if a_eq else ScanVerdict.FAILS, gamma_text),
         "ntilde_eq_n": (
             ScanVerdict.HOLDS if b_eq else ScanVerdict.FAILS,
-            f"Ker Gamma = {ker_gamma} vs Ker(h . E^inf) = {ker_hopf}",
+            f"{gamma_text} vs {hopf_text}",
         ),
         "n_eq_zero": (
             ScanVerdict.HOLDS if c_eq else ScanVerdict.FAILS,
-            f"Ker(h . E^inf) = {ker_hopf} vs whole = {whole}",
+            f"{hopf_text} vs whole = {whole}",
         ),
     }
     if m == sp.n:

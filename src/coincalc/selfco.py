@@ -227,6 +227,8 @@ def sample_unit_vectors(
 ) -> list[KVector]:
     """Deterministic pseudo-random nonzero rational vectors in K^{n'+1}."""
     field = parse_field(field_tag)
+    if n_prime < 1:
+        raise ValueError("n' must be >= 1")
     rng = random.Random((seed, field.tag, n_prime, count).__repr__())
     out = []
     while len(out) < count:

@@ -164,9 +164,12 @@ class TestExitContract:
             (["wecken", "--field", "R", "--nprime", "2", "--m", "-5"], "m must be >= 1"),
             (["verify-s", "--field", "C", "--samples", "0"], "--samples must be >= 1"),
             (["verify-s", "--field", "R", "--samples", "-3"], "--samples must be >= 1"),
+            (["verify-s", "--field", "C", "--nprime", "-1", "--samples", "1"],
+             "n' must be >= 1\n"),
         ],
         ids=["whitehead-unregistered", "whitehead-not-int", "whitehead-open",
-             "wecken-negative-m", "verify-s-no-samples", "verify-s-negative-samples"],
+             "wecken-negative-m", "verify-s-no-samples", "verify-s-negative-samples",
+             "verify-s-negative-nprime"],
     )
     def test_bad_input_exits_2(self, capsys, argv, reason):
         code, out, err = run(capsys, *argv)
@@ -270,6 +273,17 @@ class TestDataHandling:
         path.write_text(table_text.replace("name whitehead3 5 3 0", "name whitehead3 5 3 1"))
         code, out, _ = run(capsys, "--tables", str(path), "validate-data")
         assert code == 3 and "whitehead3" in out
+
+    def test_validator_lists_missing_hopf_class(self, capsys, tmp_path, table_text):
+        # Without eta the h_C products cannot be checked: one violation, the
+        # report still printed, nothing on stderr.
+        path = tmp_path / "gap.txt"
+        path.write_text(_without_eta(table_text))
+        code, out, err = run(capsys, "--tables", str(path), "validate-data")
+        assert (code, err) == (3, "")
+        lines = out.splitlines()
+        assert lines[0] == "1 violation(s):" and len(lines) == 2
+        assert lines[1].startswith("  - h_C: unknown stable class 'eta'")
 
     def test_table_gap_makes_compare_unknown(self, capsys, tmp_path, table_text):
         # A missing annotation is a gap in the data, not bad input: the scan

@@ -1,5 +1,6 @@
 """Exact abelian-group arithmetic: SNF, elements, homs, kernels, subgroups."""
 
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from coincalc.fgab import (
     image,
     int_det,
     kernel,
+    kernel_into_coords,
     smith_normal_form,
     subgroup_cmp,
 )
@@ -213,6 +215,27 @@ class TestKernelImageSubgroups:
         assert even.contains(z.element([4]))
         assert not even.contains(z.element([3]))
 
+    def test_kernel_matches_snf_and_meets_hadamard_bound(self):
+        # Full-row-rank n x (n+e) matrices into a free codomain: the kernel
+        # is the span of V's last e columns, and its generators (the canonical
+        # basis) obey the Cramer/Hadamard bound r * prod |row_i| of a
+        # saturated kernel.
+        rng = random.Random(1905)
+        for n in range(6, 17):
+            for e in range(1, 4):
+                while True:
+                    m = [[rng.randint(-9, 9) for _ in range(n + e)] for _ in range(n)]
+                    _u, d, v = smith_normal_form(m)
+                    if all(d[i][i] for i in range(n)):
+                        break
+                dom = FgAbGroup.free(n + e)
+                ker = kernel_into_coords(dom, m, [0] * n)
+                cols = [dom.element([row[j] for row in v]) for j in range(n, n + e)]
+                assert ker == Subgroup(dom, tuple(cols))
+                bound_sq = e * e * math.prod(sum(x * x for x in row) for row in m)
+                assert len(ker.generators_) == e
+                assert all(x * x <= bound_sq for g in ker.generators_ for x in g.coeffs), (n, e)
+
 
 def random_finite_group(rng, max_order=10_000):
     orders = []
@@ -267,14 +290,15 @@ def test_oracle_equivalence_sample():
 
 
 @st.composite
-def infinite_subgroups(draw, max_gens=4):
-    """A subgroup of Z^r + Z/t1 + ... (r >= 1) by a random generating set."""
+def generating_sets(draw, max_gens=4):
+    """(ambient, gens): a random generating set in Z^r + Z/t1 + ... (r >= 1),
+    kept apart from the Subgroup, which keeps only its canonical basis."""
     free = draw(st.integers(1, 2))
     orders = draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), max_size=2))
     ambient = direct_sum([FgAbGroup.free(free)] + [FgAbGroup.cyclic(t) for t in orders])
     vector = st.lists(st.integers(-6, 6), min_size=ambient.rank, max_size=ambient.rank)
     gens = draw(st.lists(vector, max_size=max_gens))
-    return Subgroup(ambient, tuple(ambient.element(g) for g in gens))
+    return ambient, tuple(ambient.element(g) for g in gens)
 
 
 def recombine(gens, rnd):
@@ -300,16 +324,19 @@ def recombine(gens, rnd):
 
 
 class TestCanonicalBasis:
-    @given(infinite_subgroups(), st.randoms(use_true_random=False))
+    @given(generating_sets(), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
-    def test_generating_sets_of_one_subgroup_share_a_basis(self, sub, rnd):
-        other = Subgroup(sub.ambient, recombine(sub.generators_, rnd))
+    def test_generating_sets_of_one_subgroup_share_a_basis(self, drawn, rnd):
+        amb, raw = drawn
+        sub, other = Subgroup(amb, raw), Subgroup(amb, recombine(raw, rnd))
         assert other.basis == sub.basis
+        assert other == sub and hash(other) == hash(sub)
         assert subgroup_cmp(sub, other) is Cmp.EQUAL
 
-    @given(infinite_subgroups())
+    @given(generating_sets())
     @settings(max_examples=150, deadline=None)
-    def test_entries_reduced_below_pivots(self, sub):
+    def test_entries_reduced_below_pivots(self, drawn):
+        sub = Subgroup(*drawn)
         orders = sub.ambient.coord_orders()
         pivots = [next(j for j, x in enumerate(row) if x) for row in sub.basis]
         assert pivots == sorted(set(pivots))
@@ -353,15 +380,16 @@ def lattice_hnf():
 
 
 class TestSympyOracle:
-    @given(infinite_subgroups(), st.data())
+    @given(generating_sets(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_contains_agrees(self, lattice_hnf, sub, data):
-        amb = sub.ambient
-        gens = [g.coeffs for g in sub.generators_]
+    def test_contains_agrees(self, lattice_hnf, drawn, data):
+        amb, raw = drawn
+        sub = Subgroup(amb, raw)
+        gens = [g.coeffs for g in raw]
         assert lattice_hnf(amb, sub.basis) == lattice_hnf(amb, gens)
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
         inside = amb.zero()
-        for c, g in zip(coeffs, sub.generators_):
+        for c, g in zip(coeffs, raw):
             inside = inside + g.scale(c)
         anywhere = amb.element(
             data.draw(st.lists(st.integers(-6, 6), min_size=amb.rank, max_size=amb.rank))
@@ -371,17 +399,18 @@ class TestSympyOracle:
             assert sub.contains(x) is expected
         assert sub.contains(inside)
 
-    @given(infinite_subgroups(max_gens=3), st.data())
+    @given(generating_sets(max_gens=3), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_subgroup_cmp_agrees(self, lattice_hnf, a, data):
-        amb = a.ambient
+    def test_subgroup_cmp_agrees(self, lattice_hnf, drawn, data):
+        amb, raw_a = drawn
         vector = st.lists(st.integers(-6, 6), min_size=amb.rank, max_size=amb.rank)
         extra = data.draw(st.lists(vector, max_size=2))
         # b shares a's generators half the time, so that inclusions occur.
-        base = data.draw(st.sampled_from([(), a.generators_, a.generators_[:1]]))
-        b = Subgroup(amb, tuple(base) + tuple(amb.element(v) for v in extra))
-        ga = [g.coeffs for g in a.generators_]
-        gb = [g.coeffs for g in b.generators_]
+        base = data.draw(st.sampled_from([(), raw_a, raw_a[:1]]))
+        raw_b = tuple(base) + tuple(amb.element(v) for v in extra)
+        a, b = Subgroup(amb, raw_a), Subgroup(amb, raw_b)
+        ga = [g.coeffs for g in raw_a]
+        gb = [g.coeffs for g in raw_b]
         both = lattice_hnf(amb, ga + gb)
         sub, sup = both == lattice_hnf(amb, gb), both == lattice_hnf(amb, ga)
         expected = {
@@ -392,6 +421,7 @@ class TestSympyOracle:
         }[(sub, sup)]
         assert subgroup_cmp(a, b) is expected
         assert (a.basis == b.basis) is (expected is Cmp.EQUAL)
+        assert (a == b) is (expected is Cmp.EQUAL)
 
 
 class TestDirectSum:

@@ -45,6 +45,13 @@ def kernel_chain_cases(tables):
                     yield sp, m
 
 
+def small_classes(tables, m, q):
+    """Every class of pi_m(S^q) with free coordinates in -2..2."""
+    group = tables.lookup(m, q).group
+    ranges = [range(-2, 3)] * group.free_rank + [range(t) for t in group.torsion]
+    return [tables.cls(m, q, c) for c in itertools.product(*ranges)]
+
+
 def assert_clean(rep):
     ok, violations = chain_check(rep)
     assert ok, violations
@@ -131,10 +138,8 @@ class TestSymmetryAndTranslation:
         # N(f1, f2) = N(f2, f1) for every invariant: over every tabulated
         # pi_m(S^q), all pairs of classes with free coordinates in -2..2.
         pairs = 0
-        for (m, q), entry in sorted(tables.raw.entries.items()):
-            group = entry.group
-            ranges = [range(-2, 3)] * group.free_rank + [range(t) for t in group.torsion]
-            classes = [tables.cls(m, q, c) for c in itertools.product(*ranges)]
+        for m, q in sorted(tables.raw.entries):
+            classes = small_classes(tables, m, q)
             for i, f1 in enumerate(classes):
                 for f2 in classes[i:]:
                     left = sphere_report(tables, m, q, f1, f2).values()
@@ -142,6 +147,36 @@ class TestSymmetryAndTranslation:
                     assert left == right, (m, q, f1.value, f2.value)
                     pairs += 2 if f1 != f2 else 1
         assert pairs == 4552
+
+    def test_projective_reports_symmetric_and_translation_invariant(self, tables):
+        # Every tabulated lift group pi_m(S^q) of a KP(n') with n > 1 and a
+        # valid lift decomposition, all pairs of lifts with free coordinates
+        # in -2..2: swapping the lifts, or adding -lift1 to both, changes no
+        # value.  Looseness is assumed, so that no pair is withheld.
+        cases = pairs = 0
+        for m, q in sorted(tables.raw.entries):
+            for tag, d in (("R", 1), ("C", 2), ("H", 4)):
+                n_prime = (q + 1) // d - 1
+                if (q + 1) % d or n_prime < 1:
+                    continue
+                sp = space(tag, n_prime)
+                if sp.n == 1 or not decompose_valid(tables, sp, m):
+                    continue
+                cases += 1
+                classes = small_classes(tables, m, q)
+
+                def values(f1, f2):
+                    return projective_report(
+                        tables, sp, m, f1, f2, assume_self_loose=True
+                    ).values()
+
+                for i, f1 in enumerate(classes):
+                    for f2 in classes[i:]:
+                        value, where = values(f1, f2), (sp.name, m, f1.value, f2.value)
+                        assert values(f2, f1) == value, where
+                        assert values(f1 - f1, f2 - f1) == value, where
+                        pairs += 1
+        assert (cases, pairs) == (28, 2749)
 
     def test_translation_invariance(self, tables):
         sp = space("R", 2)
