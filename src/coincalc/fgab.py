@@ -14,9 +14,9 @@ Every answer is exact, and all values are immutable after construction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from itertools import product as _iproduct
 from math import gcd
+from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
 Matrix = list[list[int]]
@@ -24,6 +24,48 @@ Matrix = list[list[int]]
 
 class FgAbError(ValueError):
     """Domain error: mismatched parents, malformed matrices, bad orders."""
+
+
+class _Value:
+    """Base of the package's value classes; defining one generates no code.
+
+    A subclass names its fields in `__slots__` and sets them in `__init__`,
+    with `object.__setattr__` unless it is declared `frozen=False` (mutable
+    and unhashable).  Equality (same class only), hashing and the repr
+    `Name(field=value, ...)` read the fields through one attrgetter;
+    `compare` limits the fields equality and hashing read.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = True, compare: tuple[str, ...] = ()):
+        cls._key = attrgetter(*(compare or cls.__slots__))
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and unpickle: (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -246,8 +288,7 @@ def _normalize_orders(orders: Sequence[int], free: int) -> tuple[int, tuple[int,
     return free_rank, tuple(factors)
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(_Value):
     """A finitely generated abelian group Z^r + Z/t1 + ... + Z/tk.
 
     The torsion orders are in invariant-factor form: each t_i >= 2 and
@@ -255,21 +296,22 @@ class FgAbGroup:
     normal form.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise FgAbError("negative free rank")
-        object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
-        for t in self.torsion:
+        torsion = tuple(int(t) for t in torsion)
+        for t in torsion:
             if t < 2:
                 raise FgAbError(f"torsion order {t} < 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise FgAbError(
-                    f"torsion orders {list(self.torsion)} violate divisibility chain"
+                    f"torsion orders {list(torsion)} violate divisibility chain"
                 )
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @classmethod
     def trivial(cls) -> "FgAbGroup":
@@ -339,24 +381,21 @@ class FgAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """An element of an FgAbGroup, stored in canonical coordinates."""
 
-    group: FgAbGroup
-    coeffs: tuple[int, ...]
+    __slots__ = ("group", "coeffs")
 
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
-        if len(coeffs) != self.group.rank:
+    def __init__(self, group: FgAbGroup, coeffs: tuple[int, ...]):
+        reduced = [int(c) for c in coeffs]
+        if len(reduced) != group.rank:
             raise FgAbError(
-                f"coefficient vector of length {len(coeffs)} for group of rank "
-                f"{self.group.rank}"
+                f"coefficient vector of length {len(reduced)} for group of rank {group.rank}"
             )
-        reduced = list(coeffs)
-        off = self.group.free_rank
-        for i, t in enumerate(self.group.torsion):
+        off = group.free_rank
+        for i, t in enumerate(group.torsion):
             reduced[off + i] %= t
+        object.__setattr__(self, "group", group)
         object.__setattr__(self, "coeffs", tuple(reduced))
 
     def _check_same(self, other: "GroupElement"):
@@ -402,8 +441,7 @@ class GroupElement:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(_Value):
     """A homomorphism given by its integer matrix on generator coordinates.
 
     Column j of `matrix` holds the codomain coordinates of the image of the
@@ -411,29 +449,29 @@ class Homomorphism:
     domain's torsion relations.
     """
 
-    domain: FgAbGroup
-    codomain: FgAbGroup
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("domain", "codomain", "matrix")
 
-    def __post_init__(self):
-        mat = tuple(tuple(int(x) for x in row) for row in self.matrix)
-        if len(mat) != self.codomain.rank or any(
-            len(row) != self.domain.rank for row in mat
-        ):
+    def __init__(
+        self, domain: FgAbGroup, codomain: FgAbGroup, matrix: tuple[tuple[int, ...], ...]
+    ):
+        mat = tuple(tuple(int(x) for x in row) for row in matrix)
+        if len(mat) != codomain.rank or any(len(row) != domain.rank for row in mat):
             raise FgAbError(
                 f"matrix of shape {len(mat)}x{len(mat[0]) if mat else 0} for map "
-                f"rank {self.domain.rank} -> rank {self.codomain.rank}"
+                f"rank {domain.rank} -> rank {codomain.rank}"
             )
-        object.__setattr__(self, "matrix", mat)
-        off = self.domain.free_rank
-        for j, t in enumerate(self.domain.torsion):
-            col = [mat[i][off + j] for i in range(self.codomain.rank)]
-            image = self.codomain.element(col).scale(t)
+        off = domain.free_rank
+        for j, t in enumerate(domain.torsion):
+            col = [mat[i][off + j] for i in range(codomain.rank)]
+            image = codomain.element(col).scale(t)
             if not image.is_zero:
                 raise FgAbError(
                     f"matrix not well defined: order-{t} generator maps to an "
                     f"element not killed by {t}"
                 )
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def from_columns(
@@ -546,8 +584,7 @@ def _reduces_to_zero(v: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
     return not any(v)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(_Value, compare=("ambient", "generators_")):
     """A subgroup of an ambient group, kept in canonical form.
 
     Construction computes `basis`, the row HNF of the given generators with
@@ -556,18 +593,17 @@ class Subgroup:
     exactly when they are the same subgroup.
     """
 
-    ambient: FgAbGroup
-    generators_: tuple[GroupElement, ...]
-    basis: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
+    __slots__ = ("ambient", "generators_", "basis")
 
-    def __post_init__(self):
-        for g in self.generators_:
-            if g.group != self.ambient:
+    def __init__(self, ambient: FgAbGroup, generators_: tuple[GroupElement, ...]):
+        for g in generators_:
+            if g.group != ambient:
                 raise FgAbError("subgroup generator outside the ambient group")
-        rows = _hnf([g.coeffs for g in self.generators_], self.ambient.coord_orders())
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in rows))
-        gens = (self.ambient.element(r) for r in self.basis)
+        basis = tuple(map(tuple, _hnf([g.coeffs for g in generators_], ambient.coord_orders())))
+        gens = (ambient.element(r) for r in basis)
+        object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "generators_", tuple(g for g in gens if not g.is_zero))
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def trivial(cls, ambient: FgAbGroup) -> "Subgroup":

@@ -12,10 +12,9 @@ MC >= MCC >= N# >= N~ >= N >= NZ >= 0 and the {0, R} dichotomy.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .fgab import FgAbError
+from .fgab import FgAbError, _Value
 from .projective import MapClass, ProjSpace, decompose_valid, parse_field
 from .selfco import Verdict, self_loose
 from .spheres import (
@@ -30,13 +29,15 @@ from .stable import StableElement
 FINITE, INFINITE_KIND, UNKNOWN_KIND = "finite", "infinite", "unknown"
 
 
-@dataclass(frozen=True)
-class InvariantValue:
+class InvariantValue(_Value):
     """A computed invariant: a number, infinity, or an honest Unknown."""
 
-    kind: str
-    value: int = 0
-    reason: str = ""
+    __slots__ = ("kind", "value", "reason")
+
+    def __init__(self, kind: str, value: int = 0, reason: str = ""):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "reason", reason)
 
     @property
     def is_finite(self) -> bool:
@@ -71,24 +72,35 @@ def unk(reason: str) -> InvariantValue:
 VALUE_ORDER = ("MC", "MCC", "N_sharp", "N_tilde", "N_plain", "N_z")
 
 
-@dataclass
-class Report:
+class Report(_Value, frozen=False):
     """The invariant bundle for one pair of maps."""
 
-    target: str
-    m: int
-    n: int
-    inputs: str
-    R: InvariantValue
-    MC: InvariantValue
-    MCC: InvariantValue
-    N_sharp: InvariantValue
-    N_tilde: InvariantValue
-    N_plain: InvariantValue
-    N_z: InvariantValue
-    hypothesis_notes: list[str] = field(default_factory=list)
-    derivation: list[str] = field(default_factory=list)
-    non_wecken: bool = False
+    __slots__ = (
+        "target", "m", "n", "inputs", "R", "MC", "MCC", "N_sharp", "N_tilde",
+        "N_plain", "N_z", "hypothesis_notes", "derivation", "non_wecken",
+    )
+
+    def __init__(
+        self, target: str, m: int, n: int, inputs: str, R: InvariantValue, MC: InvariantValue,
+        MCC: InvariantValue, N_sharp: InvariantValue, N_tilde: InvariantValue,
+        N_plain: InvariantValue, N_z: InvariantValue,
+        hypothesis_notes: Optional[list[str]] = None, derivation: Optional[list[str]] = None,
+        non_wecken: bool = False,
+    ):
+        self.target = target
+        self.m = m
+        self.n = n
+        self.inputs = inputs
+        self.R = R
+        self.MC = MC
+        self.MCC = MCC
+        self.N_sharp = N_sharp
+        self.N_tilde = N_tilde
+        self.N_plain = N_plain
+        self.N_z = N_z
+        self.hypothesis_notes = [] if hypothesis_notes is None else hypothesis_notes
+        self.derivation = [] if derivation is None else derivation
+        self.non_wecken = non_wecken
 
     def values(self) -> dict[str, InvariantValue]:
         return {
@@ -430,15 +442,20 @@ class ScanVerdict(enum.Enum):
 SCAN_KEYS = ("nsharp_eq_ntilde", "ntilde_eq_n", "n_eq_zero", "n_eq_nz")
 
 
-@dataclass
-class ScanResult:
+class ScanResult(_Value, frozen=False):
     """Which of the pointwise identities hold for every pair at this m."""
 
-    target: str
-    m: int
-    n: int
-    verdicts: dict[str, tuple[ScanVerdict, str]]
-    nz_vanishes: Optional[bool]  # is NZ == 0 for every pair?
+    __slots__ = ("target", "m", "n", "verdicts", "nz_vanishes")
+
+    def __init__(
+        self, target: str, m: int, n: int, verdicts: dict[str, tuple[ScanVerdict, str]],
+        nz_vanishes: Optional[bool],  # is NZ == 0 for every pair?
+    ):
+        self.target = target
+        self.m = m
+        self.n = n
+        self.verdicts = verdicts
+        self.nz_vanishes = nz_vanishes
 
     def relation(self, key: str) -> str:
         verdict, _w = self.verdicts[key]
@@ -574,11 +591,13 @@ def kervaire_exception(field_tag, n: int, m: int) -> Optional[Report]:
     )
 
 
-@dataclass
-class WeckenAnswer:
-    status: WeckenStatus
-    reason: str
-    witness: Optional[Report] = None
+class WeckenAnswer(_Value, frozen=False):
+    __slots__ = ("status", "reason", "witness")
+
+    def __init__(self, status: WeckenStatus, reason: str, witness: Optional[Report] = None):
+        self.status = status
+        self.reason = reason
+        self.witness = witness
 
 
 def wecken_status(sp: ProjSpace, m: int) -> WeckenAnswer:

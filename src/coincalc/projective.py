@@ -9,24 +9,23 @@ vanishing criteria and is kept for provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .fgab import FgAbError, FgAbGroup, GroupElement
+from .fgab import FgAbError, FgAbGroup, GroupElement, _Value
 from .spheres import SphereClass, SphereTables
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(_Value):
     """One of the three real division fields R, C, H."""
 
-    tag: str
-    d: int
+    __slots__ = ("tag", "d")
 
-    def __post_init__(self):
+    def __init__(self, tag: str, d: int):
         expected = {"R": 1, "C": 2, "H": 4}
-        if self.tag not in expected or expected[self.tag] != self.d:
-            raise FgAbError(f"bad field ({self.tag}, d={self.d})")
+        if tag not in expected or expected[tag] != d:
+            raise FgAbError(f"bad field ({tag}, d={d})")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "d", d)
 
     def __str__(self) -> str:
         return self.tag
@@ -47,16 +46,16 @@ def parse_field(tag) -> Field:
         raise FgAbError(f"unknown field {tag!r}; expected R, C or H") from None
 
 
-@dataclass(frozen=True)
-class ProjSpace:
+class ProjSpace(_Value):
     """The target KP(n') with its derived dimension data."""
 
-    field: Field
-    n_prime: int
+    __slots__ = ("field", "n_prime")
 
-    def __post_init__(self):
-        if self.n_prime < 1:
+    def __init__(self, field: Field, n_prime: int):
+        if n_prime < 1:
             raise FgAbError("n' must be >= 1")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n_prime", n_prime)
 
     @property
     def d(self) -> int:
@@ -104,21 +103,23 @@ def decompose_valid(tables: SphereTables, sp: ProjSpace, m: int) -> bool:
     return correction_group(tables, sp, m).is_trivial
 
 
-@dataclass(frozen=True)
-class MapClass:
+class MapClass(_Value):
     """A homotopy class of maps S^m -> KP(n') as (lift, correction)."""
 
-    space: ProjSpace
-    m: int
-    lift: SphereClass
-    correction: Optional[GroupElement] = None
+    __slots__ = ("space", "m", "lift", "correction")
 
-    def __post_init__(self):
-        if (self.lift.m, self.lift.q) != (self.m, self.space.q):
+    def __init__(
+        self, space: ProjSpace, m: int, lift: SphereClass,
+        correction: Optional[GroupElement] = None,
+    ):
+        if (lift.m, lift.q) != (m, space.q):
             raise FgAbError(
-                f"lift must live in pi_{self.m}(S^{self.space.q}), got "
-                f"pi_{self.lift.m}(S^{self.lift.q})"
+                f"lift must live in pi_{m}(S^{space.q}), got pi_{lift.m}(S^{lift.q})"
             )
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "lift", lift)
+        object.__setattr__(self, "correction", correction)
 
     @classmethod
     def build(

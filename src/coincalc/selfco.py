@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .fgab import _Value
 from .projective import Field, parse_field
 
 Scalar = tuple[Fraction, ...]  # length 1 (R), 2 (C) or 4 (H)
@@ -27,10 +27,12 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Looseness:
-    verdict: Verdict
-    reason: str
+class Looseness(_Value):
+    __slots__ = ("verdict", "reason")
+
+    def __init__(self, verdict: Verdict, reason: str):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reason", reason)
 
     def __str__(self) -> str:
         return f"{self.verdict.value} ({self.reason})"
@@ -78,17 +80,17 @@ def s_norm2(a: Scalar) -> Fraction:
     return sum(x * x for x in a)
 
 
-@dataclass(frozen=True)
-class KVector:
+class KVector(_Value):
     """A vector in K^{n'+1} with exact rational scalar components."""
 
-    field: Field
-    entries: tuple[Scalar, ...]
+    __slots__ = ("field", "entries")
 
-    def __post_init__(self):
-        for e in self.entries:
-            if len(e) != self.field.d:
+    def __init__(self, field: Field, entries: tuple[Scalar, ...]):
+        for e in entries:
+            if len(e) != field.d:
                 raise ValueError("entry with the wrong number of components")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n_prime(self) -> int:

@@ -12,11 +12,10 @@ groups).  Also hosts the deep dataset validator.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
 
-from .fgab import FgAbError, FgAbGroup, GroupElement, Subgroup, kernel_into_coords
+from .fgab import FgAbError, FgAbGroup, GroupElement, Subgroup, _Value, kernel_into_coords
 from .stable import StableElement, StableRing, Unknown
 from .tables import (
     OutOfTabulatedRange,
@@ -28,13 +27,15 @@ from .tables import (
 )
 
 
-@dataclass(frozen=True)
-class SphereClass:
+class SphereClass(_Value):
     """A homotopy class in pi_m(S^q), in the entry's generator coordinates."""
 
-    m: int
-    q: int
-    value: GroupElement
+    __slots__ = ("m", "q", "value")
+
+    def __init__(self, m: int, q: int, value: GroupElement):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "value", value)
 
     @property
     def is_zero(self) -> bool:
@@ -62,13 +63,17 @@ class SphereClass:
         return f"{self.value} in pi_{self.m}(S^{self.q})"
 
 
-@dataclass(frozen=True)
-class GammaValue:
+class GammaValue(_Value):
     """Total stabilized Hopf-James invariant, one component per k."""
 
-    m: int
-    q: int
-    components: tuple[tuple[int, Union[StableElement, Unknown]], ...]
+    __slots__ = ("m", "q", "components")
+
+    def __init__(
+        self, m: int, q: int, components: tuple[tuple[int, Union[StableElement, Unknown]], ...]
+    ):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "components", components)
 
     @property
     def all_known(self) -> bool:
@@ -106,18 +111,22 @@ class MissingDataError(TableError):
     """An operation that must not degrade to Unknown hit missing data."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    path: str
-    message: str
+class Violation(_Value):
+    __slots__ = ("path", "message")
+
+    def __init__(self, path: str, message: str):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.path}: {self.message}"
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation]
+class ValidationReport(_Value, frozen=False):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: list[Violation]):
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

@@ -11,10 +11,9 @@ decide" value of the whole package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .fgab import FgAbGroup, GroupElement
+from .fgab import FgAbGroup, GroupElement, _Value
 from .tables import OutOfTabulatedRange, StemEntry, TableSet, UnregisteredName
 
 # Registry entries beyond the raw stem generators: (degree, coefficients).
@@ -25,19 +24,23 @@ _DERIVED_NAMES: dict[str, tuple[int, tuple[int, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(_Value):
     """A value the tables cannot determine; carries the reason."""
 
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class StableElement:
+class StableElement(_Value):
     """An element of a stable stem pi_degree^S."""
 
-    degree: int
-    value: GroupElement
+    __slots__ = ("degree", "value")
+
+    def __init__(self, degree: int, value: GroupElement):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "value", value)
 
     @property
     def is_zero(self) -> bool:

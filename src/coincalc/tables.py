@@ -27,10 +27,9 @@ group they land in (free generators first, then torsion generators).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .fgab import FgAbError, FgAbGroup
+from .fgab import FgAbError, FgAbGroup, _Value
 
 CLOSED_FORM_NOTE = "synthesized closed form"
 
@@ -64,15 +63,21 @@ class UnregisteredName(TableError, LookupError):
     """A class the code needs by name is not registered in the loaded table."""
 
 
-@dataclass(frozen=True)
-class GenAnnotations:
+class GenAnnotations(_Value):
     """Per-generator annotation record of an unstable entry."""
 
-    susp: Optional[tuple[int, ...]] = None
-    stab: Optional[tuple[int, ...]] = None
-    gammas: tuple[tuple[int, tuple[int, ...]], ...] = ()
-    antip: Optional[tuple[int, ...]] = None
-    source: str = ""
+    __slots__ = ("susp", "stab", "gammas", "antip", "source")
+
+    def __init__(
+        self, susp: Optional[tuple[int, ...]] = None, stab: Optional[tuple[int, ...]] = None,
+        gammas: tuple[tuple[int, tuple[int, ...]], ...] = (),
+        antip: Optional[tuple[int, ...]] = None, source: str = "",
+    ):
+        object.__setattr__(self, "susp", susp)
+        object.__setattr__(self, "stab", stab)
+        object.__setattr__(self, "gammas", gammas)
+        object.__setattr__(self, "antip", antip)
+        object.__setattr__(self, "source", source)
 
     def gamma_component(self, k: int) -> Optional[tuple[int, ...]]:
         for kk, coeffs in self.gammas:
@@ -81,17 +86,22 @@ class GenAnnotations:
         return None
 
 
-@dataclass(frozen=True)
-class SphereEntry:
+class SphereEntry(_Value):
     """A tabulated (or synthesized) homotopy group pi_m(S^q)."""
 
-    m: int
-    q: int
-    group: FgAbGroup
-    gen_names: tuple[str, ...] = ()
-    annotations: tuple[GenAnnotations, ...] = ()
-    source: str = ""
-    synthesized: bool = False
+    __slots__ = ("m", "q", "group", "gen_names", "annotations", "source", "synthesized")
+
+    def __init__(
+        self, m: int, q: int, group: FgAbGroup, gen_names: tuple[str, ...] = (),
+        annotations: tuple[GenAnnotations, ...] = (), source: str = "", synthesized: bool = False,
+    ):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "gen_names", gen_names)
+        object.__setattr__(self, "annotations", annotations)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "synthesized", synthesized)
 
     @property
     def k_max(self) -> int:
@@ -113,40 +123,54 @@ class SphereEntry:
             ) from None
 
 
-@dataclass(frozen=True)
-class StemEntry:
+class StemEntry(_Value):
     """A tabulated stable stem pi_k^S."""
 
-    degree: int
-    group: FgAbGroup
-    gen_names: tuple[str, ...] = ()
-    source: str = ""
+    __slots__ = ("degree", "group", "gen_names", "source")
+
+    def __init__(
+        self, degree: int, group: FgAbGroup, gen_names: tuple[str, ...] = (), source: str = ""
+    ):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "gen_names", gen_names)
+        object.__setattr__(self, "source", source)
 
 
-@dataclass(frozen=True)
-class ProductEntry:
-    degree: int
-    coeffs: tuple[int, ...]
-    source: str = ""
+class ProductEntry(_Value):
+    __slots__ = ("degree", "coeffs", "source")
+
+    def __init__(self, degree: int, coeffs: tuple[int, ...], source: str = ""):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "source", source)
 
 
-@dataclass(frozen=True)
-class NamedClass:
-    m: int
-    q: int
-    coeffs: tuple[int, ...]
-    source: str = ""
+class NamedClass(_Value):
+    __slots__ = ("m", "q", "coeffs", "source")
+
+    def __init__(self, m: int, q: int, coeffs: tuple[int, ...], source: str = ""):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "source", source)
 
 
-@dataclass(frozen=True)
-class TableSet:
-    """Everything parsed from one table file."""
+class TableSet(_Value):
+    """Everything parsed from one table file.  Each omitted dict is a new one."""
 
-    entries: dict[tuple[int, int], SphereEntry] = field(default_factory=dict)
-    stems: dict[int, StemEntry] = field(default_factory=dict)
-    products: dict[tuple[str, str], ProductEntry] = field(default_factory=dict)
-    named: dict[str, NamedClass] = field(default_factory=dict)
-    stem_gen_degrees: dict[str, int] = field(default_factory=dict)  # generator -> k
+    __slots__ = ("entries", "stems", "products", "named", "stem_gen_degrees")
+
+    def __init__(
+        self, entries: Optional[dict[tuple[int, int], SphereEntry]] = None,
+        stems: Optional[dict[int, StemEntry]] = None,
+        products: Optional[dict[tuple[str, str], ProductEntry]] = None,
+        named: Optional[dict[str, NamedClass]] = None,
+        stem_gen_degrees: Optional[dict[str, int]] = None,  # generator -> k
+    ):
+        fields = (entries, stems, products, named, stem_gen_degrees)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, {} if value is None else value)
 
 
 def closed_form_entry(m: int, q: int) -> Optional[SphereEntry]:
@@ -645,5 +669,10 @@ def load_tables(source) -> TableSet:
     else:
         data = source
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            column = exc.start - data.rfind(b"\n", 0, exc.start)
+            raise ParseError(f"not UTF-8 text ({exc.reason})", line, column) from None
     return parse_tables(data)

@@ -1,11 +1,16 @@
 """Command-line behaviors: outputs, exit codes, machine mode, strictness."""
 
+import contextlib
+import io
 import json
 import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coincalc import OutOfTabulatedRange, load_default_tables, space
 from coincalc.cli import main
 
 
@@ -268,6 +273,25 @@ class TestDataHandling:
         code, _, err = run(capsys, "--tables", str(path), "pi", "9", "3")
         assert code == 3 and "data error" in err
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_non_utf8_tables_exit_3(self, capsys, tmp_path, table_text, monkeypatch, via):
+        # Undecodable bytes are an invalid data file, positioned at the byte.
+        at = table_text.index("stem 8 0 2,2")
+        broken = table_text[:at].encode() + b"stem 8 \xff" + table_text[at + 7:].encode()
+        line = table_text.count("\n", 0, at) + 1
+        cases = ((b"\xff\xfe bad", "line 1, column 1"), (broken, f"line {line}, column 8"))
+        for data, where in cases:
+            path = tmp_path / "bad.txt"
+            path.write_bytes(data)
+            argv = ["pi", "3", "3"]
+            if via == "flag":
+                argv = ["--tables", str(path)] + argv
+            else:
+                monkeypatch.setenv("COINCALC_TABLES", str(path))
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err.startswith(f"data error: {where}: not UTF-8 text") and err.count("\n") == 1
+
     def test_validator_flags_bad_dataset(self, capsys, tmp_path, table_text):
         path = tmp_path / "bad.txt"
         path.write_text(table_text.replace("name whitehead3 5 3 0", "name whitehead3 5 3 1"))
@@ -307,3 +331,136 @@ class TestDataHandling:
         monkeypatch.setenv("COINCALC_TABLES", str(path))
         code, out, _ = run(capsys, "pi", "6", "3")
         assert code == 0 and out.splitlines()[0] == "Z_12"
+
+
+# ------------------------------------------------ the contract as a property
+
+_INTS = st.one_of(st.integers(-3, 25), st.sampled_from([0, -1, 10**6]))
+_POS_INT = _INTS.map(lambda v: [str(v)])
+_FIELDS = st.sampled_from(["R", "C", "H"])
+_EXPRS = st.one_of(
+    st.sampled_from(["zero", "hopfC", "hopfR", "eta_3", "2*hopfC", "susp(hopfC, 3)",
+                     "whitehead(5)", "alpha1_3", "iota", "1", "-2*iota + 3"]),
+    st.sampled_from(["", "whitehead(", "whitehead(x)", "susp(", "2*", "+", "((", "bogus",
+                     "susp(hopfC, 0)", "susp(hopfC, 99)", "1e5"]),
+    st.lists(st.sampled_from(["hopfC", "eta_3", "zero", "iota", "2", "-1", "(", ")", "*",
+                              "+", ",", "susp", "whitehead"]), max_size=6).map("".join),
+)
+_M_RANGES = st.one_of(
+    # The bundled table decides CP1 and RP2 for m <= 9: most ranges start
+    # there, so that some print rows.
+    st.builds(lambda lo, span: f"{lo}..{lo + span}",
+              st.one_of(st.integers(1, 9), st.integers(-3, 22), st.sampled_from([0, 10**6])),
+              st.one_of(st.integers(0, 8), st.integers(-5, 25))),
+    st.sampled_from(["0..0", "5", "a..b", "1..2..3", "..", "", "3..", "..4"]),
+)
+
+
+def _flags(*names):
+    """Each named flag present or not."""
+    return st.tuples(*(st.sampled_from([[], [n]]) for n in names)).map(lambda ls: sum(ls, []))
+
+
+def _opt(name, values):
+    """An optional `name value` pair."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+def _seq(*parts):
+    return st.tuples(*parts).map(lambda ls: sum(ls, []))
+
+
+def _req(name, values):
+    return values.map(lambda v: [name, str(v)])
+
+
+_SUBCOMMANDS = st.one_of(
+    _seq(st.just(["pi"]), _POS_INT, _POS_INT),
+    _seq(st.just(["stems"]), _POS_INT),
+    _seq(st.just(["nielsen"]), _req("--field", _FIELDS), _req("--nprime", _INTS),
+         _req("--m", _INTS), _req("--f1", _EXPRS), _req("--f2", _EXPRS),
+         _flags("--assume-self-loose", "--machine")),
+    _seq(st.just(["compare"]), _req("--surface", st.sampled_from(["CP1", "RP2", "HP9"])),
+         _req("--m-range", _M_RANGES), _flags("--machine")),
+    _seq(st.just(["witnesses"]), _req("--claim", st.sampled_from(["a", "b", "c", "d"])),
+         _flags("--machine")),
+    _seq(st.just(["selfloose"]), _req("--field", _FIELDS), _req("--nprime", _INTS),
+         _opt("--m", _INTS), _flags("--fiber", "--machine")),
+    # The rotation check samples vectors in K^(n'+1): its work grows with n'.
+    _seq(st.just(["verify-s"]), _req("--field", _FIELDS), _opt("--nprime", st.integers(-3, 25)),
+         _opt("--samples", st.integers(-2, 3)), _opt("--seed", _INTS)),
+    _seq(st.just(["wecken"]), _req("--field", _FIELDS), _req("--nprime", _INTS),
+         _req("--m", _INTS), _flags("--machine")),
+    st.just(["validate-data"]),
+)
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of cli.main run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error, and only that
+            assert exc.code == 2, argv
+            code = "usage"
+    return code, out.getvalue(), err.getvalue()
+
+
+# The seven values of a report, read the way perfbench/workloads.py reads them.
+_VALUE_LINE = re.compile(r"^\s+(R|MC|MCC|N#|N~|N|NZ) = (\S+)", re.M)
+
+
+def _short(token):
+    if isinstance(token, dict):  # {"unknown": reason} in --machine output
+        return "?"
+    return {"infinite": "inf", "unknown": "?"}.get(str(token), str(token))
+
+
+_TABLES = load_default_tables()
+
+
+@st.composite
+def _nielsen_pairs(draw):
+    """nielsen argv whose two classes are sums of generators of the lift group."""
+    field, nprime, m = draw(_FIELDS), draw(st.integers(1, 6)), draw(st.integers(2, 14))
+    q = space(field, nprime).q
+    try:
+        names = _TABLES.lookup(m, q).gen_names
+    except OutOfTabulatedRange:
+        names = ()
+
+    def cls():
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(names), max_size=len(names)))
+        return " + ".join(f"{c}*{g}" for c, g in zip(coeffs, names)) or "zero"
+
+    # `--f1=EXPR`, since argparse would read a leading "-2*g" as an option.
+    return (["nielsen", "--field", field, "--nprime", str(nprime), "--m", str(m),
+             f"--f1={cls()}", f"--f2={cls()}"] + draw(_flags("--assume-self-loose")))
+
+
+class TestContractProperty:
+    """Exit codes 0/1/2/3 only; nothing but argparse's usage exit escapes
+    main; 1 only under --strict; --machine prints JSON."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(strict=st.booleans(), sub=_SUBCOMMANDS)
+    def test_exit_contract(self, strict, sub):
+        argv = (["--strict"] if strict else []) + sub
+        code, out, err = _call(argv)
+        assert code in (0, 1, 2, 3, "usage"), argv
+        assert "Traceback" not in err
+        assert code != 1 or strict, argv
+        if code == 0 and "--machine" in argv:
+            json.loads(out)
+
+    @settings(max_examples=50, deadline=None)
+    @given(argv=_nielsen_pairs())
+    def test_machine_and_text_agree(self, argv):
+        text_code, text, _ = _call(argv)
+        code, doc, _ = _call(argv + ["--machine"])
+        assert code == text_code
+        if code == 0:
+            text_values = [_short(v) for _name, v in _VALUE_LINE.findall(text)]
+            assert text_values == [_short(v) for v in json.loads(doc)["values"].values()]
+            assert len(text_values) == 7
