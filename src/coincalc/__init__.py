@@ -8,7 +8,7 @@ exact integer and rational arithmetic.
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from .fgab import (
     Cmp,
@@ -93,10 +93,19 @@ DEFAULT_TABLE_FILE = "homotopy_tables.txt"
 
 
 def default_table_text() -> str:
-    """The text of the bundled homotopy table file."""
-    return (
-        resources.files(DATA_PACKAGE).joinpath(DEFAULT_TABLE_FILE).read_text("utf-8")
-    )
+    """The text of the bundled homotopy table file.
+
+    Read from next to this module with os.path, which every interpreter has
+    loaded at start; importlib.resources and pathlib take tens of ms to
+    import, so they serve only installs where the data is not a plain file.
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", DEFAULT_TABLE_FILE)
+    if os.path.isfile(path):
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    from importlib import resources
+
+    return resources.files(DATA_PACKAGE).joinpath(DEFAULT_TABLE_FILE).read_text("utf-8")
 
 
 def load_default_tables() -> SphereTables:

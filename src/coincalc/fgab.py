@@ -361,6 +361,21 @@ class FgAbGroup(_Value):
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.rank)
 
+    def combination(self, terms: Sequence[tuple[int, Sequence[int]]]) -> "GroupElement":
+        """The sum of c * column over (c, column) in terms, built as one element.
+
+        Reduction modulo the torsion orders is linear, so this equals summing
+        the elements column.scale(c) one by one.
+        """
+        total = [0] * self.rank
+        for c, column in terms:
+            if len(column) != len(total):
+                raise FgAbError(
+                    f"coefficient vector of length {len(column)} for group of rank {len(total)}"
+                )
+            total = [t + c * a for t, a in zip(total, column)]
+        return GroupElement(self, total)
+
     def generators(self) -> list["GroupElement"]:
         gens = []
         for i in range(self.rank):

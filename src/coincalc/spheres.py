@@ -235,18 +235,18 @@ class SphereTables:
     def _apply(self, x: SphereClass, kind: Union[str, int], target: FgAbGroup, make):
         """make(image of x in target under kind): zero when x or the target
         is, else the sum of x's columns, or the first missing one's Unknown."""
-        out = target.zero()
         if target.is_trivial or x.is_zero:
-            return make(out)
+            return make(target.zero())
         entry = self.lookup(x.m, x.q)
+        terms = []
         for i, c in enumerate(x.value.coeffs):
             if c == 0:
                 continue
             coeffs = self._column(entry, i, kind)
             if isinstance(coeffs, Unknown):
                 return coeffs
-            out = out + target.element(coeffs).scale(c)
-        return make(out)
+            terms.append((c, coeffs))
+        return make(target.combination(terms))
 
     def _component(self, x: SphereClass, k: int) -> Union[StableElement, Unknown]:
         """Component k of Gamma(x) (k = 1 is E^inf)."""

@@ -78,10 +78,7 @@ class StableRing:
     def __init__(self, tables: TableSet):
         self._tables = tables
         self._gen_degrees = tables.stem_gen_degrees
-
-    @property
-    def max_degree(self) -> int:
-        return max(self._tables.stems) if self._tables.stems else -1
+        self.max_degree = max(tables.stems, default=-1)
 
     def stem(self, k: int) -> StemEntry:
         """The tabulated stem pi_k^S; errors outside the curated range."""
@@ -130,15 +127,17 @@ class StableRing:
             return self.named("nu")
         raise ValueError(f"unknown field tag {field_tag!r}")
 
-    def _gen_product(self, name_a: str, name_b: str) -> ProductResult:
+    def _gen_product(
+        self, name_a: str, name_b: str
+    ) -> Union[tuple[int, tuple[int, ...]], Unknown]:
+        """(sign, stored coefficients) of the product of two stem generators."""
         ka, kb = self._gen_degrees[name_a], self._gen_degrees[name_b]
         entry = self._tables.products.get((name_a, name_b))
         if entry is not None:
-            return self.element(entry.degree, entry.coeffs)
+            return 1, entry.coeffs
         entry = self._tables.products.get((name_b, name_a))
         if entry is not None:
-            sign = -1 if (ka % 2 == 1 and kb % 2 == 1) else 1
-            return self.element(entry.degree, entry.coeffs).scale(sign)
+            return (-1 if (ka % 2 == 1 and kb % 2 == 1) else 1), entry.coeffs
         return Unknown(
             f"product {name_a} * {name_b} (degrees {ka}+{kb}) not tabulated"
         )
@@ -157,7 +156,7 @@ class StableRing:
             return b.scale(a.value.coeffs[0])
         if b.degree == 0:
             return a.scale(b.value.coeffs[0])
-        total = self.zero(k)
+        terms = []
         stem_a, stem_b = self.stem(a.degree), self.stem(b.degree)
         for i, ca in enumerate(a.value.coeffs):
             if ca == 0:
@@ -168,5 +167,6 @@ class StableRing:
                 part = self._gen_product(stem_a.gen_names[i], stem_b.gen_names[j])
                 if isinstance(part, Unknown):
                     return part
-                total = total + part.scale(ca * cb)
-        return total
+                sign, coeffs = part
+                terms.append((sign * ca * cb, coeffs))
+        return StableElement(k, target.group.combination(terms))

@@ -214,33 +214,51 @@ def resolve_entry(tables: TableSet, m: int, q: int) -> SphereEntry:
     return entry
 
 
+# Lines are tokenized with str.split(), which splits on the same characters
+# as this pattern; its matches are searched only to position an error.
 _TOKEN = re.compile(r"\S+")
+_INT = re.compile(r"-?\d+")
+_INT_LIST = re.compile(r"-?\d+(?:,-?\d+)*")
+_FREE_RANK = re.compile(r"[0-9]+")
+_SRC = re.compile(r'src\s+"([^"]*)"\s*$')
 
 
-def _split_ints(text: str, line_no: int, col: int) -> tuple[int, ...]:
-    parts = text.split(",")
-    out = []
-    for p in parts:
-        p = p.strip()
-        if not re.fullmatch(r"-?\d+", p or ""):
-            raise ParseError(f"bad integer {p!r} in coefficient list", line_no, col)
-        out.append(int(p))
-    return tuple(out)
+def _token_column(line: str, index: int) -> int:
+    """1-based column of token `index` of `line`."""
+    return [match.start() + 1 for match in _TOKEN.finditer(line)][index]
+
+
+def _split_ints(tokens: list[str], index: int, line_no: int, line: str) -> tuple[int, ...]:
+    """The comma-separated integers of token `index`."""
+    text = tokens[index]
+    if _INT_LIST.fullmatch(text):
+        return tuple(map(int, text.split(",")))
+    bad = next(p for p in text.split(",") if not _INT.fullmatch(p))
+    raise ParseError(
+        f"bad integer {bad!r} in coefficient list", line_no, _token_column(line, index)
+    )
 
 
 def _group_from_fields(
-    free_rank_text: str, torsion_text: Optional[str], line_no: int, path: str
+    tokens: list[str], index: int, line_no: int, line: str, path: str
 ) -> FgAbGroup:
-    if not free_rank_text.isdigit():
-        raise ParseError(f"bad free rank {free_rank_text!r}", line_no)
-    free_rank = int(free_rank_text)
+    """The group given by token `index` (free rank) and an optional torsion
+    list after it."""
+    if not _FREE_RANK.fullmatch(tokens[index]):
+        raise ParseError(
+            f"bad free rank {tokens[index]!r}", line_no, _token_column(line, index)
+        )
     torsion: tuple[int, ...] = ()
-    if torsion_text is not None:
-        torsion = _split_ints(torsion_text, line_no, 1)
+    if len(tokens) > index + 1:
+        torsion = _split_ints(tokens, index + 1, line_no, line)
     try:
-        return FgAbGroup(free_rank, torsion)
+        return FgAbGroup(int(tokens[index]), torsion)
     except FgAbError as exc:
         raise SchemaError(str(exc), path) from None
+
+
+def _gen_path(m: int, q: int, name: str) -> str:
+    return f"pi_{m}(S^{q}) gen {name}"
 
 
 class _OpenGen:
@@ -345,8 +363,7 @@ def parse_tables(text: str) -> TableSet:
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = _TOKEN.findall(line)
-        columns = [m.start() + 1 for m in _TOKEN.finditer(line)]
+        tokens = line.split()
         head = tokens[0]
 
         def need(n: int, what: str):
@@ -360,7 +377,9 @@ def parse_tables(text: str) -> TableSet:
             try:
                 m, q = int(tokens[1]), int(tokens[2])
             except ValueError:
-                raise ParseError("m and q must be integers", line_no, columns[1])
+                raise ParseError(
+                    "m and q must be integers", line_no, _token_column(line, 1)
+                )
             if (m, q) in entries:
                 raise SchemaError("duplicate entry", f"pi_{m}(S^{q})")
             if q <= 1 or m <= q:
@@ -369,12 +388,7 @@ def parse_tables(text: str) -> TableSet:
                     "must not be tabulated",
                     f"pi_{m}(S^{q})",
                 )
-            group = _group_from_fields(
-                tokens[3],
-                tokens[4] if len(tokens) > 4 else None,
-                line_no,
-                f"pi_{m}(S^{q})",
-            )
+            group = _group_from_fields(tokens, 3, line_no, line, f"pi_{m}(S^{q})")
             open_entity = _OpenEntity("group", (m, q), group, line_no)
         elif head == "stem":
             close_entity()
@@ -383,17 +397,14 @@ def parse_tables(text: str) -> TableSet:
             try:
                 k = int(tokens[1])
             except ValueError:
-                raise ParseError("stem degree must be an integer", line_no, columns[1])
+                raise ParseError(
+                    "stem degree must be an integer", line_no, _token_column(line, 1)
+                )
             if k < 0:
                 raise SchemaError("negative stem degree", f"pi_{k}^S")
             if k in stems:
                 raise SchemaError("duplicate stem", f"pi_{k}^S")
-            group = _group_from_fields(
-                tokens[2],
-                tokens[3] if len(tokens) > 3 else None,
-                line_no,
-                f"pi_{k}^S",
-            )
+            group = _group_from_fields(tokens, 2, line_no, line, f"pi_{k}^S")
             open_entity = _OpenEntity("stem", k, group, line_no)
         elif head == "gen":
             need(1, "a generator name")
@@ -414,7 +425,7 @@ def parse_tables(text: str) -> TableSet:
             need(1, "a coefficient vector")
             if open_entity is None or open_entity.kind != "group" or not open_entity.gens:
                 raise ParseError(f"{head} outside of a group generator", line_no)
-            coeffs = _split_ints(tokens[1], line_no, columns[1])
+            coeffs = _split_ints(tokens, 1, line_no, line)
             gen = open_entity.gens[-1]
             if head == "susp":
                 if gen.susp is not None:
@@ -435,13 +446,15 @@ def parse_tables(text: str) -> TableSet:
             try:
                 degree = int(tokens[1])
             except ValueError:
-                raise ParseError("stab degree must be an integer", line_no, columns[1])
+                raise ParseError(
+                    "stab degree must be an integer", line_no, _token_column(line, 1)
+                )
             gen = open_entity.gens[-1]
             if gen.stab is not None:
                 raise SchemaError(
                     "duplicate stab", f"{open_entity.path} gen {gen.name}"
                 )
-            gen.stab = _split_ints(tokens[2], line_no, columns[2])
+            gen.stab = _split_ints(tokens, 2, line_no, line)
             gen.stab_degree = degree
         elif head == "gamma":
             need(3, "k, degree and a coefficient vector")
@@ -451,7 +464,9 @@ def parse_tables(text: str) -> TableSet:
                 k = int(tokens[1])
                 degree = int(tokens[2])
             except ValueError:
-                raise ParseError("gamma k/degree must be integers", line_no, columns[1])
+                raise ParseError(
+                    "gamma k/degree must be integers", line_no, _token_column(line, 1)
+                )
             if k < 1:
                 raise SchemaError(
                     "gamma component index must be >= 1", open_entity.path
@@ -462,9 +477,9 @@ def parse_tables(text: str) -> TableSet:
                     f"duplicate gamma component k={k}",
                     f"{open_entity.path} gen {gen.name}",
                 )
-            gen.gammas.append((k, degree, _split_ints(tokens[3], line_no, columns[3])))
+            gen.gammas.append((k, degree, _split_ints(tokens, 3, line_no, line)))
         elif head == "src":
-            match = re.match(r'src\s+"([^"]*)"\s*$', line)
+            match = _SRC.match(line)
             if not match:
                 raise ParseError('src needs a quoted string: src "..."', line_no)
             citation = match.group(1)
@@ -487,8 +502,10 @@ def parse_tables(text: str) -> TableSet:
             try:
                 degree = int(tokens[4])
             except ValueError:
-                raise ParseError("product degree must be an integer", line_no, columns[4])
-            coeffs = _split_ints(tokens[5], line_no, columns[5]) if len(tokens) > 5 else ()
+                raise ParseError(
+                    "product degree must be an integer", line_no, _token_column(line, 4)
+                )
+            coeffs = _split_ints(tokens, 5, line_no, line) if len(tokens) > 5 else ()
             raw_products.append((tokens[1], tokens[2], degree, coeffs, "", line_no))
         elif head == "name":
             close_entity()
@@ -496,10 +513,12 @@ def parse_tables(text: str) -> TableSet:
             try:
                 m, q = int(tokens[2]), int(tokens[3])
             except ValueError:
-                raise ParseError("name m/q must be integers", line_no, columns[2])
+                raise ParseError(
+                    "name m/q must be integers", line_no, _token_column(line, 2)
+                )
             if tokens[1] in named:
                 raise SchemaError("duplicate name", f"name {tokens[1]}")
-            coeffs = _split_ints(tokens[4], line_no, columns[4]) if len(tokens) > 4 else ()
+            coeffs = _split_ints(tokens, 4, line_no, line) if len(tokens) > 4 else ()
             named[tokens[1]] = NamedClass(m, q, coeffs, "")
             open_name = tokens[1]
         else:
@@ -509,55 +528,53 @@ def parse_tables(text: str) -> TableSet:
     tables = TableSet(entries, stems, products, named, stem_gen_degrees)
 
     # Second pass: resolve lengths and degrees that may reference entities
-    # declared anywhere in the file.
+    # declared anywhere in the file.  Error paths are formatted only to raise.
     for (m, q), entry in entries.items():
-        path = f"pi_{m}(S^{q})"
         for name, ann in zip(entry.gen_names, entry.annotations):
-            gen_path = f"{path} gen {name}"
             if ann.susp is not None:
                 try:
                     target = resolve_entry(tables, m + 1, q + 1)
                 except OutOfTabulatedRange:
                     raise SchemaError(
                         f"susp target pi_{m + 1}(S^{q + 1}) is not tabulated",
-                        gen_path,
+                        _gen_path(m, q, name),
                     )
                 if len(ann.susp) != target.group.rank:
                     raise SchemaError(
                         f"susp vector length {len(ann.susp)} != rank "
                         f"{target.group.rank} of pi_{m + 1}(S^{q + 1})",
-                        gen_path,
+                        _gen_path(m, q, name),
                     )
             if ann.stab is not None:
                 stem = stems.get(m - q)
                 if stem is None:
                     raise SchemaError(
-                        f"stab target pi_{m - q}^S is not tabulated", gen_path
+                        f"stab target pi_{m - q}^S is not tabulated", _gen_path(m, q, name)
                     )
                 if len(ann.stab) != stem.group.rank:
                     raise SchemaError(
                         f"stab vector length {len(ann.stab)} != rank "
                         f"{stem.group.rank} of pi_{m - q}^S",
-                        gen_path,
+                        _gen_path(m, q, name),
                     )
             for k, coeffs in ann.gammas:
                 if k > entry.k_max:
                     raise SchemaError(
                         f"gamma component k={k} beyond k_max={entry.k_max}",
-                        gen_path,
+                        _gen_path(m, q, name),
                     )
                 degree = entry.gamma_degree(k)
                 stem = stems.get(degree)
                 if stem is None:
                     raise SchemaError(
                         f"gamma k={k} target pi_{degree}^S is not tabulated",
-                        gen_path,
+                        _gen_path(m, q, name),
                     )
                 if len(coeffs) != stem.group.rank:
                     raise SchemaError(
                         f"gamma k={k} vector length {len(coeffs)} != rank "
                         f"{stem.group.rank} of pi_{degree}^S",
-                        gen_path,
+                        _gen_path(m, q, name),
                     )
 
     for k, stem in stems.items():

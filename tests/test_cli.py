@@ -292,6 +292,14 @@ class TestDataHandling:
             assert (code, out) == (3, "")
             assert err.startswith(f"data error: {where}: not UTF-8 text") and err.count("\n") == 1
 
+    def test_non_ascii_free_rank_exits_3(self, capsys, tmp_path):
+        # str.isdigit() accepts a superscript two, which int() rejects.
+        path = tmp_path / "bad.txt"
+        path.write_text("group 3 2 \u00b2\n", encoding="utf-8")
+        code, out, err = run(capsys, "--tables", str(path), "pi", "3", "2")
+        assert (code, out) == (3, "")
+        assert err == "data error: line 1, column 11: bad free rank '\u00b2'\n"
+
     def test_validator_flags_bad_dataset(self, capsys, tmp_path, table_text):
         path = tmp_path / "bad.txt"
         path.write_text(table_text.replace("name whitehead3 5 3 0", "name whitehead3 5 3 1"))

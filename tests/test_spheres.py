@@ -1,12 +1,14 @@
 """Unstable operations: suspension, stabilization, Gamma, antipode, kernels."""
 
+import itertools
 import random
 import traceback
 
 import pytest
 
-from coincalc.fgab import Cmp, subgroup_cmp
+from coincalc.fgab import Cmp, FgAbError, FgAbGroup, subgroup_cmp
 from coincalc.spheres import Membership, MissingDataError, SphereTables, Unknown
+from coincalc.tables import GenAnnotations, OutOfTabulatedRange, SphereEntry, TableSet
 
 
 class TestSuspend:
@@ -149,6 +151,52 @@ class TestAntipodal:
     def test_zero(self, tables):
         out = tables.antipodal_compose(tables.zero(7, 4))
         assert out.is_zero
+
+
+def _apply_by_elements(tables, x, kind, target):
+    """The annotated map of kind on x, summed one scaled element at a time."""
+    out = target.zero()
+    if target.is_trivial or x.is_zero:
+        return out
+    entry = tables.lookup(x.m, x.q)
+    for i, c in enumerate(x.value.coeffs):
+        if c:
+            column = tables._column(entry, i, kind)
+            if isinstance(column, Unknown):
+                return column
+            out = out + target.element(column).scale(c)
+    return out
+
+
+class TestSummedMaps:
+    def test_every_tabulated_map_on_small_classes(self, tables):
+        checked = 0
+        for (m, q), entry in sorted(tables.raw.entries.items()):
+            targets = [("antip", entry.group)]
+            try:
+                targets.append(("susp", tables.lookup(m + 1, q + 1).group))
+            except OutOfTabulatedRange:
+                pass
+            for k in range(1, entry.k_max + 1):
+                stem = tables.raw.stems.get(entry.gamma_degree(k))
+                if stem is not None:
+                    targets.append((k, stem.group))
+            for coeffs in itertools.product(range(-2, 3), repeat=entry.group.rank):
+                x = tables.cls(m, q, coeffs)
+                for kind, target in targets:
+                    got = tables._apply(x, kind, target, lambda value: value)
+                    want = _apply_by_elements(tables, x, kind, target)
+                    assert got == want, (m, q, coeffs, kind)
+                    checked += 1
+        assert checked > 500
+
+    def test_wrong_length_column_raises(self):
+        entry = SphereEntry(
+            5, 2, FgAbGroup(0, (2,)), ("g",), (GenAnnotations(antip=(1, 0)),)
+        )
+        tables = SphereTables(TableSet(entries={(5, 2): entry}))
+        with pytest.raises(FgAbError, match="length 2 for group of rank 1"):
+            tables.antipodal_compose(tables.generator(5, 2, "g"))
 
 
 class TestSuspensionImage:

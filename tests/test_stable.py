@@ -1,5 +1,7 @@
 """Stable stems: pinned groups, the partial product, named classes."""
 
+import itertools
+
 import pytest
 
 from coincalc.stable import StableElement, Unknown
@@ -59,7 +61,54 @@ def test_orders(tables):
     assert ring.named("two").order() is None
 
 
+def _multiply_by_elements(ring, tables, a, b):
+    """The product of a and b, summed one scaled generator product at a time;
+    None where a needed generator product is not tabulated."""
+    k = a.degree + b.degree
+    if ring.stem(k).group.is_trivial or a.is_zero or b.is_zero:
+        return ring.zero(k)
+    if a.degree == 0:
+        return b.scale(a.value.coeffs[0])
+    if b.degree == 0:
+        return a.scale(b.value.coeffs[0])
+    total = ring.zero(k)
+    names_a, names_b = ring.stem(a.degree).gen_names, ring.stem(b.degree).gen_names
+    pairs = itertools.product(enumerate(a.value.coeffs), enumerate(b.value.coeffs))
+    for (i, ca), (j, cb) in pairs:
+        if ca and cb:
+            entry, sign = tables.products.get((names_a[i], names_b[j])), 1
+            if entry is None:
+                entry = tables.products.get((names_b[j], names_a[i]))
+                sign = -1 if a.degree % 2 and b.degree % 2 else 1
+            if entry is None:
+                return None
+            total = total + ring.element(k, entry.coeffs).scale(sign * ca * cb)
+    return total
+
+
 class TestMultiply:
+    def test_summed_product_equals_generator_by_generator(self, tables):
+        # Every class with coefficients in -2..2 times every multiple -2..2 of
+        # each generator of every stem it can be multiplied with.
+        ring, stems = tables.ring, tables.raw.stems
+        known = 0
+        for ka, kb in itertools.product(stems, repeat=2):
+            if ka + kb > ring.max_degree:
+                continue
+            rank_b = stems[kb].group.rank
+            for coeffs in itertools.product(range(-2, 3), repeat=stems[ka].group.rank):
+                a = ring.element(ka, coeffs)
+                for j, c in itertools.product(range(rank_b), range(-2, 3)):
+                    b = ring.element(kb, [c if i == j else 0 for i in range(rank_b)])
+                    got = ring.multiply(a, b)
+                    want = _multiply_by_elements(ring, tables.raw, a, b)
+                    if want is None:
+                        assert isinstance(got, Unknown), (a, b)
+                    else:
+                        assert got == want, (a, b)
+                        known += not want.is_zero
+        assert known > 100
+
     def test_two_eta_vanishes(self, tables):
         ring = tables.ring
         prod = ring.multiply(ring.named("two"), ring.named("eta"))

@@ -1,7 +1,15 @@
 """Table format: parsing, rejection, round-trip, closed forms, fault injection."""
 
-import pytest
+import os
+import re
+import subprocess
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import coincalc
 from coincalc.spheres import SphereTables
 from coincalc.tables import (
     OutOfTabulatedRange,
@@ -50,6 +58,11 @@ class TestParsing:
             parse_tables("stem zero 1\n")
         assert "line 1" in str(err.value)
 
+    def test_non_ascii_free_rank_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_tables("group 3 2 \u00b2\n")
+        assert (err.value.line, err.value.column) == (1, 11)
+
     def test_unknown_directive(self):
         with pytest.raises(ParseError):
             parse_tables("bogus 1 2 3\n")
@@ -91,6 +104,101 @@ class TestParsing:
 
         ts = load_tables(io.BytesIO(table_text.encode("utf-8")))
         assert (3, 2) in ts.entries
+
+
+# Opens a stem and a group generator, so that every directive is legal on line 7.
+_PREFIX = "stem 0 1\ngen iota\nstem 1 0 2\ngen eta\ngroup 3 2 1\ngen g\n"
+_BAD_INT = "bad integer {!r} in coefficient list"
+
+# (bad line, column, message): the line is parsed after _PREFIX, so it is line 7.
+# Columns count from the line's first non-blank character.
+POSITIONED = [
+    ("group x 2 1", 7, "m and q must be integers"),
+    ("group 3 y 1", 7, "m and q must be integers"),
+    ("stem z 1", 6, "stem degree must be an integer"),
+    ("stab x 1", 6, "stab degree must be an integer"),
+    ("gamma x 0 1", 7, "gamma k/degree must be integers"),
+    ("gamma 2 x 1", 7, "gamma k/degree must be integers"),
+    ("prod eta eta -> x 1", 17, "product degree must be an integer"),
+    ("name foo x 2", 10, "name m/q must be integers"),
+    ("name foo 3 y", 10, "name m/q must be integers"),
+    ("susp 1,x", 6, _BAD_INT.format("x")),
+    ("antip 1,,1", 7, _BAD_INT.format("")),
+    ("stab 1 1.5", 8, _BAD_INT.format("1.5")),
+    ("gamma 2 0 +1", 11, _BAD_INT.format("+1")),
+    ("prod eta eta -> 2 1,-", 19, _BAD_INT.format("-")),
+    ("name foo 3 2 q", 14, _BAD_INT.format("q")),
+    ("group 4 2 0 2,x", 13, _BAD_INT.format("x")),
+    ("stem 2 0 ,2", 10, _BAD_INT.format("")),
+    ("group 4 2 x", 11, "bad free rank 'x'"),
+    ("group 4 2 -1", 11, "bad free rank '-1'"),
+    ("stem 2 \u00b2", 8, "bad free rank '\u00b2'"),
+    ("group 4 2 \u00b9 2", 11, "bad free rank '\u00b9'"),
+    ("group 4 2", 9, "'group' needs m q free_rank [torsion]"),
+    ("stab 1", 6, "'stab' needs degree and a coefficient vector"),
+    ("prod eta eta 2 1", 1, "prod syntax: prod A B -> degree c1,..."),
+    ('src "open', 1, 'src needs a quoted string: src "..."'),
+    ("bogus 1", 1, "unknown directive 'bogus'"),
+]
+
+
+def _layouts(line):
+    """The line as written, indented, and with tabs or no-break spaces between
+    tokens; every layout keeps the columns of the first."""
+    return [
+        line,
+        " \t\u00a0" + line,
+        line.replace(" ", "\t"),
+        "\u3000" + line.replace(" ", "\u00a0") + " \x85",
+    ]
+
+
+class TestParseErrorPositions:
+    @pytest.mark.parametrize("line, column, message", POSITIONED)
+    def test_position_and_message(self, line, column, message):
+        for layout in _layouts(line):
+            with pytest.raises(ParseError) as err:
+                parse_tables(_PREFIX + layout + "\n")
+            assert (err.value.line, err.value.column) == (7, column), repr(layout)
+            assert str(err.value) == f"line 7, column {column}: {message}"
+
+    def test_wider_gaps_move_the_column(self):
+        with pytest.raises(ParseError) as err:
+            parse_tables(_PREFIX + "gamma  2   0 \t 1,x\n")
+        assert (err.value.line, err.value.column) == (7, 16)
+
+    def test_outside_of_an_entity(self):
+        for line, message in [
+            ("gen g", "gen outside of a group/stem"),
+            ("susp 1", "susp outside of a group generator"),
+            ('src "x"', "src outside of any entity"),
+        ]:
+            with pytest.raises(ParseError) as err:
+                parse_tables("# header\n\n  " + line + "\n")
+            assert str(err.value) == f"line 3, column 1: {message}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab1,\x1c\x1d\x1e\x1f\x85\xa0 \u3000\t\n", max_size=40))
+    def test_split_matches_the_token_regex(self, line):
+        # The tokenizer splits on str.isspace(); the positions of its errors
+        # come from \S+ matches, so both must see the same tokens.
+        assert line.split() == re.findall(r"\S+", line)
+
+
+class TestDefaultTable:
+    def test_import_leaves_importlib_resources_unloaded(self):
+        # -S: no site hooks, which preload importlib.resources on some installs.
+        src = os.path.dirname(os.path.dirname(coincalc.__file__))
+        code = "import sys, coincalc; print('importlib.resources' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "False\n"
+
+    def test_resources_fallback_reads_the_same_text(self, table_text, monkeypatch):
+        monkeypatch.setattr(os.path, "isfile", lambda path: False)
+        assert coincalc.default_table_text() == table_text
 
 
 class TestLookup:
