@@ -21,7 +21,11 @@ Grammar (one directive per line, `#` starts a comment line):
     name NAME m q c1,...,cr           register a named class
 
 Coefficient vectors are comma-separated integers in generator order of the
-group they land in (free generators first, then torsion generators).
+group they land in (free generators first, then torsion generators).  Every
+integer is written in ASCII as -?[0-9]+; a free rank as [0-9]+.  The stems
+run from 0 up without a gap.  A `src` line cites what it follows: a group or
+stem before its first `gen`, the last group generator, or a `name`; each of
+these takes one `src` at most, so a stem's `src` comes before its `gen` lines.
 """
 
 from __future__ import annotations
@@ -138,12 +142,11 @@ class StemEntry(_Value):
 
 
 class ProductEntry(_Value):
-    __slots__ = ("degree", "coeffs", "source")
+    __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree: int, coeffs: tuple[int, ...], source: str = ""):
+    def __init__(self, degree: int, coeffs: tuple[int, ...]):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "source", source)
 
 
 class NamedClass(_Value):
@@ -217,10 +220,19 @@ def resolve_entry(tables: TableSet, m: int, q: int) -> SphereEntry:
 # Lines are tokenized with str.split(), which splits on the same characters
 # as this pattern; its matches are searched only to position an error.
 _TOKEN = re.compile(r"\S+")
-_INT = re.compile(r"-?\d+")
-_INT_LIST = re.compile(r"-?\d+(?:,-?\d+)*")
+_INT = re.compile(r"-?[0-9]+")
+_INT_LIST = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 _FREE_RANK = re.compile(r"[0-9]+")
 _SRC = re.compile(r'src\s+"([^"]*)"\s*$')
+
+# Annotation directive -> (integer fields before its coefficient vector, what
+# a short line lacks, the message for a bad integer field).
+_ANNOTATIONS = {
+    "susp": (0, "a coefficient vector", None),
+    "antip": (0, "a coefficient vector", None),
+    "stab": (1, "degree and a coefficient vector", "stab degree must be an integer"),
+    "gamma": (2, "k, degree and a coefficient vector", "gamma k/degree must be integers"),
+}
 
 
 def _token_column(line: str, index: int) -> int:
@@ -228,8 +240,29 @@ def _token_column(line: str, index: int) -> int:
     return [match.start() + 1 for match in _TOKEN.finditer(line)][index]
 
 
+def _need(tokens: list[str], n: int, what: str, line_no: int, line: str) -> None:
+    if len(tokens) <= n:
+        raise ParseError(f"{tokens[0]!r} needs {what}", line_no, len(line))
+
+
+def _read_ints(
+    tokens: list[str], start: int, stop: int, message: str, line_no: int, line: str
+) -> list[int]:
+    """The integer fields start..stop-1; a bad one is reported at the column
+    of field `start`."""
+    values = []
+    for field in tokens[start:stop]:
+        # isascii() and isdigit() match [0-9]+, the common case, without the regex.
+        if not (field.isascii() and field.isdigit()) and not _INT.fullmatch(field):
+            raise ParseError(message, line_no, _token_column(line, start))
+        values.append(int(field))
+    return values
+
+
 def _split_ints(tokens: list[str], index: int, line_no: int, line: str) -> tuple[int, ...]:
-    """The comma-separated integers of token `index`."""
+    """The comma-separated integers of token `index`, () past the last token."""
+    if index >= len(tokens):
+        return ()
     text = tokens[index]
     if _INT_LIST.fullmatch(text):
         return tuple(map(int, text.split(",")))
@@ -248,9 +281,7 @@ def _group_from_fields(
         raise ParseError(
             f"bad free rank {tokens[index]!r}", line_no, _token_column(line, index)
         )
-    torsion: tuple[int, ...] = ()
-    if len(tokens) > index + 1:
-        torsion = _split_ints(tokens, index + 1, line_no, line)
+    torsion = _split_ints(tokens, index + 1, line_no, line)
     try:
         return FgAbGroup(int(tokens[index]), torsion)
     except FgAbError as exc:
@@ -261,32 +292,63 @@ def _gen_path(m: int, q: int, name: str) -> str:
     return f"pi_{m}(S^{q}) gen {name}"
 
 
-class _OpenGen:
-    def __init__(self, name: str):
-        self.name = name
-        self.susp: Optional[tuple[int, ...]] = None
-        self.stab: Optional[tuple[int, ...]] = None
-        self.stab_degree: Optional[int] = None
-        self.gammas: list[tuple[int, int, tuple[int, ...]]] = []  # (k, degree, coeffs)
-        self.antip: Optional[tuple[int, ...]] = None
-        self.source = ""
+def _label(key) -> str:
+    """How messages name the annotation stored under `key`: the directive, or
+    the Hopf-James component k."""
+    return key if type(key) is str else f"gamma k={key}"
 
 
 class _OpenEntity:
-    def __init__(self, kind: str, key, group: FgAbGroup, line_no: int):
-        self.kind = kind  # "group" | "stem"
+    def __init__(self, kind: str, key, path: str, group: FgAbGroup):
+        self.kind = kind  # "group" with key (m, q) | "stem" with key k
         self.key = key
+        self.path = path
         self.group = group
-        self.line_no = line_no
-        self.gens: list[_OpenGen] = []
-        self.source = ""
+        self.ann: dict = {}  # the entity's own src
+        # (name, annotations keyed susp/stab/antip/src or gamma k, declared
+        # degrees keyed stab or k), one per gen line
+        self.gens: list[tuple[str, dict, dict]] = []
 
-    @property
-    def path(self) -> str:
-        if self.kind == "group":
-            m, q = self.key
-            return f"pi_{m}(S^{q})"
-        return f"pi_{self.key}^S"
+    def close(self, entries: dict, stems: dict) -> None:
+        """Check what needs all of the entity's lines, then store its entry."""
+        if len(self.gens) != self.group.rank:
+            raise SchemaError(
+                f"{len(self.gens)} generators declared for a group of rank "
+                f"{self.group.rank}",
+                self.path,
+            )
+        gen_names = tuple(name for name, _ann, _degrees in self.gens)
+        if self.kind == "stem":
+            stems[self.key] = StemEntry(self.key, self.group, gen_names, self.ann.get("src", ""))
+            return
+        m, q = self.key
+        anns = []
+        for name, ann, degrees in self.gens:
+            # The Hopf-James components in the order given, then stab, which
+            # lands in the degree of the component k = 1.
+            if "stab" in degrees:
+                degrees["stab"] = degrees.pop("stab")
+            for key, degree in degrees.items():
+                expected = m - 1 - (1 if key == "stab" else key) * (q - 1)
+                if degree != expected:
+                    raise SchemaError(
+                        f"{_label(key)} declares degree {degree}, expected {expected}",
+                        _gen_path(m, q, name),
+                    )
+            if "antip" in ann and len(ann["antip"]) != self.group.rank:
+                raise SchemaError(
+                    f"antip vector of length {len(ann['antip'])}, expected "
+                    f"{self.group.rank}",
+                    _gen_path(m, q, name),
+                )
+            gammas = tuple(sorted(kv for kv in ann.items() if type(kv[0]) is int))
+            anns.append(GenAnnotations(
+                ann.get("susp"), ann.get("stab"), gammas, ann.get("antip"), ann.get("src", "")
+            ))
+        entries[(m, q)] = SphereEntry(
+            m, q, self.group, gen_names, tuple(anns), self.ann.get("src", "")
+        )
+
 
 
 def parse_tables(text: str) -> TableSet:
@@ -296,122 +358,45 @@ def parse_tables(text: str) -> TableSet:
     products: dict[tuple[str, str], ProductEntry] = {}
     named: dict[str, NamedClass] = {}
     stem_gen_degrees: dict[str, int] = {}
-    raw_products: list[tuple[str, str, int, tuple[int, ...], str, int]] = []
+    raw_products: list[tuple[str, str, int, tuple[int, ...]]] = []
+    raw_names: dict[str, tuple[int, int, tuple[int, ...], dict]] = {}  # m, q, coeffs, src
     open_entity: Optional[_OpenEntity] = None
     open_name: Optional[str] = None
 
-    def close_entity():
-        nonlocal open_entity
-        if open_entity is None:
-            return
-        ent = open_entity
-        open_entity = None
-        if len(ent.gens) != ent.group.rank:
-            raise SchemaError(
-                f"{len(ent.gens)} generators declared for a group of rank "
-                f"{ent.group.rank}",
-                ent.path,
-            )
-        if ent.kind == "stem":
-            stems[ent.key] = StemEntry(
-                ent.key,
-                ent.group,
-                tuple(g.name for g in ent.gens),
-                ent.source,
-            )
-            return
-        m, q = ent.key
-        anns = []
-        for g in ent.gens:
-            for k, degree, _c in g.gammas:
-                expected = m - 1 - k * (q - 1)
-                if degree != expected:
-                    raise SchemaError(
-                        f"gamma k={k} declares degree {degree}, expected {expected}",
-                        f"{ent.path} gen {g.name}",
-                    )
-            if g.stab is not None and g.stab_degree != m - q:
-                raise SchemaError(
-                    f"stab declares degree {g.stab_degree}, expected {m - q}",
-                    f"{ent.path} gen {g.name}",
-                )
-            if g.antip is not None and len(g.antip) != ent.group.rank:
-                raise SchemaError(
-                    f"antip vector of length {len(g.antip)}, expected "
-                    f"{ent.group.rank}",
-                    f"{ent.path} gen {g.name}",
-                )
-            anns.append(
-                GenAnnotations(
-                    susp=g.susp,
-                    stab=g.stab,
-                    gammas=tuple(sorted((k, c) for k, _d, c in g.gammas)),
-                    antip=g.antip,
-                    source=g.source,
-                )
-            )
-        entries[(m, q)] = SphereEntry(
-            m,
-            q,
-            ent.group,
-            tuple(g.name for g in ent.gens),
-            tuple(anns),
-            ent.source,
-        )
-
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         tokens = line.split()
         head = tokens[0]
+        if head in ("group", "stem", "prod", "name"):  # each ends the open entity
+            if open_entity is not None:
+                open_entity.close(entries, stems)
+            open_entity = open_name = None
 
-        def need(n: int, what: str):
-            if len(tokens) < n + 1:
-                raise ParseError(f"{head!r} needs {what}", line_no, len(line))
-
-        if head == "group":
-            close_entity()
-            open_name = None
-            need(3, "m q free_rank [torsion]")
-            try:
-                m, q = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError(
-                    "m and q must be integers", line_no, _token_column(line, 1)
-                )
-            if (m, q) in entries:
-                raise SchemaError("duplicate entry", f"pi_{m}(S^{q})")
-            if q <= 1 or m <= q:
-                raise SchemaError(
-                    "entry lies in the closed-form range (q <= 1, m <= q) and "
-                    "must not be tabulated",
-                    f"pi_{m}(S^{q})",
-                )
-            group = _group_from_fields(tokens, 3, line_no, line, f"pi_{m}(S^{q})")
-            open_entity = _OpenEntity("group", (m, q), group, line_no)
-        elif head == "stem":
-            close_entity()
-            open_name = None
-            need(2, "k free_rank [torsion]")
-            try:
-                k = int(tokens[1])
-            except ValueError:
-                raise ParseError(
-                    "stem degree must be an integer", line_no, _token_column(line, 1)
-                )
-            if k < 0:
-                raise SchemaError("negative stem degree", f"pi_{k}^S")
-            if k in stems:
-                raise SchemaError("duplicate stem", f"pi_{k}^S")
-            group = _group_from_fields(tokens, 2, line_no, line, f"pi_{k}^S")
-            open_entity = _OpenEntity("stem", k, group, line_no)
+        if head in _ANNOTATIONS:
+            n_ints, needs, bad_int = _ANNOTATIONS[head]
+            _need(tokens, n_ints + 1, needs, line_no, line)
+            if open_entity is None or open_entity.kind != "group" or not open_entity.gens:
+                raise ParseError(f"{head} outside of a group generator", line_no)
+            ints = _read_ints(tokens, 1, n_ints + 1, bad_int, line_no, line) if n_ints else ()
+            coeffs = _split_ints(tokens, n_ints + 1, line_no, line)
+            key = ints[0] if head == "gamma" else head
+            if head == "gamma" and key < 1:
+                raise SchemaError("gamma component index must be >= 1", open_entity.path)
+            name, ann, degrees = open_entity.gens[-1]
+            if key in ann:
+                what = key if head != "gamma" else f"gamma component k={key}"
+                raise SchemaError(f"duplicate {what}", _gen_path(*open_entity.key, name))
+            ann[key] = coeffs
+            if ints:
+                degrees[key] = ints[-1]
         elif head == "gen":
-            need(1, "a generator name")
+            _need(tokens, 1, "a generator name", line_no, line)
             if open_entity is None:
                 raise ParseError("gen outside of a group/stem", line_no)
             name = tokens[1]
-            if any(g.name == name for g in open_entity.gens):
+            if any(gen[0] == name for gen in open_entity.gens):
                 raise SchemaError(
                     f"duplicate generator {name!r}", open_entity.path
                 )
@@ -420,162 +405,105 @@ def parse_tables(text: str) -> TableSet:
                     f"more generators than the rank {open_entity.group.rank}",
                     open_entity.path,
                 )
-            open_entity.gens.append(_OpenGen(name))
-        elif head in ("susp", "antip"):
-            need(1, "a coefficient vector")
-            if open_entity is None or open_entity.kind != "group" or not open_entity.gens:
-                raise ParseError(f"{head} outside of a group generator", line_no)
-            coeffs = _split_ints(tokens, 1, line_no, line)
-            gen = open_entity.gens[-1]
-            if head == "susp":
-                if gen.susp is not None:
-                    raise SchemaError(
-                        "duplicate susp", f"{open_entity.path} gen {gen.name}"
-                    )
-                gen.susp = coeffs
-            else:
-                if gen.antip is not None:
-                    raise SchemaError(
-                        "duplicate antip", f"{open_entity.path} gen {gen.name}"
-                    )
-                gen.antip = coeffs
-        elif head == "stab":
-            need(2, "degree and a coefficient vector")
-            if open_entity is None or open_entity.kind != "group" or not open_entity.gens:
-                raise ParseError("stab outside of a group generator", line_no)
-            try:
-                degree = int(tokens[1])
-            except ValueError:
-                raise ParseError(
-                    "stab degree must be an integer", line_no, _token_column(line, 1)
-                )
-            gen = open_entity.gens[-1]
-            if gen.stab is not None:
-                raise SchemaError(
-                    "duplicate stab", f"{open_entity.path} gen {gen.name}"
-                )
-            gen.stab = _split_ints(tokens, 2, line_no, line)
-            gen.stab_degree = degree
-        elif head == "gamma":
-            need(3, "k, degree and a coefficient vector")
-            if open_entity is None or open_entity.kind != "group" or not open_entity.gens:
-                raise ParseError("gamma outside of a group generator", line_no)
-            try:
-                k = int(tokens[1])
-                degree = int(tokens[2])
-            except ValueError:
-                raise ParseError(
-                    "gamma k/degree must be integers", line_no, _token_column(line, 1)
-                )
-            if k < 1:
-                raise SchemaError(
-                    "gamma component index must be >= 1", open_entity.path
-                )
-            gen = open_entity.gens[-1]
-            if any(kk == k for kk, _d, _c in gen.gammas):
-                raise SchemaError(
-                    f"duplicate gamma component k={k}",
-                    f"{open_entity.path} gen {gen.name}",
-                )
-            gen.gammas.append((k, degree, _split_ints(tokens, 3, line_no, line)))
+            open_entity.gens.append((name, {}, {}))
         elif head == "src":
             match = _SRC.match(line)
             if not match:
                 raise ParseError('src needs a quoted string: src "..."', line_no)
-            citation = match.group(1)
             if open_name is not None:
-                nc = named[open_name]
-                named[open_name] = NamedClass(nc.m, nc.q, nc.coeffs, citation)
-            elif open_entity is not None:
-                if open_entity.gens:
-                    open_entity.gens[-1].source = citation
-                else:
-                    open_entity.source = citation
-            else:
+                holder, path = raw_names[open_name][3], f"name {open_name}"
+            elif open_entity is None:
                 raise ParseError("src outside of any entity", line_no)
+            elif not open_entity.gens:
+                holder, path = open_entity.ann, open_entity.path
+            elif open_entity.kind == "stem":
+                raise ParseError("src of a stem must come before its gen lines", line_no)
+            else:
+                name, holder, _degrees = open_entity.gens[-1]
+                path = _gen_path(*open_entity.key, name)
+            if "src" in holder:
+                raise SchemaError("duplicate src", path)
+            holder["src"] = match.group(1)
+        elif head == "group":
+            _need(tokens, 3, "m q free_rank [torsion]", line_no, line)
+            m, q = _read_ints(tokens, 1, 3, "m and q must be integers", line_no, line)
+            path = f"pi_{m}(S^{q})"
+            if (m, q) in entries:
+                raise SchemaError("duplicate entry", path)
+            if q <= 1 or m <= q:
+                raise SchemaError(
+                    "entry lies in the closed-form range (q <= 1, m <= q) and "
+                    "must not be tabulated",
+                    path,
+                )
+            group = _group_from_fields(tokens, 3, line_no, line, path)
+            open_entity = _OpenEntity("group", (m, q), path, group)
+        elif head == "stem":
+            _need(tokens, 2, "k free_rank [torsion]", line_no, line)
+            (k,) = _read_ints(tokens, 1, 2, "stem degree must be an integer", line_no, line)
+            path = f"pi_{k}^S"
+            if k < 0:
+                raise SchemaError("negative stem degree", path)
+            if k in stems:
+                raise SchemaError("duplicate stem", path)
+            group = _group_from_fields(tokens, 2, line_no, line, path)
+            open_entity = _OpenEntity("stem", k, path, group)
         elif head == "prod":
-            close_entity()
-            open_name = None
-            need(4, "A B -> degree [coeffs]")
+            _need(tokens, 4, "A B -> degree [coeffs]", line_no, line)
             if tokens[3] != "->":
                 raise ParseError("prod syntax: prod A B -> degree c1,...", line_no)
-            try:
-                degree = int(tokens[4])
-            except ValueError:
-                raise ParseError(
-                    "product degree must be an integer", line_no, _token_column(line, 4)
-                )
-            coeffs = _split_ints(tokens, 5, line_no, line) if len(tokens) > 5 else ()
-            raw_products.append((tokens[1], tokens[2], degree, coeffs, "", line_no))
+            (degree,) = _read_ints(
+                tokens, 4, 5, "product degree must be an integer", line_no, line
+            )
+            coeffs = _split_ints(tokens, 5, line_no, line)
+            raw_products.append((tokens[1], tokens[2], degree, coeffs))
         elif head == "name":
-            close_entity()
-            need(3, "NAME m q [coeffs]")
-            try:
-                m, q = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise ParseError(
-                    "name m/q must be integers", line_no, _token_column(line, 2)
-                )
-            if tokens[1] in named:
+            _need(tokens, 3, "NAME m q [coeffs]", line_no, line)
+            m, q = _read_ints(tokens, 2, 4, "name m/q must be integers", line_no, line)
+            if tokens[1] in raw_names:
                 raise SchemaError("duplicate name", f"name {tokens[1]}")
-            coeffs = _split_ints(tokens, 4, line_no, line) if len(tokens) > 4 else ()
-            named[tokens[1]] = NamedClass(m, q, coeffs, "")
+            raw_names[tokens[1]] = (m, q, _split_ints(tokens, 4, line_no, line), {})
             open_name = tokens[1]
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
 
-    close_entity()
+    if open_entity is not None:
+        open_entity.close(entries, stems)
     tables = TableSet(entries, stems, products, named, stem_gen_degrees)
 
     # Second pass: resolve lengths and degrees that may reference entities
-    # declared anywhere in the file.  Error paths are formatted only to raise.
+    # declared anywhere in the file.  Every lookup of a stem up to the
+    # highest one relies on the stems having no gap.
+    for k in range(len(stems)):
+        if k not in stems:
+            raise SchemaError(
+                f"missing below pi_{max(stems)}^S: stems must run from 0 without a gap",
+                f"pi_{k}^S",
+            )
     for (m, q), entry in entries.items():
         for name, ann in zip(entry.gen_names, entry.annotations):
-            if ann.susp is not None:
-                try:
-                    target = resolve_entry(tables, m + 1, q + 1)
-                except OutOfTabulatedRange:
-                    raise SchemaError(
-                        f"susp target pi_{m + 1}(S^{q + 1}) is not tabulated",
-                        _gen_path(m, q, name),
+            # Each vector must fit the entry its map lands in: pi_{m+1}(S^{q+1})
+            # for susp, which lies outside the closed-form range, else a stem.
+            for key, coeffs in (("susp", ann.susp), ("stab", ann.stab), *ann.gammas):
+                if coeffs is None:
+                    continue
+                if key == "susp":
+                    where = (m + 1, q + 1)
+                    target = entries.get(where)
+                else:
+                    if key != "stab" and key > entry.k_max:
+                        raise SchemaError(
+                            f"gamma component k={key} beyond k_max={entry.k_max}",
+                            _gen_path(m, q, name),
+                        )
+                    where = entry.gamma_degree(1 if key == "stab" else key)
+                    target = stems.get(where)
+                if target is None or len(coeffs) != target.group.rank:
+                    at = f"pi_{where}^S" if key != "susp" else "pi_{}(S^{})".format(*where)
+                    fault = f"target {at} is not tabulated" if target is None else (
+                        f"vector length {len(coeffs)} != rank {target.group.rank} of {at}"
                     )
-                if len(ann.susp) != target.group.rank:
-                    raise SchemaError(
-                        f"susp vector length {len(ann.susp)} != rank "
-                        f"{target.group.rank} of pi_{m + 1}(S^{q + 1})",
-                        _gen_path(m, q, name),
-                    )
-            if ann.stab is not None:
-                stem = stems.get(m - q)
-                if stem is None:
-                    raise SchemaError(
-                        f"stab target pi_{m - q}^S is not tabulated", _gen_path(m, q, name)
-                    )
-                if len(ann.stab) != stem.group.rank:
-                    raise SchemaError(
-                        f"stab vector length {len(ann.stab)} != rank "
-                        f"{stem.group.rank} of pi_{m - q}^S",
-                        _gen_path(m, q, name),
-                    )
-            for k, coeffs in ann.gammas:
-                if k > entry.k_max:
-                    raise SchemaError(
-                        f"gamma component k={k} beyond k_max={entry.k_max}",
-                        _gen_path(m, q, name),
-                    )
-                degree = entry.gamma_degree(k)
-                stem = stems.get(degree)
-                if stem is None:
-                    raise SchemaError(
-                        f"gamma k={k} target pi_{degree}^S is not tabulated",
-                        _gen_path(m, q, name),
-                    )
-                if len(coeffs) != stem.group.rank:
-                    raise SchemaError(
-                        f"gamma k={k} vector length {len(coeffs)} != rank "
-                        f"{stem.group.rank} of pi_{degree}^S",
-                        _gen_path(m, q, name),
-                    )
+                    raise SchemaError(f"{_label(key)} {fault}", _gen_path(m, q, name))
 
     for k, stem in stems.items():
         for g in stem.gen_names:
@@ -584,43 +512,37 @@ def parse_tables(text: str) -> TableSet:
                     f"stem generator name {g!r} reused across stems", f"pi_{k}^S"
                 )
             stem_gen_degrees[g] = k
-    for a, b, degree, coeffs, source, line_no in raw_products:
-        for g in (a, b):
-            if g not in stem_gen_degrees:
-                raise SchemaError(
-                    f"unknown stem generator {g!r}", f"prod {a} {b}"
-                )
-        expected = stem_gen_degrees[a] + stem_gen_degrees[b]
-        if degree != expected:
-            raise SchemaError(
-                f"declares degree {degree}, expected {expected}", f"prod {a} {b}"
-            )
+    for a, b, degree, coeffs in raw_products:
+        unknown = [g for g in (a, b) if g not in stem_gen_degrees]
         stem = stems.get(degree)
-        if stem is None:
-            raise SchemaError(
-                f"product degree {degree} outside tabulated stems", f"prod {a} {b}"
-            )
-        if len(coeffs) != stem.group.rank:
-            raise SchemaError(
-                f"vector length {len(coeffs)} != rank {stem.group.rank}",
-                f"prod {a} {b}",
-            )
-        if (a, b) in products:
-            raise SchemaError("duplicate product", f"prod {a} {b}")
-        products[(a, b)] = ProductEntry(degree, coeffs, source)
+        if unknown:
+            fault = f"unknown stem generator {unknown[0]!r}"
+        elif degree != (expected := stem_gen_degrees[a] + stem_gen_degrees[b]):
+            fault = f"declares degree {degree}, expected {expected}"
+        elif stem is None:
+            fault = f"product degree {degree} outside tabulated stems"
+        elif len(coeffs) != stem.group.rank:
+            fault = f"vector length {len(coeffs)} != rank {stem.group.rank}"
+        elif (a, b) in products:
+            fault = "duplicate product"
+        else:
+            products[(a, b)] = ProductEntry(degree, coeffs)
+            continue
+        raise SchemaError(fault, f"prod {a} {b}")
 
-    for name, nc in named.items():
+    for name, (m, q, coeffs, ann) in raw_names.items():
         try:
-            entry = resolve_entry(tables, nc.m, nc.q)
+            entry = resolve_entry(tables, m, q)
         except OutOfTabulatedRange:
             raise SchemaError(
-                f"registered in untabulated pi_{nc.m}(S^{nc.q})", f"name {name}"
+                f"registered in untabulated pi_{m}(S^{q})", f"name {name}"
             )
-        if len(nc.coeffs) != entry.group.rank:
+        if len(coeffs) != entry.group.rank:
             raise SchemaError(
-                f"vector length {len(nc.coeffs)} != rank {entry.group.rank}",
+                f"vector length {len(coeffs)} != rank {entry.group.rank}",
                 f"name {name}",
             )
+        named[name] = NamedClass(m, q, coeffs, ann.get("src", ""))
     return tables
 
 
@@ -628,11 +550,9 @@ def _fmt_vec(coeffs: tuple[int, ...]) -> str:
     return ",".join(str(c) for c in coeffs)
 
 
-def _fmt_group_tail(group: FgAbGroup) -> str:
-    tail = f"{group.free_rank}"
-    if group.torsion:
-        tail += " " + _fmt_vec(group.torsion)
-    return tail
+def _fmt_tail(line: str, coeffs: tuple[int, ...]) -> str:
+    """`line` and then its trailing vector, which is left out when empty."""
+    return f"{line} {_fmt_vec(coeffs)}" if coeffs else line
 
 
 def serialize_tables(tables: TableSet) -> str:
@@ -640,20 +560,17 @@ def serialize_tables(tables: TableSet) -> str:
     out: list[str] = []
     for k in sorted(tables.stems):
         stem = tables.stems[k]
-        out.append(f"stem {k} {_fmt_group_tail(stem.group)}")
+        out.append(_fmt_tail(f"stem {k} {stem.group.free_rank}", stem.group.torsion))
         if stem.source:
             out.append(f'src "{stem.source}"')
         for g in stem.gen_names:
             out.append(f"gen {g}")
     for (a, b) in sorted(tables.products):
         pe = tables.products[(a, b)]
-        line = f"prod {a} {b} -> {pe.degree}"
-        if pe.coeffs:
-            line += f" {_fmt_vec(pe.coeffs)}"
-        out.append(line)
+        out.append(_fmt_tail(f"prod {a} {b} -> {pe.degree}", pe.coeffs))
     for (m, q) in sorted(tables.entries):
         entry = tables.entries[(m, q)]
-        out.append(f"group {m} {q} {_fmt_group_tail(entry.group)}")
+        out.append(_fmt_tail(f"group {m} {q} {entry.group.free_rank}", entry.group.torsion))
         if entry.source:
             out.append(f'src "{entry.source}"')
         for name, ann in zip(entry.gen_names, entry.annotations):
@@ -670,10 +587,7 @@ def serialize_tables(tables: TableSet) -> str:
                 out.append(f'src "{ann.source}"')
     for name in sorted(tables.named):
         nc = tables.named[name]
-        line = f"name {name} {nc.m} {nc.q}"
-        if nc.coeffs:
-            line += f" {_fmt_vec(nc.coeffs)}"
-        out.append(line)
+        out.append(_fmt_tail(f"name {name} {nc.m} {nc.q}", nc.coeffs))
         if nc.source:
             out.append(f'src "{nc.source}"')
     return "\n".join(out) + "\n"

@@ -153,8 +153,9 @@ def _without_eta(text):
     )
 
 
-def _drop(line):
-    return lambda text: text.replace(line, "")
+def _drop_name(name):
+    """The table without the named class `name` and the src line after it."""
+    return lambda text: re.sub(rf"^name {name} .*\nsrc .*\n", "", text, flags=re.M)
 
 
 class TestExitContract:
@@ -184,9 +185,9 @@ class TestExitContract:
     @pytest.mark.parametrize(
         "edit,argv,reason",
         [
-            (_drop("name whitehead5 9 5 1\n"), ["witnesses", "--claim", "a"],
+            (_drop_name("whitehead5"), ["witnesses", "--claim", "a"],
              "unknown named class 'whitehead5'"),
-            (_drop("name hopfC 3 2 1\n"), ["witnesses", "--claim", "b", "--machine"],
+            (_drop_name("hopfC"), ["witnesses", "--claim", "b", "--machine"],
              "unknown named class 'hopfC'"),
             (_without_eta, ["nielsen", "--field", "C", "--nprime", "1", "--m", "4",
                             "--f1", "eta_3", "--f2", "zero"], "unknown stable class 'eta'"),
@@ -299,6 +300,17 @@ class TestDataHandling:
         code, out, err = run(capsys, "--tables", str(path), "pi", "3", "2")
         assert (code, out) == (3, "")
         assert err == "data error: line 1, column 11: bad free rank '\u00b2'\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["validate-data"], ["compare", "--surface", "CP1", "--m-range", "2..9"]]
+    )
+    def test_stem_gap_exits_3(self, capsys, tmp_path, table_text, argv):
+        # Queries assume every stem up to the highest: a gap is a data error.
+        path = tmp_path / "gap.txt"
+        path.write_text(re.sub(r"^stem 4 0\nsrc .*\n", "", table_text, flags=re.M))
+        code, out, err = run(capsys, "--tables", str(path), *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("data error: pi_4^S: missing below pi_19^S")
 
     def test_validator_flags_bad_dataset(self, capsys, tmp_path, table_text):
         path = tmp_path / "bad.txt"

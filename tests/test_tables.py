@@ -122,6 +122,14 @@ POSITIONED = [
     ("prod eta eta -> x 1", 17, "product degree must be an integer"),
     ("name foo x 2", 10, "name m/q must be integers"),
     ("name foo 3 y", 10, "name m/q must be integers"),
+    # Integers are ASCII -?[0-9]+: no sign '+', no '_', no other digits.
+    ("group +4 2 0 2", 7, "m and q must be integers"),
+    ("stem \u0661 1", 6, "stem degree must be an integer"),
+    ("stab +1 1", 6, "stab degree must be an integer"),
+    ("gamma 2 0_0 1", 7, "gamma k/degree must be integers"),
+    ("prod eta eta -> +2 1", 17, "product degree must be an integer"),
+    ("name foo \u0663 2 1", 10, "name m/q must be integers"),
+    ("stab 1 \u0661", 8, _BAD_INT.format("\u0661")),
     ("susp 1,x", 6, _BAD_INT.format("x")),
     ("antip 1,,1", 7, _BAD_INT.format("")),
     ("stab 1 1.5", 8, _BAD_INT.format("1.5")),
@@ -183,6 +191,59 @@ class TestParseErrorPositions:
         # The tokenizer splits on str.isspace(); the positions of its errors
         # come from \S+ matches, so both must see the same tokens.
         assert line.split() == re.findall(r"\S+", line)
+
+
+class TestSources:
+    def test_stem_src_after_gen_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_tables('stem 0 1\ngen iota\nsrc "after"\n')
+        assert str(err.value) == "line 3, column 1: src of a stem must come before its gen lines"
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('stem 0 1\nsrc "a"\nsrc "b"\ngen iota\n', "pi_0^S"),
+            ('stem 0 1\ngen iota\nstem 1 0 2\ngen eta\n'
+             'group 3 2 1\nsrc "a"\nsrc "b"\ngen g\n', "pi_3(S^2)"),
+            ('stem 0 1\ngen iota\nstem 1 0 2\ngen eta\n'
+             'group 3 2 1\ngen g\nsrc "a"\nantip 1\nsrc "b"\n', "pi_3(S^2) gen g"),
+            ('stem 0 1\ngen iota\nname hopfR 1 1 2\nsrc ""\nsrc "b"\n', "name hopfR"),
+        ],
+        ids=["stem", "group", "generator", "name"],
+    )
+    def test_second_src_is_a_schema_error(self, text, path):
+        with pytest.raises(SchemaError) as err:
+            parse_tables(text)
+        assert str(err.value) == f"{path}: duplicate src"
+
+
+class TestStemGap:
+    def test_first_missing_stem_is_named(self, table_text):
+        gapped = re.sub(r"^stem 4 0\nsrc .*\n", "", table_text, flags=re.M)
+        assert gapped != table_text
+        with pytest.raises(SchemaError) as err:
+            parse_tables(gapped)
+        assert err.value.path == "pi_4^S"
+
+    def test_stems_may_come_in_any_order(self):
+        ts = parse_tables("stem 1 0 2\ngen eta\nstem 0 1\ngen iota\n")
+        assert sorted(ts.stems) == [0, 1]
+        with pytest.raises(SchemaError) as err:
+            parse_tables("stem 2 0 2\ngen eta2\nstem 0 1\ngen iota\n")
+        assert str(err.value).startswith("pi_1^S: missing below pi_2^S")
+
+
+def test_every_one_line_deletion_loads_or_is_rejected(table_text):
+    # A table that loads must validate without raising: a deleted line either
+    # breaks the structure (exit 3 from the CLI) or gives violations.
+    lines = table_text.splitlines()
+    for index in range(len(lines)):
+        text = "\n".join(lines[:index] + lines[index + 1:]) + "\n"
+        try:
+            tables = parse_tables(text)
+        except (ParseError, SchemaError):
+            continue
+        SphereTables(tables).validate()
 
 
 class TestDefaultTable:

@@ -78,8 +78,8 @@ VALUES = {
                                               synthesized=other)),
     "StemEntry": (("degree", "group", "gen_names", "source"),
                   lambda other: StemEntry(1, Z2, ("eta",), "other" if other else "src")),
-    "ProductEntry": (("degree", "coeffs", "source"),
-                     lambda other: ProductEntry(2, (0,) if other else (1,), "src")),
+    "ProductEntry": (("degree", "coeffs"),
+                     lambda other: ProductEntry(2, (0,) if other else (1,))),
     "NamedClass": (("m", "q", "coeffs", "source"),
                    lambda other: NamedClass(3, 2, (2,) if other else (1,), "src")),
     "TableSet": (("entries", "stems", "products", "named", "stem_gen_degrees"),
