@@ -295,6 +295,8 @@ def cmd_verify_s(args) -> int:
         print("s(x) - lambda*x = 0 exactly; residual =", residual_not_parallel(x))
         return EXIT_OK
     nprime = args.nprime if args.nprime is not None else 3
+    if nprime < 1:
+        raise FgAbError("n' must be >= 1")
     if nprime % 2 == 0:
         raise FgAbError("the pairwise rotation needs n' odd")
     samples = sample_unit_vectors(args.field, nprime, args.samples, seed=args.seed)

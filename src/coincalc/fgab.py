@@ -413,6 +413,15 @@ class GroupElement(_Value):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "coeffs", tuple(reduced))
 
+    @classmethod
+    def _reduced(cls, group: FgAbGroup, coeffs: tuple[int, ...]) -> "GroupElement":
+        """The element with these coordinates, already reduced and of the
+        group's rank; neither is checked again."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "group", group)
+        object.__setattr__(x, "coeffs", coeffs)
+        return x
+
     def _check_same(self, other: "GroupElement"):
         if self.group != other.group:
             raise FgAbError("elements belong to different groups")
@@ -540,6 +549,12 @@ class Cmp(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
+def _relations(coord_orders: Sequence[int]) -> dict[int, list[int]]:
+    """The relation row t_i * e_i of each torsion coordinate i, keyed by i."""
+    dim = len(coord_orders)
+    return {i: [t if j == i else 0 for j in range(dim)] for i, t in enumerate(coord_orders) if t}
+
+
 def _hnf(rows: Sequence[Sequence[int]], coord_orders: Sequence[int]) -> Matrix:
     """Canonical row Hermite normal form of the lattice spanned by `rows`
     together with the relations t_i * e_i for the nonzero coord_orders.
@@ -551,10 +566,7 @@ def _hnf(rows: Sequence[Sequence[int]], coord_orders: Sequence[int]) -> Matrix:
     entries there stay below that order (HNF modulo D, Cohen GTM 138, 2.4).
     """
     dim = len(coord_orders)
-    piv: dict[int, list[int]] = {}
-    for i, t in enumerate(coord_orders):
-        if t:
-            piv[i] = [t if j == i else 0 for j in range(dim)]
+    piv = _relations(coord_orders)
     for row in rows:
         v = list(row)
         for c in range(dim):
@@ -586,12 +598,16 @@ def _hnf(rows: Sequence[Sequence[int]], coord_orders: Sequence[int]) -> Matrix:
     return [piv[c] for c in cols]
 
 
+def _pivot(row: Sequence[int]) -> int:
+    return next(j for j, x in enumerate(row) if x)
+
+
 def _reduces_to_zero(v: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
     """Is v in the lattice with this canonical basis?  Clear v's entry at
     each pivot, left to right; v is in it iff nothing is left."""
     v = list(v)
     for p in basis:
-        c = next(j for j, x in enumerate(p) if x)
+        c = _pivot(p)
         quo, rem = divmod(v[c], p[c])
         if rem:
             return False
@@ -614,19 +630,37 @@ class Subgroup(_Value, compare=("ambient", "generators_")):
         for g in generators_:
             if g.group != ambient:
                 raise FgAbError("subgroup generator outside the ambient group")
-        basis = tuple(map(tuple, _hnf([g.coeffs for g in generators_], ambient.coord_orders())))
-        gens = (ambient.element(r) for r in basis)
+        self._adopt(ambient, _hnf([g.coeffs for g in generators_], ambient.coord_orders()))
+
+    @classmethod
+    def _canonical(cls, ambient: FgAbGroup, basis: Sequence[Sequence[int]]) -> "Subgroup":
+        """The subgroup whose canonical basis, in the shape `_hnf` returns,
+        is `basis`; the basis is taken as it is, not put through `_hnf`."""
+        sub = object.__new__(cls)
+        sub._adopt(ambient, basis)
+        return sub
+
+    def _adopt(self, ambient: FgAbGroup, basis: Sequence[Sequence[int]]):
+        # Every entry of a canonical row is already reduced, except the pivot
+        # t_i of a relation row t_i * e_i: the one row that is the zero element.
+        basis = tuple(map(tuple, basis))
+        orders = ambient.coord_orders()
+        gens = []
+        for row in basis:
+            c = _pivot(row)
+            if row[c] != orders[c]:
+                gens.append(GroupElement._reduced(ambient, row))
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "generators_", tuple(g for g in gens if not g.is_zero))
+        object.__setattr__(self, "generators_", tuple(gens))
         object.__setattr__(self, "basis", basis)
 
     @classmethod
     def trivial(cls, ambient: FgAbGroup) -> "Subgroup":
-        return cls(ambient, ())
+        return cls._canonical(ambient, list(_relations(ambient.coord_orders()).values()))
 
     @classmethod
     def whole(cls, ambient: FgAbGroup) -> "Subgroup":
-        return cls(ambient, tuple(ambient.generators()))
+        return cls._canonical(ambient, _identity(ambient.rank))
 
     def contains(self, x: GroupElement) -> bool:
         if x.group != self.ambient:
@@ -692,8 +726,7 @@ def kernel_into_coords(
         for j in range(domain.rank)
     ]
     hnf = _hnf(graph, tuple(coord_orders) + domain.coord_orders())
-    gens = (domain.element(r[c_dim:]) for r in hnf if not any(r[:c_dim]))
-    return Subgroup(domain, tuple(gens))
+    return Subgroup._canonical(domain, [r[c_dim:] for r in hnf if not any(r[:c_dim])])
 
 
 def image(h: Homomorphism) -> Subgroup:

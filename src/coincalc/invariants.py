@@ -508,7 +508,8 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
             hypothesis_fail = f"self-coincidence looseness not established: {loose.reason}"
         else:
             try:
-                ker_gamma, ker_hopf, whole = tables.kernel_chain(m, sp.q, sp.field.tag)
+                ker_gamma, ker_hopf, _whole = tables.kernel_chain(m, sp.q, sp.field.tag)
+                gamma_str, hopf_str, whole_str = tables.kernel_chain_texts(m, sp.q, sp.field.tag)
             except MissingDataError as exc:
                 hypothesis_fail = str(exc)  # a gap in the table data
     if hypothesis_fail:
@@ -518,7 +519,7 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
     a_eq = ker_gamma.is_trivial
     b_eq = ker_gamma == ker_hopf
     c_eq = ker_hopf.is_whole()
-    gamma_text, hopf_text = f"Ker Gamma = {ker_gamma}", f"Ker(h . E^inf) = {ker_hopf}"
+    gamma_text, hopf_text = f"Ker Gamma = {gamma_str}", f"Ker(h . E^inf) = {hopf_str}"
     verdicts = {
         "nsharp_eq_ntilde": (ScanVerdict.HOLDS if a_eq else ScanVerdict.FAILS, gamma_text),
         "ntilde_eq_n": (
@@ -527,7 +528,7 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
         ),
         "n_eq_zero": (
             ScanVerdict.HOLDS if c_eq else ScanVerdict.FAILS,
-            f"{hopf_text} vs whole = {whole}",
+            f"{hopf_text} vs whole = {whole_str}",
         ),
     }
     if m == sp.n:

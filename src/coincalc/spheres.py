@@ -141,21 +141,24 @@ class ValidationReport(_Value, frozen=False):
 
 
 Chain = tuple[Subgroup, Subgroup, Subgroup]
+ChainTexts = tuple[str, str, str]
 
 
 class SphereTables:
     """The full query interface over one loaded TableSet.
 
-    The table is never changed after construction, so kernel chains are
-    computed once per (m, q, field) and kept on the instance.
+    The table is never changed after construction, so kernel chains, and
+    the texts of their subgroups, are computed once per (m, q, field) and
+    kept on the instance.
     """
 
     def __init__(self, tables: TableSet):
         self.raw = tables
         self.ring = StableRing(tables)
-        # (m, q, field_tag) -> the chain, or the reason text of its
-        # MissingDataError; bounded by the tabulated (m, q) times 3 fields.
-        self._chains: dict[tuple[int, int, str], Union[Chain, str]] = {}
+        # (m, q, field_tag) -> the chain and the text of each subgroup in it,
+        # or the reason text of its MissingDataError; bounded by the
+        # tabulated (m, q) times 3 fields.
+        self._chains: dict[tuple[int, int, str], Union[tuple[Chain, ChainTexts], str]] = {}
 
     # ------------------------------------------------------------- lookup
 
@@ -306,21 +309,31 @@ class SphereTables:
         """(Ker Gamma, Ker(h_K . E^inf), whole group) for pi_m(S^q).
 
         Raises MissingDataError when an annotation or stable product the
-        criteria need is absent; the chain inclusions are verified.  Each
-        answer is computed once; a repeated gap raises a fresh error with
-        the same text.
+        criteria need is absent.  Ker Gamma <= Ker(h_K . E^inf) is checked;
+        the other inclusions hold by construction, since each kernel is a
+        subgroup of the whole group.  Each answer is computed once; a
+        repeated gap raises a fresh error with the same text.
         """
+        return self._chain_entry(m, q, field_tag)[0]
+
+    def kernel_chain_texts(self, m: int, q: int, field_tag: str) -> ChainTexts:
+        """str() of each subgroup of kernel_chain(m, q, field_tag), formatted
+        once when the chain is built and kept with it."""
+        return self._chain_entry(m, q, field_tag)[1]
+
+    def _chain_entry(self, m: int, q: int, field_tag: str) -> tuple[Chain, ChainTexts]:
         key = (m, q, field_tag)
-        chain = self._chains.get(key)
-        if chain is None:
+        entry = self._chains.get(key)
+        if entry is None:
             try:
                 chain = self._build_chain(m, q, field_tag)
+                entry = (chain, tuple(map(str, chain)))
             except MissingDataError as exc:
-                chain = str(exc)
-            self._chains[key] = chain
-        if isinstance(chain, str):
-            raise MissingDataError(chain)
-        return chain
+                entry = str(exc)
+            self._chains[key] = entry
+        if isinstance(entry, str):
+            raise MissingDataError(entry)
+        return entry
 
     def _build_chain(self, m: int, q: int, field_tag: str) -> Chain:
         entry = self.lookup(m, q)
@@ -335,32 +348,42 @@ class SphereTables:
                 raise MissingDataError(value.reason)
             return value
 
-        def images(k: int) -> list[StableElement]:
-            """Component k of each generator; zero into a trivial stem."""
+        def columns(k: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+            """Component k of each generator as an integer column, with the
+            coordinate orders of its stem; no rows into a trivial stem."""
             degree = entry.gamma_degree(k)
-            if self.ring.stem(degree).group.is_trivial:
-                return [self.ring.zero(degree)] * group.rank
-            columns = [known(self._column(entry, i, k)) for i in range(group.rank)]
-            return [self.ring.element(degree, c) for c in columns]
+            stem = self.ring.stem(degree).group
+            if stem.is_trivial:
+                return [()] * group.rank, ()
+            cols = [known(self._column(entry, i, k)) for i in range(group.rank)]
+            for c in cols:
+                if len(c) != stem.rank:
+                    raise FgAbError(
+                        f"coefficient vector of length {len(c)} for group of rank {stem.rank}"
+                    )
+            return cols, stem.coord_orders()
 
-        def kernel(blocks: list[list[StableElement]]) -> Subgroup:
-            """Common kernel of the maps sending generator i to block[i]."""
+        def kernel(blocks: list[tuple[list[tuple[int, ...]], tuple[int, ...]]]) -> Subgroup:
+            """Common kernel of the maps sending generator i to column i of
+            each block."""
             rows: list[list[int]] = []
             orders: list[int] = []
-            for block in blocks:
-                target = block[0].value.group
-                rows += [[el.value.coeffs[r] for el in block] for r in range(target.rank)]
-                orders += target.coord_orders()
+            for cols, block_orders in blocks:
+                rows += [[c[r] for c in cols] for r in range(len(block_orders))]
+                orders += block_orders
             return kernel_into_coords(group, rows, orders)
 
-        stab = images(1)
-        ker_gamma = kernel([stab] + [images(k) for k in range(2, entry.k_max + 1)])
+        stab = columns(1)
+        ker_gamma = kernel([stab] + [columns(k) for k in range(2, entry.k_max + 1)])
 
         try:
             hopf = self.ring.hopf_stable(field_tag)
         except UnregisteredName as exc:
             raise MissingDataError(str(exc)) from None
-        ker_hopf = kernel([[known(self.ring.multiply(hopf, el)) for el in stab]])
+        degree = entry.gamma_degree(1)
+        products = [known(self.ring.multiply(hopf, self.ring.element(degree, c))) for c in stab[0]]
+        target = products[0].value.group
+        ker_hopf = kernel([([p.value.coeffs for p in products], target.coord_orders())])
 
         if not ker_hopf.contains_subgroup(ker_gamma):
             raise FgAbError(

@@ -64,7 +64,8 @@ def test_criterion_01_equivalence_table_reproduction(capsys):
     code = cli_main(["compare", "--surface", "CP1", "--m-range", "2..9"])
     out = capsys.readouterr().out
     assert code == 0
-    golden = open(GOLDEN).read()
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = fh.read()
     assert out == golden, "compare output differs from the golden table"
     with capsys.disabled():
         passed(1, "CP1 comparison table m=2..9 matches the golden file exactly")

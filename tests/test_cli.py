@@ -120,7 +120,8 @@ class TestCompare:
     def test_cp1_against_golden(self, capsys):
         code, out, _ = run(capsys, "compare", "--surface", "CP1", "--m-range", "2..9")
         assert code == 0
-        golden = open(os.path.join(os.path.dirname(__file__), "golden", "cp1_compare_2_9.txt")).read()
+        with open(os.path.join(os.path.dirname(__file__), "golden", "cp1_compare_2_9.txt"), encoding="utf-8") as fh:
+            golden = fh.read()
         assert out == golden
 
     def test_empty_range(self, capsys):
@@ -172,10 +173,14 @@ class TestExitContract:
             (["verify-s", "--field", "R", "--samples", "-3"], "--samples must be >= 1"),
             (["verify-s", "--field", "C", "--nprime", "-1", "--samples", "1"],
              "n' must be >= 1\n"),
+            (["verify-s", "--field", "R", "--nprime", "0", "--samples", "1"],
+             "n' must be >= 1\n"),
+            (["verify-s", "--field", "R", "--nprime", "-2", "--samples", "1"],
+             "n' must be >= 1\n"),
         ],
         ids=["whitehead-unregistered", "whitehead-not-int", "whitehead-open",
              "wecken-negative-m", "verify-s-no-samples", "verify-s-negative-samples",
-             "verify-s-negative-nprime"],
+             "verify-s-negative-nprime", "verify-s-zero-nprime", "verify-s-negative-even-nprime"],
     )
     def test_bad_input_exits_2(self, capsys, argv, reason):
         code, out, err = run(capsys, *argv)

@@ -13,6 +13,7 @@ from coincalc.fgab import (
     FgAbGroup,
     Homomorphism,
     Subgroup,
+    _hnf,
     direct_sum,
     image,
     int_det,
@@ -358,6 +359,63 @@ class TestCanonicalBasis:
         assert Subgroup(g, (g.element([2, 1, 3]), g.element([0, 1, 3]))).basis == (
             (2, 0, 0), (0, 1, 3), (0, 0, 6)
         )
+
+
+def random_invariant_group(rng):
+    """Free rank 0-2 and up to 3 torsion orders, in invariant-factor form;
+    the trivial group is drawn too."""
+    orders = [rng.choice([2, 3, 4, 6, 8, 12]) for _ in range(rng.randint(0, 3))]
+    return direct_sum([FgAbGroup.free(rng.randint(0, 2))] + [FgAbGroup.cyclic(t) for t in orders])
+
+
+def random_map_rows(rng, domain, coord_orders):
+    """Rows of a well-defined map from domain into coordinates with these
+    orders (0 = free): an order-t generator goes to an element killed by t."""
+    rows = [[0] * domain.rank for _ in coord_orders]
+    for j, t in enumerate(domain.coord_orders()):
+        for i, u in enumerate(coord_orders):
+            if t == 0:
+                rows[i][j] = rng.randint(-7, 7)
+            elif u:
+                rows[i][j] = rng.randint(-3, 3) * (u // math.gcd(t, u))
+    return rows
+
+
+class TestCanonicalConstructor:
+    """Subgroups built from a basis that is already canonical (kernels,
+    trivial, whole) are the values the public constructor gives."""
+
+    def assert_canonical(self, sub):
+        amb = sub.ambient
+        again = Subgroup(amb, sub.generators_)
+        assert again == sub and again.basis == sub.basis and hash(again) == hash(sub)
+        assert tuple(map(tuple, _hnf(sub.basis, amb.coord_orders()))) == sub.basis
+        nonzero = (amb.element(row) for row in sub.basis)
+        assert sub.generators_ == tuple(g for g in nonzero if not g.is_zero)
+
+    def test_kernels_trivial_and_whole(self):
+        rng = random.Random(909)
+        ranks = set()
+        for _ in range(300):
+            dom = random_invariant_group(rng)
+            ranks.add(dom.rank)
+            coord_orders = [rng.choice([0, 0, 2, 3, 4, 6, 12]) for _ in range(rng.randint(0, 3))]
+            ker = kernel_into_coords(dom, random_map_rows(rng, dom, coord_orders), coord_orders)
+            for sub in (ker, Subgroup.trivial(dom), Subgroup.whole(dom)):
+                self.assert_canonical(sub)
+            assert Subgroup.trivial(dom) == Subgroup(dom, ())
+            assert Subgroup.whole(dom) == Subgroup(dom, tuple(dom.generators()))
+            gens = tuple(dom.element([rng.randint(-9, 9) for _ in range(dom.rank)]) for _ in range(2))
+            self.assert_canonical(Subgroup(dom, gens))
+        assert {0, 1, 2, 3}.issubset(ranks)
+
+    def test_relation_rows_are_not_generators(self):
+        g = FgAbGroup(0, (2, 4))
+        ker = kernel_into_coords(g, [[1, 1]], [2])
+        assert ker.basis == ((1, 1), (0, 2))
+        assert [x.coeffs for x in ker.generators_] == [(1, 1), (0, 2)]
+        assert Subgroup.trivial(g).generators_ == ()
+        assert [x.coeffs for x in kernel_into_coords(g, [[0, 0]], [0]).generators_] == [(1, 0), (0, 1)]
 
 
 @pytest.fixture(scope="module")

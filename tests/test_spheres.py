@@ -318,6 +318,32 @@ class TestKernelChain:
         assert [str(k) for k in alone] == ["<0>", "<(1)>", "<(1)>"]
 
 
+@pytest.mark.parametrize("m, q, k, coeffs", [
+    (3, 2, 1, (1, 0)),  # E^inf column into pi_1^S = Z_2, one entry too many
+    (3, 2, 1, ()),
+    (6, 2, 2, (14, 1)),  # gamma k=2 column into pi_3^S = Z_24
+    (6, 2, 2, ()),
+])
+def test_chain_rejects_a_column_of_the_wrong_length(table_text, m, q, k, coeffs):
+    from coincalc.tables import parse_tables
+
+    # The parser rejects such columns; a TableSet built in code must still
+    # get an error, never a truncated column or an IndexError.
+    raw = parse_tables(table_text)
+    entry = raw.entries[(m, q)]
+    ann = entry.annotations[0]
+    if k == 1:
+        gammas, stab = ann.gammas, coeffs
+    else:
+        gammas, stab = tuple((kk, coeffs if kk == k else c) for kk, c in ann.gammas), ann.stab
+    bad = GenAnnotations(ann.susp, stab, gammas, ann.antip, ann.source)
+    raw.entries[(m, q)] = SphereEntry(
+        m, q, entry.group, entry.gen_names, (bad,) + entry.annotations[1:], entry.source
+    )
+    with pytest.raises(FgAbError, match=f"coefficient vector of length {len(coeffs)} for group of rank 1"):
+        SphereTables(raw).kernel_chain(m, q, "C")
+
+
 def test_chain_wrong_dimension_errors(tables):
     from coincalc.fgab import FgAbError
 
