@@ -16,7 +16,7 @@ from typing import Callable, Optional, Union
 
 from .fgab import FgAbError, _Value
 from .projective import MapClass, ProjSpace, decompose_valid, parse_field
-from .selfco import Verdict, self_loose
+from .selfco import Verdict, _congruence_ok, self_loose
 from .spheres import (
     Membership,
     MissingDataError,
@@ -606,9 +606,7 @@ def wecken_status(sp: ProjSpace, m: int) -> WeckenAnswer:
     if m < 1:
         raise FgAbError("m must be >= 1")
     tag = sp.field.tag
-    if (tag in ("R", "C") and sp.n_prime % 2 == 1) or (
-        tag == "H" and sp.n_prime % 24 == 23
-    ):
+    if _congruence_ok(sp.field, sp.n_prime):
         return WeckenAnswer(
             WeckenStatus.HOLDS,
             "on this congruence region every self-pair is loose and "

@@ -1,6 +1,7 @@
 """Command-line behaviors: outputs, exit codes, machine mode, strictness."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -177,10 +178,13 @@ class TestExitContract:
              "n' must be >= 1\n"),
             (["verify-s", "--field", "R", "--nprime", "-2", "--samples", "1"],
              "n' must be >= 1\n"),
+            (["verify-s", "--field", "H", "--nprime", "0"], "n' must be >= 1\n"),
+            (["verify-s", "--field", "H", "--nprime", "-5"], "n' must be >= 1\n"),
         ],
         ids=["whitehead-unregistered", "whitehead-not-int", "whitehead-open",
              "wecken-negative-m", "verify-s-no-samples", "verify-s-negative-samples",
-             "verify-s-negative-nprime", "verify-s-zero-nprime", "verify-s-negative-even-nprime"],
+             "verify-s-negative-nprime", "verify-s-zero-nprime", "verify-s-negative-even-nprime",
+             "verify-s-H-zero-nprime", "verify-s-H-negative-nprime"],
     )
     def test_bad_input_exits_2(self, capsys, argv, reason):
         code, out, err = run(capsys, *argv)
@@ -278,6 +282,13 @@ class TestDataHandling:
         path.write_text(table_text.replace("stem 8 0 2,2", "stem 8 0 4,2"))
         code, _, err = run(capsys, "--tables", str(path), "pi", "9", "3")
         assert code == 3 and "data error" in err
+
+    def test_unreadable_tables_exit_3(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run(capsys, "--tables", str(missing), "pi", "3", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("cannot read tables: ") and str(missing) in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("via", ["flag", "env"])
     def test_non_utf8_tables_exit_3(self, capsys, tmp_path, table_text, monkeypatch, via):
@@ -489,3 +500,40 @@ class TestContractProperty:
             text_values = [_short(v) for _name, v in _VALUE_LINE.findall(text)]
             assert text_values == [_short(v) for v in json.loads(doc)["values"].values()]
             assert len(text_values) == 7
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away, backed by a real descriptor."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    """`coincalc ... | head -1`: a closed stdout is no error of the call."""
+
+    @pytest.mark.parametrize("argv", [["verify-s", "--field", "H"],
+                                      ["compare", "--surface", "CP1", "--m-range", "2..9",
+                                       "--machine"]],
+                             ids=["verify-s-H", "compare-machine"])
+    def test_exit_code_is_the_commands(self, tmp_path, argv):
+        expected, _out, _err = _call(argv)
+        target = tmp_path / "stdout"
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+        try:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(_ClosedPipe(fd)), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert (code, err.getvalue()) == (expected, "")
+            # The descriptor now leads to the null device, not to the old file.
+            os.write(fd, b"late output")
+            assert target.read_bytes() == b""
+        finally:
+            os.close(fd)

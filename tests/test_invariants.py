@@ -21,7 +21,7 @@ from coincalc.invariants import (
     wecken_status,
 )
 from coincalc.projective import decompose_valid, space
-from coincalc.selfco import Verdict, self_loose
+from coincalc.selfco import Verdict, fiber_projection_self_loose, self_loose
 from coincalc.spheres import SphereClass, SphereTables
 from coincalc.tables import OutOfTabulatedRange, parse_tables
 
@@ -457,6 +457,16 @@ class TestWecken:
         answer = wecken_status(space("H", 2), 12)
         assert answer.status is WeckenStatus.UNKNOWN
         assert "open question" in answer.reason
+
+    @pytest.mark.parametrize("tag", ["R", "C", "H"])
+    def test_holds_exactly_where_the_fiber_projection_is_loose(self, tag):
+        # One congruence region decides both; m = 2n - 2 is where an exotic
+        # (Kervaire) pair would otherwise make the status FAILS_WITH_WITNESS.
+        for n_prime in range(1, 101):
+            sp = space(tag, n_prime)
+            holds = wecken_status(sp, max(1, 2 * sp.n - 2)).status is WeckenStatus.HOLDS
+            loose = fiber_projection_self_loose(tag, n_prime).verdict is Verdict.LOOSE
+            assert holds == loose, (tag, n_prime)
 
     def test_unresolved_dimension_is_flagged(self):
         answer = wecken_status(space("R", 128), 254)
