@@ -361,8 +361,8 @@ class FgAbGroup(_Value):
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.rank)
 
-    def combination(self, terms: Sequence[tuple[int, Sequence[int]]]) -> "GroupElement":
-        """The sum of c * column over (c, column) in terms, built as one element.
+    def combine(self, terms: Sequence[tuple[int, Sequence[int]]]) -> tuple[int, ...]:
+        """Reduced coordinates of the sum of c * column over (c, column) in terms.
 
         Reduction modulo the torsion orders is linear, so this equals summing
         the elements column.scale(c) one by one.
@@ -374,7 +374,10 @@ class FgAbGroup(_Value):
                     f"coefficient vector of length {len(column)} for group of rank {len(total)}"
                 )
             total = [t + c * a for t, a in zip(total, column)]
-        return GroupElement(self, total)
+        off = self.free_rank
+        for i, t in enumerate(self.torsion):
+            total[off + i] %= t
+        return tuple(total)
 
     def generators(self) -> list["GroupElement"]:
         gens = []

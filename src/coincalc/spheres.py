@@ -235,21 +235,28 @@ class SphereTables:
             )
         return coeffs
 
-    def _apply(self, x: SphereClass, kind: Union[str, int], target: FgAbGroup, make):
-        """make(image of x in target under kind): zero when x or the target
-        is, else the sum of x's columns, or the first missing one's Unknown."""
-        if target.is_trivial or x.is_zero:
-            return make(target.zero())
-        entry = self.lookup(x.m, x.q)
+    def _image(
+        self, entry: SphereEntry, coeffs, kind: Union[str, int], target: FgAbGroup
+    ) -> Union[tuple[int, ...], Unknown]:
+        """Reduced coordinates in target of the class coeffs of entry under kind:
+        zero in a trivial target, else its columns' sum or the first gap's Unknown."""
+        if target.is_trivial:
+            return ()
         terms = []
-        for i, c in enumerate(x.value.coeffs):
-            if c == 0:
-                continue
-            coeffs = self._column(entry, i, kind)
-            if isinstance(coeffs, Unknown):
-                return coeffs
-            terms.append((c, coeffs))
-        return make(target.combination(terms))
+        for i, c in enumerate(coeffs):
+            if c:
+                column = self._column(entry, i, kind)
+                if isinstance(column, Unknown):
+                    return column
+                terms.append((c, column))
+        return target.combine(terms)
+
+    def _apply(self, x: SphereClass, kind: Union[str, int], target: FgAbGroup, make):
+        """make(image of x in target under kind), or the Unknown of _image."""
+        if target.is_trivial or x.is_zero:  # zero, without looking up x's entry
+            return make(target.zero())
+        image = self._image(self.lookup(x.m, x.q), x.value.coeffs, kind, target)
+        return image if isinstance(image, Unknown) else make(GroupElement._reduced(target, image))
 
     def _component(self, x: SphereClass, k: int) -> Union[StableElement, Unknown]:
         """Component k of Gamma(x) (k = 1 is E^inf)."""
@@ -395,7 +402,26 @@ class SphereTables:
     # ---------------------------------------------------------- validation
 
     def validate(self) -> ValidationReport:
-        """Deep internal-consistency check of the loaded dataset."""
+        """Deep internal-consistency check of the loaded dataset.
+
+        Checks, in report order:
+        - the Hopf classes two, eta, nu are registered (if any entry is);
+        - per generator g of each curated pi_m(S^q): a gamma k=1 row needs
+          and equals the stab row; h_K . E^inf(g) is computable (degree
+          within the stems, every generator product stored); E^inf(g) =
+          E^inf(E g) through the susp row and the stab rows above; for odd
+          q, the antip row is g;
+        - for even q with every antip row present: antip is an involution;
+        - whitehead<q> lives in pi_{2q-1}(S^q), has order <= 2 for odd q and
+          is zero exactly for q = 1, 3, 7; any other whitehead... name fails;
+        - alpha1_3 lives in pi_6(S^3), with a stable image of order 3.
+        Images are integer vectors; objects and text are made for violations.
+
+        It cannot catch a Hopf-James component with k >= 2 (never read) or a
+        product row no identity constrains (`prod eta eta -> 2 1` shifted to
+        0): of the 204 +-1 shifts of one annotation, product or name
+        coefficient in the bundled table, 113 pass, 76 of them changing an answer.
+        """
         v: list[Violation] = []
 
         def bad(path, message):
@@ -412,12 +438,12 @@ class SphereTables:
 
         for (m, q), entry in sorted(self.raw.entries.items()):
             path = f"pi_{m}(S^{q})"
-            for name, ann in zip(entry.gen_names, entry.annotations):
+            group = entry.group
+            units = [tuple(int(i == j) for j in range(group.rank)) for i in range(group.rank)]
+            # m > q, so stem m - q and pi_{m+1}(S^{q+1}) can only be tabulated.
+            stem, above = self.raw.stems.get(m - q), self.raw.entries.get((m + 1, q + 1))
+            for name, ann, unit in zip(entry.gen_names, entry.annotations, units):
                 gpath = f"{path} gen {name}"
-                gen = self.generator(m, q, name)
-                # Diagram consistency at k = 1: a stored first component must
-                # equal the stabilization, and the Hopf products h_K . E^inf
-                # needed by the weakest criterion must be computable.
                 gamma1 = ann.gamma_component(1)
                 if gamma1 is not None:
                     if ann.stab is None:
@@ -428,41 +454,42 @@ class SphereTables:
                             "gamma k=1 component disagrees with the stabilization "
                             f"({list(gamma1)} vs {list(ann.stab)})",
                         )
-                s1 = self.stabilize(gen)
-                if not isinstance(s1, Unknown):
-                    for tag, hopf in hopfs.items():
-                        if (m - q) + hopf.degree > self.ring.max_degree:
-                            bad(gpath, f"h_{tag} product degree exceeds tabulated stems")
-                            continue
-                        prod = self.ring.multiply(hopf, s1)
-                        if isinstance(prod, Unknown):
-                            bad(gpath, f"h_{tag} . E^inf not computable: {prod.reason}")
-                # Stabilize-suspend coherence.
-                if ann.susp is not None and not isinstance(s1, Unknown):
-                    susp = self.suspend(gen)
-                    s2 = susp if isinstance(susp, Unknown) else self.stabilize(susp)
-                    if not isinstance(s2, Unknown) and s1.value != s2.value:
+                s1 = None if stem is None else self._image(entry, unit, 1, stem.group)
+                known = isinstance(s1, tuple)
+                for tag, hopf in hopfs.items() if known else ():
+                    if (m - q) + hopf.degree > self.ring.max_degree:
+                        bad(gpath, f"h_{tag} product degree exceeds tabulated stems")
+                        continue
+                    prod = self.ring.product(hopf.degree, hopf.value.coeffs, m - q, s1)
+                    if isinstance(prod, Unknown):
+                        bad(gpath, f"h_{tag} . E^inf not computable: {prod.reason}")
+                if known and ann.susp is not None and above is not None:
+                    susp = self._image(entry, unit, "susp", above.group)
+                    s2 = self._image(above, susp, 1, stem.group)
+                    if not isinstance(s2, Unknown) and s1 != s2:
                         bad(
                             gpath,
                             f"stabilization not suspension-invariant: "
-                            f"{s1} vs {s2} after E",
+                            f"{self.ring.element(m - q, s1)} vs "
+                            f"{self.ring.element(m - q, s2)} after E",
                         )
-                # Antipodal constraints.
-                if q % 2 == 1 and ann.antip is not None:
-                    if entry.group.element(ann.antip) != gen.value:
-                        bad(gpath, "antipodal action must be the identity for odd q")
-            # Antipodal involution (even q, fully annotated entries).
+                if q % 2 == 1 and ann.antip is not None and group.combine([(1, ann.antip)]) != unit:
+                    bad(gpath, "antipodal action must be the identity for odd q")
             if q % 2 == 0 and all(a.antip is not None for a in entry.annotations):
-                for name in entry.gen_names:
-                    g = self.generator(m, q, name)
-                    if self.antipodal_compose(self.antipodal_compose(g)).value != g.value:
+                for name, unit in zip(entry.gen_names, units):
+                    once = self._image(entry, unit, "antip", group)
+                    if self._image(entry, once, "antip", group) != unit:
                         bad(path, f"antipodal action is not an involution on {name}")
 
         # Registry constraints.
-        for name, nc in sorted(self.raw.named.items()):
+        for name in sorted(self.raw.named):
             if not name.startswith("whitehead"):
                 continue
-            q = int(name[len("whitehead"):])
+            digits = name[len("whitehead"):]
+            if not (digits.isascii() and digits.isdigit()) or str(int(digits)) != digits:
+                bad(f"name {name}", "not whitehead<q> with q in decimal digits and no leading zero")
+                continue
+            q = int(digits)
             try:
                 w = self.named(name)
             except (LookupError, TableError):

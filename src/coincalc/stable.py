@@ -142,31 +142,41 @@ class StableRing:
             f"product {name_a} * {name_b} (degrees {ka}+{kb}) not tabulated"
         )
 
-    def multiply(self, a: StableElement, b: StableElement) -> ProductResult:
-        """Composition product, extended bilinearly from generator pairs."""
-        k = a.degree + b.degree
+    def product(self, ka: int, a: tuple, kb: int, b: tuple) -> Union[tuple[int, ...], Unknown]:
+        """Reduced coordinates of a * b, for reduced coordinates a in pi_ka^S and
+        b in pi_kb^S, or the first missing generator product's Unknown.  A trivial
+        target, a zero factor or a degree-0 factor needs no stored product."""
+        k = ka + kb
         if k > self.max_degree:
             raise OutOfTabulatedRange(
                 f"product degree {k} beyond tabulated stems (max {self.max_degree})"
             )
-        target = self.stem(k)
-        if target.group.is_trivial or a.is_zero or b.is_zero:
-            return self.zero(k)
-        if a.degree == 0:
-            return b.scale(a.value.coeffs[0])
-        if b.degree == 0:
-            return a.scale(b.value.coeffs[0])
+        target = self.stem(k).group
+        if target.is_trivial or not any(a) or not any(b):
+            return (0,) * target.rank
+        if ka == 0:
+            return target.combine([(a[0], b)])
+        if kb == 0:
+            return target.combine([(b[0], a)])
         terms = []
-        stem_a, stem_b = self.stem(a.degree), self.stem(b.degree)
-        for i, ca in enumerate(a.value.coeffs):
+        names_a, names_b = self.stem(ka).gen_names, self.stem(kb).gen_names
+        for i, ca in enumerate(a):
             if ca == 0:
                 continue
-            for j, cb in enumerate(b.value.coeffs):
+            for j, cb in enumerate(b):
                 if cb == 0:
                     continue
-                part = self._gen_product(stem_a.gen_names[i], stem_b.gen_names[j])
+                part = self._gen_product(names_a[i], names_b[j])
                 if isinstance(part, Unknown):
                     return part
                 sign, coeffs = part
                 terms.append((sign * ca * cb, coeffs))
-        return StableElement(k, target.group.combination(terms))
+        return target.combine(terms)
+
+    def multiply(self, a: StableElement, b: StableElement) -> ProductResult:
+        """Composition product, extended bilinearly from generator pairs."""
+        k = a.degree + b.degree
+        coeffs = self.product(a.degree, a.value.coeffs, b.degree, b.value.coeffs)
+        if isinstance(coeffs, Unknown):
+            return coeffs
+        return StableElement(k, GroupElement._reduced(self.stem(k).group, coeffs))

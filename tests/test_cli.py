@@ -334,6 +334,19 @@ class TestDataHandling:
         code, out, _ = run(capsys, "--tables", str(path), "validate-data")
         assert code == 3 and "whitehead3" in out
 
+    @pytest.mark.parametrize("name", ["whiteheadX", "whitehead", "whitehead\u0663", "whitehead+3"])
+    def test_whitehead_name_without_decimal_q_exits_3(self, capsys, tmp_path, table_text, name):
+        # Only whitehead<q>, q in ASCII decimal, is a Whitehead square; any
+        # other such name is one violation, never an input error.
+        path = tmp_path / "bad.txt"
+        path.write_text(table_text + f"name {name} 6 3 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "--tables", str(path), "validate-data")
+        assert (code, err) == (3, "")
+        assert out.splitlines() == [
+            "1 violation(s):",
+            f"  - name {name}: not whitehead<q> with q in decimal digits and no leading zero",
+        ]
+
     def test_validator_lists_missing_hopf_class(self, capsys, tmp_path, table_text):
         # Without eta the h_C products cannot be checked: one violation, the
         # report still printed, nothing on stderr.

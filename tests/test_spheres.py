@@ -5,6 +5,8 @@ import random
 import traceback
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coincalc.fgab import Cmp, FgAbError, FgAbGroup, subgroup_cmp
 from coincalc.spheres import Membership, MissingDataError, SphereTables, Unknown
@@ -197,6 +199,63 @@ class TestSummedMaps:
         tables = SphereTables(TableSet(entries={(5, 2): entry}))
         with pytest.raises(FgAbError, match="length 2 for group of rank 1"):
             tables.antipodal_compose(tables.generator(5, 2, "g"))
+
+
+def _maps(tables, m, q):
+    """(kind, target group, object-API map) for every annotated map out of
+    pi_m(S^q) whose target is tabulated; kind k >= 1 is Gamma component k."""
+    entry = tables.lookup(m, q)
+    out = []
+    try:
+        out.append(("susp", tables.lookup(m + 1, q + 1).group, tables.suspend))
+    except OutOfTabulatedRange:
+        pass
+    for k in range(1, entry.k_max + 1):
+        stem = tables.raw.stems.get(entry.gamma_degree(k))
+        if stem is not None:
+            out.append((k, stem.group, lambda x, k=k: tables.gamma(x).component(k)))
+    if q % 2 == 0:
+        out.append(("antip", entry.group, tables.antipodal_compose))
+    return out
+
+
+def _coeffs(value):
+    """The coordinates of an object-API answer, or the Unknown itself."""
+    return value if isinstance(value, Unknown) else value.value.coeffs
+
+
+class TestSharedCores:
+    """SphereTables._image is the one place an annotated map is summed: the
+    object API and validate() both read it."""
+
+    def test_image_of_each_generator_matches_the_object_api(self, tables):
+        checked = 0
+        for (m, q), entry in sorted(tables.raw.entries.items()):
+            rank = entry.group.rank
+            for i, name in enumerate(entry.gen_names):
+                unit = tuple(int(i == j) for j in range(rank))
+                gen = tables.generator(m, q, name)
+                for kind, target, api in _maps(tables, m, q):
+                    assert tables._image(entry, unit, kind, target) == _coeffs(api(gen))
+                    checked += 1
+        assert checked > 70
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_maps_are_additive_where_known(self, tables, data):
+        known = 0
+        for (m, q), entry in sorted(tables.raw.entries.items()):
+            vector = st.lists(st.integers(-30, 30), min_size=entry.group.rank,
+                              max_size=entry.group.rank)
+            x, y = tables.cls(m, q, data.draw(vector)), tables.cls(m, q, data.draw(vector))
+            for kind, target, api in _maps(tables, m, q):
+                fx, fy, fxy = api(x), api(y), api(x + y)
+                for z, fz in ((x, fx), (y, fy), (x + y, fxy)):
+                    assert tables._image(entry, z.value.coeffs, kind, target) == _coeffs(fz)
+                if not any(isinstance(f, Unknown) for f in (fx, fy, fxy)):
+                    assert fxy == fx + fy, (m, q, kind)
+                    known += 1
+        assert known > 50
 
 
 class TestSuspensionImage:

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coincalc.stable import StableElement, Unknown
 from coincalc.tables import OutOfTabulatedRange
@@ -209,6 +211,25 @@ class TestMultiply:
             if oa is None or ob is None:
                 continue
             assert gcd(oa, ob) % ab.order() == 0, (na, nb)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_product_core_is_unknown_exactly_when_multiply_is(tables, data):
+    # multiply wraps StableRing.product; validate() asks the core alone.
+    ring, stems = tables.ring, tables.raw.stems
+    ka = data.draw(st.integers(0, ring.max_degree))
+    kb = data.draw(st.integers(0, ring.max_degree - ka))
+    a, b = (
+        ring.element(k, data.draw(st.lists(
+            st.integers(-3, 3), min_size=stems[k].group.rank, max_size=stems[k].group.rank,
+        )))
+        for k in (ka, kb)
+    )
+    core = ring.product(ka, a.value.coeffs, kb, b.value.coeffs)
+    full = ring.multiply(a, b)
+    assert isinstance(core, Unknown) == isinstance(full, Unknown)
+    assert core == (full if isinstance(full, Unknown) else full.value.coeffs)
 
 
 def test_hopf_stable(tables):
