@@ -68,7 +68,6 @@ from .selfco import (
 from .spheres import (
     GammaValue,
     Membership,
-    MissingDataError,
     SphereClass,
     SphereTables,
     ValidationReport,

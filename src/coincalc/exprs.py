@@ -5,6 +5,7 @@
     ATOM  := INT | GEN | NAMED
     NAMED := zero | iota | whitehead(q) | hopfR | hopfC | hopfH | alpha1_3
            | susp(EXPR [, k])
+    INT   := -?[0-9]+                       (ASCII digits only)
 
 GEN is a generator name of the context entry pi_m(S^q); a bare INT is the
 corresponding multiple of iota and only makes sense when m = q.  Named
@@ -23,8 +24,8 @@ class ExprError(ValueError):
     """Parse or evaluation failure, with the offending position."""
 
 
-_TOKEN_RE = re.compile(r"\s*(-?\d+|[A-Za-z_][A-Za-z_0-9]*|[()*,+])")
-_INT_RE = re.compile(r"-?\d+")
+_TOKEN_RE = re.compile(r"\s*(-?[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[()*,+])")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:

@@ -5,8 +5,9 @@ same ladder of vanishing criteria on a difference class (the class itself,
 its total Hopf-James invariant, the Hopf-multiplied stable image, and the
 top-degree obstruction), each worth 0 or a weight: 1 on a sphere, the full
 Reidemeister number on KP(n'), where the difference is of lifts.  Every report
-carries its derivation and is checked against the monotone chain
-MC >= MCC >= N# >= N~ >= N >= NZ >= 0 and the {0, R} dichotomy.
+carries its derivation; projective_report enforces the {0, R} dichotomy.
+The tests, not the reports, run chain_check on the monotone chain
+MC >= MCC >= N# >= N~ >= N >= NZ >= 0.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .projective import MapClass, ProjSpace, decompose_valid, parse_field
 from .selfco import Verdict, _congruence_ok, self_loose
 from .spheres import (
     Membership,
-    MissingDataError,
     SphereClass,
     SphereTables,
     Unknown,
@@ -507,11 +507,12 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
         if loose.verdict is not Verdict.LOOSE:
             hypothesis_fail = f"self-coincidence looseness not established: {loose.reason}"
         else:
-            try:
-                ker_gamma, ker_hopf, _whole = tables.kernel_chain(m, sp.q, sp.field.tag)
+            chain = tables.kernel_chain(m, sp.q, sp.field.tag)
+            if isinstance(chain, Unknown):
+                hypothesis_fail = chain.reason  # a gap in the table data
+            else:
+                ker_gamma, ker_hopf, _whole = chain
                 gamma_str, hopf_str, whole_str = tables.kernel_chain_texts(m, sp.q, sp.field.tag)
-            except MissingDataError as exc:
-                hypothesis_fail = str(exc)  # a gap in the table data
     if hypothesis_fail:
         v = {k: (ScanVerdict.UNKNOWN, hypothesis_fail) for k in SCAN_KEYS}
         return ScanResult(sp.name, m, sp.n, v, None)

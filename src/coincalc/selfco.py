@@ -155,13 +155,8 @@ def residual_not_parallel(x: KVector) -> Fraction:
     """
     if x.is_zero:
         raise ValueError("residual undefined at the zero vector")
-    s = selfmap_s(x)
-    c = s_zero(x.field)
-    for xi, si in zip(x.entries, s.entries):
-        c = s_add(c, s_mul(x.field, xi, s_conj(si)))
-    n2 = x.norm2()
-    # |s|^2 = |x|^2, so the normalized residual is (|x|^4 - |c|^2) / |x|^4.
-    return (n2 * n2 - s_norm2(c)) / (n2 * n2)
+    # |s(x)| = |x|, so the normalized residual is 1 - |lam|^2 for the best lam.
+    return 1 - s_norm2(line_coefficient(x, selfmap_s(x)))
 
 
 def quaternion_counterexample() -> tuple[KVector, Scalar]:

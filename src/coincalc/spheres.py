@@ -107,10 +107,6 @@ class Membership(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class MissingDataError(TableError):
-    """An operation that must not degrade to Unknown hit missing data."""
-
-
 class Violation(_Value):
     __slots__ = ("path", "message")
 
@@ -142,6 +138,7 @@ class ValidationReport(_Value, frozen=False):
 
 Chain = tuple[Subgroup, Subgroup, Subgroup]
 ChainTexts = tuple[str, str, str]
+ChainEntry = Union[tuple[Chain, ChainTexts], Unknown]
 
 
 class SphereTables:
@@ -156,9 +153,8 @@ class SphereTables:
         self.raw = tables
         self.ring = StableRing(tables)
         # (m, q, field_tag) -> the chain and the text of each subgroup in it,
-        # or the reason text of its MissingDataError; bounded by the
-        # tabulated (m, q) times 3 fields.
-        self._chains: dict[tuple[int, int, str], Union[tuple[Chain, ChainTexts], str]] = {}
+        # or its Unknown; bounded by the tabulated (m, q) times 3 fields.
+        self._chains: dict[tuple[int, int, str], ChainEntry] = {}
 
     # ------------------------------------------------------------- lookup
 
@@ -312,85 +308,71 @@ class SphereTables:
 
     # ------------------------------------------------------- kernel chain
 
-    def kernel_chain(self, m: int, q: int, field_tag: str) -> Chain:
-        """(Ker Gamma, Ker(h_K . E^inf), whole group) for pi_m(S^q).
+    def kernel_chain(self, m: int, q: int, field_tag: str) -> Union[Chain, Unknown]:
+        """(Ker Gamma, Ker(h_K . E^inf), whole group) for pi_m(S^q), or the
+        Unknown of the first annotation, Hopf class or product the tables lack.
 
-        Raises MissingDataError when an annotation or stable product the
-        criteria need is absent.  Ker Gamma <= Ker(h_K . E^inf) is checked;
-        the other inclusions hold by construction, since each kernel is a
-        subgroup of the whole group.  Each answer is computed once; a
-        repeated gap raises a fresh error with the same text.
+        Ker Gamma <= Ker(h_K . E^inf) is checked; the other inclusions hold
+        by construction, since each kernel is a subgroup of the whole group.
+        Each answer, a gap included, is computed once.
         """
-        return self._chain_entry(m, q, field_tag)[0]
+        entry = self._chain_entry(m, q, field_tag)
+        return entry if isinstance(entry, Unknown) else entry[0]
 
-    def kernel_chain_texts(self, m: int, q: int, field_tag: str) -> ChainTexts:
+    def kernel_chain_texts(self, m: int, q: int, field_tag: str) -> Union[ChainTexts, Unknown]:
         """str() of each subgroup of kernel_chain(m, q, field_tag), formatted
         once when the chain is built and kept with it."""
-        return self._chain_entry(m, q, field_tag)[1]
+        entry = self._chain_entry(m, q, field_tag)
+        return entry if isinstance(entry, Unknown) else entry[1]
 
-    def _chain_entry(self, m: int, q: int, field_tag: str) -> tuple[Chain, ChainTexts]:
+    def _chain_entry(self, m: int, q: int, field_tag: str) -> ChainEntry:
         key = (m, q, field_tag)
         entry = self._chains.get(key)
         if entry is None:
-            try:
-                chain = self._build_chain(m, q, field_tag)
-                entry = (chain, tuple(map(str, chain)))
-            except MissingDataError as exc:
-                entry = str(exc)
+            chain = self._build_chain(m, q, field_tag)
+            entry = chain if isinstance(chain, Unknown) else (chain, tuple(map(str, chain)))
             self._chains[key] = entry
-        if isinstance(entry, str):
-            raise MissingDataError(entry)
         return entry
 
-    def _build_chain(self, m: int, q: int, field_tag: str) -> Chain:
+    def _build_chain(self, m: int, q: int, field_tag: str) -> Union[Chain, Unknown]:
+        """The chain from the integer cores: generator i's Gamma columns are
+        _image of its unit vector, its h_K . E^inf column is ring.product of
+        its E^inf column; the first gap, in that order, is the answer."""
         entry = self.lookup(m, q)
         group = entry.group
         whole = Subgroup.whole(group)
         if group.is_trivial:
             triv = Subgroup.trivial(group)
             return triv, triv, whole
-
-        def known(value):
-            if isinstance(value, Unknown):
-                raise MissingDataError(value.reason)
-            return value
-
-        def columns(k: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-            """Component k of each generator as an integer column, with the
-            coordinate orders of its stem; no rows into a trivial stem."""
-            degree = entry.gamma_degree(k)
-            stem = self.ring.stem(degree).group
-            if stem.is_trivial:
-                return [()] * group.rank, ()
-            cols = [known(self._column(entry, i, k)) for i in range(group.rank)]
-            for c in cols:
-                if len(c) != stem.rank:
-                    raise FgAbError(
-                        f"coefficient vector of length {len(c)} for group of rank {stem.rank}"
-                    )
-            return cols, stem.coord_orders()
-
-        def kernel(blocks: list[tuple[list[tuple[int, ...]], tuple[int, ...]]]) -> Subgroup:
-            """Common kernel of the maps sending generator i to column i of
-            each block."""
-            rows: list[list[int]] = []
-            orders: list[int] = []
-            for cols, block_orders in blocks:
-                rows += [[c[r] for c in cols] for r in range(len(block_orders))]
-                orders += block_orders
-            return kernel_into_coords(group, rows, orders)
-
-        stab = columns(1)
-        ker_gamma = kernel([stab] + [columns(k) for k in range(2, entry.k_max + 1)])
+        units = [tuple(int(i == j) for j in range(group.rank)) for i in range(group.rank)]
+        rows: list[tuple[int, ...]] = []  # one per coordinate of each Gamma component's stem
+        orders: list[int] = []
+        for k in range(1, entry.k_max + 1):
+            stem = self.ring.stem(entry.gamma_degree(k)).group
+            columns = []
+            for unit in units:
+                column = self._image(entry, unit, k, stem)
+                if isinstance(column, Unknown):
+                    return column
+                columns.append(column)
+            if k == 1:
+                stab = columns
+            rows += zip(*columns)
+            orders += stem.coord_orders()
+        ker_gamma = kernel_into_coords(group, rows, orders)
 
         try:
             hopf = self.ring.hopf_stable(field_tag)
         except UnregisteredName as exc:
-            raise MissingDataError(str(exc)) from None
-        degree = entry.gamma_degree(1)
-        products = [known(self.ring.multiply(hopf, self.ring.element(degree, c))) for c in stab[0]]
-        target = products[0].value.group
-        ker_hopf = kernel([([p.value.coeffs for p in products], target.coord_orders())])
+            return Unknown(str(exc))
+        products = []
+        for column in stab:
+            product = self.ring.product(hopf.degree, hopf.value.coeffs, m - q, column)
+            if isinstance(product, Unknown):
+                return product
+            products.append(product)
+        target = self.ring.stem(hopf.degree + m - q).group
+        ker_hopf = kernel_into_coords(group, list(zip(*products)), target.coord_orders())
 
         if not ker_hopf.contains_subgroup(ker_gamma):
             raise FgAbError(

@@ -98,8 +98,15 @@ class StableRing:
     def zero(self, k: int) -> StableElement:
         return StableElement(k, self.stem(k).group.zero())
 
+    def _derived(self, name: str) -> Optional[tuple[int, tuple[int, ...]]]:
+        """(degree, coefficients) of a derived class whose stem is tabulated
+        with the rank of its vector, else None."""
+        k, coeffs = _DERIVED_NAMES.get(name, (-1, ()))
+        stem = self._tables.stems.get(k)
+        return (k, coeffs) if stem is not None and stem.group.rank == len(coeffs) else None
+
     def available_names(self) -> list[str]:
-        return sorted(set(self._gen_degrees) | set(_DERIVED_NAMES))
+        return sorted(set(self._gen_degrees) | set(filter(self._derived, _DERIVED_NAMES)))
 
     def named(self, name: str) -> StableElement:
         """Resolve a registered stable class by name."""
@@ -109,12 +116,12 @@ class StableRing:
             coeffs = [0] * stem.group.rank
             coeffs[stem.gen_names.index(name)] = 1
             return self.element(k, coeffs)
-        if name in _DERIVED_NAMES:
-            k, coeffs = _DERIVED_NAMES[name]
-            return self.element(k, coeffs)
+        derived = self._derived(name)
+        if derived is not None:
+            return self.element(*derived)
         raise UnregisteredName(
             f"unknown stable class {name!r}; available: "
-            + ", ".join(self.available_names())
+            + (", ".join(self.available_names()) or "none")
         )
 
     def hopf_stable(self, field_tag: str) -> StableElement:

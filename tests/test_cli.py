@@ -169,6 +169,14 @@ class TestExitContract:
             (_nielsen_rp2("whitehead(4)"), "named classes are ['alpha1_3',"),
             (_nielsen_rp2("whitehead(x)"), "whitehead(q) needs an integer q, got 'x'"),
             (_nielsen_rp2("whitehead("), "unexpected end of expression\n"),
+            # Only ASCII digits are integers: other Unicode digits are not read.
+            (["nielsen", "--field", "R", "--nprime", "5", "--m", "9",
+              "--f1", "whitehead(\u0665)", "--f2", "zero"],
+             "cannot read expression at position 10: '\u0665)'"),
+            (["nielsen", "--field", "R", "--nprime", "7", "--m", "11",
+              "--f1", "susp(whitehead(5),\u0662)", "--f2", "zero"],
+             "cannot read expression at position 18: '\u0662)'"),
+            (_nielsen_rp2("\u0663*eta"), "cannot read expression at position 0: '\u0663*eta'"),
             (["wecken", "--field", "R", "--nprime", "2", "--m", "-5"], "m must be >= 1"),
             (["verify-s", "--field", "C", "--samples", "0"], "--samples must be >= 1"),
             (["verify-s", "--field", "R", "--samples", "-3"], "--samples must be >= 1"),
@@ -182,6 +190,7 @@ class TestExitContract:
             (["verify-s", "--field", "H", "--nprime", "-5"], "n' must be >= 1\n"),
         ],
         ids=["whitehead-unregistered", "whitehead-not-int", "whitehead-open",
+             "whitehead-arabic-indic-digit", "susp-arabic-indic-count", "arabic-indic-multiple",
              "wecken-negative-m", "verify-s-no-samples", "verify-s-negative-samples",
              "verify-s-negative-nprime", "verify-s-zero-nprime", "verify-s-negative-even-nprime",
              "verify-s-H-zero-nprime", "verify-s-H-negative-nprime"],
@@ -357,6 +366,18 @@ class TestDataHandling:
         lines = out.splitlines()
         assert lines[0] == "1 violation(s):" and len(lines) == 2
         assert lines[1].startswith("  - h_C: unknown stable class 'eta'")
+
+    @pytest.mark.parametrize("text", ["group 3 2 1\ngen eta_2\n",
+                                      "stem 0 0\ngroup 3 2 1\ngen eta_2\n"],
+                             ids=["no-stem-0", "trivial-stem-0"])
+    def test_validator_lists_missing_class_two(self, capsys, tmp_path, text):
+        # Without a rank-1 pi_0^S there is no class two: h_R is one violation
+        # of the report, a data fault, never an input error.
+        path = tmp_path / "gap.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "--tables", str(path), "validate-data")
+        assert (code, err) == (3, "")
+        assert out.splitlines()[1] == "  - h_R: unknown stable class 'two'; available: none"
 
     def test_table_gap_makes_compare_unknown(self, capsys, tmp_path, table_text):
         # A missing annotation is a gap in the data, not bad input: the scan

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coincalc.stable import StableElement, Unknown
-from coincalc.tables import OutOfTabulatedRange
+from coincalc.stable import StableElement, StableRing, Unknown
+from coincalc.tables import OutOfTabulatedRange, UnregisteredName, parse_tables
 
 PINNED_STEMS = {
     0: "Z",
@@ -53,6 +53,17 @@ def test_named_registry(tables):
     with pytest.raises(LookupError) as err:
         ring.named("nosuch")
     assert "eta" in str(err.value)  # the error lists what exists
+
+
+@pytest.mark.parametrize("text", ["", "stem 0 0\n", "stem 0 0 2,2\ngen a\ngen b\n"])
+def test_derived_class_needs_its_stem_at_its_rank(text):
+    # two, eta3 and einf_alpha1_3 are vectors in a fixed stem: where that stem
+    # is missing or of another rank they are unregistered, not a shape error.
+    ring = StableRing(parse_tables(text))
+    for name in ("two", "eta3", "einf_alpha1_3"):
+        with pytest.raises(UnregisteredName, match=f"unknown stable class '{name}'"):
+            ring.named(name)
+    assert not {"two", "eta3", "einf_alpha1_3"} & set(ring.available_names())
 
 
 def test_orders(tables):
