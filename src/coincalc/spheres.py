@@ -12,10 +12,9 @@ groups).  Also hosts the deep dataset validator.
 from __future__ import annotations
 
 import enum
-from functools import partial
 from typing import Optional, Union
 
-from .fgab import FgAbError, FgAbGroup, GroupElement, Subgroup, _Value, kernel_into_coords
+from .fgab import FgAbError, GroupElement, Subgroup, _Value, kernel_into_coords
 from .stable import StableElement, StableRing, Unknown
 from .tables import (
     OutOfTabulatedRange,
@@ -23,6 +22,7 @@ from .tables import (
     TableError,
     TableSet,
     UnregisteredName,
+    map_target,
     resolve_entry,
 )
 
@@ -182,7 +182,7 @@ class SphereTables:
         if nc is None:
             raise UnregisteredName(
                 f"unknown named class {name!r}; available: "
-                + ", ".join(sorted(self.raw.named))
+                + (", ".join(sorted(self.raw.named)) or "none")
             )
         return self.cls(nc.m, nc.q, nc.coeffs)
 
@@ -194,12 +194,7 @@ class SphereTables:
 
     def suspend(self, x: SphereClass) -> Union[SphereClass, Unknown]:
         """One suspension step pi_m(S^q) -> pi_{m+1}(S^{q+1})."""
-        try:
-            target = self.lookup(x.m + 1, x.q + 1)
-        except OutOfTabulatedRange:
-            return Unknown(f"pi_{x.m + 1}(S^{x.q + 1}) is not tabulated")
-        make = partial(SphereClass, x.m + 1, x.q + 1)
-        return self._apply(x, "susp", target.group, make)
+        return self._apply(x, "susp")
 
     def suspend_iter(self, x: SphereClass, times: int) -> Union[SphereClass, Unknown]:
         for _ in range(times):
@@ -231,13 +226,15 @@ class SphereTables:
             )
         return coeffs
 
-    def _image(
-        self, entry: SphereEntry, coeffs, kind: Union[str, int], target: FgAbGroup
-    ) -> Union[tuple[int, ...], Unknown]:
-        """Reduced coordinates in target of the class coeffs of entry under kind:
-        zero in a trivial target, else its columns' sum or the first gap's Unknown."""
-        if target.is_trivial:
-            return ()
+    def _image(self, entry: SphereEntry, coeffs, kind: Union[str, int]) -> Union[tuple, Unknown]:
+        """(target, reduced coordinates in it) of the class coeffs of entry under
+        kind, with the target map_target gives: zero in a trivial target, else the
+        columns' sum; or the Unknown of an untabulated target or the first gap."""
+        target = map_target(self.raw, entry, kind)
+        if isinstance(target, str):
+            return Unknown(target)
+        if target.group.is_trivial:
+            return target, ()
         terms = []
         for i, c in enumerate(coeffs):
             if c:
@@ -245,29 +242,25 @@ class SphereTables:
                 if isinstance(column, Unknown):
                     return column
                 terms.append((c, column))
-        return target.combine(terms)
+        return target, target.group.combine(terms)
 
-    def _apply(self, x: SphereClass, kind: Union[str, int], target: FgAbGroup, make):
-        """make(image of x in target under kind), or the Unknown of _image."""
-        if target.is_trivial or x.is_zero:  # zero, without looking up x's entry
-            return make(target.zero())
-        image = self._image(self.lookup(x.m, x.q), x.value.coeffs, kind, target)
-        return image if isinstance(image, Unknown) else make(GroupElement._reduced(target, image))
-
-    def _component(self, x: SphereClass, k: int) -> Union[StableElement, Unknown]:
-        """Component k of Gamma(x) (k = 1 is E^inf)."""
-        degree = self.lookup(x.m, x.q).gamma_degree(k)
-        try:
-            stem = self.ring.stem(degree)
-        except OutOfTabulatedRange:
-            return Unknown(f"pi_{degree}^S is not tabulated")
-        return self._apply(x, k, stem.group, partial(StableElement, degree))
+    def _apply(self, x: SphereClass, kind: Union[str, int]):
+        """The image of x under kind (Gamma component k is a StableElement), or
+        the Unknown of _image."""
+        image = self._image(self.lookup(x.m, x.q), x.value.coeffs, kind)
+        if isinstance(image, Unknown):
+            return image
+        target, coeffs = image
+        value = GroupElement._reduced(target.group, coeffs)
+        if isinstance(target, SphereEntry):
+            return SphereClass(target.m, target.q, value)
+        return StableElement(target.degree, value)
 
     def stabilize(self, x: SphereClass) -> Union[StableElement, Unknown]:
         """E^inf: pi_m(S^q) -> pi_{m-q}^S."""
         if x.m < x.q:
             raise FgAbError("stabilization needs m >= q")
-        return self._component(x, 1)
+        return self._apply(x, 1)
 
     def gamma(self, x: SphereClass) -> GammaValue:
         """Total stabilized Hopf-James invariant of x (component 1 = E^inf)."""
@@ -275,7 +268,7 @@ class SphereTables:
             raise FgAbError("the Hopf-James invariant needs q >= 2")
         k_max = self.lookup(x.m, x.q).k_max
         comps = [(1, self.stabilize(x))]
-        comps += [(k, self._component(x, k)) for k in range(2, k_max + 1)]
+        comps += [(k, self._apply(x, k)) for k in range(2, k_max + 1)]
         return GammaValue(x.m, x.q, tuple(comps))
 
     # -------------------------------------------------------- antipodal map
@@ -284,8 +277,7 @@ class SphereTables:
         """The class of a . f, a the antipodal map of the target sphere."""
         if x.q % 2 == 1:
             return x  # deg a = +1, a homotopic to the identity
-        group = self.lookup(x.m, x.q).group
-        return self._apply(x, "antip", group, partial(SphereClass, x.m, x.q))
+        return self._apply(x, "antip")
 
     # -------------------------------------------- suspension image membership
 
@@ -299,7 +291,7 @@ class SphereTables:
             source = self.lookup(m - 1, q - 1)
         except OutOfTabulatedRange:
             return Membership.UNKNOWN
-        target = self.lookup(m, q).group
+        target = x.value.group
         columns = [self._column(source, i, "susp") for i in range(source.group.rank)]
         known = [target.element(c) for c in columns if not isinstance(c, Unknown)]
         if Subgroup(target, tuple(known)).contains(x.value):
@@ -310,7 +302,8 @@ class SphereTables:
 
     def kernel_chain(self, m: int, q: int, field_tag: str) -> Union[Chain, Unknown]:
         """(Ker Gamma, Ker(h_K . E^inf), whole group) for pi_m(S^q), or the
-        Unknown of the first annotation, Hopf class or product the tables lack.
+        Unknown of the first Gamma stem, annotation, Hopf class or product the
+        tables lack.
 
         Ker Gamma <= Ker(h_K . E^inf) is checked; the other inclusions hold
         by construction, since each kernel is a subgroup of the whole group.
@@ -348,17 +341,17 @@ class SphereTables:
         rows: list[tuple[int, ...]] = []  # one per coordinate of each Gamma component's stem
         orders: list[int] = []
         for k in range(1, entry.k_max + 1):
-            stem = self.ring.stem(entry.gamma_degree(k)).group
             columns = []
             for unit in units:
-                column = self._image(entry, unit, k, stem)
-                if isinstance(column, Unknown):
-                    return column
+                image = self._image(entry, unit, k)
+                if isinstance(image, Unknown):
+                    return image
+                stem, column = image
                 columns.append(column)
             if k == 1:
                 stab = columns
             rows += zip(*columns)
-            orders += stem.coord_orders()
+            orders += stem.group.coord_orders()
         ker_gamma = kernel_into_coords(group, rows, orders)
 
         try:
@@ -401,8 +394,8 @@ class SphereTables:
 
         It cannot catch a Hopf-James component with k >= 2 (never read) or a
         product row no identity constrains (`prod eta eta -> 2 1` shifted to
-        0): of the 204 +-1 shifts of one annotation, product or name
-        coefficient in the bundled table, 113 pass, 76 of them changing an answer.
+        0): of the 204 +-1 shifts of one annotation, product or name coefficient
+        in the bundled table, 113 pass, 14 of them changing a tabulated-range scan.
         """
         v: list[Violation] = []
 
@@ -422,8 +415,6 @@ class SphereTables:
             path = f"pi_{m}(S^{q})"
             group = entry.group
             units = [tuple(int(i == j) for j in range(group.rank)) for i in range(group.rank)]
-            # m > q, so stem m - q and pi_{m+1}(S^{q+1}) can only be tabulated.
-            stem, above = self.raw.stems.get(m - q), self.raw.entries.get((m + 1, q + 1))
             for name, ann, unit in zip(entry.gen_names, entry.annotations, units):
                 gpath = f"{path} gen {name}"
                 gamma1 = ann.gamma_component(1)
@@ -436,31 +427,32 @@ class SphereTables:
                             "gamma k=1 component disagrees with the stabilization "
                             f"({list(gamma1)} vs {list(ann.stab)})",
                         )
-                s1 = None if stem is None else self._image(entry, unit, 1, stem.group)
-                known = isinstance(s1, tuple)
-                for tag, hopf in hopfs.items() if known else ():
+                image = self._image(entry, unit, 1)
+                s1 = None if isinstance(image, Unknown) else image[1]
+                for tag, hopf in hopfs.items() if s1 is not None else ():
                     if (m - q) + hopf.degree > self.ring.max_degree:
                         bad(gpath, f"h_{tag} product degree exceeds tabulated stems")
                         continue
                     prod = self.ring.product(hopf.degree, hopf.value.coeffs, m - q, s1)
                     if isinstance(prod, Unknown):
                         bad(gpath, f"h_{tag} . E^inf not computable: {prod.reason}")
-                if known and ann.susp is not None and above is not None:
-                    susp = self._image(entry, unit, "susp", above.group)
-                    s2 = self._image(above, susp, 1, stem.group)
-                    if not isinstance(s2, Unknown) and s1 != s2:
+                if s1 is not None and ann.susp is not None:
+                    # The parser has checked that the susp target is tabulated.
+                    above, susp = self._image(entry, unit, "susp")
+                    s2 = self._image(above, susp, 1)
+                    if not isinstance(s2, Unknown) and s1 != s2[1]:
                         bad(
                             gpath,
                             f"stabilization not suspension-invariant: "
                             f"{self.ring.element(m - q, s1)} vs "
-                            f"{self.ring.element(m - q, s2)} after E",
+                            f"{self.ring.element(m - q, s2[1])} after E",
                         )
                 if q % 2 == 1 and ann.antip is not None and group.combine([(1, ann.antip)]) != unit:
                     bad(gpath, "antipodal action must be the identity for odd q")
             if q % 2 == 0 and all(a.antip is not None for a in entry.annotations):
                 for name, unit in zip(entry.gen_names, units):
-                    once = self._image(entry, unit, "antip", group)
-                    if self._image(entry, once, "antip", group) != unit:
+                    _, once = self._image(entry, unit, "antip")
+                    if self._image(entry, once, "antip")[1] != unit:
                         bad(path, f"antipodal action is not an involution on {name}")
 
         # Registry constraints.

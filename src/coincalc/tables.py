@@ -31,7 +31,7 @@ these takes one `src` at most, so a stem's `src` comes before its `gen` lines.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Optional, Union
 
 from .fgab import FgAbError, FgAbGroup, _Value
 
@@ -205,16 +205,29 @@ def closed_form_entry(m: int, q: int) -> Optional[SphereEntry]:
 
 
 def resolve_entry(tables: TableSet, m: int, q: int) -> SphereEntry:
-    """Look up pi_m(S^q): closed forms first, then the curated table."""
+    """Look up pi_m(S^q): the curated table, then the closed forms it never holds."""
     if m < 1:
         raise OutOfTabulatedRange(f"pi_{m}(S^{q}) requires m >= 1")
-    closed = closed_form_entry(m, q)
-    if closed is not None:
-        return closed
-    entry = tables.entries.get((m, q))
+    entry = tables.entries.get((m, q)) or closed_form_entry(m, q)
     if entry is None:
         raise OutOfTabulatedRange(f"pi_{m}(S^{q}) is not tabulated")
     return entry
+
+
+def map_target(tables: TableSet, entry: SphereEntry, kind) -> Union[SphereEntry, StemEntry, str]:
+    """Where the annotated map `kind` out of entry lands: the SphereEntry
+    pi_{m+1}(S^{q+1}) for susp, the entry itself for antip, the StemEntry of
+    degree gamma_degree(k) for Gamma component k (stab is k = 1); or, where
+    that group is not tabulated, the reason as a string."""
+    if kind == "antip":
+        return entry
+    if kind == "susp":
+        try:
+            return resolve_entry(tables, entry.m + 1, entry.q + 1)
+        except OutOfTabulatedRange as exc:
+            return str(exc)
+    degree = entry.gamma_degree(1 if kind == "stab" else kind)
+    return tables.stems.get(degree) or f"pi_{degree}^S is not tabulated"
 
 
 # Lines are tokenized with str.split(), which splits on the same characters
@@ -322,14 +335,19 @@ class _OpenEntity:
             stems[self.key] = StemEntry(self.key, self.group, gen_names, self.ann.get("src", ""))
             return
         m, q = self.key
-        anns = []
+        anns = tuple(
+            GenAnnotations(ann.get("susp"), ann.get("stab"), tuple(sorted(
+                kv for kv in ann.items() if type(kv[0]) is int
+            )), ann.get("antip"), ann.get("src", "")) for _name, ann, _degrees in self.gens
+        )
+        entry = SphereEntry(m, q, self.group, gen_names, anns, self.ann.get("src", ""))
         for name, ann, degrees in self.gens:
             # The Hopf-James components in the order given, then stab, which
             # lands in the degree of the component k = 1.
             if "stab" in degrees:
                 degrees["stab"] = degrees.pop("stab")
             for key, degree in degrees.items():
-                expected = m - 1 - (1 if key == "stab" else key) * (q - 1)
+                expected = entry.gamma_degree(1 if key == "stab" else key)
                 if degree != expected:
                     raise SchemaError(
                         f"{_label(key)} declares degree {degree}, expected {expected}",
@@ -341,13 +359,7 @@ class _OpenEntity:
                     f"{self.group.rank}",
                     _gen_path(m, q, name),
                 )
-            gammas = tuple(sorted(kv for kv in ann.items() if type(kv[0]) is int))
-            anns.append(GenAnnotations(
-                ann.get("susp"), ann.get("stab"), gammas, ann.get("antip"), ann.get("src", "")
-            ))
-        entries[(m, q)] = SphereEntry(
-            m, q, self.group, gen_names, tuple(anns), self.ann.get("src", "")
-        )
+        entries[(m, q)] = entry
 
 
 
@@ -482,28 +494,23 @@ def parse_tables(text: str) -> TableSet:
             )
     for (m, q), entry in entries.items():
         for name, ann in zip(entry.gen_names, entry.annotations):
-            # Each vector must fit the entry its map lands in: pi_{m+1}(S^{q+1})
-            # for susp, which lies outside the closed-form range, else a stem.
+            # Each vector must fit the group its map lands in.
             for key, coeffs in (("susp", ann.susp), ("stab", ann.stab), *ann.gammas):
                 if coeffs is None:
                     continue
-                if key == "susp":
-                    where = (m + 1, q + 1)
-                    target = entries.get(where)
-                else:
-                    if key != "stab" and key > entry.k_max:
-                        raise SchemaError(
-                            f"gamma component k={key} beyond k_max={entry.k_max}",
-                            _gen_path(m, q, name),
-                        )
-                    where = entry.gamma_degree(1 if key == "stab" else key)
-                    target = stems.get(where)
-                if target is None or len(coeffs) != target.group.rank:
-                    at = f"pi_{where}^S" if key != "susp" else "pi_{}(S^{})".format(*where)
-                    fault = f"target {at} is not tabulated" if target is None else (
-                        f"vector length {len(coeffs)} != rank {target.group.rank} of {at}"
+                if type(key) is int and key > entry.k_max:
+                    raise SchemaError(
+                        f"gamma component k={key} beyond k_max={entry.k_max}",
+                        _gen_path(m, q, name),
                     )
-                    raise SchemaError(f"{_label(key)} {fault}", _gen_path(m, q, name))
+                target = map_target(tables, entry, key)
+                if isinstance(target, str):
+                    fault = f"target {target}"
+                elif len(coeffs) != target.group.rank:
+                    fault = f"vector length {len(coeffs)} != rank {target.group.rank}"
+                else:
+                    continue
+                raise SchemaError(f"{_label(key)} {fault}", _gen_path(m, q, name))
 
     for k, stem in stems.items():
         for g in stem.gen_names:

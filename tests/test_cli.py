@@ -394,6 +394,20 @@ class TestDataHandling:
             "--m", "6", "--f1", "eta_2_nu_p", "--f2", "zero", "--machine",
         )
         assert code == 0 and json.loads(out)["values"]["N_tilde"] == 2
+        # A Gamma component whose stem is not tabulated is a gap too.
+        path.write_text("group 3 2 1\ngen eta_2\n")
+        argv[-1] = "3..3"
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, "m=3: N# ?? N~ ?? N ?? NZ ?? 0\n", "")
+        code, _, err = run(capsys, "--strict", *argv)
+        assert code == 1 and "strict" in err
+
+    def test_empty_registry_lists_none(self, capsys, tmp_path, table_text):
+        path = tmp_path / "nonames.txt"
+        path.write_text(_drop_name(r"\S+")(table_text))
+        code, out, err = run(capsys, "--tables", str(path), "witnesses", "--claim", "a")
+        assert (code, out) == (3, "")
+        assert err == "data error: unknown named class 'whitehead5'; available: none\n"
 
     def test_env_variable(self, capsys, tmp_path, table_text, monkeypatch):
         path = tmp_path / "tables.txt"

@@ -13,8 +13,10 @@ from coincalc.tables import (
     GenAnnotations,
     OutOfTabulatedRange,
     SphereEntry,
+    TableError,
     TableSet,
     UnregisteredName,
+    map_target,
     parse_tables,
 )
 
@@ -192,9 +194,9 @@ class TestSummedMaps:
             for coeffs in itertools.product(range(-2, 3), repeat=entry.group.rank):
                 x = tables.cls(m, q, coeffs)
                 for kind, target in targets:
-                    got = tables._apply(x, kind, target, lambda value: value)
+                    got = tables._apply(x, kind)
                     want = _apply_by_elements(tables, x, kind, target)
-                    assert got == want, (m, q, coeffs, kind)
+                    assert getattr(got, "value", got) == want, (m, q, coeffs, kind)
                     checked += 1
         assert checked > 500
 
@@ -230,6 +232,16 @@ def _coeffs(value):
     return value if isinstance(value, Unknown) else value.value.coeffs
 
 
+def _image_coeffs(tables, entry, coeffs, kind, target):
+    """The coordinates _image gives, after checking that they lie in target,
+    or its Unknown."""
+    image = tables._image(entry, coeffs, kind)
+    if isinstance(image, Unknown):
+        return image
+    assert image[0].group == target
+    return image[1]
+
+
 class TestSharedCores:
     """SphereTables._image is the one place an annotated map is summed: the
     object API and validate() both read it."""
@@ -242,7 +254,7 @@ class TestSharedCores:
                 unit = tuple(int(i == j) for j in range(rank))
                 gen = tables.generator(m, q, name)
                 for kind, target, api in _maps(tables, m, q):
-                    assert tables._image(entry, unit, kind, target) == _coeffs(api(gen))
+                    assert _image_coeffs(tables, entry, unit, kind, target) == _coeffs(api(gen))
                     checked += 1
         assert checked > 70
 
@@ -257,11 +269,54 @@ class TestSharedCores:
             for kind, target, api in _maps(tables, m, q):
                 fx, fy, fxy = api(x), api(y), api(x + y)
                 for z, fz in ((x, fx), (y, fy), (x + y, fxy)):
-                    assert tables._image(entry, z.value.coeffs, kind, target) == _coeffs(fz)
+                    image = _image_coeffs(tables, entry, z.value.coeffs, kind, target)
+                    assert image == _coeffs(fz)
                 if not any(isinstance(f, Unknown) for f in (fx, fy, fxy)):
                     assert fxy == fx + fy, (m, q, kind)
                     known += 1
         assert known > 50
+
+
+def _deletions(text):
+    """text without one of its lines, then without one of its group or stem
+    blocks (the header and every line up to the next group, stem, prod or
+    name line)."""
+    lines = text.splitlines(keepends=True)
+    heads = [i for i, line in enumerate(lines)
+             if line.split(" ")[0] in ("group", "stem", "prod", "name")] + [len(lines)]
+    for i in range(len(lines)):
+        yield "".join(lines[:i] + lines[i + 1:])
+    for start, stop in zip(heads, heads[1:]):
+        if lines[start].split(" ")[0] in ("group", "stem"):
+            yield "".join(lines[:start] + lines[stop:])
+
+
+def test_stored_rows_reach_their_targets(table_text):
+    # What the parser accepts, the evaluators can reach: on the bundled table
+    # and on each of its deletions that loads, every stored susp, stab and
+    # gamma row lands in a tabulated group of the row's length, and _image of
+    # its generator never reports that group as not tabulated.  Deleting a
+    # whole block is what leaves another entry's row without a target.
+    loaded = rows = 0
+    for text in (table_text, *_deletions(table_text)):
+        try:
+            raw = parse_tables(text)
+        except TableError:
+            continue
+        tables, loaded = SphereTables(raw), loaded + 1
+        for entry in raw.entries.values():
+            for g, ann in enumerate(entry.annotations):
+                unit = tuple(int(g == j) for j in range(entry.group.rank))
+                for kind, row in (("susp", ann.susp), (1, ann.stab), *ann.gammas):
+                    if row is None:
+                        continue
+                    target = map_target(raw, entry, kind)
+                    assert not isinstance(target, str), (entry.m, entry.q, kind, target)
+                    assert target.group.rank == len(row)
+                    image = tables._image(entry, unit, kind)
+                    assert not (isinstance(image, Unknown) and "not tabulated" in image.reason)
+                    rows += 1
+    assert (loaded, rows) == (220, 12890)
 
 
 class TestSuspensionImage:
@@ -385,15 +440,9 @@ def _pointwise_gap(tables, m, q, tag):
     return None
 
 
-def test_chain_gaps_agree_with_the_pointwise_cores(table_text):
-    # The bundled table and each table with one stab, gamma or prod line
-    # dropped: the chain is Unknown exactly when a generator's Gamma component
-    # or h_K . E^inf is, and with the first such reason.
-    lines = table_text.splitlines(keepends=True)
-    texts = [table_text] + [
-        "".join(lines[:i] + lines[i + 1:])
-        for i, line in enumerate(lines) if line.split(" ")[0] in ("stab", "gamma", "prod")
-    ]
+def _chain_gaps(texts):
+    """(chains, gaps) over every tabulated (m, q) and K of each table, after
+    checking that each chain's gap is the one the pointwise cores find."""
     chains = gaps = 0
     for text in texts:
         tables = SphereTables(parse_tables(text))
@@ -405,7 +454,28 @@ def test_chain_gaps_agree_with_the_pointwise_cores(table_text):
                 assert got == want, (m, q, tag)
                 chains += 1
                 gaps += want is not None
-    assert (len(texts), chains, gaps) == (57, 3249, 154)
+    return chains, gaps
+
+
+def test_chain_gaps_agree_with_the_pointwise_cores(table_text):
+    # The bundled table and each table with one stab, gamma or prod line
+    # dropped: the chain is Unknown exactly when a generator's Gamma component
+    # or h_K . E^inf is, and with the first such reason.
+    lines = table_text.splitlines(keepends=True)
+    texts = [table_text] + [
+        "".join(lines[:i] + lines[i + 1:])
+        for i, line in enumerate(lines) if line.split(" ")[0] in ("stab", "gamma", "prod")
+    ]
+    assert (len(texts), *_chain_gaps(texts)) == (57, 3249, 154)
+    # Stems that stop below m - q: the first gap is the missing stem pi_1^S,
+    # with or without the class two (stem 0) registered.
+    short = ["group 3 2 1\ngen eta_2\n", "stem 0 1\ngen iota\ngroup 3 2 1\ngen eta_2\n"]
+    assert _chain_gaps(short) == (6, 6)
+    for text in short:
+        tables = SphereTables(parse_tables(text))
+        first = tables.gamma(tables.generator(3, 2, "eta_2")).component(1)
+        assert first == Unknown("pi_1^S is not tabulated")
+        assert all(tables.kernel_chain(3, 2, tag) == first for tag in ("R", "C", "H"))
 
 
 @pytest.mark.parametrize("m, q, k, coeffs", [
