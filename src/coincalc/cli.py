@@ -24,7 +24,6 @@ code stays the command's.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -230,6 +229,8 @@ def cmd_verify_s(args):
     if args.field == "H":
         x, lam = quaternion_counterexample()
         sx = selfmap_s(x)
+        if not (sx - x.scalar_mul_left(lam)).is_zero:
+            return "FAIL: s(x) - lambda*x is not zero\n", None, FAILED
         text = (
             f"x = {tuple(_fmt_scalar(e) for e in x.entries)}\n"
             f"s(x) = {tuple(_fmt_scalar(e) for e in sx.entries)}\n"
@@ -370,6 +371,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"cannot read tables: {exc}", file=sys.stderr)
         return EXIT_DATA
     if getattr(args, "machine", False):
+        import json
+
         text = json.dumps(doc, indent=2) + "\n"
     _emit(sys.stderr if outcome is FAILED else sys.stdout, text)
     if outcome is UNKNOWN and args.strict:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 
 from .spheres import SphereClass, SphereTables, Unknown
+from .tables import SchemaError
 
 
 class ExprError(ValueError):
@@ -156,7 +157,7 @@ class _Parser:
             return self._fit(self.tables.named(tok), m, q, tok, pos)
         try:
             return self.tables.generator(m, q, tok)
-        except Exception:
+        except SchemaError:
             entry = self.tables.lookup(m, q)
             raise ExprError(
                 f"unknown name {tok!r} at position {pos}; generators of "

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coincalc import OutOfTabulatedRange, load_default_tables, space
+from coincalc import OutOfTabulatedRange, SphereTables, load_default_tables, space
+from coincalc import cli, selfco
 from coincalc.cli import main
+from coincalc.exprs import parse_class
 
 
 def run(capsys, *argv):
@@ -93,6 +95,20 @@ class TestNielsen:
             "--f1", "bogus", "--f2", "zero",
         )
         assert code == 2 and "unknown name" in err
+
+    def test_generator_fault_is_not_an_unknown_name(self, monkeypatch):
+        def broken(self, m, q, name):
+            raise TypeError("broken generator")
+
+        monkeypatch.setattr(SphereTables, "generator", broken)
+        with pytest.raises(TypeError, match="broken generator"):
+            parse_class(load_default_tables(), "eta_2", 3, 2)
+
+    def test_out_of_range_name_propagates_unchanged(self):
+        with pytest.raises(OutOfTabulatedRange) as info:
+            parse_class(load_default_tables(), "eta_2", 100, 95)
+        assert str(info.value) == "pi_100(S^95) is not tabulated"
+        assert info.value.__context__ is None
 
     def test_equal_pair_is_zero(self, capsys):
         code, out, _ = run(
@@ -260,6 +276,14 @@ class TestWitnessesAndVerdicts:
     def test_verify_s_quaternion(self, capsys):
         code, out, _ = run(capsys, "verify-s", "--field", "H")
         assert code == 0 and "residual = 0" in out
+
+    def test_verify_s_quaternion_failure_is_reported(self, capsys, monkeypatch):
+        # A scalar other than i: s(x) = i x, so s(x) - j x is not zero.
+        x, _ = selfco.quaternion_counterexample()
+        wrong = selfco.scalar(x.field, 0, 0, 1, 0)
+        monkeypatch.setattr(cli, "quaternion_counterexample", lambda: (x, wrong))
+        code, out, err = run(capsys, "verify-s", "--field", "H")
+        assert (code, out, err) == (1, "", "FAIL: s(x) - lambda*x is not zero\n")
 
     def test_verify_s_complex(self, capsys):
         code, out, _ = run(capsys, "verify-s", "--field", "C", "--samples", "20")

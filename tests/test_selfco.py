@@ -15,6 +15,7 @@ from coincalc.selfco import (
     s_conj,
     s_mul,
     s_norm2,
+    s_zero,
     sample_unit_vectors,
     scalar,
     self_loose,
@@ -113,6 +114,20 @@ class TestResidual:
         assert lam == I
         assert s_norm2(lam) == 1
         assert (selfmap_s(x) - x.scalar_mul_left(lam)).is_zero
+
+
+class TestExactness:
+    """The geometry stays in rationals: no component turns int or float."""
+
+    @pytest.mark.parametrize("tag", ["R", "C", "H"])
+    def test_every_component_is_a_fraction(self, tag):
+        field = parse_field(tag)
+        parts = [scalar(field, *range(1, field.d + 1)), s_zero(field)]
+        vectors = sample_unit_vectors(tag, 3, 10, seed=5)
+        parts += [e for vec in vectors for e in vec.entries]
+        parts.append(tuple(residual_not_parallel(vec) for vec in vectors))
+        parts.append((residual_not_parallel(quaternion_counterexample()[0]),))
+        assert all(type(c) is Fraction for part in parts for c in part)
 
 
 class TestLooseness:

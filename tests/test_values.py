@@ -7,6 +7,7 @@ records that callers fill in (Report, ScanResult, WeckenAnswer,
 ValidationReport), which are mutable and unhashable.
 """
 
+import ast
 import copy
 import os
 import pickle
@@ -49,6 +50,8 @@ Z = FgAbGroup(1)
 Z2 = FgAbGroup(0, (2,))
 Z4 = FgAbGroup(0, (4,))
 G = FgAbGroup(1, (2, 4))
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _report(n_sharp):
@@ -206,14 +209,54 @@ def test_cli_import_generates_no_code():
     `importlib.resources`, which the package uses to read its bundled table,
     itself imports inspect from Python 3.12 on, so what it loads is taken as
     the baseline."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
         "import sys, importlib.resources\n"
         "before = set(sys.modules)\n"
         "import coincalc.cli\n"
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_defers_rationals_json_and_random():
+    """`import coincalc.cli` loads none of fractions (with decimal and
+    numbers), json or random; verify-s and --machine load them when used.
+
+    `-S` keeps `site` and whatever it imports out of the measurement."""
+    code = (
+        "import contextlib, io, sys\n"
+        "deferred = {'fractions', 'decimal', 'numbers', 'json', 'random'}\n"
+        "import coincalc.cli\n"
+        "print(sorted(deferred & set(sys.modules)))\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = coincalc.cli.main(['verify-s', '--field', 'C', '--samples', '3'])\n"
+        "print(code, sorted(deferred - set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = coincalc.cli.main(['wecken', '--field', 'R', '--nprime', '2',\n"
+        "                              '--m', '3', '--machine'])\n"
+        "print(code, sorted(deferred - set(sys.modules)))\n"
+        "print(out.getvalue(), end='')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.splitlines()
+    assert out[:3] == ["[]", "0 ['json']", "0 []"]
+    assert "all residuals positive" in out[3]
+    assert out[4] == "{"
+
+
+def test_no_assert_statements_in_the_package():
+    """A check in `src/coincalc` must hold under `python -O` too."""
+    pkg = os.path.join(SRC, "coincalc")
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
