@@ -44,7 +44,6 @@ from .invariants import (
 from .projective import (
     COMPLEX,
     Field,
-    MapClass,
     ProjSpace,
     QUATERNION,
     REAL,
@@ -58,7 +57,6 @@ from .selfco import (
     Looseness,
     Verdict,
     fiber_projection_self_loose,
-    kvector,
     quaternion_counterexample,
     residual_not_parallel,
     sample_unit_vectors,

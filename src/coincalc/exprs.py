@@ -51,8 +51,9 @@ class _Parser:
         self.tokens = tokens
         self.index = 0
 
-    def peek(self):
-        return self.tokens[self.index][0] if self.index < len(self.tokens) else None
+    def peek(self, ahead: int = 0):
+        at = self.index + ahead
+        return self.tokens[at][0] if at < len(self.tokens) else None
 
     def take(self, expected=None):
         if self.index >= len(self.tokens):
@@ -73,17 +74,10 @@ class _Parser:
 
     def term(self, m: int, q: int) -> SphereClass:
         tok = self.peek()
-        if tok is not None and _INT_RE.fullmatch(tok):
-            number, pos = self.take()
-            if self.peek() == "*":
-                self.take("*")
-                return self.atom(m, q).scale(int(number))
-            if m != q:
-                raise ExprError(
-                    f"bare integer at position {pos} is a degree and needs "
-                    f"m = q; context is pi_{m}(S^{q})"
-                )
-            return self.tables.cls(m, q, [int(number)])
+        if tok is not None and _INT_RE.fullmatch(tok) and self.peek(1) == "*":
+            self.take()
+            self.take("*")
+            return self.atom(m, q).scale(int(tok))
         return self.atom(m, q)
 
     def _susp(self, m: int, q: int) -> SphereClass:
@@ -102,7 +96,7 @@ class _Parser:
                 if depth == 0:
                     close_at = j
                     break
-            elif tok == "," and depth == 1:
+            elif tok == "," and depth == 1 and comma_at is None:
                 comma_at = j
         if close_at is None:
             raise ExprError("unbalanced parentheses in susp(...)")
@@ -129,6 +123,13 @@ class _Parser:
 
     def atom(self, m: int, q: int) -> SphereClass:
         tok, pos = self.take()
+        if _INT_RE.fullmatch(tok):
+            if m != q:
+                raise ExprError(
+                    f"bare integer at position {pos} is a degree and needs "
+                    f"m = q; context is pi_{m}(S^{q})"
+                )
+            return self.tables.cls(m, q, [int(tok)])
         if tok == "zero":
             return self.tables.zero(m, q)
         if tok == "iota":

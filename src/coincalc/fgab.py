@@ -87,16 +87,6 @@ def _identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != inner:
-        raise FgAbError("matrix shape mismatch in multiplication")
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
     n = len(matrix)
@@ -244,50 +234,6 @@ def smith_normal_form(
     return u, d, v
 
 
-def _normalize_orders(orders: Sequence[int], free: int) -> tuple[int, tuple[int, ...]]:
-    """Fold a list of cyclic orders into invariant-factor form.
-
-    Each order is a non-negative integer, 0 meaning an infinite cyclic summand.
-    """
-    from collections import defaultdict
-
-    prime_exps: dict[int, list[int]] = defaultdict(list)
-    free_rank = free
-    for t in orders:
-        if t < 0:
-            raise FgAbError("negative cyclic order")
-        if t == 0:
-            free_rank += 1
-            continue
-        if t == 1:
-            continue
-        rem = t
-        p = 2
-        while p * p <= rem:
-            if rem % p == 0:
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                prime_exps[p].append(e)
-            p += 1
-        if rem > 1:
-            prime_exps[rem].append(1)
-    if not prime_exps:
-        return free_rank, ()
-    depth = max(len(v) for v in prime_exps.values())
-    factors = []
-    for slot in range(depth):
-        f = 1
-        for p, exps in prime_exps.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if slot < len(exps_sorted):
-                f *= p ** exps_sorted[slot]
-        factors.append(f)
-    factors.reverse()  # ascending, t_i | t_{i+1}
-    return free_rank, tuple(factors)
-
-
 class FgAbGroup(_Value):
     """A finitely generated abelian group Z^r + Z/t1 + ... + Z/tk.
 
@@ -378,14 +324,6 @@ class FgAbGroup(_Value):
         for i, t in enumerate(self.torsion):
             total[off + i] %= t
         return tuple(total)
-
-    def generators(self) -> list["GroupElement"]:
-        gens = []
-        for i in range(self.rank):
-            coeffs = [0] * self.rank
-            coeffs[i] = 1
-            gens.append(self.element(coeffs))
-        return gens
 
     def elements(self) -> Iterator["GroupElement"]:
         """Enumerate all elements (finite groups only)."""
@@ -511,21 +449,6 @@ class Homomorphism(_Value):
         ]
         return cls(domain, codomain, tuple(tuple(r) for r in mat))
 
-    @classmethod
-    def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> "Homomorphism":
-        mat = tuple(
-            tuple(0 for _ in range(domain.rank)) for _ in range(codomain.rank)
-        )
-        return cls(domain, codomain, mat)
-
-    @classmethod
-    def identity(cls, group: FgAbGroup) -> "Homomorphism":
-        mat = tuple(
-            tuple(1 if i == j else 0 for j in range(group.rank))
-            for i in range(group.rank)
-        )
-        return cls(group, group, mat)
-
     def apply(self, x: GroupElement) -> GroupElement:
         if x.group != self.domain:
             raise FgAbError("argument not in the domain of this homomorphism")
@@ -534,15 +457,6 @@ class Homomorphism(_Value):
             for i in range(self.codomain.rank)
         ]
         return self.codomain.element(coeffs)
-
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        """self after inner: (self . inner)(x) = self(inner(x))."""
-        if inner.codomain != self.domain:
-            raise FgAbError("composition mismatch")
-        prod = _mat_mul([list(r) for r in self.matrix], [list(r) for r in inner.matrix])
-        return Homomorphism(
-            inner.domain, self.codomain, tuple(tuple(r) for r in prod)
-        )
 
 
 class Cmp(enum.Enum):
@@ -755,8 +669,13 @@ def subgroup_cmp(a: Subgroup, b: Subgroup) -> Cmp:
 
 
 def direct_sum(groups: Sequence[FgAbGroup]) -> FgAbGroup:
-    """Direct sum, renormalized to invariant-factor form."""
-    free = sum(g.free_rank for g in groups)
+    """Direct sum in invariant-factor form.  Z/a + Z/b = Z/gcd + Z/lcm,
+    applied to every pair of torsion orders in turn, leaves t_1 | t_2 | ...;
+    the trivial summands among them are dropped."""
     orders = [t for g in groups for t in g.torsion]
-    free_rank, torsion = _normalize_orders(orders, free)
-    return FgAbGroup(free_rank, torsion)
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            a, b = orders[i], orders[j]
+            d = gcd(a, b)
+            orders[i], orders[j] = d, a * b // d
+    return FgAbGroup(sum(g.free_rank for g in groups), tuple(t for t in orders if t > 1))

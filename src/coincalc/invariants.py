@@ -16,7 +16,7 @@ import enum
 from typing import Callable, Optional, Union
 
 from .fgab import FgAbError, _Value
-from .projective import MapClass, ProjSpace, decompose_valid, parse_field
+from .projective import ProjSpace, decompose_valid, parse_field
 from .selfco import Verdict, _congruence_ok, self_loose
 from .spheres import (
     Membership,
@@ -299,19 +299,15 @@ def sphere_report(
     )
 
 
-def _as_lift(sp: ProjSpace, m: int, f) -> tuple[SphereClass, bool]:
-    """Normalize MapClass | SphereClass input to (lift, correction_zero)."""
-    if isinstance(f, MapClass):
-        if f.space != sp or f.m != m:
-            raise FgAbError("map class built for a different target or m")
-        return f.lift, f.correction_is_zero
-    if isinstance(f, SphereClass):
-        if (f.m, f.q) != (m, sp.q):
-            raise FgAbError(
-                f"lift must live in pi_{m}(S^{sp.q}), got pi_{f.m}(S^{f.q})"
-            )
-        return f, True
-    raise FgAbError("inputs must be MapClass or SphereClass lifts")
+def _as_lift(sp: ProjSpace, m: int, f) -> SphereClass:
+    """The input itself, once checked to be a lift class in pi_m(S^q)."""
+    if not isinstance(f, SphereClass):
+        raise FgAbError("inputs must be SphereClass lifts")
+    if (f.m, f.q) != (m, sp.q):
+        raise FgAbError(
+            f"lift must live in pi_{m}(S^{sp.q}), got pi_{f.m}(S^{f.q})"
+        )
+    return f
 
 
 def projective_report(
@@ -324,10 +320,11 @@ def projective_report(
 ) -> Report:
     """Minimum and Nielsen numbers for a pair of maps S^m -> KP(n').
 
-    Inputs are lift classes in pi_m(S^q) (optionally as MapClass with a
-    correction) when the lift decomposition is valid; for a sphere target
-    KP(1) where it is not, inputs are classes of pi_m(S^n) and the sphere
-    closed forms take over.
+    Inputs are lift classes in pi_m(S^q) when the lift decomposition is
+    valid; the correction class is not modelled, because the numbers depend
+    on the lift difference alone.  For a sphere target KP(1) where the
+    decomposition is not valid, inputs are classes of pi_m(S^n) and the
+    sphere closed forms take over.
     """
     if m < 2:
         raise FgAbError("projective reports need a simply connected domain, m >= 2")
@@ -343,12 +340,6 @@ def projective_report(
 
     if not decompose_valid(tables, sp, m):
         # Only possible for n' = 1; route through the sphere the target is.
-        for f in (f1, f2):
-            if isinstance(f, MapClass):
-                raise FgAbError(
-                    f"the lift decomposition is invalid for {sp} at m={m}; "
-                    f"pass classes of pi_{m}(S^{sp.n}) directly"
-                )
         rep = sphere_report(tables, m, sp.n, f1, f2)
         rep.target = f"{sp.name} = S^{sp.n}"
         rep.hypothesis_notes.append(
@@ -357,20 +348,12 @@ def projective_report(
         )
         return rep
 
-    lift1, corr1_zero = _as_lift(sp, m, f1)
-    lift2, corr2_zero = _as_lift(sp, m, f2)
+    lift1, lift2 = _as_lift(sp, m, f1), _as_lift(sp, m, f2)
     inputs = f"lift1 = {lift1.value}, lift2 = {lift2.value} in pi_{m}(S^{sp.q})"
-    if not (corr1_zero and corr2_zero):
-        notes.append(
-            "nonzero correction classes recorded; they join a loose pair and "
-            "do not change any of the numbers"
-        )
     r_n = sp.reidemeister
     r = fin(r_n)
 
-    both_trivial = (
-        lift1.is_zero and lift2.is_zero and corr1_zero and corr2_zero
-    )
+    both_trivial = lift1.is_zero and lift2.is_zero
     loose = self_loose(sp.field.tag, m, sp.n_prime)
     if both_trivial:
         notes.append("both classes are trivial: a pair of nullhomotopic maps is loose")

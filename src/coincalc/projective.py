@@ -2,17 +2,16 @@
 
 A target KP(n') over K = R, C or H is described by its real dimension data
 (d, n = d*n', fibration sphere dimension q = n + d - 1) and its Reidemeister
-number.  Map classes into KP(n') are carried as a lift class in pi_m(S^q)
-plus a correction class in pi_{m-1}(S^{d-1}); the correction never enters the
-vanishing criteria and is kept for provenance.
+number.  A map class into KP(n') is given by its lift class in pi_m(S^q)
+wherever the decomposition is valid.  Its correction class in
+pi_{m-1}(S^{d-1}) never enters the vanishing criteria, so it is not modelled;
+only its group is, to decide where the decomposition is valid.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .fgab import FgAbError, FgAbGroup, GroupElement, _Value
-from .spheres import SphereClass, SphereTables
+from .fgab import FgAbError, FgAbGroup, _Value
+from .spheres import SphereTables
 
 
 class Field(_Value):
@@ -102,51 +101,3 @@ def decompose_valid(tables: SphereTables, sp: ProjSpace, m: int) -> bool:
         return True
     return correction_group(tables, sp, m).is_trivial
 
-
-class MapClass(_Value):
-    """A homotopy class of maps S^m -> KP(n') as (lift, correction)."""
-
-    __slots__ = ("space", "m", "lift", "correction")
-
-    def __init__(
-        self, space: ProjSpace, m: int, lift: SphereClass,
-        correction: Optional[GroupElement] = None,
-    ):
-        if (lift.m, lift.q) != (m, space.q):
-            raise FgAbError(
-                f"lift must live in pi_{m}(S^{space.q}), got pi_{lift.m}(S^{lift.q})"
-            )
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "lift", lift)
-        object.__setattr__(self, "correction", correction)
-
-    @classmethod
-    def build(
-        cls,
-        tables: SphereTables,
-        sp: ProjSpace,
-        m: int,
-        lift: SphereClass,
-        correction: Optional[GroupElement] = None,
-    ) -> "MapClass":
-        if not decompose_valid(tables, sp, m):
-            raise FgAbError(
-                f"the lift/correction decomposition is not valid for {sp} at "
-                f"m={m}: n' = 1 and pi_{m - 1}(S^{sp.d - 1}) != 0"
-            )
-        if correction is not None:
-            cg = correction_group(tables, sp, m)
-            if correction.group != cg:
-                raise FgAbError("correction lies in the wrong group")
-        return cls(sp, m, lift, correction)
-
-    @property
-    def correction_is_zero(self) -> bool:
-        return self.correction is None or self.correction.is_zero
-
-    def __str__(self) -> str:
-        base = f"lift {self.lift}"
-        if not self.correction_is_zero:
-            base += f", correction {self.correction}"
-        return base

@@ -119,11 +119,6 @@ class KVector(_Value):
         )
 
 
-def kvector(field_tag, entries) -> KVector:
-    field = parse_field(field_tag)
-    return KVector(field, tuple(scalar(field, *e) for e in entries))
-
-
 def selfmap_s(x: KVector) -> KVector:
     """The pairwise rotation (x1, x2; ...) -> (-conj(x2), conj(x1); ...).
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .fgab import FgAbGroup, GroupElement, _Value
+from .fgab import GroupElement, _Value
 from .tables import OutOfTabulatedRange, StemEntry, TableSet, UnregisteredName
 
 # Registry entries beyond the raw stem generators: (degree, coefficients).
@@ -89,14 +89,8 @@ class StableRing:
             raise OutOfTabulatedRange(f"pi_{k}^S is not tabulated")
         return stem
 
-    def group(self, k: int) -> FgAbGroup:
-        return self.stem(k).group
-
     def element(self, k: int, coeffs) -> StableElement:
         return StableElement(k, self.stem(k).group.element(coeffs))
-
-    def zero(self, k: int) -> StableElement:
-        return StableElement(k, self.stem(k).group.zero())
 
     def _derived(self, name: str) -> Optional[tuple[int, tuple[int, ...]]]:
         """(degree, coefficients) of a derived class whose stem is tabulated

@@ -96,6 +96,13 @@ class TestNielsen:
         )
         assert code == 2 and "unknown name" in err
 
+    @pytest.mark.parametrize("f1,lift", [("2*3", "(6)"), ("2*-1", "(-2)"), ("-3", "(-3)")])
+    def test_integer_atom(self, capsys, f1, lift):
+        # ATOM := INT, so INT '*' INT is a multiple of iota where m = q.
+        code, out, _ = run(capsys, *_nielsen_cp1(f1))
+        assert code == 0
+        assert out.startswith(f"target CP(1), m = 3, inputs: lift1 = {lift}, lift2 = (0) ")
+
     def test_generator_fault_is_not_an_unknown_name(self, monkeypatch):
         def broken(self, m, q, name):
             raise TypeError("broken generator")
@@ -162,6 +169,10 @@ def _nielsen_rp2(f1):
     return ["nielsen", "--field", "R", "--nprime", "2", "--m", "3", "--f1", f1, "--f2", "zero"]
 
 
+def _nielsen_cp1(f1):
+    return ["nielsen", "--field", "C", "--nprime", "1", "--m", "3", "--f1", f1, "--f2", "zero"]
+
+
 def _without_eta(text):
     """The table with the stem generator eta renamed in its gen and prod
     lines: it still parses, but no stable class is called eta."""
@@ -193,6 +204,10 @@ class TestExitContract:
               "--f1", "susp(whitehead(5),\u0662)", "--f2", "zero"],
              "cannot read expression at position 18: '\u0662)'"),
             (_nielsen_rp2("\u0663*eta"), "cannot read expression at position 0: '\u0663*eta'"),
+            (_nielsen_cp1("susp(x, 1, 2)"), "input error: susp(EXPR, k) needs a positive integer k\n"),
+            (_nielsen_cp1("2**eta_2"), "unknown name '*' at position 2"),
+            (_nielsen_rp2("2*3"), "bare integer at position 2 is a degree and needs m = q; "
+                                  "context is pi_3(S^2)\n"),
             (["wecken", "--field", "R", "--nprime", "2", "--m", "-5"], "m must be >= 1"),
             (["verify-s", "--field", "C", "--samples", "0"], "--samples must be >= 1"),
             (["verify-s", "--field", "R", "--samples", "-3"], "--samples must be >= 1"),
@@ -207,6 +222,7 @@ class TestExitContract:
         ],
         ids=["whitehead-unregistered", "whitehead-not-int", "whitehead-open",
              "whitehead-arabic-indic-digit", "susp-arabic-indic-count", "arabic-indic-multiple",
+             "susp-two-counts", "multiple-of-a-star", "integer-off-the-diagonal",
              "wecken-negative-m", "verify-s-no-samples", "verify-s-negative-samples",
              "verify-s-negative-nprime", "verify-s-zero-nprime", "verify-s-negative-even-nprime",
              "verify-s-H-zero-nprime", "verify-s-H-negative-nprime"],

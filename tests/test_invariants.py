@@ -261,28 +261,14 @@ class TestProjectiveReports:
         with pytest.raises(FgAbError):
             projective_report(tables, space("R", 2), 1, None, None)
 
-    def test_mapclass_inputs_agree_with_raw_lifts(self, tables):
-        from coincalc.projective import MapClass
-
-        sp = space("R", 2)
-        h = tables.named("hopfC")
-        mc1 = MapClass.build(tables, sp, 3, h)
-        mc2 = MapClass.build(tables, sp, 3, tables.zero(3, 2))
-        via_mapclass = projective_report(tables, sp, 3, mc1, mc2)
-        via_lifts = projective_report(tables, sp, 3, h, tables.zero(3, 2))
-        assert via_mapclass.values() == via_lifts.values()
-
-    def test_correction_classes_never_change_the_numbers(self, tables):
-        from coincalc.projective import MapClass, correction_group
-
-        sp = space("H", 2)  # q = 11; corrections live in pi_6(S^3) = Z_12
-        corr = correction_group(tables, sp, 7).element([5])
-        with_corr = MapClass.build(tables, sp, 7, tables.zero(7, 11), corr)
-        plain = MapClass.build(tables, sp, 7, tables.zero(7, 11))
-        a = projective_report(tables, sp, 7, with_corr, plain, assume_self_loose=True)
-        b = projective_report(tables, sp, 7, plain, plain, assume_self_loose=True)
-        assert a.values() == b.values()
-        assert any("correction" in note for note in a.hypothesis_notes)
+    def test_inputs_must_be_lifts_in_pi_m_of_s_q(self, tables):
+        sp = space("R", 2)  # q = 2
+        hopf = tables.named("hopfC")
+        for bad in (tables.zero(4, 2), tables.zero(3, 3), hopf.value, 1):
+            with pytest.raises(FgAbError):
+                projective_report(tables, sp, 3, bad, hopf)
+            with pytest.raises(FgAbError):
+                projective_report(tables, sp, 3, hopf, bad)
 
 
 class TestEquivalenceScan:

@@ -6,7 +6,6 @@ import pytest
 
 from coincalc.fgab import FgAbError
 from coincalc.projective import (
-    MapClass,
     correction_group,
     decompose_valid,
     parse_field,
@@ -80,20 +79,3 @@ class TestDecomposition:
         assert correction_group(tables, space("C", 2), 2).free_rank == 1
         assert str(correction_group(tables, space("H", 2), 7)) == "Z_12"
 
-    def test_mapclass_build(self, tables):
-        sp = space("R", 2)
-        mc = MapClass.build(tables, sp, 3, tables.named("hopfC"))
-        assert mc.correction_is_zero
-        with pytest.raises(FgAbError):
-            MapClass.build(tables, space("H", 1), 7, tables.zero(7, 7))
-
-    def test_mapclass_lift_group_checked(self, tables):
-        sp = space("R", 2)
-        with pytest.raises(FgAbError):
-            MapClass.build(tables, sp, 3, tables.zero(4, 2))
-
-    def test_mapclass_correction_checked(self, tables):
-        sp = space("H", 2)
-        corr = correction_group(tables, sp, 7).element([1])
-        mc = MapClass.build(tables, sp, 7, tables.zero(7, 11), corr)
-        assert not mc.correction_is_zero

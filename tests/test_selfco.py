@@ -6,9 +6,9 @@ import pytest
 
 from coincalc.projective import parse_field
 from coincalc.selfco import (
+    KVector,
     Verdict,
     fiber_projection_self_loose,
-    kvector,
     line_coefficient,
     quaternion_counterexample,
     residual_not_parallel,
@@ -27,6 +27,12 @@ ONE = scalar(H, 1, 0, 0, 0)
 I = scalar(H, 0, 1, 0, 0)
 J = scalar(H, 0, 0, 1, 0)
 K = scalar(H, 0, 0, 0, 1)
+
+
+def kvector(field_tag, entries):
+    """The vector over the named field with these scalar component tuples."""
+    field = parse_field(field_tag)
+    return KVector(field, tuple(scalar(field, *e) for e in entries))
 
 
 class TestQuaternions:

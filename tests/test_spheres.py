@@ -120,7 +120,7 @@ class TestGamma:
     @staticmethod
     def target_shape(tables, m, q):
         entry = tables.lookup(m, q)
-        return [str(tables.ring.group(entry.gamma_degree(k))) for k in range(1, entry.k_max + 1)]
+        return [str(tables.ring.stem(entry.gamma_degree(k)).group) for k in range(1, entry.k_max + 1)]
 
     def test_target_shape_at_9_2(self, tables):
         assert self.target_shape(tables, 9, 2) == [
