@@ -10,12 +10,14 @@
 GEN is a generator name of the context entry pi_m(S^q); a bare INT is the
 corresponding multiple of iota and only makes sense when m = q.  Named
 classes must land in the context entry; susp(EXPR, k) evaluates EXPR in
-pi_{m-k}(S^{q-k}) and suspends k times (k defaults to 1).
+pi_{m-k}(S^{q-k}) and suspends k times (k defaults to 1).  The q of
+whitehead(q) is written without a leading zero, as in the table's names.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Optional
 
 from .spheres import SphereClass, SphereTables, Unknown
 from .tables import SchemaError
@@ -46,19 +48,27 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 class _Parser:
-    def __init__(self, tables: SphereTables, tokens: list[tuple[str, int]]):
+    """Reads tokens[start:end]; the token at end, if any, closes a susp(...)
+    argument and is where a short argument is reported."""
+
+    def __init__(self, tables: SphereTables, tokens: list[tuple[str, int]],
+                 start: int = 0, end: Optional[int] = None):
         self.tables = tables
         self.tokens = tokens
-        self.index = 0
+        self.index = start
+        self.end = len(tokens) if end is None else end
 
     def peek(self, ahead: int = 0):
         at = self.index + ahead
-        return self.tokens[at][0] if at < len(self.tokens) else None
+        return self.tokens[at][0] if at < self.end else None
 
     def take(self, expected=None):
-        if self.index >= len(self.tokens):
+        if self.index >= self.end:
             wanted = "" if expected is None else f", wanted {expected!r}"
-            raise ExprError(f"unexpected end of expression{wanted}")
+            if self.end == len(self.tokens):
+                raise ExprError(f"unexpected end of expression{wanted}")
+            tok, pos = self.tokens[self.end]
+            raise ExprError(f"unexpected {tok!r} at position {pos}{wanted}")
         tok, pos = self.tokens[self.index]
         if expected is not None and tok != expected:
             raise ExprError(f"expected {expected!r} at position {pos}, got {tok!r}")
@@ -81,7 +91,7 @@ class _Parser:
         return self.atom(m, q)
 
     def _susp(self, m: int, q: int) -> SphereClass:
-        self.take("(")
+        _tok, open_at = self.take("(")
         # Find the matching ")" and a possible top-level ", k" to learn the
         # suspension depth before parsing the inner expression.
         depth = 1
@@ -99,18 +109,21 @@ class _Parser:
             elif tok == "," and depth == 1 and comma_at is None:
                 comma_at = j
         if close_at is None:
-            raise ExprError("unbalanced parentheses in susp(...)")
+            raise ExprError(f"unbalanced parentheses: '(' at position {open_at} is never closed")
         times = 1
         inner_end = close_at
         if comma_at is not None:
             count_tokens = self.tokens[comma_at + 1 : close_at]
-            if len(count_tokens) != 1 or not count_tokens[0][0].isdigit():
+            if len(count_tokens) != 1:
                 raise ExprError("susp(EXPR, k) needs a positive integer k")
-            times = int(count_tokens[0][0])
-            if times < 1:
-                raise ExprError("susp count must be >= 1")
+            count, pos = count_tokens[0]
+            if not count.isdigit() or int(count) < 1:
+                raise ExprError(
+                    f"susp(EXPR, k) needs a positive integer k, got {count!r} at position {pos}"
+                )
+            times = int(count)
             inner_end = comma_at
-        inner = _Parser(self.tables, self.tokens[self.index : inner_end])
+        inner = _Parser(self.tables, self.tokens, self.index, inner_end)
         cls = inner.expr(m - times, q - times)
         if inner.peek() is not None:
             tok, pos = inner.tokens[inner.index]
@@ -146,7 +159,12 @@ class _Parser:
                 raise ExprError(
                     f"whitehead(q) needs an integer q, got {qq!r} at position {qpos}"
                 )
-            if f"whitehead{int(qq)}" not in self.tables.raw.named:
+            if str(int(qq)) != qq:
+                # As in the table's whitehead<q> names: one spelling per q.
+                raise ExprError(
+                    f"whitehead(q) needs q without a leading zero, got {qq!r} at position {qpos}"
+                )
+            if f"whitehead{qq}" not in self.tables.raw.named:
                 raise ExprError(
                     f"whitehead({qq}) at position {pos} is not registered; named "
                     f"classes are {sorted(self.tables.raw.named)}"
@@ -154,6 +172,10 @@ class _Parser:
             return self._fit(self.tables.whitehead(int(qq)), m, q, f"whitehead({qq})", pos)
         if tok == "susp":
             return self._susp(m, q)
+        if tok == "(":
+            raise ExprError(
+                f"unexpected '(' at position {pos}: parentheses only follow susp and whitehead"
+            )
         if tok in self.tables.raw.named:
             return self._fit(self.tables.named(tok), m, q, tok, pos)
         try:

@@ -58,8 +58,12 @@ class InvariantValue(_Value):
         return {FINITE: str(self.value), INFINITE_KIND: "inf"}.get(self.kind, "?")
 
 
+# The values are frozen, so the small ones every report uses are shared.
+_SMALL = tuple(InvariantValue(FINITE, k) for k in range(3))
+
+
 def fin(k: int) -> InvariantValue:
-    return InvariantValue(FINITE, k)
+    return _SMALL[k] if 0 <= k < 3 else InvariantValue(FINITE, k)
 
 
 INF = InvariantValue(INFINITE_KIND)

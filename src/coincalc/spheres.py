@@ -18,6 +18,7 @@ from .fgab import FgAbError, GroupElement, Subgroup, _Value, kernel_into_coords
 from .stable import StableElement, StableRing, Unknown
 from .tables import (
     OutOfTabulatedRange,
+    SchemaError,
     SphereEntry,
     TableError,
     TableSet,
@@ -144,22 +145,33 @@ ChainEntry = Union[tuple[Chain, ChainTexts], Unknown]
 class SphereTables:
     """The full query interface over one loaded TableSet.
 
-    The table is never changed after construction, so kernel chains, and
-    the texts of their subgroups, are computed once per (m, q, field) and
-    kept on the instance.
+    The table is never changed after construction, so each looked-up entry,
+    each suspension image per (m, q), and each kernel chain with the texts
+    of its subgroups per (m, q, field) is computed once and kept on the
+    instance.
     """
 
     def __init__(self, tables: TableSet):
         self.raw = tables
         self.ring = StableRing(tables)
+        # Each memo holds only what was asked for: at most one value per
+        # resolved (m, q), times 3 fields for the chains.
+        # (m, q) -> its entry; an untabulated (m, q) raises and is not kept.
+        self._entries: dict[tuple[int, int], SphereEntry] = {}
+        # (m, q) -> (Im E from the known susp columns of pi_{m-1}(S^{q-1}),
+        # whether every column was known), or None if the source is untabulated.
+        self._susp_images: dict[tuple[int, int], Optional[tuple[Subgroup, bool]]] = {}
         # (m, q, field_tag) -> the chain and the text of each subgroup in it,
-        # or its Unknown; bounded by the tabulated (m, q) times 3 fields.
+        # or its Unknown.
         self._chains: dict[tuple[int, int, str], ChainEntry] = {}
 
     # ------------------------------------------------------------- lookup
 
     def lookup(self, m: int, q: int) -> SphereEntry:
-        return resolve_entry(self.raw, m, q)
+        entry = self._entries.get((m, q))
+        if entry is None:
+            entry = self._entries[m, q] = resolve_entry(self.raw, m, q)
+        return entry
 
     def cls(self, m: int, q: int, coeffs) -> SphereClass:
         entry = self.lookup(m, q)
@@ -287,16 +299,29 @@ class SphereTables:
             raise FgAbError("class does not live in the stated group")
         if x.is_zero:
             return Membership.YES
+        key = (m, q)
+        if key not in self._susp_images:
+            self._susp_images[key] = self._suspension_image(m, q)
+        image = self._susp_images[key]
+        if image is None:
+            return Membership.UNKNOWN
+        subgroup, complete = image
+        if subgroup.contains(x.value):
+            return Membership.YES
+        return Membership.NO if complete else Membership.UNKNOWN
+
+    def _suspension_image(self, m: int, q: int) -> Optional[tuple[Subgroup, bool]]:
+        """(the subgroup of pi_m(S^q) the known susp columns of pi_{m-1}(S^{q-1})
+        generate, whether every column is known), or None if that source is
+        not tabulated."""
         try:
             source = self.lookup(m - 1, q - 1)
         except OutOfTabulatedRange:
-            return Membership.UNKNOWN
-        target = x.value.group
+            return None
+        target = self.lookup(m, q).group
         columns = [self._column(source, i, "susp") for i in range(source.group.rank)]
         known = [target.element(c) for c in columns if not isinstance(c, Unknown)]
-        if Subgroup(target, tuple(known)).contains(x.value):
-            return Membership.YES
-        return Membership.NO if len(known) == len(columns) else Membership.UNKNOWN
+        return Subgroup(target, tuple(known)), len(known) == len(columns)
 
     # ------------------------------------------------------- kernel chain
 
@@ -305,9 +330,10 @@ class SphereTables:
         Unknown of the first Gamma stem, annotation, Hopf class or product the
         tables lack.
 
-        Ker Gamma <= Ker(h_K . E^inf) is checked; the other inclusions hold
-        by construction, since each kernel is a subgroup of the whole group.
-        Each answer, a gap included, is computed once.
+        Ker Gamma <= Ker(h_K . E^inf) is checked, and a table that breaks it
+        raises SchemaError; the other inclusions hold by construction, since
+        each kernel is a subgroup of the whole group.  Each answer, a gap
+        included, is computed once.
         """
         entry = self._chain_entry(m, q, field_tag)
         return entry if isinstance(entry, Unknown) else entry[0]
@@ -368,9 +394,12 @@ class SphereTables:
         ker_hopf = kernel_into_coords(group, list(zip(*products)), target.coord_orders())
 
         if not ker_hopf.contains_subgroup(ker_gamma):
-            raise FgAbError(
-                f"kernel chain broken for pi_{m}(S^{q}), K={field_tag}: "
-                f"Ker Gamma is not contained in Ker(h_K . E^inf)"
+            # The table's rows are inconsistent, a data fault; the raise is
+            # not kept, so each ask raises again.
+            raise SchemaError(
+                f"kernel chain broken for K={field_tag}: "
+                f"Ker Gamma is not contained in Ker(h_K . E^inf)",
+                f"pi_{m}(S^{q})",
             )
         return ker_gamma, ker_hopf, whole
 

@@ -15,6 +15,7 @@ from coincalc import OutOfTabulatedRange, SphereTables, load_default_tables, spa
 from coincalc import cli, selfco
 from coincalc.cli import main
 from coincalc.exprs import parse_class
+from coincalc.tables import SchemaError, parse_tables
 
 
 def run(capsys, *argv):
@@ -206,6 +207,14 @@ class TestExitContract:
             (_nielsen_rp2("\u0663*eta"), "cannot read expression at position 0: '\u0663*eta'"),
             (_nielsen_cp1("susp(x, 1, 2)"), "input error: susp(EXPR, k) needs a positive integer k\n"),
             (_nielsen_cp1("2**eta_2"), "unknown name '*' at position 2"),
+            (_nielsen_rp2("susp(,1)"), "input error: unexpected ',' at position 5\n"),
+            (_nielsen_rp2("(eta_2)"), "input error: unexpected '(' at position 0: "),
+            (_nielsen_rp2("susp(zero,0)"), "input error: susp(EXPR, k) needs a positive "
+                                           "integer k, got '0' at position 10\n"),
+            (_nielsen_rp2("susp(susp(zero,1)"), "input error: unbalanced parentheses: '(' at "
+                                                "position 4 is never closed\n"),
+            (_nielsen_rp2("whitehead(02)"), "input error: whitehead(q) needs q without a "
+                                            "leading zero, got '02' at position 10\n"),
             (_nielsen_rp2("2*3"), "bare integer at position 2 is a degree and needs m = q; "
                                   "context is pi_3(S^2)\n"),
             (["wecken", "--field", "R", "--nprime", "2", "--m", "-5"], "m must be >= 1"),
@@ -222,7 +231,8 @@ class TestExitContract:
         ],
         ids=["whitehead-unregistered", "whitehead-not-int", "whitehead-open",
              "whitehead-arabic-indic-digit", "susp-arabic-indic-count", "arabic-indic-multiple",
-             "susp-two-counts", "multiple-of-a-star", "integer-off-the-diagonal",
+             "susp-two-counts", "multiple-of-a-star", "susp-empty-argument", "parenthesis",
+             "susp-zero-count", "susp-unclosed", "whitehead-leading-zero", "integer-off-the-diagonal",
              "wecken-negative-m", "verify-s-no-samples", "verify-s-negative-samples",
              "verify-s-negative-nprime", "verify-s-zero-nprime", "verify-s-negative-even-nprime",
              "verify-s-H-zero-nprime", "verify-s-H-negative-nprime"],
@@ -255,6 +265,31 @@ class TestExitContract:
         assert (code, out) == (3, "")
         assert err.startswith("data error: ") and reason in err
         assert err.count("\n") == 1
+
+    def test_broken_kernel_chain_exits_3(self, capsys, tmp_path, table_text):
+        # Both rows pass validate-data, yet together Ker Gamma of pi_5(S^3)
+        # no longer lies in Ker(h_C . E^inf): a fault of the table, not of
+        # the arguments.
+        edited = table_text
+        for row, bad in (("group 5 3 0 2\n", "group 5 3 0 4\n"),
+                         ("prod eta eta2 -> 3 12\n", "prod eta eta2 -> 3 1\n")):
+            assert edited.count(row) == 1
+            edited = edited.replace(row, bad)
+        path = tmp_path / "broken.txt"
+        path.write_text(edited)
+        code, out, _err = run(capsys, "--tables", str(path), "validate-data")
+        assert (code, out) == (0, "dataset consistent: 0 violations\n")
+        argv = ["--tables", str(path), "compare", "--surface", "CP1", "--m-range", "2..6"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        message = "kernel chain broken for K=C: Ker Gamma is not contained in Ker(h_K . E^inf)"
+        assert err == f"data error: pi_5(S^3): {message}\n"
+        # The fault is raised again on the next ask, never kept as an answer.
+        tables = SphereTables(parse_tables(edited))
+        for _ in range(2):
+            with pytest.raises(SchemaError, match=re.escape(message)) as caught:
+                tables.kernel_chain(5, 3, "C")
+            assert caught.value.path == "pi_5(S^3)"
 
     def test_missing_hopf_class_makes_compare_unknown(self, capsys, tmp_path, table_text):
         # Without eta, h_C . E^inf cannot be formed: CP1 scan rows that need

@@ -23,7 +23,7 @@ from coincalc.invariants import (
 from coincalc.projective import decompose_valid, space
 from coincalc.selfco import Verdict, fiber_projection_self_loose, self_loose
 from coincalc.spheres import SphereClass, SphereTables
-from coincalc.tables import OutOfTabulatedRange, parse_tables
+from coincalc.tables import OutOfTabulatedRange, TableError, parse_tables
 
 
 def kernel_chain_cases(tables):
@@ -402,6 +402,62 @@ def test_unknown_reason_for_each_dropped_line(table_text, kind):
     gapped = SphereTables(parse_tables(table_text.replace(kept, dropped)))
     for probe, reason in probes:
         assert probe(gapped) == reason
+
+
+def _answer(ask):
+    """A report's dict, or the type and text of what asking raised."""
+    try:
+        return ask().to_dict()
+    except (FgAbError, TableError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("gap", [None, "susp"])
+def test_kept_lookups_and_images_answer_as_fresh_tables(table_text, gap):
+    # One long-lived SphereTables keeps entries, suspension images and
+    # chains across queries; a fresh instance per query keeps nothing.  Over
+    # the survey range (R n' <= 12, C n' <= 6, H n' <= 4, m <= 21) both give
+    # the same values and derivation lines for every pair of a few classes
+    # (zero, each generator, the sum of all and its double).  Both tables
+    # reach Membership.UNKNOWN, the one without the susp row of eta_2 also
+    # from pi_3(S^2).
+    text = table_text if gap is None else table_text.replace(*_GAPS[gap][:2])
+    raw = parse_tables(text)
+    kept = SphereTables(raw)
+    sphere_groups = set()
+    asked = untabulated = 0
+    derivations = []
+    for tag, top in (("R", 12), ("C", 6), ("H", 4)):
+        for n_prime in range(1, top + 1):
+            sp = space(tag, n_prime)
+            q = sp.q
+            for m in range(2, 22):
+                try:
+                    rank = kept.lookup(m, q).group.rank
+                except OutOfTabulatedRange:
+                    with pytest.raises(OutOfTabulatedRange):
+                        kept.lookup(m, q)  # raised again, never kept
+                    untabulated += 1
+                    continue
+                units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+                vectors = [(0,) * rank, *units, (1,) * rank, (2,) * rank]
+                ask_sphere = (m, q) not in sphere_groups
+                sphere_groups.add((m, q))
+                for c1, c2 in itertools.product(vectors, repeat=2):
+                    asks = [lambda ts: projective_report(
+                        ts, sp, m, ts.cls(m, q, c1), ts.cls(m, q, c2), assume_self_loose=True)]
+                    if ask_sphere:
+                        asks.append(lambda ts: sphere_report(
+                            ts, m, q, ts.cls(m, q, c1), ts.cls(m, q, c2)))
+                    for ask in asks:
+                        answer = _answer(lambda: ask(kept))
+                        assert answer == _answer(lambda: ask(SphereTables(raw))), (sp, m, c1, c2)
+                        if isinstance(answer, dict):
+                            derivations += answer["derivation"]
+                        asked += 1
+    assert untabulated > 200 and asked > 3000
+    assert "delta in E(pi_8(S^4))? unknown" in derivations
+    assert ("delta in E(pi_3(S^2))? unknown" in derivations) == (gap == "susp")
 
 
 class TestChainCheck:
