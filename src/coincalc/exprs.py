@@ -66,7 +66,8 @@ class _Parser:
         if self.index >= self.end:
             wanted = "" if expected is None else f", wanted {expected!r}"
             if self.end == len(self.tokens):
-                raise ExprError(f"unexpected end of expression{wanted}")
+                tok, pos = self.tokens[-1] if self.tokens else ("", 0)
+                raise ExprError(f"unexpected end of expression at position {pos + len(tok)}{wanted}")
             tok, pos = self.tokens[self.end]
             raise ExprError(f"unexpected {tok!r} at position {pos}{wanted}")
         tok, pos = self.tokens[self.index]
@@ -113,13 +114,13 @@ class _Parser:
         times = 1
         inner_end = close_at
         if comma_at is not None:
-            count_tokens = self.tokens[comma_at + 1 : close_at]
-            if len(count_tokens) != 1:
-                raise ExprError("susp(EXPR, k) needs a positive integer k")
-            count, pos = count_tokens[0]
-            if not count.isdigit() or int(count) < 1:
+            k_tokens = self.tokens[comma_at + 1 : close_at + 1]  # k, then the ")"
+            count = k_tokens[0][0]
+            ok = count.isdigit() and int(count) >= 1
+            if not ok or len(k_tokens) != 2:
+                tok, pos = k_tokens[1 if ok else 0]  # a bad or missing k, or a second token
                 raise ExprError(
-                    f"susp(EXPR, k) needs a positive integer k, got {count!r} at position {pos}"
+                    f"susp(EXPR, k) needs a positive integer k, got {tok!r} at position {pos}"
                 )
             times = int(count)
             inner_end = comma_at
@@ -172,10 +173,9 @@ class _Parser:
             return self._fit(self.tables.whitehead(int(qq)), m, q, f"whitehead({qq})", pos)
         if tok == "susp":
             return self._susp(m, q)
-        if tok == "(":
-            raise ExprError(
-                f"unexpected '(' at position {pos}: parentheses only follow susp and whitehead"
-            )
+        if tok in "()*,+":
+            hint = ": parentheses only follow susp and whitehead" if tok == "(" else ""
+            raise ExprError(f"unexpected {tok!r} at position {pos}{hint}")
         if tok in self.tables.raw.named:
             return self._fit(self.tables.named(tok), m, q, tok, pos)
         try:

@@ -5,9 +5,9 @@ same ladder of vanishing criteria on a difference class (the class itself,
 its total Hopf-James invariant, the Hopf-multiplied stable image, and the
 top-degree obstruction), each worth 0 or a weight: 1 on a sphere, the full
 Reidemeister number on KP(n'), where the difference is of lifts.  Every report
-carries its derivation; projective_report enforces the {0, R} dichotomy.
-The tests, not the reports, run chain_check on the monotone chain
-MC >= MCC >= N# >= N~ >= N >= NZ >= 0.
+carries its derivation.  The tests, not the reports, run dichotomy_check on
+the {0, R} dichotomy, which projective_report meets by construction, and
+chain_check on the monotone chain MC >= MCC >= N# >= N~ >= N >= NZ >= 0.
 """
 
 from __future__ import annotations
@@ -408,13 +408,9 @@ def projective_report(
     else:
         mc = unk("MC is determined by these tables only for sphere targets")
 
-    rep = Report(
+    return Report(
         sp.name, m, sp.n, inputs, r, mc, mcc, mcc, n_tilde, n_plain, n_z, notes, deriv
     )
-    bad = dichotomy_check(rep, r_n)
-    if bad:
-        raise FgAbError("dichotomy violated: " + "; ".join(bad))
-    return rep
 
 
 # ----------------------------------------------------------- equivalence scan
@@ -466,8 +462,10 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
     """Decide N# == N~, N~ == N, N == 0 and N == NZ across all pairs at m.
 
     Reduces to kernel comparisons in the chain 0 <= Ker Gamma <=
-    Ker(h_K . E^inf) <= pi_m(S^q) whenever the lift criteria apply; a gap
-    in the table data makes every verdict unknown.
+    Ker(h_K . E^inf) <= pi_m(S^q) whenever the lift criteria apply: N# == N~
+    reads Ker Gamma, N == 0 and (off the top degree) N == NZ read
+    Ker(h_K . E^inf), and N~ == N reads both.  A gap in the table data makes
+    unknown only the relations whose kernel it blocks.
     """
     if m < 1:
         raise FgAbError("m >= 1 required")
@@ -486,39 +484,37 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
 
     hypothesis_fail = None
     if not decompose_valid(tables, sp, m):
-        hypothesis_fail = (
-            f"lift decomposition invalid for {sp} at m = {m}"
-        )
+        hypothesis_fail = f"lift decomposition invalid for {sp} at m = {m}"
     else:
         loose = self_loose(sp.field.tag, m, sp.n_prime)
         if loose.verdict is not Verdict.LOOSE:
             hypothesis_fail = f"self-coincidence looseness not established: {loose.reason}"
-        else:
-            chain = tables.kernel_chain(m, sp.q, sp.field.tag)
-            if isinstance(chain, Unknown):
-                hypothesis_fail = chain.reason  # a gap in the table data
-            else:
-                ker_gamma, ker_hopf, _whole = chain
-                gamma_str, hopf_str, whole_str = tables.kernel_chain_texts(m, sp.q, sp.field.tag)
     if hypothesis_fail:
         v = {k: (ScanVerdict.UNKNOWN, hypothesis_fail) for k in SCAN_KEYS}
         return ScanResult(sp.name, m, sp.n, v, None)
 
-    a_eq = ker_gamma.is_trivial
-    b_eq = ker_gamma == ker_hopf
-    c_eq = ker_hopf.is_whole()
-    gamma_text, hopf_text = f"Ker Gamma = {gamma_str}", f"Ker(h . E^inf) = {hopf_str}"
-    verdicts = {
-        "nsharp_eq_ntilde": (ScanVerdict.HOLDS if a_eq else ScanVerdict.FAILS, gamma_text),
-        "ntilde_eq_n": (
-            ScanVerdict.HOLDS if b_eq else ScanVerdict.FAILS,
-            f"{gamma_text} vs {hopf_text}",
-        ),
-        "n_eq_zero": (
-            ScanVerdict.HOLDS if c_eq else ScanVerdict.FAILS,
-            f"{hopf_text} vs whole = {whole_str}",
-        ),
-    }
+    # Each relation reads only the kernels it needs; N~ == N, which needs
+    # both, gives Gamma's gap first.
+    ker_gamma, ker_hopf, _whole = tables.kernel_chain(m, sp.q, sp.field.tag)
+    gamma_str, hopf_str, whole_str = tables.kernel_chain_texts(m, sp.q, sp.field.tag)
+    if isinstance(ker_hopf, Unknown):
+        n_zero = n_nz = b_eq = (ScanVerdict.UNKNOWN, ker_hopf.reason)
+    else:
+        hopf_text = f"Ker(h . E^inf) = {hopf_str}"
+        c_eq = ScanVerdict.HOLDS if ker_hopf.is_whole() else ScanVerdict.FAILS
+        n_zero = (c_eq, f"{hopf_text} vs whole = {whole_str}")
+        n_nz = (c_eq, "m != n: NZ vanishes identically, so N == NZ iff N == 0")
+    if isinstance(ker_gamma, Unknown):
+        a_eq = b_eq = (ScanVerdict.UNKNOWN, ker_gamma.reason)
+    else:
+        gamma_text = f"Ker Gamma = {gamma_str}"
+        a_eq = (ScanVerdict.HOLDS if ker_gamma.is_trivial else ScanVerdict.FAILS, gamma_text)
+        if not isinstance(ker_hopf, Unknown):
+            b_eq = (
+                ScanVerdict.HOLDS if ker_gamma == ker_hopf else ScanVerdict.FAILS,
+                f"{gamma_text} vs {hopf_text}",
+            )
+    verdicts = {"nsharp_eq_ntilde": a_eq, "ntilde_eq_n": b_eq, "n_eq_zero": n_zero}
     if m == sp.n:
         verdicts["n_eq_nz"] = (
             ScanVerdict.HOLDS,
@@ -526,10 +522,7 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
         )
         nz_vanishes = tables.lookup(m, sp.q).group.is_trivial
     else:
-        verdicts["n_eq_nz"] = (
-            ScanVerdict.HOLDS if c_eq else ScanVerdict.FAILS,
-            "m != n: NZ vanishes identically, so N == NZ iff N == 0",
-        )
+        verdicts["n_eq_nz"] = n_nz
         nz_vanishes = True
     return ScanResult(sp.name, m, sp.n, verdicts, nz_vanishes)
 

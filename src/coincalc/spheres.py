@@ -137,9 +137,9 @@ class ValidationReport(_Value, frozen=False):
         return "\n".join(lines)
 
 
-Chain = tuple[Subgroup, Subgroup, Subgroup]
+Kernel = Union[Subgroup, Unknown]
+Chain = tuple[Kernel, Kernel, Subgroup]
 ChainTexts = tuple[str, str, str]
-ChainEntry = Union[tuple[Chain, ChainTexts], Unknown]
 
 
 class SphereTables:
@@ -161,9 +161,8 @@ class SphereTables:
         # (m, q) -> (Im E from the known susp columns of pi_{m-1}(S^{q-1}),
         # whether every column was known), or None if the source is untabulated.
         self._susp_images: dict[tuple[int, int], Optional[tuple[Subgroup, bool]]] = {}
-        # (m, q, field_tag) -> the chain and the text of each subgroup in it,
-        # or its Unknown.
-        self._chains: dict[tuple[int, int, str], ChainEntry] = {}
+        # (m, q, field_tag) -> the chain and the text of each member of it.
+        self._chains: dict[tuple[int, int, str], tuple[Chain, ChainTexts]] = {}
 
     # ------------------------------------------------------------- lookup
 
@@ -325,38 +324,42 @@ class SphereTables:
 
     # ------------------------------------------------------- kernel chain
 
-    def kernel_chain(self, m: int, q: int, field_tag: str) -> Union[Chain, Unknown]:
-        """(Ker Gamma, Ker(h_K . E^inf), whole group) for pi_m(S^q), or the
-        Unknown of the first Gamma stem, annotation, Hopf class or product the
-        tables lack.
+    def kernel_chain(self, m: int, q: int, field_tag: str) -> Chain:
+        """(Ker Gamma, Ker(h_K . E^inf), whole group) for pi_m(S^q), each kernel
+        a Subgroup or the Unknown of its own first gap, so a gap in one leaves
+        the other known.  When both are known, a table that breaks Ker Gamma <=
+        Ker(h_K . E^inf) raises SchemaError.  Each answer is computed once."""
+        return self._chain_entry(m, q, field_tag)[0]
 
-        Ker Gamma <= Ker(h_K . E^inf) is checked, and a table that breaks it
-        raises SchemaError; the other inclusions hold by construction, since
-        each kernel is a subgroup of the whole group.  Each answer, a gap
-        included, is computed once.
-        """
-        entry = self._chain_entry(m, q, field_tag)
-        return entry if isinstance(entry, Unknown) else entry[0]
+    def kernel_chain_texts(self, m: int, q: int, field_tag: str) -> ChainTexts:
+        """str() of each member of kernel_chain(m, q, field_tag), formatted once
+        when the chain is built and kept with it."""
+        return self._chain_entry(m, q, field_tag)[1]
 
-    def kernel_chain_texts(self, m: int, q: int, field_tag: str) -> Union[ChainTexts, Unknown]:
-        """str() of each subgroup of kernel_chain(m, q, field_tag), formatted
-        once when the chain is built and kept with it."""
-        entry = self._chain_entry(m, q, field_tag)
-        return entry if isinstance(entry, Unknown) else entry[1]
-
-    def _chain_entry(self, m: int, q: int, field_tag: str) -> ChainEntry:
+    def _chain_entry(self, m: int, q: int, field_tag: str) -> tuple[Chain, ChainTexts]:
         key = (m, q, field_tag)
         entry = self._chains.get(key)
         if entry is None:
             chain = self._build_chain(m, q, field_tag)
-            entry = chain if isinstance(chain, Unknown) else (chain, tuple(map(str, chain)))
-            self._chains[key] = entry
+            entry = self._chains[key] = (chain, tuple(map(str, chain)))
         return entry
 
-    def _build_chain(self, m: int, q: int, field_tag: str) -> Union[Chain, Unknown]:
-        """The chain from the integer cores: generator i's Gamma columns are
-        _image of its unit vector, its h_K . E^inf column is ring.product of
-        its E^inf column; the first gap, in that order, is the answer."""
+    def _columns(self, entry: SphereEntry, units: list, k: int) -> Union[tuple, Unknown]:
+        """(the stem of Gamma component k, the _image column of each unit
+        vector), or the first generator's gap."""
+        columns = []
+        for unit in units:
+            image = self._image(entry, unit, k)
+            if isinstance(image, Unknown):
+                return image
+            columns.append(image[1])
+        return image[0], columns
+
+    def _build_chain(self, m: int, q: int, field_tag: str) -> Chain:
+        """The chain from the integer cores: Ker Gamma from the _columns of
+        k = 1..k_max (first gap: first k, then generator), Ker(h_K . E^inf)
+        from ring.product of each E^inf column (first gap: a missing E^inf
+        column, then the Hopf class, then a product)."""
         entry = self.lookup(m, q)
         group = entry.group
         whole = Subgroup.whole(group)
@@ -366,34 +369,38 @@ class SphereTables:
         units = [tuple(int(i == j) for j in range(group.rank)) for i in range(group.rank)]
         rows: list[tuple[int, ...]] = []  # one per coordinate of each Gamma component's stem
         orders: list[int] = []
+        stab = None
         for k in range(1, entry.k_max + 1):
-            columns = []
-            for unit in units:
-                image = self._image(entry, unit, k)
-                if isinstance(image, Unknown):
-                    return image
-                stem, column = image
-                columns.append(column)
+            block = self._columns(entry, units, k)
+            if isinstance(block, Unknown):
+                ker_gamma = block
+                break
+            stem, columns = block
             if k == 1:
                 stab = columns
             rows += zip(*columns)
             orders += stem.group.coord_orders()
-        ker_gamma = kernel_into_coords(group, rows, orders)
-
+        else:
+            ker_gamma = kernel_into_coords(group, rows, orders)
+        if stab is None:
+            return ker_gamma, ker_gamma, whole  # both kernels need every E^inf column
         try:
             hopf = self.ring.hopf_stable(field_tag)
         except UnregisteredName as exc:
-            return Unknown(str(exc))
-        products = []
-        for column in stab:
-            product = self.ring.product(hopf.degree, hopf.value.coeffs, m - q, column)
-            if isinstance(product, Unknown):
-                return product
-            products.append(product)
-        target = self.ring.stem(hopf.degree + m - q).group
-        ker_hopf = kernel_into_coords(group, list(zip(*products)), target.coord_orders())
-
-        if not ker_hopf.contains_subgroup(ker_gamma):
+            ker_hopf = Unknown(str(exc))
+        else:
+            products = []
+            for column in stab:
+                product = self.ring.product(hopf.degree, hopf.value.coeffs, m - q, column)
+                if isinstance(product, Unknown):
+                    ker_hopf = product
+                    break
+                products.append(product)
+            else:
+                target = self.ring.stem(hopf.degree + m - q).group
+                ker_hopf = kernel_into_coords(group, list(zip(*products)), target.coord_orders())
+        if isinstance(ker_gamma, Subgroup) and isinstance(ker_hopf, Subgroup) \
+                and not ker_hopf.contains_subgroup(ker_gamma):
             # The table's rows are inconsistent, a data fault; the raise is
             # not kept, so each ask raises again.
             raise SchemaError(

@@ -145,13 +145,12 @@ class StableRing:
 
     def product(self, ka: int, a: tuple, kb: int, b: tuple) -> Union[tuple[int, ...], Unknown]:
         """Reduced coordinates of a * b, for reduced coordinates a in pi_ka^S and
-        b in pi_kb^S, or the first missing generator product's Unknown.  A trivial
-        target, a zero factor or a degree-0 factor needs no stored product."""
+        b in pi_kb^S, or the Unknown of a degree past the last stem or of the
+        first missing generator product.  A trivial target, a zero factor or a
+        degree-0 factor needs no stored product."""
         k = ka + kb
         if k > self.max_degree:
-            raise OutOfTabulatedRange(
-                f"product degree {k} beyond tabulated stems (max {self.max_degree})"
-            )
+            return Unknown(f"product degree {k} beyond tabulated stems (max {self.max_degree})")
         target = self.stem(k).group
         if target.is_trivial or not any(a) or not any(b):
             return (0,) * target.rank

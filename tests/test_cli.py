@@ -196,7 +196,7 @@ class TestExitContract:
         [
             (_nielsen_rp2("whitehead(4)"), "named classes are ['alpha1_3',"),
             (_nielsen_rp2("whitehead(x)"), "whitehead(q) needs an integer q, got 'x'"),
-            (_nielsen_rp2("whitehead("), "unexpected end of expression\n"),
+            (_nielsen_rp2("whitehead("), "unexpected end of expression at position 10\n"),
             # Only ASCII digits are integers: other Unicode digits are not read.
             (["nielsen", "--field", "R", "--nprime", "5", "--m", "9",
               "--f1", "whitehead(\u0665)", "--f2", "zero"],
@@ -205,9 +205,13 @@ class TestExitContract:
               "--f1", "susp(whitehead(5),\u0662)", "--f2", "zero"],
              "cannot read expression at position 18: '\u0662)'"),
             (_nielsen_rp2("\u0663*eta"), "cannot read expression at position 0: '\u0663*eta'"),
-            (_nielsen_cp1("susp(x, 1, 2)"), "input error: susp(EXPR, k) needs a positive integer k\n"),
-            (_nielsen_cp1("2**eta_2"), "unknown name '*' at position 2"),
+            (_nielsen_cp1("susp(x, 1, 2)"), "input error: susp(EXPR, k) needs a positive integer k, "
+                                            "got ',' at position 9\n"),
+            (_nielsen_cp1("2**eta_2"), "input error: unexpected '*' at position 2\n"),
             (_nielsen_rp2("susp(,1)"), "input error: unexpected ',' at position 5\n"),
+            (_nielsen_rp2("susp(zero,)"), "input error: susp(EXPR, k) needs a positive "
+                                          "integer k, got ')' at position 10\n"),
+            (_nielsen_rp2("+eta_2"), "input error: unexpected '+' at position 0\n"),
             (_nielsen_rp2("(eta_2)"), "input error: unexpected '(' at position 0: "),
             (_nielsen_rp2("susp(zero,0)"), "input error: susp(EXPR, k) needs a positive "
                                            "integer k, got '0' at position 10\n"),
@@ -231,7 +235,8 @@ class TestExitContract:
         ],
         ids=["whitehead-unregistered", "whitehead-not-int", "whitehead-open",
              "whitehead-arabic-indic-digit", "susp-arabic-indic-count", "arabic-indic-multiple",
-             "susp-two-counts", "multiple-of-a-star", "susp-empty-argument", "parenthesis",
+             "susp-two-counts", "multiple-of-a-star", "susp-empty-argument", "susp-missing-count",
+             "leading-plus", "parenthesis",
              "susp-zero-count", "susp-unclosed", "whitehead-leading-zero", "integer-off-the-diagonal",
              "wecken-negative-m", "verify-s-no-samples", "verify-s-negative-samples",
              "verify-s-negative-nprime", "verify-s-zero-nprime", "verify-s-negative-even-nprime",
@@ -292,8 +297,9 @@ class TestExitContract:
             assert caught.value.path == "pi_5(S^3)"
 
     def test_missing_hopf_class_makes_compare_unknown(self, capsys, tmp_path, table_text):
-        # Without eta, h_C . E^inf cannot be formed: CP1 scan rows that need
-        # the kernel chain turn unknown instead of crashing.
+        # Without eta, h_C . E^inf cannot be formed: the CP1 scan relations
+        # that read Ker(h_C . E^inf) turn unknown instead of crashing, while
+        # N# == N~, which reads Ker Gamma alone, stays decided.
         path = tmp_path / "gap.txt"
         path.write_text(_without_eta(table_text))
         argv = ["--tables", str(path), "compare", "--surface", "CP1", "--m-range", "2..4"]
@@ -301,8 +307,8 @@ class TestExitContract:
         assert (code, err) == (0, "")
         assert out.splitlines() == [
             "m=2: N# == N~ == N == NZ != 0",
-            "m=3: N# ?? N~ ?? N ?? NZ ?? 0",
-            "m=4: N# ?? N~ ?? N ?? NZ ?? 0",
+            "m=3: N# == N~ ?? N ?? NZ == 0",
+            "m=4: N# == N~ ?? N ?? NZ == 0",
         ]
 
 
@@ -456,12 +462,13 @@ class TestDataHandling:
 
     def test_table_gap_makes_compare_unknown(self, capsys, tmp_path, table_text):
         # A missing annotation is a gap in the data, not bad input: the scan
-        # rows turn unknown and the pointwise report still decides N~.
+        # relations that read Ker Gamma turn unknown, N == 0 still reads
+        # Ker(h . E^inf), and the pointwise report still decides N~.
         path = tmp_path / "gap.txt"
         path.write_text(table_text.replace("gamma 2 3 14\n", ""))
         argv = ["--tables", str(path), "compare", "--surface", "RP2", "--m-range", "6..6"]
         code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (0, "m=6: N# ?? N~ ?? N ?? NZ ?? 0\n", "")
+        assert (code, out, err) == (0, "m=6: N# ?? N~ ?? N == NZ == 0\n", "")
         code, _, err = run(capsys, "--strict", *argv)
         assert code == 1 and "strict" in err
         code, out, _ = run(
@@ -469,13 +476,33 @@ class TestDataHandling:
             "--m", "6", "--f1", "eta_2_nu_p", "--f2", "zero", "--machine",
         )
         assert code == 0 and json.loads(out)["values"]["N_tilde"] == 2
-        # A Gamma component whose stem is not tabulated is a gap too.
+        # A Gamma component whose stem is not tabulated is a gap too; here
+        # the E^inf stem is missing, so it blocks both kernels.
         path.write_text("group 3 2 1\ngen eta_2\n")
         argv[-1] = "3..3"
         code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (0, "m=3: N# ?? N~ ?? N ?? NZ ?? 0\n", "")
+        assert (code, out, err) == (0, "m=3: N# ?? N~ ?? N ?? NZ == 0\n", "")
         code, _, err = run(capsys, "--strict", *argv)
         assert code == 1 and "strict" in err
+
+    def test_product_past_the_last_stem_is_unknown(self, capsys, tmp_path):
+        # h_C . E^inf of eta_3 lands in pi_2^S, past the table's last stem: a
+        # gap in the data that blocks only N (exit 0), not an out-of-range
+        # query (exit 2).
+        path = tmp_path / "short.txt"
+        path.write_text(
+            "stem 0 1\ngen iota\nstem 1 0 2\ngen eta\ngroup 4 3 0 2\ngen eta_3\nstab 1 1\n"
+        )
+        code, out, err = run(
+            capsys, "--tables", str(path), "nielsen", "--field", "C", "--nprime", "1",
+            "--m", "4", "--f1", "eta_3", "--f2", "zero",
+        )
+        assert (code, err) == (0, "")
+        assert "   N~ = 1\n" in out
+        assert "    N = unknown (product degree 2 beyond tabulated stems (max 1))\n" in out
+        argv = ["--tables", str(path), "compare", "--surface", "CP1", "--m-range", "4..4"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, "m=4: N# == N~ ?? N ?? NZ == 0\n", "")
 
     def test_empty_registry_lists_none(self, capsys, tmp_path, table_text):
         path = tmp_path / "nonames.txt"

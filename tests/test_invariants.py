@@ -22,7 +22,7 @@ from coincalc.invariants import (
 )
 from coincalc.projective import decompose_valid, space
 from coincalc.selfco import Verdict, fiber_projection_self_loose, self_loose
-from coincalc.spheres import SphereClass, SphereTables
+from coincalc.spheres import SphereClass, SphereTables, Unknown
 from coincalc.tables import OutOfTabulatedRange, TableError, parse_tables
 
 
@@ -271,6 +271,41 @@ class TestProjectiveReports:
                 projective_report(tables, sp, 3, hopf, bad)
 
 
+# The pointwise values each scan relation compares.
+_RELATION_VALUES = {
+    "nsharp_eq_ntilde": ("N_sharp", "N_tilde"),
+    "ntilde_eq_n": ("N_tilde", "N_plain"),
+    "n_eq_zero": ("N_plain",),
+    "n_eq_nz": ("N_plain", "N_z"),
+}
+
+
+def _assert_scan_agrees(tables, sp, m):
+    """The scan at m, once each relation it decides is checked against the
+    projective reports of (x, 0), x over the lift group: the values the
+    relation compares are known for every x, and it holds exactly when they
+    agree (N == 0: when N is 0) for every x.  NZ == 0 is checked likewise."""
+    group = tables.lookup(m, sp.q).group
+    if group.is_finite:
+        lifts = [SphereClass(m, sp.q, x) for x in group.elements()]
+    else:
+        assert str(group) == "Z"
+        lifts = [tables.cls(m, sp.q, [c]) for c in range(-24, 25)]
+    zero = tables.zero(m, sp.q)
+    reps = [projective_report(tables, sp, m, x, zero) for x in lifts]
+    scan = equivalence_scan(tables, sp, m)
+    for key, names in _RELATION_VALUES.items():
+        verdict = scan.verdicts[key][0]
+        if verdict is ScanVerdict.UNKNOWN:
+            continue
+        values = [[getattr(r, name) for name in names] for r in reps]
+        assert not any(v.is_unknown for row in values for v in row), (sp.name, m, key)
+        holds = all(row[0] == (row[1] if len(row) == 2 else fin(0)) for row in values)
+        assert verdict is (ScanVerdict.HOLDS if holds else ScanVerdict.FAILS), (sp.name, m, key)
+    assert scan.nz_vanishes == all(r.N_z == fin(0) for r in reps), (sp.name, m)
+    return scan
+
+
 class TestEquivalenceScan:
     def test_cp1_rows(self, tables):
         sp = space("C", 1)
@@ -304,32 +339,52 @@ class TestEquivalenceScan:
         assert len(cases) == 65
         assert sum(1 for g in groups if not g.is_finite) == 8
         assert sum(g.order() for g in groups if g.is_finite) == 133
-        for (sp, m), group in zip(cases, groups):
-            if group.is_finite:
-                lifts = [SphereClass(m, sp.q, x) for x in group.elements()]
-            else:
-                assert str(group) == "Z"
-                lifts = [tables.cls(m, sp.q, [c]) for c in range(-24, 25)]
-            zero = tables.zero(m, sp.q)
-            reps = [projective_report(tables, sp, m, x, zero) for x in lifts]
-            pointwise = {
-                "nsharp_eq_ntilde": all(r.N_sharp == r.N_tilde for r in reps),
-                "ntilde_eq_n": all(r.N_tilde == r.N_plain for r in reps),
-                "n_eq_zero": all(r.N_plain == fin(0) for r in reps),
-                "n_eq_nz": all(r.N_plain == r.N_z for r in reps),
-            }
-            scan = equivalence_scan(tables, sp, m)
-            for key, holds in pointwise.items():
-                want = ScanVerdict.HOLDS if holds else ScanVerdict.FAILS
-                assert scan.verdicts[key][0] is want, (sp.name, m, key)
-            assert scan.nz_vanishes == all(r.N_z == fin(0) for r in reps), (sp.name, m)
+        for sp, m in cases:
+            scan = _assert_scan_agrees(tables, sp, m)
+            assert ScanVerdict.UNKNOWN not in [v for v, _w in scan.verdicts.values()]
+
+    def test_partial_scans_match_pointwise_reports(self, tables, table_text):
+        # Each table with one stab, gamma or prod line dropped, at every case
+        # of the bundled range whose chain has a gap: every relation the scan
+        # still decides agrees with the pointwise reports, and each needed
+        # pointwise value is known for every delta, so a known kernel gives
+        # known values.  The counts are (gapped chains, with Ker Gamma known,
+        # with Ker(h . E^inf) known, relations decided, relations unknown).
+        cases = list(kernel_chain_cases(tables))
+        lines = table_text.splitlines(keepends=True)
+        counts = [0] * 5
+        for i, line in enumerate(lines):
+            if line.split(" ")[0] not in ("stab", "gamma", "prod"):
+                continue
+            gapped = SphereTables(parse_tables("".join(lines[:i] + lines[i + 1:])))
+            for sp, m in cases:
+                kg, kh, _whole = gapped.kernel_chain(m, sp.q, sp.field.tag)
+                if not (isinstance(kg, Unknown) or isinstance(kh, Unknown)):
+                    continue
+                scan = _assert_scan_agrees(gapped, sp, m)
+                verdicts = [v for v, _w in scan.verdicts.values()]
+                unknown = verdicts.count(ScanVerdict.UNKNOWN)
+                for j, n in enumerate((1, not isinstance(kg, Unknown), not isinstance(kh, Unknown),
+                                       len(verdicts) - unknown, unknown)):
+                    counts[j] += n
+        assert counts == [57, 2, 40, 82, 146]
 
     def test_scan_unknown_on_table_gap(self, table_text):
+        # A gamma k=2 gap blocks Ker Gamma only: the relations that read it
+        # are unknown with its reason, and Ker(h . E^inf) still decides N == 0.
         gapped = SphereTables(parse_tables(table_text.replace("gamma 2 3 14\n", "")))
         scan = equivalence_scan(gapped, space("R", 2), 6)
-        reason = "gamma k=2 of generator eta_2_nu_p of pi_6(S^2) is not annotated"
-        assert scan.verdicts == {k: (ScanVerdict.UNKNOWN, reason) for k in scan.verdicts}
-        assert scan.nz_vanishes is None
+        gap = (ScanVerdict.UNKNOWN,
+               "gamma k=2 of generator eta_2_nu_p of pi_6(S^2) is not annotated")
+        assert scan.verdicts == {
+            "nsharp_eq_ntilde": gap,
+            "ntilde_eq_n": gap,
+            "n_eq_zero": (ScanVerdict.HOLDS, "Ker(h . E^inf) = <(1)> vs whole = <(1)>"),
+            "n_eq_nz": (ScanVerdict.HOLDS,
+                        "m != n: NZ vanishes identically, so N == NZ iff N == 0"),
+        }
+        assert scan.nz_vanishes is True
+        assert scan.pattern() == "N# ?? N~ ?? N == NZ == 0"
 
     def test_scan_unknown_when_hypotheses_fail(self, tables):
         scan = equivalence_scan(tables, space("C", 2), 6)

@@ -365,33 +365,36 @@ class TestKernelChain:
             if tables.lookup(m, q).group.is_trivial:
                 continue
             for tag in ("R", "C", "H"):
-                chain = tables.kernel_chain(m, q, tag)
-                if isinstance(chain, Unknown):
+                kg, kh, whole = tables.kernel_chain(m, q, tag)
+                if isinstance(kh, Unknown):
                     continue
-                kg, kh, whole = chain
-                assert subgroup_cmp(kg, kh) in (Cmp.EQUAL, Cmp.PROPER_SUB)
                 assert whole.contains_subgroup(kh)
+                if not isinstance(kg, Unknown):
+                    assert subgroup_cmp(kg, kh) in (Cmp.EQUAL, Cmp.PROPER_SUB)
 
     def test_missing_data_is_unknown_not_a_guess(self, table_text):
-        # Drop a gamma annotation: the kernel chain must refuse to answer.
+        # Drop a gamma annotation: Ker Gamma must refuse to answer, while
+        # Ker(h_K . E^inf), which reads only the E^inf columns, stays known.
         faulty = table_text.replace("gamma 2 3 14\n", "")
         ts = SphereTables(parse_tables(faulty))
-        chain = ts.kernel_chain(6, 2, "R")
-        assert isinstance(chain, Unknown) and "gamma k=2" in chain.reason
-        assert ts.kernel_chain_texts(6, 2, "R") == chain
+        kg, kh, whole = ts.kernel_chain(6, 2, "R")
+        assert isinstance(kg, Unknown) and "gamma k=2" in kg.reason
+        assert kh == whole == SphereTables(parse_tables(table_text)).kernel_chain(6, 2, "R")[1]
+        assert ts.kernel_chain_texts(6, 2, "R") == (str(kg), "<(1)>", "<(1)>")
 
     def test_one_missing_annotation_one_reason(self, table_text):
-        # Drop the stabilization of eta_2: E^inf, Gamma and the kernel chain
-        # must all name the same gap in the same words.
+        # Drop the stabilization of eta_2: E^inf, Gamma and both kernels of
+        # the chain, which each read the E^inf column, must all name the
+        # same gap in the same words.
         faulty = table_text.replace("gen eta_2\nsusp 1\nstab 1 1\n", "gen eta_2\nsusp 1\n")
         assert faulty != table_text
         ts = SphereTables(parse_tables(faulty))
         x = ts.generator(3, 2, "eta_2")
         stab, first = ts.stabilize(x), ts.gamma(x).component(1)
-        chain = ts.kernel_chain(3, 2, "C")
-        assert all(isinstance(v, Unknown) for v in (stab, first, chain))
+        kg, kh, _whole = ts.kernel_chain(3, 2, "C")
+        assert all(isinstance(v, Unknown) for v in (stab, first, kg, kh))
         reason = "stabilization of generator eta_2 of pi_3(S^2) is not annotated"
-        assert stab.reason == first.reason == chain.reason == reason
+        assert stab.reason == first.reason == kg.reason == kh.reason == reason
 
     def test_repeated_chain_is_equal(self, table_text):
         ts = SphereTables(parse_tables(table_text))
@@ -401,9 +404,10 @@ class TestKernelChain:
 
     def test_repeated_gap_returns_an_equal_unknown(self, table_text):
         ts = SphereTables(parse_tables(table_text.replace("gamma 2 3 14\n", "")))
-        gaps = [ts.kernel_chain(6, 2, "R") for _ in range(3)]
-        assert isinstance(gaps[0], Unknown) and "gamma k=2" in gaps[0].reason
-        assert gaps[1] == gaps[0] and gaps[2] == gaps[0]
+        chains = [ts.kernel_chain(6, 2, "R") for _ in range(3)]
+        gap = chains[0][0]
+        assert isinstance(gap, Unknown) and "gamma k=2" in gap.reason
+        assert chains[1] == chains[0] and chains[2] == chains[0]
 
     def test_each_table_keeps_its_own_chains(self, table_text):
         # The memo lives on the instance: a bundled and a gapped table in one
@@ -413,69 +417,80 @@ class TestKernelChain:
         bundled = SphereTables(parse_tables(table_text))
         gapped = SphereTables(parse_tables(gapped_text))
         for _ in range(2):
-            assert isinstance(gapped.kernel_chain(6, 2, "R"), Unknown)
+            kg, kh, whole = gapped.kernel_chain(6, 2, "R")
+            assert isinstance(kg, Unknown) and (kh, whole) == alone[1:]
             assert bundled.kernel_chain(6, 2, "R") == alone
         assert [str(k) for k in alone] == ["<0>", "<(1)>", "<(1)>"]
 
 
-def _pointwise_gap(tables, m, q, tag):
-    """The first Unknown reason the pointwise cores give for the generators of
-    pi_m(S^q) under K = tag, or None: Gamma component k = 1..k_max, then the
-    Hopf class, then h_K . E^inf, generator by generator within each."""
+def _pointwise_gaps(tables, m, q, tag):
+    """The first Unknown reason the pointwise cores give for the generators
+    of pi_m(S^q) under K = tag, or None, for each kernel of the chain:
+    Gamma component k = 1..k_max, generator by generator within each k; and
+    E^inf of each generator, then the Hopf class, then h_K . E^inf."""
     entry = tables.lookup(m, q)
     gens = [tables.generator(m, q, name) for name in entry.gen_names]
-    for k in range(1, entry.k_max + 1):
-        for g in gens:
-            component = tables.gamma(g).component(k)
-            if isinstance(component, Unknown):
-                return component.reason
-    try:
-        hopf = tables.ring.hopf_stable(tag)
-    except UnregisteredName as exc:
-        return str(exc)
-    for g in gens:
-        product = tables.ring.multiply(hopf, tables.stabilize(g))
-        if isinstance(product, Unknown):
-            return product.reason
-    return None
+    gammas = [tables.gamma(g) for g in gens]
+    gamma_gap = next((c.reason for k in range(1, entry.k_max + 1) for gamma in gammas
+                      if isinstance(c := gamma.component(k), Unknown)), None)
+    stabs = [tables.stabilize(g) for g in gens]
+    hopf_gap = next((s.reason for s in stabs if isinstance(s, Unknown)), None)
+    if hopf_gap is None:
+        try:
+            hopf = tables.ring.hopf_stable(tag)
+        except UnregisteredName as exc:
+            return gamma_gap, str(exc)
+        products = [tables.ring.multiply(hopf, s) for s in stabs]
+        hopf_gap = next((p.reason for p in products if isinstance(p, Unknown)), None)
+    return gamma_gap, hopf_gap
 
 
 def _chain_gaps(texts):
-    """(chains, gaps) over every tabulated (m, q) and K of each table, after
-    checking that each chain's gap is the one the pointwise cores find."""
-    chains = gaps = 0
+    """(chains, Ker Gamma gaps, Ker(h_K . E^inf) gaps, chains with a gap)
+    over every tabulated (m, q) and K of each table, after checking that
+    each kernel's gap is the one the pointwise cores of its criterion find."""
+    chains = gamma_gaps = hopf_gaps = either = 0
     for text in texts:
         tables = SphereTables(parse_tables(text))
         for m, q in sorted(tables.raw.entries):
             for tag in ("R", "C", "H"):
-                chain = tables.kernel_chain(m, q, tag)
-                want = _pointwise_gap(tables, m, q, tag)
-                got = chain.reason if isinstance(chain, Unknown) else None
+                kg, kh, _whole = tables.kernel_chain(m, q, tag)
+                got = tuple(k.reason if isinstance(k, Unknown) else None for k in (kg, kh))
+                want = _pointwise_gaps(tables, m, q, tag)
                 assert got == want, (m, q, tag)
                 chains += 1
-                gaps += want is not None
-    return chains, gaps
+                gamma_gaps += want[0] is not None
+                hopf_gaps += want[1] is not None
+                either += want != (None, None)
+    return chains, gamma_gaps, hopf_gaps, either
 
 
 def test_chain_gaps_agree_with_the_pointwise_cores(table_text):
     # The bundled table and each table with one stab, gamma or prod line
-    # dropped: the chain is Unknown exactly when a generator's Gamma component
-    # or h_K . E^inf is, and with the first such reason.
+    # dropped: each kernel is Unknown exactly when the pointwise core of its
+    # criterion is for some generator, and with the first such reason.
     lines = table_text.splitlines(keepends=True)
     texts = [table_text] + [
         "".join(lines[:i] + lines[i + 1:])
         for i, line in enumerate(lines) if line.split(" ")[0] in ("stab", "gamma", "prod")
     ]
-    assert (len(texts), *_chain_gaps(texts)) == (57, 3249, 154)
-    # Stems that stop below m - q: the first gap is the missing stem pi_1^S,
-    # with or without the class two (stem 0) registered.
+    # 154 chains have a gap, as many as were all-Unknown before the kernels
+    # carried their own: 10 of them in Ker(h_K . E^inf) alone.
+    assert (len(texts), *_chain_gaps(texts)) == (57, 3249, 144, 52, 154)
+    # Stems that stop below m - q: the first gap of both kernels is the
+    # missing stem pi_1^S, with or without the class two (stem 0) registered.
     short = ["group 3 2 1\ngen eta_2\n", "stem 0 1\ngen iota\ngroup 3 2 1\ngen eta_2\n"]
-    assert _chain_gaps(short) == (6, 6)
+    assert _chain_gaps(short) == (6, 6, 6, 6)
     for text in short:
         tables = SphereTables(parse_tables(text))
         first = tables.gamma(tables.generator(3, 2, "eta_2")).component(1)
         assert first == Unknown("pi_1^S is not tabulated")
-        assert all(tables.kernel_chain(3, 2, tag) == first for tag in ("R", "C", "H"))
+        assert all(tables.kernel_chain(3, 2, tag)[:2] == (first, first) for tag in ("R", "C", "H"))
+    # A product past the last stem blocks Ker(h_C . E^inf) alone.
+    tables = SphereTables(parse_tables(
+        "stem 0 1\ngen iota\nstem 1 0 2\ngen eta\ngroup 4 3 0 2\ngen eta_3\nstab 1 1\n"))
+    kg, kh, _whole = tables.kernel_chain(4, 3, "C")
+    assert kg.is_trivial and kh == Unknown("product degree 2 beyond tabulated stems (max 1)")
 
 
 @pytest.mark.parametrize("m, q, k, coeffs", [
