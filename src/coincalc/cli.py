@@ -146,17 +146,15 @@ def cmd_compare(args):
     except ValueError:
         raise FgAbError(f"bad m-range {args.m_range!r}; expected A..B") from None
     rows = [equivalence_scan(tables, sp, m) for m in range(lo, hi + 1)]
-    doc = {
-        "surface": args.surface,
-        "rows": [
-            {
-                "m": s.m,
-                "pattern": s.pattern(),
-                "verdicts": {k: v.value for k, (v, _w) in s.verdicts.items()},
-            }
-            for s in rows
-        ],
-    }
+    doc = {"surface": args.surface, "rows": []}
+    for s in rows:
+        row = {"m": s.m, "pattern": s.pattern(),
+               "verdicts": {k: v.value for k, (v, _w) in s.verdicts.items()}}
+        # Each relation left undecided, with the gap or gate that blocked it.
+        reasons = {k: w for k, (v, w) in s.verdicts.items() if v is ScanVerdict.UNKNOWN}
+        if reasons:
+            row["reasons"] = reasons
+        doc["rows"].append(row)
     unknown = any(
         v is ScanVerdict.UNKNOWN for s in rows for v, _w in s.verdicts.values()
     )

@@ -146,18 +146,20 @@ class SphereTables:
     """The full query interface over one loaded TableSet.
 
     The table is never changed after construction, so each looked-up entry,
-    each suspension image per (m, q), and each kernel chain with the texts
-    of its subgroups per (m, q, field) is computed once and kept on the
-    instance.
+    each annotated map's columns (the one store that the pointwise maps, the
+    kernel chain, Im E and validate() read), each suspension image, and each
+    kernel chain with the texts of its subgroups is computed once and kept.
     """
 
     def __init__(self, tables: TableSet):
         self.raw = tables
         self.ring = StableRing(tables)
         # Each memo holds only what was asked for: at most one value per
-        # resolved (m, q), times 3 fields for the chains.
+        # resolved (m, q), times each kind of map and 3 fields for the chains.
         # (m, q) -> its entry; an untabulated (m, q) raises and is not kept.
         self._entries: dict[tuple[int, int], SphereEntry] = {}
+        # (m, q, kind) -> the _map record (target, columns, first gap).
+        self._maps: dict[tuple[int, int, Union[str, int]], tuple] = {}
         # (m, q) -> (Im E from the known susp columns of pi_{m-1}(S^{q-1}),
         # whether every column was known), or None if the source is untabulated.
         self._susp_images: dict[tuple[int, int], Optional[tuple[Subgroup, bool]]] = {}
@@ -216,40 +218,53 @@ class SphereTables:
 
     # ------------------------------------------------------ annotated maps
 
-    def _column(
-        self, entry: SphereEntry, i: int, kind: Union[str, int]
-    ) -> Union[tuple[int, ...], Unknown]:
-        """Stored image of generator i under kind: "susp", "antip", or the
-        Hopf-James component k >= 1 (k = 1 is E^inf)."""
-        ann = entry.annotations[i]
-        if kind == "susp":
-            coeffs, what = ann.susp, "suspension of"
-        elif kind == "antip":
-            coeffs, what = ann.antip, "antipodal action on"
-        elif kind == 1:
-            coeffs, what = ann.stab, "stabilization of"
-        else:
-            coeffs, what = ann.gamma_component(kind), f"gamma k={kind} of"
-        if coeffs is None:
-            return Unknown(
-                f"{what} generator {entry.gen_names[i]} of "
-                f"pi_{entry.m}(S^{entry.q}) is not annotated"
-            )
-        return coeffs
+    def _map(self, entry: SphereEntry, kind: Union[str, int]) -> tuple:
+        """The annotated map kind ("susp", "antip", or Hopf-James component k >= 1,
+        k = 1 being E^inf) out of entry, resolved once: (target, one column per
+        generator, first gap or None).  A column is the reduced stored row, zero
+        in a trivial target, or a missing row's Unknown; an untabulated target
+        is None, and its reason's Unknown is every column and the gap."""
+        key = (entry.m, entry.q, kind)
+        stored = self._maps.get(key)
+        if stored is not None:
+            return stored
+        target = map_target(self.raw, entry, kind)
+        if isinstance(target, str):
+            gap = Unknown(target)
+            stored = self._maps[key] = None, (gap,) * entry.group.rank, gap
+            return stored
+        if target.group.is_trivial:
+            stored = self._maps[key] = target, ((),) * entry.group.rank, None
+            return stored
+        combine, columns, gap = target.group.combine, [], None
+        for name, ann in zip(entry.gen_names, entry.annotations):
+            if kind == 1:
+                row, what = ann.stab, "stabilization of"
+            elif kind == "susp":
+                row, what = ann.susp, "suspension of"
+            elif kind == "antip":
+                row, what = ann.antip, "antipodal action on"
+            else:
+                row, what = ann.gamma_component(kind), f"gamma k={kind} of"
+            if row is not None:
+                columns.append(combine([(1, row)]))
+            else:
+                columns.append(Unknown(
+                    f"{what} generator {name} of pi_{entry.m}(S^{entry.q}) is not annotated"))
+                gap = gap or columns[-1]
+        stored = self._maps[key] = target, tuple(columns), gap
+        return stored
 
     def _image(self, entry: SphereEntry, coeffs, kind: Union[str, int]) -> Union[tuple, Unknown]:
         """(target, reduced coordinates in it) of the class coeffs of entry under
-        kind, with the target map_target gives: zero in a trivial target, else the
-        columns' sum; or the Unknown of an untabulated target or the first gap."""
-        target = map_target(self.raw, entry, kind)
-        if isinstance(target, str):
-            return Unknown(target)
-        if target.group.is_trivial:
-            return target, ()
+        kind, the sum of the _map columns coeffs touches; or the Unknown of an
+        untabulated target or of the first touched gap."""
+        target, columns, gap = self._map(entry, kind)
+        if target is None:
+            return gap
         terms = []
-        for i, c in enumerate(coeffs):
+        for c, column in zip(coeffs, columns):
             if c:
-                column = self._column(entry, i, kind)
                 if isinstance(column, Unknown):
                     return column
                 terms.append((c, column))
@@ -317,10 +332,9 @@ class SphereTables:
             source = self.lookup(m - 1, q - 1)
         except OutOfTabulatedRange:
             return None
-        target = self.lookup(m, q).group
-        columns = [self._column(source, i, "susp") for i in range(source.group.rank)]
-        known = [target.element(c) for c in columns if not isinstance(c, Unknown)]
-        return Subgroup(target, tuple(known)), len(known) == len(columns)
+        target, columns, gap = self._map(source, "susp")
+        known = [target.group.element(c) for c in columns if not isinstance(c, Unknown)]
+        return Subgroup(target.group, tuple(known)), gap is None
 
     # ------------------------------------------------------- kernel chain
 
@@ -344,38 +358,24 @@ class SphereTables:
             entry = self._chains[key] = (chain, tuple(map(str, chain)))
         return entry
 
-    def _columns(self, entry: SphereEntry, units: list, k: int) -> Union[tuple, Unknown]:
-        """(the stem of Gamma component k, the _image column of each unit
-        vector), or the first generator's gap."""
-        columns = []
-        for unit in units:
-            image = self._image(entry, unit, k)
-            if isinstance(image, Unknown):
-                return image
-            columns.append(image[1])
-        return image[0], columns
-
     def _build_chain(self, m: int, q: int, field_tag: str) -> Chain:
-        """The chain from the integer cores: Ker Gamma from the _columns of
+        """The chain from the integer cores: Ker Gamma from the _map blocks of
         k = 1..k_max (first gap: first k, then generator), Ker(h_K . E^inf)
-        from ring.product of each E^inf column (first gap: a missing E^inf
-        column, then the Hopf class, then a product)."""
+        from ring.product of each E^inf column of block 1 (first gap: a missing
+        E^inf column, then the Hopf class, then a product)."""
         entry = self.lookup(m, q)
         group = entry.group
         whole = Subgroup.whole(group)
         if group.is_trivial:
             triv = Subgroup.trivial(group)
             return triv, triv, whole
-        units = [tuple(int(i == j) for j in range(group.rank)) for i in range(group.rank)]
         rows: list[tuple[int, ...]] = []  # one per coordinate of each Gamma component's stem
         orders: list[int] = []
         stab = None
         for k in range(1, entry.k_max + 1):
-            block = self._columns(entry, units, k)
-            if isinstance(block, Unknown):
-                ker_gamma = block
+            stem, columns, ker_gamma = self._map(entry, k)  # the block's first gap, if any
+            if ker_gamma is not None:
                 break
-            stem, columns = block
             if k == 1:
                 stab = columns
             rows += zip(*columns)
@@ -451,7 +451,8 @@ class SphereTables:
             path = f"pi_{m}(S^{q})"
             group = entry.group
             units = [tuple(int(i == j) for j in range(group.rank)) for i in range(group.rank)]
-            for name, ann, unit in zip(entry.gen_names, entry.annotations, units):
+            stabs = self._map(entry, 1)[1]
+            for i, (name, ann, stab) in enumerate(zip(entry.gen_names, entry.annotations, stabs)):
                 gpath = f"{path} gen {name}"
                 gamma1 = ann.gamma_component(1)
                 if gamma1 is not None:
@@ -463,8 +464,7 @@ class SphereTables:
                             "gamma k=1 component disagrees with the stabilization "
                             f"({list(gamma1)} vs {list(ann.stab)})",
                         )
-                image = self._image(entry, unit, 1)
-                s1 = None if isinstance(image, Unknown) else image[1]
+                s1 = None if isinstance(stab, Unknown) else stab
                 for tag, hopf in hopfs.items() if s1 is not None else ():
                     if (m - q) + hopf.degree > self.ring.max_degree:
                         bad(gpath, f"h_{tag} product degree exceeds tabulated stems")
@@ -474,8 +474,8 @@ class SphereTables:
                         bad(gpath, f"h_{tag} . E^inf not computable: {prod.reason}")
                 if s1 is not None and ann.susp is not None:
                     # The parser has checked that the susp target is tabulated.
-                    above, susp = self._image(entry, unit, "susp")
-                    s2 = self._image(above, susp, 1)
+                    above, susps, _ = self._map(entry, "susp")
+                    s2 = self._image(above, susps[i], 1)
                     if not isinstance(s2, Unknown) and s1 != s2[1]:
                         bad(
                             gpath,
@@ -483,11 +483,11 @@ class SphereTables:
                             f"{self.ring.element(m - q, s1)} vs "
                             f"{self.ring.element(m - q, s2[1])} after E",
                         )
-                if q % 2 == 1 and ann.antip is not None and group.combine([(1, ann.antip)]) != unit:
+                if q % 2 == 1 and ann.antip is not None \
+                        and self._map(entry, "antip")[1][i] != units[i]:
                     bad(gpath, "antipodal action must be the identity for odd q")
             if q % 2 == 0 and all(a.antip is not None for a in entry.annotations):
-                for name, unit in zip(entry.gen_names, units):
-                    _, once = self._image(entry, unit, "antip")
+                for name, unit, once in zip(entry.gen_names, units, self._map(entry, "antip")[1]):
                     if self._image(entry, once, "antip")[1] != unit:
                         bad(path, f"antipodal action is not an involution on {name}")
 

@@ -164,6 +164,19 @@ class TestCompare:
         assert code == 0
         doc = json.loads(out)
         assert [row["m"] for row in doc["rows"]] == [3, 4]
+        assert not any("reasons" in row for row in doc["rows"])  # every relation decided
+
+    def test_machine_rows_keep_the_reason_of_each_unknown(self, capsys):
+        code, out, _ = run(
+            capsys, "compare", "--surface", "RP2", "--m-range", "2..2", "--machine"
+        )
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        unknown = [k for k, v in row["verdicts"].items() if v == "unknown"]
+        assert unknown and sorted(row["reasons"]) == sorted(unknown)
+        assert row["reasons"]["nsharp_eq_ntilde"].startswith(
+            "self-coincidence looseness not established"
+        )
 
 
 def _nielsen_rp2(f1):

@@ -8,6 +8,7 @@ import pytest
 from coincalc.fgab import FgAbError
 from coincalc.invariants import (
     INF,
+    ScanResult,
     ScanVerdict,
     WeckenStatus,
     chain_check,
@@ -460,33 +461,39 @@ def test_unknown_reason_for_each_dropped_line(table_text, kind):
 
 
 def _answer(ask):
-    """A report's dict, or the type and text of what asking raised."""
+    """A report's dict (a scan as it is), or the type and text of what asking
+    raised."""
     try:
-        return ask().to_dict()
+        answer = ask()
     except (FgAbError, TableError) as exc:
         return type(exc).__name__, str(exc)
+    return answer if isinstance(answer, ScanResult) else answer.to_dict()
 
 
 @pytest.mark.parametrize("gap", [None, "susp"])
 def test_kept_lookups_and_images_answer_as_fresh_tables(table_text, gap):
-    # One long-lived SphereTables keeps entries, suspension images and
-    # chains across queries; a fresh instance per query keeps nothing.  Over
-    # the survey range (R n' <= 12, C n' <= 6, H n' <= 4, m <= 21) both give
-    # the same values and derivation lines for every pair of a few classes
-    # (zero, each generator, the sum of all and its double).  Both tables
-    # reach Membership.UNKNOWN, the one without the susp row of eta_2 also
-    # from pi_3(S^2).
+    # One long-lived SphereTables keeps entries, map columns, suspension
+    # images and chains across queries; a fresh instance per query keeps
+    # nothing.  Over the survey range (R n' <= 12, C n' <= 6, H n' <= 4,
+    # m <= 21) both give the same equivalence scan at every (K, n', m), the
+    # same values and derivation lines for every pair of a few classes (zero,
+    # each generator, the sum of all and its double), and at the end the same
+    # validate() report.  Both tables reach Membership.UNKNOWN, the one
+    # without the susp row of eta_2 also from pi_3(S^2).
     text = table_text if gap is None else table_text.replace(*_GAPS[gap][:2])
     raw = parse_tables(text)
     kept = SphereTables(raw)
     sphere_groups = set()
-    asked = untabulated = 0
+    asked = untabulated = scans = 0
     derivations = []
     for tag, top in (("R", 12), ("C", 6), ("H", 4)):
         for n_prime in range(1, top + 1):
             sp = space(tag, n_prime)
             q = sp.q
             for m in range(2, 22):
+                scan = _answer(lambda: equivalence_scan(kept, sp, m))
+                assert scan == _answer(lambda: equivalence_scan(SphereTables(raw), sp, m)), (sp, m)
+                scans += isinstance(scan, ScanResult)
                 try:
                     rank = kept.lookup(m, q).group.rank
                 except OutOfTabulatedRange:
@@ -510,7 +517,8 @@ def test_kept_lookups_and_images_answer_as_fresh_tables(table_text, gap):
                         if isinstance(answer, dict):
                             derivations += answer["derivation"]
                         asked += 1
-    assert untabulated > 200 and asked > 3000
+    assert untabulated > 200 and asked > 3000 and scans > 300
+    assert kept.validate() == SphereTables(raw).validate()
     assert "delta in E(pi_8(S^4))? unknown" in derivations
     assert ("delta in E(pi_3(S^2))? unknown" in derivations) == (gap == "susp")
 

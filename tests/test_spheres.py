@@ -163,18 +163,31 @@ class TestAntipodal:
         assert out.is_zero
 
 
+def _raw_row(ann, kind):
+    """The stored row of kind in one generator's annotations, and what the
+    reason for its absence calls the map."""
+    if kind == "susp":
+        return ann.susp, "suspension of"
+    if kind == "antip":
+        return ann.antip, "antipodal action on"
+    if kind == 1:
+        return ann.stab, "stabilization of"
+    return ann.gamma_component(kind), f"gamma k={kind} of"
+
+
 def _apply_by_elements(tables, x, kind, target):
-    """The annotated map of kind on x, summed one scaled element at a time."""
+    """The annotated map of kind on x, summed one scaled element at a time
+    from the raw rows of entry.annotations, independently of the column store."""
     out = target.zero()
     if target.is_trivial or x.is_zero:
         return out
     entry = tables.lookup(x.m, x.q)
-    for i, c in enumerate(x.value.coeffs):
+    for name, ann, c in zip(entry.gen_names, entry.annotations, x.value.coeffs):
         if c:
-            column = tables._column(entry, i, kind)
-            if isinstance(column, Unknown):
-                return column
-            out = out + target.element(column).scale(c)
+            row, what = _raw_row(ann, kind)
+            if row is None:
+                return Unknown(f"{what} generator {name} of pi_{x.m}(S^{x.q}) is not annotated")
+            out = out + target.element(row).scale(c)
     return out
 
 
@@ -207,6 +220,15 @@ class TestSummedMaps:
         tables = SphereTables(TableSet(entries={(5, 2): entry}))
         with pytest.raises(FgAbError, match="length 2 for group of rank 1"):
             tables.antipodal_compose(tables.generator(5, 2, "g"))
+        # The whole map is checked on its first use, so a bad row on g also
+        # fails a query that touches only h.
+        entry = SphereEntry(
+            5, 2, FgAbGroup(0, (2, 2)), ("g", "h"),
+            (GenAnnotations(antip=(1, 0, 0)), GenAnnotations(antip=(0, 1))),
+        )
+        tables = SphereTables(TableSet(entries={(5, 2): entry}))
+        with pytest.raises(FgAbError, match="length 3 for group of rank 2"):
+            tables.antipodal_compose(tables.generator(5, 2, "h"))
 
 
 def _maps(tables, m, q):
@@ -243,8 +265,9 @@ def _image_coeffs(tables, entry, coeffs, kind, target):
 
 
 class TestSharedCores:
-    """SphereTables._image is the one place an annotated map is summed: the
-    object API and validate() both read it."""
+    """SphereTables._map is the one store of annotated-map columns and _image
+    the one place a map is summed: the object API, the kernel chain, Im E and
+    validate() all read them."""
 
     def test_image_of_each_generator_matches_the_object_api(self, tables):
         checked = 0
