@@ -26,14 +26,18 @@ class FgAbError(ValueError):
     """Domain error: mismatched parents, malformed matrices, bad orders."""
 
 
+# Sets a field of a frozen value past its __setattr__ guard.
+_setattr = object.__setattr__
+
+
 class _Value:
     """Base of the package's value classes; defining one generates no code.
 
     A subclass names its fields in `__slots__` and sets them in `__init__`,
-    with `object.__setattr__` unless it is declared `frozen=False` (mutable
-    and unhashable).  Equality (same class only), hashing and the repr
-    `Name(field=value, ...)` read the fields through one attrgetter;
-    `compare` limits the fields equality and hashing read.
+    with `_setattr` (`object.__setattr__`, bound once) unless it is declared
+    `frozen=False` (mutable and unhashable).  Equality (same class only),
+    hashing and the repr `Name(field=value, ...)` read the fields through one
+    attrgetter; `compare` limits the fields equality and hashing read.
     """
 
     __slots__ = ()
@@ -41,7 +45,7 @@ class _Value:
     def __init_subclass__(cls, frozen: bool = True, compare: tuple[str, ...] = ()):
         cls._key = attrgetter(*(compare or cls.__slots__))
         if not frozen:
-            cls.__setattr__ = object.__setattr__
+            cls.__setattr__ = _setattr
             cls.__delattr__ = object.__delattr__
             cls.__hash__ = None
 
@@ -65,7 +69,7 @@ class _Value:
 
     def __setstate__(self, state):  # copy and unpickle: (None, {slot: value})
         for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+            _setattr(self, name, value)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -247,7 +251,7 @@ class FgAbGroup(_Value):
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
         if free_rank < 0:
             raise FgAbError("negative free rank")
-        torsion = tuple(int(t) for t in torsion)
+        torsion = tuple(map(int, torsion))
         for t in torsion:
             if t < 2:
                 raise FgAbError(f"torsion order {t} < 2")
@@ -256,8 +260,8 @@ class FgAbGroup(_Value):
                 raise FgAbError(
                     f"torsion orders {list(torsion)} violate divisibility chain"
                 )
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
+        _setattr(self, "free_rank", free_rank)
+        _setattr(self, "torsion", torsion)
 
     @classmethod
     def trivial(cls) -> "FgAbGroup":
@@ -313,15 +317,15 @@ class FgAbGroup(_Value):
         Reduction modulo the torsion orders is linear, so this equals summing
         the elements column.scale(c) one by one.
         """
-        total = [0] * self.rank
+        off, torsion = self.free_rank, self.torsion
+        total = [0] * (off + len(torsion))
         for c, column in terms:
             if len(column) != len(total):
                 raise FgAbError(
                     f"coefficient vector of length {len(column)} for group of rank {len(total)}"
                 )
             total = [t + c * a for t, a in zip(total, column)]
-        off = self.free_rank
-        for i, t in enumerate(self.torsion):
+        for i, t in enumerate(torsion):
             total[off + i] %= t
         return tuple(total)
 
@@ -343,24 +347,24 @@ class GroupElement(_Value):
     __slots__ = ("group", "coeffs")
 
     def __init__(self, group: FgAbGroup, coeffs: tuple[int, ...]):
-        reduced = [int(c) for c in coeffs]
-        if len(reduced) != group.rank:
+        reduced = list(map(int, coeffs))
+        off, torsion = group.free_rank, group.torsion
+        if len(reduced) != off + len(torsion):
             raise FgAbError(
                 f"coefficient vector of length {len(reduced)} for group of rank {group.rank}"
             )
-        off = group.free_rank
-        for i, t in enumerate(group.torsion):
+        for i, t in enumerate(torsion):
             reduced[off + i] %= t
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coeffs", tuple(reduced))
+        _setattr(self, "group", group)
+        _setattr(self, "coeffs", tuple(reduced))
 
     @classmethod
     def _reduced(cls, group: FgAbGroup, coeffs: tuple[int, ...]) -> "GroupElement":
         """The element with these coordinates, already reduced and of the
         group's rank; neither is checked again."""
         x = object.__new__(cls)
-        object.__setattr__(x, "group", group)
-        object.__setattr__(x, "coeffs", coeffs)
+        _setattr(x, "group", group)
+        _setattr(x, "coeffs", coeffs)
         return x
 
     def _check_same(self, other: "GroupElement"):
@@ -434,9 +438,9 @@ class Homomorphism(_Value):
                     f"matrix not well defined: order-{t} generator maps to an "
                     f"element not killed by {t}"
                 )
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "matrix", mat)
+        _setattr(self, "domain", domain)
+        _setattr(self, "codomain", codomain)
+        _setattr(self, "matrix", mat)
 
     @classmethod
     def from_columns(
@@ -567,9 +571,9 @@ class Subgroup(_Value, compare=("ambient", "generators_")):
             c = _pivot(row)
             if row[c] != orders[c]:
                 gens.append(GroupElement._reduced(ambient, row))
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "generators_", tuple(gens))
-        object.__setattr__(self, "basis", basis)
+        _setattr(self, "ambient", ambient)
+        _setattr(self, "generators_", tuple(gens))
+        _setattr(self, "basis", basis)
 
     @classmethod
     def trivial(cls, ambient: FgAbGroup) -> "Subgroup":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional, Union
 
-from .fgab import FgAbError, _Value
+from .fgab import FgAbError, _Value, _setattr
 from .projective import ProjSpace, decompose_valid, parse_field
 from .selfco import Verdict, _congruence_ok, self_loose
 from .spheres import (
@@ -35,9 +35,9 @@ class InvariantValue(_Value):
     __slots__ = ("kind", "value", "reason")
 
     def __init__(self, kind: str, value: int = 0, reason: str = ""):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "reason", reason)
+        _setattr(self, "kind", kind)
+        _setattr(self, "value", value)
+        _setattr(self, "reason", reason)
 
     @property
     def is_finite(self) -> bool:

@@ -10,7 +10,7 @@ only its group is, to decide where the decomposition is valid.
 
 from __future__ import annotations
 
-from .fgab import FgAbError, FgAbGroup, _Value
+from .fgab import FgAbError, FgAbGroup, _Value, _setattr
 from .spheres import SphereTables
 
 
@@ -23,8 +23,8 @@ class Field(_Value):
         expected = {"R": 1, "C": 2, "H": 4}
         if tag not in expected or expected[tag] != d:
             raise FgAbError(f"bad field ({tag}, d={d})")
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "d", d)
+        _setattr(self, "tag", tag)
+        _setattr(self, "d", d)
 
     def __str__(self) -> str:
         return self.tag
@@ -53,8 +53,8 @@ class ProjSpace(_Value):
     def __init__(self, field: Field, n_prime: int):
         if n_prime < 1:
             raise FgAbError("n' must be >= 1")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n_prime", n_prime)
+        _setattr(self, "field", field)
+        _setattr(self, "n_prime", n_prime)
 
     @property
     def d(self) -> int:

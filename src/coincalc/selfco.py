@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 
-from .fgab import _Value
+from .fgab import _Value, _setattr
 from .projective import Field, parse_field
 
 # `fractions` and `random` are imported by the few functions that build
@@ -31,8 +31,8 @@ class Looseness(_Value):
     __slots__ = ("verdict", "reason")
 
     def __init__(self, verdict: Verdict, reason: str):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "reason", reason)
+        _setattr(self, "verdict", verdict)
+        _setattr(self, "reason", reason)
 
     def __str__(self) -> str:
         return f"{self.verdict.value} ({self.reason})"
@@ -93,8 +93,8 @@ class KVector(_Value):
         for e in entries:
             if len(e) != field.d:
                 raise ValueError("entry with the wrong number of components")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", entries)
+        _setattr(self, "field", field)
+        _setattr(self, "entries", entries)
 
     @property
     def n_prime(self) -> int:

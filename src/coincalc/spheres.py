@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from typing import Optional, Union
 
-from .fgab import FgAbError, GroupElement, Subgroup, _Value, kernel_into_coords
+from .fgab import FgAbError, GroupElement, Subgroup, _Value, _setattr, kernel_into_coords
 from .stable import StableElement, StableRing, Unknown
 from .tables import (
     OutOfTabulatedRange,
@@ -34,9 +34,9 @@ class SphereClass(_Value):
     __slots__ = ("m", "q", "value")
 
     def __init__(self, m: int, q: int, value: GroupElement):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "value", value)
+        _setattr(self, "m", m)
+        _setattr(self, "q", q)
+        _setattr(self, "value", value)
 
     @property
     def is_zero(self) -> bool:
@@ -72,9 +72,9 @@ class GammaValue(_Value):
     def __init__(
         self, m: int, q: int, components: tuple[tuple[int, Union[StableElement, Unknown]], ...]
     ):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "components", components)
+        _setattr(self, "m", m)
+        _setattr(self, "q", q)
+        _setattr(self, "components", components)
 
     @property
     def all_known(self) -> bool:
@@ -112,8 +112,8 @@ class Violation(_Value):
     __slots__ = ("path", "message")
 
     def __init__(self, path: str, message: str):
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "message", message)
+        _setattr(self, "path", path)
+        _setattr(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.path}: {self.message}"
@@ -135,6 +135,11 @@ class ValidationReport(_Value, frozen=False):
         lines = [f"{len(self.violations)} violation(s):"]
         lines += [f"  - {v}" for v in self.violations]
         return "\n".join(lines)
+
+
+def _unit(rank: int, i: int) -> tuple[int, ...]:
+    """Coordinates of generator i in a group of this rank."""
+    return (0,) * i + (1,) + (0,) * (rank - 1 - i)
 
 
 Kernel = Union[Subgroup, Unknown]
@@ -447,10 +452,13 @@ class SphereTables:
             except UnregisteredName as exc:
                 bad(f"h_{tag}", str(exc))
 
+        max_degree = self.ring.max_degree
         for (m, q), entry in sorted(self.raw.entries.items()):
             path = f"pi_{m}(S^{q})"
-            group = entry.group
-            units = [tuple(int(i == j) for j in range(group.rank)) for i in range(group.rank)]
+            rank = entry.group.rank
+            # The susp and antip columns are read once per entry, when a check
+            # first needs them.
+            susp_map = antips = None
             stabs = self._map(entry, 1)[1]
             for i, (name, ann, stab) in enumerate(zip(entry.gen_names, entry.annotations, stabs)):
                 gpath = f"{path} gen {name}"
@@ -466,7 +474,7 @@ class SphereTables:
                         )
                 s1 = None if isinstance(stab, Unknown) else stab
                 for tag, hopf in hopfs.items() if s1 is not None else ():
-                    if (m - q) + hopf.degree > self.ring.max_degree:
+                    if (m - q) + hopf.degree > max_degree:
                         bad(gpath, f"h_{tag} product degree exceeds tabulated stems")
                         continue
                     prod = self.ring.product(hopf.degree, hopf.value.coeffs, m - q, s1)
@@ -474,7 +482,9 @@ class SphereTables:
                         bad(gpath, f"h_{tag} . E^inf not computable: {prod.reason}")
                 if s1 is not None and ann.susp is not None:
                     # The parser has checked that the susp target is tabulated.
-                    above, susps, _ = self._map(entry, "susp")
+                    if susp_map is None:
+                        susp_map = self._map(entry, "susp")
+                    above, susps, _ = susp_map
                     s2 = self._image(above, susps[i], 1)
                     if not isinstance(s2, Unknown) and s1 != s2[1]:
                         bad(
@@ -483,12 +493,15 @@ class SphereTables:
                             f"{self.ring.element(m - q, s1)} vs "
                             f"{self.ring.element(m - q, s2[1])} after E",
                         )
-                if q % 2 == 1 and ann.antip is not None \
-                        and self._map(entry, "antip")[1][i] != units[i]:
-                    bad(gpath, "antipodal action must be the identity for odd q")
+                if q % 2 == 1 and ann.antip is not None:
+                    if antips is None:
+                        antips = self._map(entry, "antip")[1]
+                    if antips[i] != _unit(rank, i):
+                        bad(gpath, "antipodal action must be the identity for odd q")
             if q % 2 == 0 and all(a.antip is not None for a in entry.annotations):
-                for name, unit, once in zip(entry.gen_names, units, self._map(entry, "antip")[1]):
-                    if self._image(entry, once, "antip")[1] != unit:
+                antips = self._map(entry, "antip")[1]
+                for i, (name, once) in enumerate(zip(entry.gen_names, antips)):
+                    if self._image(entry, once, "antip")[1] != _unit(rank, i):
                         bad(path, f"antipodal action is not an involution on {name}")
 
         # Registry constraints.

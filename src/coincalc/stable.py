@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .fgab import GroupElement, _Value
+from .fgab import GroupElement, _Value, _setattr
 from .tables import OutOfTabulatedRange, StemEntry, TableSet, UnregisteredName
 
 # Registry entries beyond the raw stem generators: (degree, coefficients).
@@ -30,7 +30,7 @@ class Unknown(_Value):
     __slots__ = ("reason",)
 
     def __init__(self, reason: str):
-        object.__setattr__(self, "reason", reason)
+        _setattr(self, "reason", reason)
 
 
 class StableElement(_Value):
@@ -39,8 +39,8 @@ class StableElement(_Value):
     __slots__ = ("degree", "value")
 
     def __init__(self, degree: int, value: GroupElement):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "value", value)
+        _setattr(self, "degree", degree)
+        _setattr(self, "value", value)
 
     @property
     def is_zero(self) -> bool:
@@ -153,7 +153,7 @@ class StableRing:
             return Unknown(f"product degree {k} beyond tabulated stems (max {self.max_degree})")
         target = self.stem(k).group
         if target.is_trivial or not any(a) or not any(b):
-            return (0,) * target.rank
+            return (0,) * (target.free_rank + len(target.torsion))
         if ka == 0:
             return target.combine([(a[0], b)])
         if kb == 0:

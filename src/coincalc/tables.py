@@ -22,7 +22,8 @@ Grammar (one directive per line, `#` starts a comment line):
 
 Coefficient vectors are comma-separated integers in generator order of the
 group they land in (free generators first, then torsion generators).  Every
-integer is written in ASCII as -?[0-9]+; a free rank as [0-9]+.  The stems
+integer is written in ASCII as -?[0-9]+; a free rank as [0-9]+.  A byte order
+mark (U+FEFF) that starts the file is not part of its first line.  The stems
 run from 0 up without a gap.  A `src` line cites what it follows: a group or
 stem before its first `gen`, the last group generator, or a `name`; each of
 these takes one `src` at most, so a stem's `src` comes before its `gen` lines.
@@ -33,7 +34,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Union
 
-from .fgab import FgAbError, FgAbGroup, _Value
+from .fgab import FgAbError, FgAbGroup, _Value, _setattr
 
 CLOSED_FORM_NOTE = "synthesized closed form"
 
@@ -77,11 +78,11 @@ class GenAnnotations(_Value):
         gammas: tuple[tuple[int, tuple[int, ...]], ...] = (),
         antip: Optional[tuple[int, ...]] = None, source: str = "",
     ):
-        object.__setattr__(self, "susp", susp)
-        object.__setattr__(self, "stab", stab)
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "antip", antip)
-        object.__setattr__(self, "source", source)
+        _setattr(self, "susp", susp)
+        _setattr(self, "stab", stab)
+        _setattr(self, "gammas", gammas)
+        _setattr(self, "antip", antip)
+        _setattr(self, "source", source)
 
     def gamma_component(self, k: int) -> Optional[tuple[int, ...]]:
         for kk, coeffs in self.gammas:
@@ -99,13 +100,13 @@ class SphereEntry(_Value):
         self, m: int, q: int, group: FgAbGroup, gen_names: tuple[str, ...] = (),
         annotations: tuple[GenAnnotations, ...] = (), source: str = "", synthesized: bool = False,
     ):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "gen_names", gen_names)
-        object.__setattr__(self, "annotations", annotations)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "synthesized", synthesized)
+        _setattr(self, "m", m)
+        _setattr(self, "q", q)
+        _setattr(self, "group", group)
+        _setattr(self, "gen_names", gen_names)
+        _setattr(self, "annotations", annotations)
+        _setattr(self, "source", source)
+        _setattr(self, "synthesized", synthesized)
 
     @property
     def k_max(self) -> int:
@@ -135,28 +136,28 @@ class StemEntry(_Value):
     def __init__(
         self, degree: int, group: FgAbGroup, gen_names: tuple[str, ...] = (), source: str = ""
     ):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "gen_names", gen_names)
-        object.__setattr__(self, "source", source)
+        _setattr(self, "degree", degree)
+        _setattr(self, "group", group)
+        _setattr(self, "gen_names", gen_names)
+        _setattr(self, "source", source)
 
 
 class ProductEntry(_Value):
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
+        _setattr(self, "degree", degree)
+        _setattr(self, "coeffs", coeffs)
 
 
 class NamedClass(_Value):
     __slots__ = ("m", "q", "coeffs", "source")
 
     def __init__(self, m: int, q: int, coeffs: tuple[int, ...], source: str = ""):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "source", source)
+        _setattr(self, "m", m)
+        _setattr(self, "q", q)
+        _setattr(self, "coeffs", coeffs)
+        _setattr(self, "source", source)
 
 
 class TableSet(_Value):
@@ -173,7 +174,7 @@ class TableSet(_Value):
     ):
         fields = (entries, stems, products, named, stem_gen_degrees)
         for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, {} if value is None else value)
+            _setattr(self, name, {} if value is None else value)
 
 
 def closed_form_entry(m: int, q: int) -> Optional[SphereEntry]:
@@ -235,17 +236,18 @@ def map_target(tables: TableSet, entry: SphereEntry, kind) -> Union[SphereEntry,
 _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"-?[0-9]+")
 _INT_LIST = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
-_FREE_RANK = re.compile(r"[0-9]+")
 _SRC = re.compile(r'src\s+"([^"]*)"\s*$')
 
 # Annotation directive -> (integer fields before its coefficient vector, what
-# a short line lacks, the message for a bad integer field).
+# a short line lacks, the message for a bad integer field, the index of its
+# row in a generator record; gamma rows are appended to the list there).
 _ANNOTATIONS = {
-    "susp": (0, "a coefficient vector", None),
-    "antip": (0, "a coefficient vector", None),
-    "stab": (1, "degree and a coefficient vector", "stab degree must be an integer"),
-    "gamma": (2, "k, degree and a coefficient vector", "gamma k/degree must be integers"),
+    "susp": (0, "a coefficient vector", None, 0),
+    "antip": (0, "a coefficient vector", None, 3),
+    "stab": (1, "degree and a coefficient vector", "stab degree must be an integer", 1),
+    "gamma": (2, "k, degree and a coefficient vector", "gamma k/degree must be integers", 2),
 }
+_ENDS_ENTITY = frozenset(("group", "stem", "prod", "name"))
 
 
 def _token_column(line: str, index: int) -> int:
@@ -253,30 +255,35 @@ def _token_column(line: str, index: int) -> int:
     return [match.start() + 1 for match in _TOKEN.finditer(line)][index]
 
 
-def _need(tokens: list[str], n: int, what: str, line_no: int, line: str) -> None:
-    if len(tokens) <= n:
-        raise ParseError(f"{tokens[0]!r} needs {what}", line_no, len(line))
-
-
 def _read_ints(
     tokens: list[str], start: int, stop: int, message: str, line_no: int, line: str
 ) -> list[int]:
-    """The integer fields start..stop-1; a bad one is reported at the column
-    of field `start`."""
+    """The integer fields start..stop-1, which the callers' isdigit() test
+    has not accepted: negative, or a bad one, reported at the column of
+    field `start`."""
     values = []
     for field in tokens[start:stop]:
-        # isascii() and isdigit() match [0-9]+, the common case, without the regex.
-        if not (field.isascii() and field.isdigit()) and not _INT.fullmatch(field):
+        if not _INT.fullmatch(field):
             raise ParseError(message, line_no, _token_column(line, start))
         values.append(int(field))
     return values
 
 
 def _split_ints(tokens: list[str], index: int, line_no: int, line: str) -> tuple[int, ...]:
-    """The comma-separated integers of token `index`, () past the last token."""
+    """The comma-separated integers of token `index`, () past the last token.
+
+    int() alone accepts more than -?[0-9]+: '+', '_' and non-ASCII decimal
+    digits, which the test before it rules out.  What int() then rejects is
+    matched again to name the bad integer and its column; a list that does
+    match, with an integer too long for int(), raises int()'s ValueError."""
     if index >= len(tokens):
         return ()
     text = tokens[index]
+    if text.isascii() and "_" not in text and "+" not in text:
+        try:
+            return tuple(map(int, text.split(",")))
+        except ValueError:
+            pass
     if _INT_LIST.fullmatch(text):
         return tuple(map(int, text.split(",")))
     bad = next(p for p in text.split(",") if not _INT.fullmatch(p))
@@ -288,15 +295,14 @@ def _split_ints(tokens: list[str], index: int, line_no: int, line: str) -> tuple
 def _group_from_fields(
     tokens: list[str], index: int, line_no: int, line: str, path: str
 ) -> FgAbGroup:
-    """The group given by token `index` (free rank) and an optional torsion
-    list after it."""
-    if not _FREE_RANK.fullmatch(tokens[index]):
-        raise ParseError(
-            f"bad free rank {tokens[index]!r}", line_no, _token_column(line, index)
-        )
+    """The group given by token `index` (free rank, [0-9]+) and an optional
+    torsion list after it."""
+    free_rank = tokens[index]
+    if not (free_rank.isascii() and free_rank.isdigit()):
+        raise ParseError(f"bad free rank {free_rank!r}", line_no, _token_column(line, index))
     torsion = _split_ints(tokens, index + 1, line_no, line)
     try:
-        return FgAbGroup(int(tokens[index]), torsion)
+        return FgAbGroup(int(free_rank), torsion)
     except FgAbError as exc:
         raise SchemaError(str(exc), path) from None
 
@@ -312,55 +318,58 @@ def _label(key) -> str:
 
 
 class _OpenEntity:
-    def __init__(self, kind: str, key, path: str, group: FgAbGroup):
-        self.kind = kind  # "group" with key (m, q) | "stem" with key k
-        self.key = key
+    """A group or stem whose lines are being read."""
+
+    __slots__ = ("key", "path", "group", "rank", "src", "names", "gens")
+
+    def __init__(self, key, path: str, group: FgAbGroup, is_group: bool):
+        self.key = key  # (m, q) of a group, k of a stem
         self.path = path
         self.group = group
-        self.ann: dict = {}  # the entity's own src
-        # (name, annotations keyed susp/stab/antip/src or gamma k, declared
-        # degrees keyed stab or k), one per gen line
-        self.gens: list[tuple[str, dict, dict]] = []
+        self.rank = group.rank
+        self.src: Optional[str] = None
+        self.names: list[str] = []
+        # A group's record per gen line, [susp, stab, gammas, antip, src, stab
+        # degree], gammas a list of (k, coeffs, degree) in the order given;
+        # an absent row, src or degree is None.  A stem keeps no records.
+        self.gens: Optional[list[list]] = [] if is_group else None
 
     def close(self, entries: dict, stems: dict) -> None:
         """Check what needs all of the entity's lines, then store its entry."""
-        if len(self.gens) != self.group.rank:
+        names, rank = self.names, self.rank
+        if len(names) != rank:
             raise SchemaError(
-                f"{len(self.gens)} generators declared for a group of rank "
-                f"{self.group.rank}",
-                self.path,
+                f"{len(names)} generators declared for a group of rank {rank}", self.path
             )
-        gen_names = tuple(name for name, _ann, _degrees in self.gens)
-        if self.kind == "stem":
-            stems[self.key] = StemEntry(self.key, self.group, gen_names, self.ann.get("src", ""))
+        if self.gens is None:
+            stems[self.key] = StemEntry(self.key, self.group, tuple(names), self.src or "")
             return
         m, q = self.key
-        anns = tuple(
-            GenAnnotations(ann.get("susp"), ann.get("stab"), tuple(sorted(
-                kv for kv in ann.items() if type(kv[0]) is int
-            )), ann.get("antip"), ann.get("src", "")) for _name, ann, _degrees in self.gens
-        )
-        entry = SphereEntry(m, q, self.group, gen_names, anns, self.ann.get("src", ""))
-        for name, ann, degrees in self.gens:
+        anns = []
+        for susp, stab, gammas, antip, src, _stab_degree in self.gens:
+            if gammas:
+                gammas = tuple(sorted([(k, coeffs) for k, coeffs, _degree in gammas]))
+            anns.append(GenAnnotations(susp, stab, gammas or (), antip, src or ""))
+        entry = SphereEntry(m, q, self.group, tuple(names), tuple(anns), self.src or "")
+        for name, (_susp, stab, gammas, antip, _src, stab_degree) in zip(names, self.gens):
             # The Hopf-James components in the order given, then stab, which
             # lands in the degree of the component k = 1.
-            if "stab" in degrees:
-                degrees["stab"] = degrees.pop("stab")
-            for key, degree in degrees.items():
-                expected = entry.gamma_degree(1 if key == "stab" else key)
-                if degree != expected:
+            for k, _coeffs, degree in gammas:
+                if degree != entry.gamma_degree(k):
                     raise SchemaError(
-                        f"{_label(key)} declares degree {degree}, expected {expected}",
+                        f"gamma k={k} declares degree {degree}, expected {entry.gamma_degree(k)}",
                         _gen_path(m, q, name),
                     )
-            if "antip" in ann and len(ann["antip"]) != self.group.rank:
+            if stab is not None and stab_degree != entry.gamma_degree(1):
                 raise SchemaError(
-                    f"antip vector of length {len(ann['antip'])}, expected "
-                    f"{self.group.rank}",
+                    f"stab declares degree {stab_degree}, expected {entry.gamma_degree(1)}",
                     _gen_path(m, q, name),
                 )
-        entries[(m, q)] = entry
-
+            if antip is not None and len(antip) != rank:
+                raise SchemaError(
+                    f"antip vector of length {len(antip)}, expected {rank}", _gen_path(m, q, name)
+                )
+        entries[self.key] = entry
 
 
 def parse_tables(text: str) -> TableSet:
@@ -371,74 +380,104 @@ def parse_tables(text: str) -> TableSet:
     named: dict[str, NamedClass] = {}
     stem_gen_degrees: dict[str, int] = {}
     raw_products: list[tuple[str, str, int, tuple[int, ...]]] = []
-    raw_names: dict[str, tuple[int, int, tuple[int, ...], dict]] = {}  # m, q, coeffs, src
-    open_entity: Optional[_OpenEntity] = None
+    raw_names: dict[str, list] = {}  # [m, q, coeffs, src or None]
+    entity: Optional[_OpenEntity] = None
+    gen: Optional[list] = None  # the record of the open group's last generator
     open_name: Optional[str] = None
 
+    if text[:1] == "\ufeff":  # a byte order mark, kept by the utf-8 codec
+        text = text[1:]
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line[0] == "#":
             continue
         tokens = line.split()
         head = tokens[0]
-        if head in ("group", "stem", "prod", "name"):  # each ends the open entity
-            if open_entity is not None:
-                open_entity.close(entries, stems)
-            open_entity = open_name = None
+        if head in _ENDS_ENTITY:
+            if entity is not None:
+                entity.close(entries, stems)
+            entity = gen = open_name = None
 
-        if head in _ANNOTATIONS:
-            n_ints, needs, bad_int = _ANNOTATIONS[head]
-            _need(tokens, n_ints + 1, needs, line_no, line)
-            if open_entity is None or open_entity.kind != "group" or not open_entity.gens:
+        spec = _ANNOTATIONS.get(head)
+        if spec is not None:
+            n_ints, needs, bad_int, slot = spec
+            if len(tokens) <= n_ints + 1:
+                raise ParseError(f"{head!r} needs {needs}", line_no, len(line))
+            if gen is None:
                 raise ParseError(f"{head} outside of a group generator", line_no)
-            ints = _read_ints(tokens, 1, n_ints + 1, bad_int, line_no, line) if n_ints else ()
-            coeffs = _split_ints(tokens, n_ints + 1, line_no, line)
-            key = ints[0] if head == "gamma" else head
-            if head == "gamma" and key < 1:
-                raise SchemaError("gamma component index must be >= 1", open_entity.path)
-            name, ann, degrees = open_entity.gens[-1]
-            if key in ann:
-                what = key if head != "gamma" else f"gamma component k={key}"
-                raise SchemaError(f"duplicate {what}", _gen_path(*open_entity.key, name))
-            ann[key] = coeffs
-            if ints:
-                degrees[key] = ints[-1]
+            if n_ints == 0:  # susp, antip
+                coeffs = _split_ints(tokens, 1, line_no, line)
+            elif n_ints == 1:  # stab degree
+                degree = tokens[1]
+                if degree.isascii() and degree.isdigit():
+                    degree = int(degree)
+                else:
+                    (degree,) = _read_ints(tokens, 1, 2, bad_int, line_no, line)
+                coeffs = _split_ints(tokens, 2, line_no, line)
+            else:  # gamma k degree
+                k, degree = tokens[1], tokens[2]
+                if k.isascii() and k.isdigit() and degree.isascii() and degree.isdigit():
+                    k, degree = int(k), int(degree)
+                else:
+                    k, degree = _read_ints(tokens, 1, 3, bad_int, line_no, line)
+                coeffs = _split_ints(tokens, 3, line_no, line)
+                if k < 1:
+                    raise SchemaError("gamma component index must be >= 1", entity.path)
+                for kk, _coeffs, _degree in gen[2]:
+                    if kk == k:
+                        raise SchemaError(
+                            f"duplicate gamma component k={k}",
+                            _gen_path(*entity.key, entity.names[-1]),
+                        )
+                gen[2].append((k, coeffs, degree))
+                continue
+            if gen[slot] is not None:
+                raise SchemaError(f"duplicate {head}", _gen_path(*entity.key, entity.names[-1]))
+            gen[slot] = coeffs
+            if n_ints:
+                gen[5] = degree  # of stab
         elif head == "gen":
-            _need(tokens, 1, "a generator name", line_no, line)
-            if open_entity is None:
+            if len(tokens) <= 1:
+                raise ParseError("'gen' needs a generator name", line_no, len(line))
+            if entity is None:
                 raise ParseError("gen outside of a group/stem", line_no)
-            name = tokens[1]
-            if any(gen[0] == name for gen in open_entity.gens):
-                raise SchemaError(
-                    f"duplicate generator {name!r}", open_entity.path
-                )
-            if len(open_entity.gens) >= open_entity.group.rank:
-                raise SchemaError(
-                    f"more generators than the rank {open_entity.group.rank}",
-                    open_entity.path,
-                )
-            open_entity.gens.append((name, {}, {}))
+            name, names = tokens[1], entity.names
+            if name in names:
+                raise SchemaError(f"duplicate generator {name!r}", entity.path)
+            if len(names) >= entity.rank:
+                raise SchemaError(f"more generators than the rank {entity.rank}", entity.path)
+            names.append(name)
+            if entity.gens is not None:
+                gen = [None, None, [], None, None, None]
+                entity.gens.append(gen)
         elif head == "src":
             match = _SRC.match(line)
             if not match:
                 raise ParseError('src needs a quoted string: src "..."', line_no)
             if open_name is not None:
-                holder, path = raw_names[open_name][3], f"name {open_name}"
-            elif open_entity is None:
+                record, index, path = raw_names[open_name], 3, f"name {open_name}"
+            elif entity is None:
                 raise ParseError("src outside of any entity", line_no)
-            elif not open_entity.gens:
-                holder, path = open_entity.ann, open_entity.path
-            elif open_entity.kind == "stem":
+            elif not entity.names:
+                if entity.src is not None:
+                    raise SchemaError("duplicate src", entity.path)
+                entity.src = match.group(1)
+                continue
+            elif gen is None:
                 raise ParseError("src of a stem must come before its gen lines", line_no)
             else:
-                name, holder, _degrees = open_entity.gens[-1]
-                path = _gen_path(*open_entity.key, name)
-            if "src" in holder:
+                record, index, path = gen, 4, _gen_path(*entity.key, entity.names[-1])
+            if record[index] is not None:
                 raise SchemaError("duplicate src", path)
-            holder["src"] = match.group(1)
+            record[index] = match.group(1)
         elif head == "group":
-            _need(tokens, 3, "m q free_rank [torsion]", line_no, line)
-            m, q = _read_ints(tokens, 1, 3, "m and q must be integers", line_no, line)
+            if len(tokens) <= 3:
+                raise ParseError("'group' needs m q free_rank [torsion]", line_no, len(line))
+            m, q = tokens[1], tokens[2]
+            if m.isascii() and m.isdigit() and q.isascii() and q.isdigit():
+                m, q = int(m), int(q)
+            else:
+                m, q = _read_ints(tokens, 1, 3, "m and q must be integers", line_no, line)
             path = f"pi_{m}(S^{q})"
             if (m, q) in entries:
                 raise SchemaError("duplicate entry", path)
@@ -449,38 +488,53 @@ def parse_tables(text: str) -> TableSet:
                     path,
                 )
             group = _group_from_fields(tokens, 3, line_no, line, path)
-            open_entity = _OpenEntity("group", (m, q), path, group)
+            entity = _OpenEntity((m, q), path, group, True)
         elif head == "stem":
-            _need(tokens, 2, "k free_rank [torsion]", line_no, line)
-            (k,) = _read_ints(tokens, 1, 2, "stem degree must be an integer", line_no, line)
+            if len(tokens) <= 2:
+                raise ParseError("'stem' needs k free_rank [torsion]", line_no, len(line))
+            k = tokens[1]
+            if k.isascii() and k.isdigit():
+                k = int(k)
+            else:
+                (k,) = _read_ints(tokens, 1, 2, "stem degree must be an integer", line_no, line)
             path = f"pi_{k}^S"
             if k < 0:
                 raise SchemaError("negative stem degree", path)
             if k in stems:
                 raise SchemaError("duplicate stem", path)
             group = _group_from_fields(tokens, 2, line_no, line, path)
-            open_entity = _OpenEntity("stem", k, path, group)
+            entity = _OpenEntity(k, path, group, False)
         elif head == "prod":
-            _need(tokens, 4, "A B -> degree [coeffs]", line_no, line)
+            if len(tokens) <= 4:
+                raise ParseError("'prod' needs A B -> degree [coeffs]", line_no, len(line))
             if tokens[3] != "->":
                 raise ParseError("prod syntax: prod A B -> degree c1,...", line_no)
-            (degree,) = _read_ints(
-                tokens, 4, 5, "product degree must be an integer", line_no, line
-            )
+            degree = tokens[4]
+            if degree.isascii() and degree.isdigit():
+                degree = int(degree)
+            else:
+                (degree,) = _read_ints(
+                    tokens, 4, 5, "product degree must be an integer", line_no, line
+                )
             coeffs = _split_ints(tokens, 5, line_no, line)
             raw_products.append((tokens[1], tokens[2], degree, coeffs))
         elif head == "name":
-            _need(tokens, 3, "NAME m q [coeffs]", line_no, line)
-            m, q = _read_ints(tokens, 2, 4, "name m/q must be integers", line_no, line)
-            if tokens[1] in raw_names:
-                raise SchemaError("duplicate name", f"name {tokens[1]}")
-            raw_names[tokens[1]] = (m, q, _split_ints(tokens, 4, line_no, line), {})
+            if len(tokens) <= 3:
+                raise ParseError("'name' needs NAME m q [coeffs]", line_no, len(line))
+            m, q = tokens[2], tokens[3]
+            if m.isascii() and m.isdigit() and q.isascii() and q.isdigit():
+                m, q = int(m), int(q)
+            else:
+                m, q = _read_ints(tokens, 2, 4, "name m/q must be integers", line_no, line)
             open_name = tokens[1]
+            if open_name in raw_names:
+                raise SchemaError("duplicate name", f"name {open_name}")
+            raw_names[open_name] = [m, q, _split_ints(tokens, 4, line_no, line), None]
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
 
-    if open_entity is not None:
-        open_entity.close(entries, stems)
+    if entity is not None:
+        entity.close(entries, stems)
     tables = TableSet(entries, stems, products, named, stem_gen_degrees)
 
     # Second pass: resolve lengths and degrees that may reference entities
@@ -493,8 +547,10 @@ def parse_tables(text: str) -> TableSet:
                 f"pi_{k}^S",
             )
     for (m, q), entry in entries.items():
+        # Each vector must fit the group its map lands in: the rank of each
+        # map's target, or why it has none, is found once per entry.
+        ranks: dict = {}
         for name, ann in zip(entry.gen_names, entry.annotations):
-            # Each vector must fit the group its map lands in.
             for key, coeffs in (("susp", ann.susp), ("stab", ann.stab), *ann.gammas):
                 if coeffs is None:
                     continue
@@ -503,13 +559,16 @@ def parse_tables(text: str) -> TableSet:
                         f"gamma component k={key} beyond k_max={entry.k_max}",
                         _gen_path(m, q, name),
                     )
-                target = map_target(tables, entry, key)
-                if isinstance(target, str):
-                    fault = f"target {target}"
-                elif len(coeffs) != target.group.rank:
-                    fault = f"vector length {len(coeffs)} != rank {target.group.rank}"
-                else:
+                rank = ranks.get(key)
+                if rank is None:
+                    target = map_target(tables, entry, key)
+                    rank = ranks[key] = target if isinstance(target, str) else target.group.rank
+                if len(coeffs) == rank:
                     continue
+                if isinstance(rank, str):
+                    fault = f"target {rank}"
+                else:
+                    fault = f"vector length {len(coeffs)} != rank {rank}"
                 raise SchemaError(f"{_label(key)} {fault}", _gen_path(m, q, name))
 
     for k, stem in stems.items():
@@ -537,7 +596,7 @@ def parse_tables(text: str) -> TableSet:
             continue
         raise SchemaError(fault, f"prod {a} {b}")
 
-    for name, (m, q, coeffs, ann) in raw_names.items():
+    for name, (m, q, coeffs, src) in raw_names.items():
         try:
             entry = resolve_entry(tables, m, q)
         except OutOfTabulatedRange:
@@ -549,12 +608,12 @@ def parse_tables(text: str) -> TableSet:
                 f"vector length {len(coeffs)} != rank {entry.group.rank}",
                 f"name {name}",
             )
-        named[name] = NamedClass(m, q, coeffs, ann.get("src", ""))
+        named[name] = NamedClass(m, q, coeffs, src or "")
     return tables
 
 
 def _fmt_vec(coeffs: tuple[int, ...]) -> str:
-    return ",".join(str(c) for c in coeffs)
+    return ",".join(map(str, coeffs))
 
 
 def _fmt_tail(line: str, coeffs: tuple[int, ...]) -> str:

@@ -380,6 +380,12 @@ class TestDataHandling:
         code, out, _ = run(capsys, "--tables", str(path), "pi", "9", "3")
         assert code == 0 and out.splitlines()[0] == "Z_3"
 
+    def test_tables_with_byte_order_mark_and_crlf(self, capsys, tmp_path, table_text):
+        path = tmp_path / "tables.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + table_text.replace("\n", "\r\n").encode("utf-8"))
+        code, out, err = run(capsys, "--tables", str(path), "validate-data")
+        assert (code, out, err) == (0, "dataset consistent: 0 violations\n", "")
+
     def test_invalid_tables_exit_3(self, capsys, tmp_path, table_text):
         path = tmp_path / "broken.txt"
         path.write_text(table_text.replace("stem 8 0 2,2", "stem 8 0 4,2"))

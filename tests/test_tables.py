@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import coincalc
@@ -105,10 +105,27 @@ class TestParsing:
         ts = load_tables(io.BytesIO(table_text.encode("utf-8")))
         assert (3, 2) in ts.entries
 
+    def test_leading_byte_order_mark_is_dropped(self, table_text):
+        import io
+
+        plain = parse_tables(table_text)
+        marked = "\ufeff" + table_text
+        for source in (marked, io.StringIO(marked), io.BytesIO(marked.encode("utf-8"))):
+            assert load_tables(source) == plain
+        # Columns count from the first character after the mark; only one
+        # mark is dropped.
+        with pytest.raises(ParseError) as err:
+            parse_tables("\ufeffstem zero 1\n")
+        assert str(err.value) == "line 1, column 6: stem degree must be an integer"
+        with pytest.raises(ParseError) as err:
+            parse_tables("\ufeff\ufeffstem 0 1\n")
+        assert str(err.value) == "line 1, column 1: unknown directive '\\ufeffstem'"
+
 
 # Opens a stem and a group generator, so that every directive is legal on line 7.
 _PREFIX = "stem 0 1\ngen iota\nstem 1 0 2\ngen eta\ngroup 3 2 1\ngen g\n"
 _BAD_INT = "bad integer {!r} in coefficient list"
+_VECTOR = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
 
 # (bad line, column, message): the line is parsed after _PREFIX, so it is line 7.
 # Columns count from the line's first non-blank character.
@@ -140,6 +157,17 @@ POSITIONED = [
     ("stem 2 0 ,2", 10, _BAD_INT.format("")),
     ("group 4 2 x", 11, "bad free rank 'x'"),
     ("group 4 2 -1", 11, "bad free rank '-1'"),
+    # Tokens that int() or isdigit() accept and -?[0-9]+ does not, or the
+    # reverse: int() takes '_' and other scripts' decimal digits, and
+    # isdigit() is true of superscripts.
+    ("susp 1_0", 6, _BAD_INT.format("1_0")),
+    ("susp --1", 6, _BAD_INT.format("--1")),
+    ("susp 1-2", 6, _BAD_INT.format("1-2")),
+    ("antip 1,", 7, _BAD_INT.format("")),
+    ("stab 1 \uff11", 8, _BAD_INT.format("\uff11")),
+    ("stab 1 \u00b2", 8, _BAD_INT.format("\u00b2")),
+    ("group 4 2 \uff11", 11, "bad free rank '\uff11'"),
+    ("gamma \uff12 0 1", 7, "gamma k/degree must be integers"),
     ("stem 2 \u00b2", 8, "bad free rank '\u00b2'"),
     ("group 4 2 \u00b9 2", 11, "bad free rank '\u00b9'"),
     ("group 4 2", 9, "'group' needs m q free_rank [torsion]"),
@@ -184,6 +212,31 @@ class TestParseErrorPositions:
             with pytest.raises(ParseError) as err:
                 parse_tables("# header\n\n  " + line + "\n")
             assert str(err.value) == f"line 3, column 1: {message}"
+
+    @seed(19)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(["susp", "antip", "stab 1", "gamma 2 0"]),
+        st.text(alphabet="0123456789-,+_x\u0661\uff11\u00b2", min_size=1, max_size=8),
+    )
+    def test_vector_token_grammar(self, head, token):
+        # A vector is -?[0-9]+ joined by commas; anything else is a ParseError
+        # at the token, and a well-formed one is stored as written.  Only antip,
+        # stab and gamma k=2 of gen g land in a group of rank 1; susp lands in
+        # an untabulated group.
+        try:
+            tables = parse_tables(_PREFIX + f"{head} {token}\n")
+        except ParseError as err:
+            assert not _VECTOR.fullmatch(token)
+            assert (err.line, err.column) == (7, len(head) + 2)
+            return
+        except SchemaError:
+            assert _VECTOR.fullmatch(token)
+            return
+        assert _VECTOR.fullmatch(token) and token.count(",") == 0
+        ann = tables.entries[3, 2].annotations[0]
+        stored = {"antip": ann.antip, "stab 1": ann.stab, "gamma 2 0": ann.gamma_component(2)}
+        assert stored[head] == tuple(map(int, token.split(",")))
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="ab1,\x1c\x1d\x1e\x1f\x85\xa0 \u3000\t\n", max_size=40))
