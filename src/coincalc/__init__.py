@@ -65,7 +65,6 @@ from .selfco import (
 )
 from .spheres import (
     GammaValue,
-    Membership,
     SphereClass,
     SphereTables,
     ValidationReport,

@@ -146,18 +146,15 @@ def cmd_compare(args):
     except ValueError:
         raise FgAbError(f"bad m-range {args.m_range!r}; expected A..B") from None
     rows = [equivalence_scan(tables, sp, m) for m in range(lo, hi + 1)]
-    doc = {"surface": args.surface, "rows": []}
+    doc, unknown = {"surface": args.surface, "rows": []}, False
     for s in rows:
         row = {"m": s.m, "pattern": s.pattern(),
                "verdicts": {k: v.value for k, (v, _w) in s.verdicts.items()}}
         # Each relation left undecided, with the gap or gate that blocked it.
-        reasons = {k: w for k, (v, w) in s.verdicts.items() if v is ScanVerdict.UNKNOWN}
+        reasons = {k: str(w) for k, (v, w) in s.verdicts.items() if v is ScanVerdict.UNKNOWN}
         if reasons:
-            row["reasons"] = reasons
+            row["reasons"], unknown = reasons, True
         doc["rows"].append(row)
-    unknown = any(
-        v is ScanVerdict.UNKNOWN for s in rows for v, _w in s.verdicts.values()
-    )
     return "".join(s.row() + "\n" for s in rows), doc, UNKNOWN if unknown else OK
 
 
@@ -209,7 +206,7 @@ def cmd_selfloose(args):
             raise FgAbError("selfloose needs --m unless --fiber is given")
         verdict = self_loose(args.field, args.m, args.nprime)
         subject = f"(f, f) for every f: S^{args.m} -> {args.field}P({args.nprime})"
-    doc = {"subject": subject, "verdict": verdict.verdict.value, "reason": verdict.reason}
+    doc = {"subject": subject, "verdict": verdict.verdict.value, "reason": str(verdict.reason)}
     outcome = UNKNOWN if verdict.verdict is Verdict.UNKNOWN else OK
     return f"{subject}: {verdict}\n", doc, outcome
 

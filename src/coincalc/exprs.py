@@ -42,7 +42,13 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
             raise ExprError(
                 f"cannot read expression at position {pos}: {text[pos:]!r}"
             )
-        tokens.append((match.group(1), match.start(1)))
+        tok, pos = match.group(1), match.start(1)
+        if tok[0] in "-0123456789":
+            try:
+                int(tok)
+            except ValueError as exc:  # past the interpreter's digit limit
+                raise ExprError(f"integer at position {pos} is too long: {exc}") from None
+        tokens.append((tok, pos))
         pos = match.end()
     return tokens
 

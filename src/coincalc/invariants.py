@@ -18,23 +18,18 @@ from typing import Callable, Optional, Union
 from .fgab import FgAbError, _Value, _setattr
 from .projective import ProjSpace, decompose_valid, parse_field
 from .selfco import Verdict, _congruence_ok, self_loose
-from .spheres import (
-    Membership,
-    SphereClass,
-    SphereTables,
-    Unknown,
-)
-from .stable import StableElement
+from .spheres import SphereClass, SphereTables
+from .stable import StableElement, Unknown
 
 FINITE, INFINITE_KIND, UNKNOWN_KIND = "finite", "infinite", "unknown"
 
 
 class InvariantValue(_Value):
-    """A computed invariant: a number, infinity, or an honest Unknown."""
+    """A computed invariant: a number, infinity, or an honest Unknown (reason)."""
 
     __slots__ = ("kind", "value", "reason")
 
-    def __init__(self, kind: str, value: int = 0, reason: str = ""):
+    def __init__(self, kind: str, value: int = 0, reason: Optional[Unknown] = None):
         _setattr(self, "kind", kind)
         _setattr(self, "value", value)
         _setattr(self, "reason", reason)
@@ -52,7 +47,7 @@ class InvariantValue(_Value):
             return str(self.value)
         if self.kind == INFINITE_KIND:
             return "infinite"
-        return f"unknown ({self.reason})" if self.reason else "unknown"
+        return f"unknown ({self.reason})"
 
     def short(self) -> str:
         return {FINITE: str(self.value), INFINITE_KIND: "inf"}.get(self.kind, "?")
@@ -69,7 +64,7 @@ def fin(k: int) -> InvariantValue:
 INF = InvariantValue(INFINITE_KIND)
 
 
-def unk(reason: str) -> InvariantValue:
+def unk(reason: Unknown) -> InvariantValue:
     return InvariantValue(UNKNOWN_KIND, 0, reason)
 
 
@@ -123,7 +118,7 @@ class Report(_Value, frozen=False):
                 return v.value
             if v.kind == INFINITE_KIND:
                 return "infinite"
-            return {"unknown": v.reason}
+            return {"unknown": str(v.reason)}
 
         return {
             "target": self.target,
@@ -227,12 +222,13 @@ def _criteria(
     gamma = tables.gamma(delta)
     zero = gamma.is_zero()
     deriv.append(f"{labels[0]}{gamma}")
-    n_tilde = unk(f"Gamma undetermined: {gamma}") if zero is None else worth(zero)
+    n_tilde = worth(zero) if isinstance(zero, bool) else unk(
+        Unknown(f"Gamma undetermined: {gamma}", zero))
     image = gamma.component(1)
     if not isinstance(image, Unknown):
         image = n_factor(image)
     if isinstance(image, Unknown):
-        return mcc, n_tilde, unk(image.reason), n_z
+        return mcc, n_tilde, unk(image), n_z
     deriv.append(f"{labels[1]}{image}")
     return mcc, n_tilde, worth(image.is_zero), n_z
 
@@ -276,7 +272,7 @@ def sphere_report(
 
     af2 = tables.antipodal_compose(f2)
     if isinstance(af2, Unknown):
-        u = unk(af2.reason)
+        u = unk(af2)
         return Report(target, m, n, inputs, r, u, u, u, u, u, u, notes, deriv)
     delta = f1 - af2
     deriv.append(f"delta = [f1] - [a . f2] = {delta.value} in pi_{m}(S^{n})")
@@ -291,13 +287,14 @@ def sphere_report(
         mc: InvariantValue = fin(0)
     else:
         member = tables.suspension_image_contains(m, n, delta)
-        deriv.append(f"delta in E(pi_{m - 1}(S^{n - 1}))? {member.value}")
-        if member is Membership.YES:
-            mc = fin(1)
-        elif member is Membership.NO:
-            mc = INF if m > n else fin(1)
+        if member is True:
+            answer, mc = "yes", fin(1)
+        elif member is False:
+            answer, mc = "no", INF if m > n else fin(1)
         else:
-            mc = unk("suspension image membership undetermined")
+            why = Unknown("suspension image membership undetermined", member)
+            answer, mc = "unknown", unk(why)
+        deriv.append(f"delta in E(pi_{m - 1}(S^{n - 1}))? {answer}")
     return Report(
         target, m, n, inputs, r, mc, mcc, mcc, n_tilde, n_plain, n_z, notes, deriv
     )
@@ -369,9 +366,8 @@ def projective_report(
             f"the congruence criteria ({loose.reason})"
         )
     else:
-        u = unk(
-            "looseness of (f1, f1) not established: " + loose.reason
-        )
+        cause = loose.reason
+        u = unk(Unknown(f"looseness of (f1, f1) not established: {cause}", cause))
         notes.append("criteria withheld; pass assume_self_loose to override")
         return Report(sp.name, m, sp.n, inputs, r, u, u, u, u, u, u, notes, deriv)
 
@@ -406,7 +402,7 @@ def projective_report(
             "and E(pi_{m-1}(S^1)) = 0, so MC is infinite"
         )
     else:
-        mc = unk("MC is determined by these tables only for sphere targets")
+        mc = unk(Unknown("MC is determined by these tables only for sphere targets"))
 
     return Report(
         sp.name, m, sp.n, inputs, r, mc, mcc, mcc, n_tilde, n_plain, n_z, notes, deriv
@@ -431,7 +427,7 @@ class ScanResult(_Value, frozen=False):
     __slots__ = ("target", "m", "n", "verdicts", "nz_vanishes")
 
     def __init__(
-        self, target: str, m: int, n: int, verdicts: dict[str, tuple[ScanVerdict, str]],
+        self, target: str, m: int, n: int, verdicts: dict[str, tuple[ScanVerdict, str | Unknown]],
         nz_vanishes: Optional[bool],  # is NZ == 0 for every pair?
     ):
         self.target = target
@@ -484,12 +480,13 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
 
     hypothesis_fail = None
     if not decompose_valid(tables, sp, m):
-        hypothesis_fail = f"lift decomposition invalid for {sp} at m = {m}"
+        hypothesis_fail = Unknown(f"lift decomposition invalid for {sp} at m = {m}")
     else:
         loose = self_loose(sp.field.tag, m, sp.n_prime)
         if loose.verdict is not Verdict.LOOSE:
-            hypothesis_fail = f"self-coincidence looseness not established: {loose.reason}"
-    if hypothesis_fail:
+            hypothesis_fail = Unknown(
+                f"self-coincidence looseness not established: {loose.reason}", loose.reason)
+    if hypothesis_fail is not None:
         v = {k: (ScanVerdict.UNKNOWN, hypothesis_fail) for k in SCAN_KEYS}
         return ScanResult(sp.name, m, sp.n, v, None)
 
@@ -498,14 +495,14 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
     ker_gamma, ker_hopf, _whole = tables.kernel_chain(m, sp.q, sp.field.tag)
     gamma_str, hopf_str, whole_str = tables.kernel_chain_texts(m, sp.q, sp.field.tag)
     if isinstance(ker_hopf, Unknown):
-        n_zero = n_nz = b_eq = (ScanVerdict.UNKNOWN, ker_hopf.reason)
+        n_zero = n_nz = b_eq = (ScanVerdict.UNKNOWN, ker_hopf)
     else:
         hopf_text = f"Ker(h . E^inf) = {hopf_str}"
         c_eq = ScanVerdict.HOLDS if ker_hopf.is_whole() else ScanVerdict.FAILS
         n_zero = (c_eq, f"{hopf_text} vs whole = {whole_str}")
         n_nz = (c_eq, "m != n: NZ vanishes identically, so N == NZ iff N == 0")
     if isinstance(ker_gamma, Unknown):
-        a_eq = b_eq = (ScanVerdict.UNKNOWN, ker_gamma.reason)
+        a_eq = b_eq = (ScanVerdict.UNKNOWN, ker_gamma)
     else:
         gamma_text = f"Ker Gamma = {gamma_str}"
         a_eq = (ScanVerdict.HOLDS if ker_gamma.is_trivial else ScanVerdict.FAILS, gamma_text)
@@ -561,7 +558,7 @@ def kervaire_exception(field_tag, n: int, m: int) -> Optional[Report]:
         n=n,
         inputs="f paired with itself, f the exotic class",
         R=fin(2),
-        MC=unk("at least MCC = 1; not determined by these tables"),
+        MC=unk(Unknown("at least MCC = 1; not determined by these tables")),
         MCC=fin(1),
         N_sharp=zero,
         N_tilde=zero,

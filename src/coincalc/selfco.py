@@ -15,6 +15,7 @@ import enum
 
 from .fgab import _Value, _setattr
 from .projective import Field, parse_field
+from .stable import Unknown
 
 # `fractions` and `random` are imported by the few functions that build
 # rationals, so a call that never touches this geometry does not load them.
@@ -30,7 +31,7 @@ class Verdict(enum.Enum):
 class Looseness(_Value):
     __slots__ = ("verdict", "reason")
 
-    def __init__(self, verdict: Verdict, reason: str):
+    def __init__(self, verdict: Verdict, reason: str | Unknown):
         _setattr(self, "verdict", verdict)
         _setattr(self, "reason", reason)
 
@@ -208,16 +209,14 @@ def self_loose(field_tag, m: int, n_prime: int) -> Looseness:
         raise ValueError("m and n' must be >= 1")
     n = field.d * n_prime
     if (m, n) == (2, 2):
-        return Looseness(
-            Verdict.UNKNOWN,
+        return Looseness(Verdict.UNKNOWN, Unknown(
             "(m, n) = (2, 2): a self map of a surface with nonzero degree "
-            "cannot be pushed off itself",
-        )
+            "cannot be pushed off itself"))
     if _congruence_ok(field, n_prime):
         return Looseness(Verdict.LOOSE, "scalar congruence region")
     if n <= 3:
         return Looseness(Verdict.LOOSE, "low-dimensional target (n <= 3)")
-    return Looseness(Verdict.UNKNOWN, "not covered by the congruence criteria")
+    return Looseness(Verdict.UNKNOWN, Unknown("not covered by the congruence criteria"))
 
 
 def sample_unit_vectors(

@@ -3,7 +3,8 @@
 Wraps a parsed TableSet with the operations the coincidence criteria need:
 lookup with closed-form synthesis, suspension, stabilization, the total
 stabilized Hopf-James invariant, the antipodal action, suspension-image
-membership, and the kernel chain Ker(Gamma) <= Ker(h_K . E^inf) <= pi_m(S^q).
+membership (True, False, or the Unknown that blocks it), and the kernel
+chain Ker(Gamma) <= Ker(h_K . E^inf) <= pi_m(S^q).
 Wherever an annotation is missing the answer is a tagged Unknown, never a
 guess; the one exception is data that is forced (images inside trivial
 groups).  Also hosts the deep dataset validator.
@@ -11,7 +12,6 @@ groups).  Also hosts the deep dataset validator.
 
 from __future__ import annotations
 
-import enum
 from typing import Optional, Union
 
 from .fgab import FgAbError, GroupElement, Subgroup, _Value, _setattr, kernel_into_coords
@@ -76,36 +76,23 @@ class GammaValue(_Value):
         _setattr(self, "q", q)
         _setattr(self, "components", components)
 
-    @property
-    def all_known(self) -> bool:
-        return all(not isinstance(v, Unknown) for _k, v in self.components)
-
     def component(self, k: int) -> Union[StableElement, Unknown]:
         for kk, v in self.components:
             if kk == k:
                 return v
         raise KeyError(f"no component k={k}")
 
-    def is_zero(self) -> Optional[bool]:
-        """True/False when decidable, None when unknowns block the answer."""
+    def is_zero(self) -> Union[bool, Unknown]:
+        """True or False when decidable, else the first Unknown component."""
         for _k, v in self.components:
             if not isinstance(v, Unknown) and not v.is_zero:
                 return False
-        if self.all_known:
-            return True
-        return None
+        return next((v for _k, v in self.components if isinstance(v, Unknown)), True)
 
     def __str__(self) -> str:
-        parts = []
-        for k, v in self.components:
-            parts.append(f"k={k}: " + (f"unknown ({v.reason})" if isinstance(v, Unknown) else str(v)))
+        parts = [f"k={k}: " + (f"unknown ({v})" if isinstance(v, Unknown) else str(v))
+                 for k, v in self.components]
         return "; ".join(parts) if parts else "(no components)"
-
-
-class Membership(enum.Enum):
-    YES = "yes"
-    NO = "no"
-    UNKNOWN = "unknown"
 
 
 class Violation(_Value):
@@ -165,9 +152,9 @@ class SphereTables:
         self._entries: dict[tuple[int, int], SphereEntry] = {}
         # (m, q, kind) -> the _map record (target, columns, first gap).
         self._maps: dict[tuple[int, int, Union[str, int]], tuple] = {}
-        # (m, q) -> (Im E from the known susp columns of pi_{m-1}(S^{q-1}),
-        # whether every column was known), or None if the source is untabulated.
-        self._susp_images: dict[tuple[int, int], Optional[tuple[Subgroup, bool]]] = {}
+        # (m, q) -> (Im E from the known susp columns of pi_{m-1}(S^{q-1}), the
+        # first missing column or None); (None, why) if the source is untabulated.
+        self._susp_images: dict[tuple[int, int], tuple[Optional[Subgroup], Optional[Unknown]]] = {}
         # (m, q, field_tag) -> the chain and the text of each member of it.
         self._chains: dict[tuple[int, int, str], tuple[Chain, ChainTexts]] = {}
 
@@ -312,34 +299,28 @@ class SphereTables:
 
     # -------------------------------------------- suspension image membership
 
-    def suspension_image_contains(self, m: int, q: int, x: SphereClass) -> Membership:
-        """Is x in the image of E: pi_{m-1}(S^{q-1}) -> pi_m(S^q)?"""
+    def suspension_image_contains(self, m: int, q: int, x: SphereClass) -> Union[bool, Unknown]:
+        """Is x in the image of E: pi_{m-1}(S^{q-1}) -> pi_m(S^q)?  True, False, or
+        the Unknown of an untabulated source or of its first missing susp column."""
         if (x.m, x.q) != (m, q):
             raise FgAbError("class does not live in the stated group")
         if x.is_zero:
-            return Membership.YES
-        key = (m, q)
-        if key not in self._susp_images:
-            self._susp_images[key] = self._suspension_image(m, q)
-        image = self._susp_images[key]
+            return True
+        image = self._susp_images.get((m, q))
         if image is None:
-            return Membership.UNKNOWN
-        subgroup, complete = image
-        if subgroup.contains(x.value):
-            return Membership.YES
-        return Membership.NO if complete else Membership.UNKNOWN
-
-    def _suspension_image(self, m: int, q: int) -> Optional[tuple[Subgroup, bool]]:
-        """(the subgroup of pi_m(S^q) the known susp columns of pi_{m-1}(S^{q-1})
-        generate, whether every column is known), or None if that source is
-        not tabulated."""
-        try:
-            source = self.lookup(m - 1, q - 1)
-        except OutOfTabulatedRange:
-            return None
-        target, columns, gap = self._map(source, "susp")
-        known = [target.group.element(c) for c in columns if not isinstance(c, Unknown)]
-        return Subgroup(target.group, tuple(known)), gap is None
+            try:
+                source = self.lookup(m - 1, q - 1)
+            except OutOfTabulatedRange as exc:
+                image = None, Unknown(str(exc))
+            else:
+                target, columns, gap = self._map(source, "susp")
+                known = [target.group.element(c) for c in columns if not isinstance(c, Unknown)]
+                image = Subgroup(target.group, tuple(known)), gap
+            self._susp_images[m, q] = image
+        subgroup, gap = image
+        if subgroup is not None and subgroup.contains(x.value):
+            return True
+        return False if gap is None else gap
 
     # ------------------------------------------------------- kernel chain
 

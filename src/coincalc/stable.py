@@ -6,7 +6,8 @@ stem, or have the unit iota or a zero factor, are computed without a table
 entry.  Anything else that is not stored comes back as Unknown: the ring
 never guesses, because the coincidence criteria must degrade to Unknown
 rather than report a wrong vanishing.  Unknown is the one "the tables cannot
-decide" value of the whole package.
+decide" value of the package, held as it is up to the CLI and naming as its
+cause the Unknown whose reason it restates, if any.
 """
 
 from __future__ import annotations
@@ -25,12 +26,16 @@ _DERIVED_NAMES: dict[str, tuple[int, tuple[int, ...]]] = {
 
 
 class Unknown(_Value):
-    """A value the tables cannot determine; carries the reason."""
+    """A value the tables cannot determine: its reason, and the Unknown it restates."""
 
-    __slots__ = ("reason",)
+    __slots__ = ("reason", "cause")
 
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, cause: Optional["Unknown"] = None):
         _setattr(self, "reason", reason)
+        _setattr(self, "cause", cause)
+
+    def __str__(self) -> str:
+        return self.reason
 
 
 class StableElement(_Value):

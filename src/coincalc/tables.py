@@ -32,6 +32,7 @@ these takes one `src` at most, so a stem's `src` comes before its `gen` lines.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Optional, Union
 
 from .fgab import FgAbError, FgAbGroup, _Value, _setattr
@@ -387,151 +388,162 @@ def parse_tables(text: str) -> TableSet:
 
     if text[:1] == "\ufeff":  # a byte order mark, kept by the utf-8 codec
         text = text[1:]
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line[0] == "#":
-            continue
-        tokens = line.split()
-        head = tokens[0]
-        if head in _ENDS_ENTITY:
-            if entity is not None:
-                entity.close(entries, stems)
-            entity = gen = open_name = None
+    # The tests before each int() leave it one fault to raise: an integer
+    # past the interpreter's digit limit, which is put at its field here.
+    try:
+        for line_no, raw_line in enumerate(text.splitlines(), start=1):
+            line = raw_line.strip()
+            if not line or line[0] == "#":
+                continue
+            tokens = line.split()
+            head = tokens[0]
+            if head in _ENDS_ENTITY:
+                if entity is not None:
+                    entity.close(entries, stems)
+                entity = gen = open_name = None
 
-        spec = _ANNOTATIONS.get(head)
-        if spec is not None:
-            n_ints, needs, bad_int, slot = spec
-            if len(tokens) <= n_ints + 1:
-                raise ParseError(f"{head!r} needs {needs}", line_no, len(line))
-            if gen is None:
-                raise ParseError(f"{head} outside of a group generator", line_no)
-            if n_ints == 0:  # susp, antip
-                coeffs = _split_ints(tokens, 1, line_no, line)
-            elif n_ints == 1:  # stab degree
-                degree = tokens[1]
+            spec = _ANNOTATIONS.get(head)
+            if spec is not None:
+                n_ints, needs, bad_int, slot = spec
+                if len(tokens) <= n_ints + 1:
+                    raise ParseError(f"{head!r} needs {needs}", line_no, len(line))
+                if gen is None:
+                    raise ParseError(f"{head} outside of a group generator", line_no)
+                if n_ints == 0:  # susp, antip
+                    coeffs = _split_ints(tokens, 1, line_no, line)
+                elif n_ints == 1:  # stab degree
+                    degree = tokens[1]
+                    if degree.isascii() and degree.isdigit():
+                        degree = int(degree)
+                    else:
+                        (degree,) = _read_ints(tokens, 1, 2, bad_int, line_no, line)
+                    coeffs = _split_ints(tokens, 2, line_no, line)
+                else:  # gamma k degree
+                    k, degree = tokens[1], tokens[2]
+                    if k.isascii() and k.isdigit() and degree.isascii() and degree.isdigit():
+                        k, degree = int(k), int(degree)
+                    else:
+                        k, degree = _read_ints(tokens, 1, 3, bad_int, line_no, line)
+                    coeffs = _split_ints(tokens, 3, line_no, line)
+                    if k < 1:
+                        raise SchemaError("gamma component index must be >= 1", entity.path)
+                    for kk, _coeffs, _degree in gen[2]:
+                        if kk == k:
+                            raise SchemaError(
+                                f"duplicate gamma component k={k}",
+                                _gen_path(*entity.key, entity.names[-1]),
+                            )
+                    gen[2].append((k, coeffs, degree))
+                    continue
+                if gen[slot] is not None:
+                    raise SchemaError(f"duplicate {head}", _gen_path(*entity.key, entity.names[-1]))
+                gen[slot] = coeffs
+                if n_ints:
+                    gen[5] = degree  # of stab
+            elif head == "gen":
+                if len(tokens) <= 1:
+                    raise ParseError("'gen' needs a generator name", line_no, len(line))
+                if entity is None:
+                    raise ParseError("gen outside of a group/stem", line_no)
+                name, names = tokens[1], entity.names
+                if name in names:
+                    raise SchemaError(f"duplicate generator {name!r}", entity.path)
+                if len(names) >= entity.rank:
+                    raise SchemaError(f"more generators than the rank {entity.rank}", entity.path)
+                names.append(name)
+                if entity.gens is not None:
+                    gen = [None, None, [], None, None, None]
+                    entity.gens.append(gen)
+            elif head == "src":
+                match = _SRC.match(line)
+                if not match:
+                    raise ParseError('src needs a quoted string: src "..."', line_no)
+                if open_name is not None:
+                    record, index, path = raw_names[open_name], 3, f"name {open_name}"
+                elif entity is None:
+                    raise ParseError("src outside of any entity", line_no)
+                elif not entity.names:
+                    if entity.src is not None:
+                        raise SchemaError("duplicate src", entity.path)
+                    entity.src = match.group(1)
+                    continue
+                elif gen is None:
+                    raise ParseError("src of a stem must come before its gen lines", line_no)
+                else:
+                    record, index, path = gen, 4, _gen_path(*entity.key, entity.names[-1])
+                if record[index] is not None:
+                    raise SchemaError("duplicate src", path)
+                record[index] = match.group(1)
+            elif head == "group":
+                if len(tokens) <= 3:
+                    raise ParseError("'group' needs m q free_rank [torsion]", line_no, len(line))
+                m, q = tokens[1], tokens[2]
+                if m.isascii() and m.isdigit() and q.isascii() and q.isdigit():
+                    m, q = int(m), int(q)
+                else:
+                    m, q = _read_ints(tokens, 1, 3, "m and q must be integers", line_no, line)
+                path = f"pi_{m}(S^{q})"
+                if (m, q) in entries:
+                    raise SchemaError("duplicate entry", path)
+                if q <= 1 or m <= q:
+                    raise SchemaError(
+                        "entry lies in the closed-form range (q <= 1, m <= q) and "
+                        "must not be tabulated",
+                        path,
+                    )
+                group = _group_from_fields(tokens, 3, line_no, line, path)
+                entity = _OpenEntity((m, q), path, group, True)
+            elif head == "stem":
+                if len(tokens) <= 2:
+                    raise ParseError("'stem' needs k free_rank [torsion]", line_no, len(line))
+                k = tokens[1]
+                if k.isascii() and k.isdigit():
+                    k = int(k)
+                else:
+                    (k,) = _read_ints(tokens, 1, 2, "stem degree must be an integer", line_no, line)
+                path = f"pi_{k}^S"
+                if k < 0:
+                    raise SchemaError("negative stem degree", path)
+                if k in stems:
+                    raise SchemaError("duplicate stem", path)
+                group = _group_from_fields(tokens, 2, line_no, line, path)
+                entity = _OpenEntity(k, path, group, False)
+            elif head == "prod":
+                if len(tokens) <= 4:
+                    raise ParseError("'prod' needs A B -> degree [coeffs]", line_no, len(line))
+                if tokens[3] != "->":
+                    raise ParseError("prod syntax: prod A B -> degree c1,...", line_no)
+                degree = tokens[4]
                 if degree.isascii() and degree.isdigit():
                     degree = int(degree)
                 else:
-                    (degree,) = _read_ints(tokens, 1, 2, bad_int, line_no, line)
-                coeffs = _split_ints(tokens, 2, line_no, line)
-            else:  # gamma k degree
-                k, degree = tokens[1], tokens[2]
-                if k.isascii() and k.isdigit() and degree.isascii() and degree.isdigit():
-                    k, degree = int(k), int(degree)
+                    (degree,) = _read_ints(
+                        tokens, 4, 5, "product degree must be an integer", line_no, line
+                    )
+                coeffs = _split_ints(tokens, 5, line_no, line)
+                raw_products.append((tokens[1], tokens[2], degree, coeffs))
+            elif head == "name":
+                if len(tokens) <= 3:
+                    raise ParseError("'name' needs NAME m q [coeffs]", line_no, len(line))
+                m, q = tokens[2], tokens[3]
+                if m.isascii() and m.isdigit() and q.isascii() and q.isdigit():
+                    m, q = int(m), int(q)
                 else:
-                    k, degree = _read_ints(tokens, 1, 3, bad_int, line_no, line)
-                coeffs = _split_ints(tokens, 3, line_no, line)
-                if k < 1:
-                    raise SchemaError("gamma component index must be >= 1", entity.path)
-                for kk, _coeffs, _degree in gen[2]:
-                    if kk == k:
-                        raise SchemaError(
-                            f"duplicate gamma component k={k}",
-                            _gen_path(*entity.key, entity.names[-1]),
-                        )
-                gen[2].append((k, coeffs, degree))
-                continue
-            if gen[slot] is not None:
-                raise SchemaError(f"duplicate {head}", _gen_path(*entity.key, entity.names[-1]))
-            gen[slot] = coeffs
-            if n_ints:
-                gen[5] = degree  # of stab
-        elif head == "gen":
-            if len(tokens) <= 1:
-                raise ParseError("'gen' needs a generator name", line_no, len(line))
-            if entity is None:
-                raise ParseError("gen outside of a group/stem", line_no)
-            name, names = tokens[1], entity.names
-            if name in names:
-                raise SchemaError(f"duplicate generator {name!r}", entity.path)
-            if len(names) >= entity.rank:
-                raise SchemaError(f"more generators than the rank {entity.rank}", entity.path)
-            names.append(name)
-            if entity.gens is not None:
-                gen = [None, None, [], None, None, None]
-                entity.gens.append(gen)
-        elif head == "src":
-            match = _SRC.match(line)
-            if not match:
-                raise ParseError('src needs a quoted string: src "..."', line_no)
-            if open_name is not None:
-                record, index, path = raw_names[open_name], 3, f"name {open_name}"
-            elif entity is None:
-                raise ParseError("src outside of any entity", line_no)
-            elif not entity.names:
-                if entity.src is not None:
-                    raise SchemaError("duplicate src", entity.path)
-                entity.src = match.group(1)
-                continue
-            elif gen is None:
-                raise ParseError("src of a stem must come before its gen lines", line_no)
+                    m, q = _read_ints(tokens, 2, 4, "name m/q must be integers", line_no, line)
+                open_name = tokens[1]
+                if open_name in raw_names:
+                    raise SchemaError("duplicate name", f"name {open_name}")
+                raw_names[open_name] = [m, q, _split_ints(tokens, 4, line_no, line), None]
             else:
-                record, index, path = gen, 4, _gen_path(*entity.key, entity.names[-1])
-            if record[index] is not None:
-                raise SchemaError("duplicate src", path)
-            record[index] = match.group(1)
-        elif head == "group":
-            if len(tokens) <= 3:
-                raise ParseError("'group' needs m q free_rank [torsion]", line_no, len(line))
-            m, q = tokens[1], tokens[2]
-            if m.isascii() and m.isdigit() and q.isascii() and q.isdigit():
-                m, q = int(m), int(q)
-            else:
-                m, q = _read_ints(tokens, 1, 3, "m and q must be integers", line_no, line)
-            path = f"pi_{m}(S^{q})"
-            if (m, q) in entries:
-                raise SchemaError("duplicate entry", path)
-            if q <= 1 or m <= q:
-                raise SchemaError(
-                    "entry lies in the closed-form range (q <= 1, m <= q) and "
-                    "must not be tabulated",
-                    path,
-                )
-            group = _group_from_fields(tokens, 3, line_no, line, path)
-            entity = _OpenEntity((m, q), path, group, True)
-        elif head == "stem":
-            if len(tokens) <= 2:
-                raise ParseError("'stem' needs k free_rank [torsion]", line_no, len(line))
-            k = tokens[1]
-            if k.isascii() and k.isdigit():
-                k = int(k)
-            else:
-                (k,) = _read_ints(tokens, 1, 2, "stem degree must be an integer", line_no, line)
-            path = f"pi_{k}^S"
-            if k < 0:
-                raise SchemaError("negative stem degree", path)
-            if k in stems:
-                raise SchemaError("duplicate stem", path)
-            group = _group_from_fields(tokens, 2, line_no, line, path)
-            entity = _OpenEntity(k, path, group, False)
-        elif head == "prod":
-            if len(tokens) <= 4:
-                raise ParseError("'prod' needs A B -> degree [coeffs]", line_no, len(line))
-            if tokens[3] != "->":
-                raise ParseError("prod syntax: prod A B -> degree c1,...", line_no)
-            degree = tokens[4]
-            if degree.isascii() and degree.isdigit():
-                degree = int(degree)
-            else:
-                (degree,) = _read_ints(
-                    tokens, 4, 5, "product degree must be an integer", line_no, line
-                )
-            coeffs = _split_ints(tokens, 5, line_no, line)
-            raw_products.append((tokens[1], tokens[2], degree, coeffs))
-        elif head == "name":
-            if len(tokens) <= 3:
-                raise ParseError("'name' needs NAME m q [coeffs]", line_no, len(line))
-            m, q = tokens[2], tokens[3]
-            if m.isascii() and m.isdigit() and q.isascii() and q.isdigit():
-                m, q = int(m), int(q)
-            else:
-                m, q = _read_ints(tokens, 2, 4, "name m/q must be integers", line_no, line)
-            open_name = tokens[1]
-            if open_name in raw_names:
-                raise SchemaError("duplicate name", f"name {open_name}")
-            raw_names[open_name] = [m, q, _split_ints(tokens, 4, line_no, line), None]
-        else:
-            raise ParseError(f"unknown directive {head!r}", line_no)
+                raise ParseError(f"unknown directive {head!r}", line_no)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        first = {"name": 2, "prod": 4}.get(tokens[0], 1)  # the fields after any names
+        index = next((i for i in range(first, len(tokens))
+                      if any(len(p.lstrip("-")) > limit for p in tokens[i].split(","))), None)
+        if index is None:
+            raise
+        raise ParseError(f"integer too long: {exc}", line_no, _token_column(line, index)) from None
 
     if entity is not None:
         entity.close(entries, stems)
@@ -669,7 +681,10 @@ def load_tables(source) -> TableSet:
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
+            # The column counts characters from the line's first non-blank one,
+            # as in parse_tables, and on line 1 after a byte order mark.
             line = data.count(b"\n", 0, exc.start) + 1
-            column = exc.start - data.rfind(b"\n", 0, exc.start)
+            head = data[data.rfind(b"\n", 0, exc.start) + 1 : exc.start]
+            column = len(head.decode("utf-8-sig" if line == 1 else "utf-8").lstrip()) + 1
             raise ParseError(f"not UTF-8 text ({exc.reason})", line, column) from None
     return parse_tables(data)

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +261,20 @@ class TestExitContract:
         assert code == 2 and out == ""
         assert reason in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("expr, position", [
+        ("{}*eta_2", 0), ("susp(zero, {})", 11), ("eta_2 + -{}*eta_2", 8)])
+    def test_integer_past_the_digit_limit_names_its_position(self, capsys, expr, position):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, *_nielsen_rp2(expr.format("9" * 5000)))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: integer at position {position} is too long: "
+                              "Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "edit,argv,reason",
         [
@@ -417,6 +432,33 @@ class TestDataHandling:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (3, "")
             assert err.startswith(f"data error: {where}: not UTF-8 text") and err.count("\n") == 1
+
+    def test_integer_past_the_digit_limit_exits_3(self, capsys, tmp_path):
+        # int() refuses more digits than the interpreter's limit: a data
+        # error at the field, whatever the limit is set to outside the test.
+        long = "9" * 5000
+        cases = [
+            (f"stem 0 1\ngen iota\nstem 1 0 {long}\n", 3, 10),  # torsion order
+            (f"stem 0 1\ngen iota\nstem 1 0 2,-{long}\n", 3, 10),  # in a list
+            (f"stem {long} 1\n", 1, 6),  # stem degree
+            (f"group 3 2 {long}\n", 1, 11),  # free rank
+            (f"group 3 2 1\ngen {long}\nstab -{long} 1\n", 3, 6),  # after a long name
+            (f"name {long} 3 2 {long}\n", 1, len(long) + 11),  # the coefficients
+            (f"prod {long} {long} -> 1 {long}\n", 1, 2 * len(long) + 13),
+        ]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for text, line, column in cases:
+                path = tmp_path / "long.txt"
+                path.write_text(text, encoding="utf-8")
+                code, out, err = run(capsys, "--tables", str(path), "validate-data")
+                assert (code, out) == (3, "")
+                assert err.startswith(f"data error: line {line}, column {column}: "
+                                      "integer too long: Exceeds the limit (4300 digits)")
+                assert err.count("\n") == 1
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_non_ascii_free_rank_exits_3(self, capsys, tmp_path):
         # str.isdigit() accepts a superscript two, which int() rejects.

@@ -376,7 +376,8 @@ class TestEquivalenceScan:
         gapped = SphereTables(parse_tables(table_text.replace("gamma 2 3 14\n", "")))
         scan = equivalence_scan(gapped, space("R", 2), 6)
         gap = (ScanVerdict.UNKNOWN,
-               "gamma k=2 of generator eta_2_nu_p of pi_6(S^2) is not annotated")
+               Unknown("gamma k=2 of generator eta_2_nu_p of pi_6(S^2) is not annotated"))
+        assert scan.verdicts["nsharp_eq_ntilde"][1] is gapped.kernel_chain(6, 2, "R")[0]
         assert scan.verdicts == {
             "nsharp_eq_ntilde": gap,
             "ntilde_eq_n": gap,
@@ -397,56 +398,72 @@ def _eta2(ts):
 
 
 # One dropped table line per annotation kind: (kept text, text after the
-# drop, [(probe, the exact reason it must report)]).
+# drop, [(probe, the exact text its Unknown prints, None or the query whose
+# very Unknown it must be)]).  A probe past the first reads an Unknown that
+# either passes through unchanged or restates another as its cause.  The
+# product probe's query reads what the last StableRing.multiply returned.
 _GAPS = {
     "susp": (
         "gen eta_2\nsusp 1\n",
         "gen eta_2\n",
-        [(lambda ts: ts.suspend(_eta2(ts)).reason,
-          "suspension of generator eta_2 of pi_3(S^2) is not annotated")],
+        [(lambda ts: ts.suspend(_eta2(ts)),
+          "suspension of generator eta_2 of pi_3(S^2) is not annotated", None),
+         (lambda ts: sphere_report(
+             ts, 4, 3, ts.generator(4, 3, "eta_3"), ts.zero(4, 3)).MC.reason.cause,
+          "suspension of generator eta_2 of pi_3(S^2) is not annotated",
+          lambda ts: ts.suspend(_eta2(ts)))],
     ),
     "antip": (
         "gamma 2 0 1\nantip 1\n",
         "gamma 2 0 1\n",
-        [(lambda ts: ts.antipodal_compose(_eta2(ts)).reason,
-          "antipodal action on generator eta_2 of pi_3(S^2) is not annotated"),
+        [(lambda ts: ts.antipodal_compose(_eta2(ts)),
+          "antipodal action on generator eta_2 of pi_3(S^2) is not annotated", None),
          (lambda ts: sphere_report(ts, 3, 2, ts.zero(3, 2), _eta2(ts)).N_plain.reason,
-          "antipodal action on generator eta_2 of pi_3(S^2) is not annotated")],
+          "antipodal action on generator eta_2 of pi_3(S^2) is not annotated",
+          lambda ts: ts.antipodal_compose(_eta2(ts)))],
     ),
     "stab": (
         "gen eta_2\nsusp 1\nstab 1 1\n",
         "gen eta_2\nsusp 1\n",
-        [(lambda ts: ts.stabilize(_eta2(ts)).reason,
-          "stabilization of generator eta_2 of pi_3(S^2) is not annotated"),
-         (lambda ts: ts.gamma(_eta2(ts)).component(1).reason,
-          "stabilization of generator eta_2 of pi_3(S^2) is not annotated"),
+        [(lambda ts: ts.stabilize(_eta2(ts)),
+          "stabilization of generator eta_2 of pi_3(S^2) is not annotated", None),
+         (lambda ts: ts.gamma(_eta2(ts)).component(1),
+          "stabilization of generator eta_2 of pi_3(S^2) is not annotated",
+          lambda ts: ts.stabilize(_eta2(ts))),
          (lambda ts: projective_report(
              ts, space("R", 2), 3, _eta2(ts), ts.zero(3, 2)).N_plain.reason,
-          "stabilization of generator eta_2 of pi_3(S^2) is not annotated")],
+          "stabilization of generator eta_2 of pi_3(S^2) is not annotated",
+          lambda ts: ts.stabilize(_eta2(ts)))],
     ),
     "gamma": (
         "gamma 2 6 0\n",
         "",
-        [(lambda ts: ts.gamma(ts.generator(9, 2, "eta_2_alpha")).component(2).reason,
-          "gamma k=2 of generator eta_2_alpha of pi_9(S^2) is not annotated"),
+        [(lambda ts: ts.gamma(ts.generator(9, 2, "eta_2_alpha")).component(2),
+          "gamma k=2 of generator eta_2_alpha of pi_9(S^2) is not annotated", None),
          (lambda ts: projective_report(
              ts, space("R", 2), 9, ts.generator(9, 2, "eta_2_alpha"), ts.zero(9, 2)
          ).N_tilde.reason,
           "Gamma undetermined: k=1: (0) in pi_7^S; k=2: unknown (gamma k=2 of "
           "generator eta_2_alpha of pi_9(S^2) is not annotated); k=3: () in "
           "pi_5^S; k=4: () in pi_4^S; k=5: (0) in pi_3^S; k=6: (0) in pi_2^S; "
-          "k=7: (0) in pi_1^S; k=8: (0) in pi_0^S")],
+          "k=7: (0) in pi_1^S; k=8: (0) in pi_0^S", None),
+         (lambda ts: projective_report(
+             ts, space("R", 2), 9, ts.generator(9, 2, "eta_2_alpha"), ts.zero(9, 2)
+         ).N_tilde.reason.cause,
+          "gamma k=2 of generator eta_2_alpha of pi_9(S^2) is not annotated",
+          lambda ts: ts.gamma(ts.generator(9, 2, "eta_2_alpha")).component(2))],
     ),
     "prod": (
         "prod eta eta -> 2 1\n",
         "",
-        [(lambda ts: ts.ring.multiply(ts.ring.named("eta"), ts.ring.named("eta")).reason,
-          "product eta * eta (degrees 1+1) not tabulated"),
+        [(lambda ts: ts.ring.multiply(ts.ring.named("eta"), ts.ring.named("eta")),
+          "product eta * eta (degrees 1+1) not tabulated", None),
          (lambda ts: projective_report(
              ts, space("C", 2), 6, ts.cls(6, 5, [1]), ts.zero(6, 5),
              assume_self_loose=True,
          ).N_plain.reason,
-          "product eta * eta (degrees 1+1) not tabulated")],
+          "product eta * eta (degrees 1+1) not tabulated",
+          lambda ts: ts.ring.products[-1])],
     ),
 }
 
@@ -456,8 +473,101 @@ def test_unknown_reason_for_each_dropped_line(table_text, kind):
     kept, dropped, probes = _GAPS[kind]
     assert table_text.count(kept) == 1
     gapped = SphereTables(parse_tables(table_text.replace(kept, dropped)))
-    for probe, reason in probes:
-        assert probe(gapped) == reason
+    ring, products = gapped.ring, []
+    multiply = ring.multiply
+
+    def recording_multiply(a, b):
+        products.append(multiply(a, b))
+        return products[-1]
+
+    ring.multiply, ring.products = recording_multiply, products
+    for probe, text, query in probes:
+        got = probe(gapped)
+        assert isinstance(got, Unknown) and str(got) == text
+        if query is not None:
+            assert got is query(gapped)
+
+
+_MEMBERSHIP = "suspension image membership undetermined"
+
+
+def _cause_chain(u) -> list[str]:
+    """The texts along u's .cause links, after checking that each link is an
+    Unknown, that each one with a cause restates it (the Gamma and looseness
+    lines print the cause's text; the membership line prints none, so its
+    caller checks the cause), and that the last restates nothing."""
+    texts = [str(u)]
+    while isinstance(u, Unknown) and u.cause is not None:
+        text, cause = u.reason, str(u.cause)
+        assert (text == _MEMBERSHIP
+                or text.startswith("Gamma undetermined: ") and f"unknown ({cause})" in text
+                or text in (f"looseness of (f1, f1) not established: {cause}",
+                            f"self-coincidence looseness not established: {cause}")), text
+        u = u.cause
+        texts.append(cause)
+        assert len(texts) <= 3
+    assert isinstance(u, Unknown), u
+    assert not u.reason.startswith(("Gamma undetermined", "looseness", "self-coincidence"))
+    assert u.reason != _MEMBERSHIP
+    return texts
+
+
+@pytest.mark.parametrize("gap", [None, *sorted(_GAPS)])
+def test_every_undecided_answer_holds_its_cause(table_text, gap):
+    # Over the survey range (R n' <= 12, C n' <= 6, H n' <= 4, m <= 21), on
+    # the bundled table and on each table of _GAPS, every undecided report
+    # value, scan relation and looseness verdict holds an Unknown, and its
+    # .cause links end at the Unknown of a table gap or of a gate (see
+    # _cause_chain).  The membership line's cause is the very Unknown that
+    # suspension_image_contains gives for the report's difference class.
+    text = table_text if gap is None else table_text.replace(*_GAPS[gap][:2])
+    ts = SphereTables(parse_tables(text))
+    heads = set()
+
+    def check(u):
+        texts = _cause_chain(u)
+        heads.add(texts[0].split(":")[0] if len(texts) > 1 else "table or gate")
+
+    for tag, top in (("R", 12), ("C", 6), ("H", 4)):
+        for n_prime in range(1, top + 1):
+            sp = space(tag, n_prime)
+            q = sp.q
+            for m in range(2, 22):
+                loose = self_loose(tag, m, n_prime)
+                if loose.verdict is Verdict.UNKNOWN:
+                    check(loose.reason)
+                try:
+                    scan = equivalence_scan(ts, sp, m)
+                    rank = ts.lookup(m, q).group.rank
+                except OutOfTabulatedRange:
+                    continue
+                for verdict, witness in scan.verdicts.values():
+                    if verdict is ScanVerdict.UNKNOWN:
+                        check(witness)
+                zero = (0,) * rank
+                units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+                for c in units + [(1,) * rank]:
+                    for c1, c2 in ((c, zero), (zero, c)):
+                        f1, f2 = ts.cls(m, q, c1), ts.cls(m, q, c2)
+                        reports = [sphere_report(ts, m, q, f1, f2)]
+                        for assume in (False, True):
+                            try:
+                                reports.append(projective_report(ts, sp, m, f1, f2, assume))
+                            except (FgAbError, TableError):
+                                pass  # a KP(1) = S^n whose inputs live in pi_m(S^n)
+                        for value in (v for rep in reports for v in rep.values().values()):
+                            if value.is_unknown:
+                                check(value.reason)
+                        mc = reports[0].MC
+                        if mc.is_unknown and str(mc.reason) == _MEMBERSHIP:
+                            delta = f1 - ts.antipodal_compose(f2)
+                            assert mc.reason.cause is ts.suspension_image_contains(m, q, delta)
+    # Only the dropped gamma row leaves Gamma undecided on these classes.
+    restated = {"looseness of (f1, f1) not established", _MEMBERSHIP,
+                "self-coincidence looseness not established"}
+    if gap == "gamma":
+        restated.add("Gamma undetermined")
+    assert heads == {"table or gate", *restated}
 
 
 def _answer(ask):
@@ -478,8 +588,8 @@ def test_kept_lookups_and_images_answer_as_fresh_tables(table_text, gap):
     # m <= 21) both give the same equivalence scan at every (K, n', m), the
     # same values and derivation lines for every pair of a few classes (zero,
     # each generator, the sum of all and its double), and at the end the same
-    # validate() report.  Both tables reach Membership.UNKNOWN, the one
-    # without the susp row of eta_2 also from pi_3(S^2).
+    # validate() report.  Both tables leave suspension-image membership
+    # undecided, the one without the susp row of eta_2 also from pi_3(S^2).
     text = table_text if gap is None else table_text.replace(*_GAPS[gap][:2])
     raw = parse_tables(text)
     kept = SphereTables(raw)

@@ -105,6 +105,16 @@ class TestParsing:
         ts = load_tables(io.BytesIO(table_text.encode("utf-8")))
         assert (3, 2) in ts.entries
 
+    @pytest.mark.parametrize("data", [b"\xef\xbb\xbfab\xff", b"ab\xff", "\u00e9".encode() + b"b\xff",
+                                      b"  ab\xff", b"\t\xc2\xa0ab\xff"])
+    def test_undecodable_byte_column_counts_characters(self, data):
+        # As in every other ParseError: from the line's first non-blank
+        # character, after a byte order mark that starts the file.
+        for text in (data, b"# header\n" + data.replace(b"\xef\xbb\xbf", b"")):
+            with pytest.raises(ParseError) as err:
+                load_tables(text)
+            assert (err.value.line, err.value.column) == (text.count(b"\n") + 1, 3)
+
     def test_leading_byte_order_mark_is_dropped(self, table_text):
         import io
 

@@ -86,7 +86,7 @@ VALUES = {
                    lambda other: NamedClass(3, 2, (2,) if other else (1,), "src")),
     "TableSet": (("entries", "stems", "products", "named", "stem_gen_degrees"),
                  lambda other: TableSet(named={"x": NamedClass(3, 2, (1,))} if other else {})),
-    "Unknown": (("reason",), lambda other: Unknown("gap b" if other else "gap a")),
+    "Unknown": (("reason", "cause"), lambda other: Unknown("gap b" if other else "gap a")),
     "StableElement": (("degree", "value"),
                       lambda other: StableElement(1, Z2.element([0 if other else 1]))),
     "SphereClass": (("m", "q", "value"),
