@@ -52,6 +52,7 @@ from .selfco import (
 )
 from .spheres import SphereTables
 from .tables import (
+    _INT,
     OutOfTabulatedRange,
     ParseError,
     SchemaError,
@@ -84,6 +85,22 @@ def _load(args) -> SphereTables:
         except OSError as exc:
             raise TablesUnreadable(exc) from None
     return load_default_tables()
+
+
+class _IntArg(str):
+    """The text of an integer argument.  main reads it with _integer, in the
+    grammar of the table and of expressions, so that a bad one is an input
+    error of one line rather than argparse's usage error."""
+
+
+def _integer(text: str, what: str) -> int:
+    """An integer argument: ASCII -?[0-9]+, which int() alone extends."""
+    if not _INT.fullmatch(text):
+        raise ValueError(f"{what} must be an integer -?[0-9]+, got {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise ValueError(f"{what} is too long: {exc}") from None
 
 
 def _has_unknown(rep: Report) -> bool:
@@ -141,8 +158,7 @@ def cmd_compare(args):
         raise FgAbError(f"unknown surface {args.surface!r}; expected CP1 or RP2")
     sp = space(*SURFACES[args.surface])
     try:
-        lo_text, hi_text = args.m_range.split("..")
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = (_integer(bound, "--m-range") for bound in args.m_range.split(".."))
     except ValueError:
         raise FgAbError(f"bad m-range {args.m_range!r}; expected A..B") from None
     rows = [equivalence_scan(tables, sp, m) for m in range(lo, hi + 1)]
@@ -286,17 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pi", help="print pi_m(S^q)")
-    p.add_argument("m", type=int)
-    p.add_argument("q", type=int)
+    p.add_argument("m", type=_IntArg)
+    p.add_argument("q", type=_IntArg)
     p.set_defaults(func=cmd_pi)
 
     p = sub.add_parser("stems", help="print a stable stem")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_IntArg)
     p.set_defaults(func=cmd_stems)
 
     p = sub.add_parser("nielsen", parents=[field], help="invariants of one pair of maps")
-    p.add_argument("--nprime", required=True, type=int)
-    p.add_argument("--m", required=True, type=int)
+    p.add_argument("--nprime", required=True, type=_IntArg)
+    p.add_argument("--m", required=True, type=_IntArg)
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
     p.add_argument("--assume-self-loose", action="store_true")
@@ -312,20 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_witnesses)
 
     p = sub.add_parser("selfloose", parents=[field], help="self-coincidence verdicts")
-    p.add_argument("--nprime", required=True, type=int)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--nprime", required=True, type=_IntArg)
+    p.add_argument("--m", type=_IntArg, default=None)
     p.add_argument("--fiber", action="store_true", help="judge the fiber projection")
     p.set_defaults(func=cmd_selfloose)
 
     p = sub.add_parser("verify-s", parents=[field], help="exact check of the pairwise rotation")
-    p.add_argument("--nprime", type=int, default=None)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nprime", type=_IntArg, default=None)
+    p.add_argument("--samples", type=_IntArg, default=25)
+    p.add_argument("--seed", type=_IntArg, default=0)
     p.set_defaults(func=cmd_verify_s)
 
     p = sub.add_parser("wecken", parents=[field], help="does MCC = N# hold for all pairs?")
-    p.add_argument("--nprime", required=True, type=int)
-    p.add_argument("--m", required=True, type=int)
+    p.add_argument("--nprime", required=True, type=_IntArg)
+    p.add_argument("--m", required=True, type=_IntArg)
     p.set_defaults(func=cmd_wecken)
 
     p = sub.add_parser("validate-data", help="check dataset consistency")
@@ -352,6 +368,9 @@ def _emit(stream, text: str) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, _IntArg):
+                setattr(args, name, _integer(value, name))
         text, doc, outcome = args.func(args)
     except (ParseError, SchemaError, UnregisteredName) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -11,7 +11,9 @@ GEN is a generator name of the context entry pi_m(S^q); a bare INT is the
 corresponding multiple of iota and only makes sense when m = q.  Named
 classes must land in the context entry; susp(EXPR, k) evaluates EXPR in
 pi_{m-k}(S^{q-k}) and suspends k times (k defaults to 1).  The q of
-whitehead(q) is written without a leading zero, as in the table's names.
+whitehead(q) is written without a leading zero, as in the table's names.  An
+integer, term or sum with more digits than the interpreter converts is an
+error at its position.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 from typing import Optional
 
 from .spheres import SphereClass, SphereTables, Unknown
-from .tables import SchemaError
+from .tables import _INT, SchemaError
 
 
 class ExprError(ValueError):
@@ -28,7 +30,6 @@ class ExprError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"\s*(-?[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[()*,+])")
-_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -51,6 +52,16 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
         tokens.append((tok, pos))
         pos = match.end()
     return tokens
+
+
+def _printable(cls: SphereClass, what: str, pos: int) -> SphereClass:
+    """cls, unless a coefficient has more digits than str() converts, which
+    every report that shows the class would then fail on."""
+    try:
+        str(cls.value)
+    except ValueError as exc:
+        raise ExprError(f"{what} at position {pos} is too large: {exc}") from None
+    return cls
 
 
 class _Parser:
@@ -85,17 +96,20 @@ class _Parser:
     def expr(self, m: int, q: int) -> SphereClass:
         total = self.term(m, q)
         while self.peek() == "+":
-            self.take("+")
-            total = total + self.term(m, q)
+            _tok, pos = self.take("+")
+            total = _printable(total + self.term(m, q), "sum", pos)
         return total
 
     def term(self, m: int, q: int) -> SphereClass:
+        start = self.index
         tok = self.peek()
-        if tok is not None and _INT_RE.fullmatch(tok) and self.peek(1) == "*":
+        if tok is not None and _INT.fullmatch(tok) and self.peek(1) == "*":
             self.take()
             self.take("*")
-            return self.atom(m, q).scale(int(tok))
-        return self.atom(m, q)
+            cls = self.atom(m, q).scale(int(tok))
+        else:
+            cls = self.atom(m, q)
+        return _printable(cls, "term", self.tokens[start][1])
 
     def _susp(self, m: int, q: int) -> SphereClass:
         _tok, open_at = self.take("(")
@@ -143,7 +157,7 @@ class _Parser:
 
     def atom(self, m: int, q: int) -> SphereClass:
         tok, pos = self.take()
-        if _INT_RE.fullmatch(tok):
+        if _INT.fullmatch(tok):
             if m != q:
                 raise ExprError(
                     f"bare integer at position {pos} is a degree and needs "
@@ -162,7 +176,7 @@ class _Parser:
             self.take("(")
             qq, qpos = self.take()
             self.take(")")
-            if not _INT_RE.fullmatch(qq):
+            if not _INT.fullmatch(qq):
                 raise ExprError(
                     f"whitehead(q) needs an integer q, got {qq!r} at position {qpos}"
                 )

@@ -22,8 +22,10 @@ Grammar (one directive per line, `#` starts a comment line):
 
 Coefficient vectors are comma-separated integers in generator order of the
 group they land in (free generators first, then torsion generators).  Every
-integer is written in ASCII as -?[0-9]+; a free rank as [0-9]+.  A byte order
-mark (U+FEFF) that starts the file is not part of its first line.  The stems
+integer is written in ASCII as -?[0-9]+; a free rank as [0-9]+.  One with more
+digits than int() converts (sys.get_int_max_str_digits()) is an error at its
+own column.  A byte order mark (U+FEFF) that starts the file is not part of
+its first line, and lines end where str.splitlines() ends them.  The stems
 run from 0 up without a gap.  A `src` line cites what it follows: a group or
 stem before its first `gen`, the last group generator, or a `name`; each of
 these takes one `src` at most, so a stem's `src` comes before its `gen` lines.
@@ -32,7 +34,6 @@ these takes one `src` at most, so a stem's `src` comes before its `gen` lines.
 from __future__ import annotations
 
 import re
-import sys
 from typing import Optional, Union
 
 from .fgab import FgAbError, FgAbGroup, _Value, _setattr
@@ -256,17 +257,26 @@ def _token_column(line: str, index: int) -> int:
     return [match.start() + 1 for match in _TOKEN.finditer(line)][index]
 
 
+def _too_long(exc: ValueError, line_no: int, line: str, index: int) -> ParseError:
+    """int()'s refusal of an integer in token `index`, past the interpreter's
+    digit limit, at that token's column."""
+    return ParseError(f"integer too long: {exc}", line_no, _token_column(line, index))
+
+
 def _read_ints(
-    tokens: list[str], start: int, stop: int, message: str, line_no: int, line: str
+    tokens: list[str], start: int, stop: int, message: Optional[str], line_no: int, line: str
 ) -> list[int]:
-    """The integer fields start..stop-1, which the callers' isdigit() test
-    has not accepted: negative, or a bad one, reported at the column of
-    field `start`."""
+    """The integer fields start..stop-1, read in order: one that is not
+    -?[0-9]+ is reported with `message` at the column of field `start`, one
+    past the digit limit at its own column."""
     values = []
     for field in tokens[start:stop]:
-        if not _INT.fullmatch(field):
+        if not (field.isascii() and field.isdigit()) and not _INT.fullmatch(field):
             raise ParseError(message, line_no, _token_column(line, start))
-        values.append(int(field))
+        try:
+            values.append(int(field))
+        except ValueError as exc:
+            raise _too_long(exc, line_no, line, start + len(values)) from None
     return values
 
 
@@ -274,19 +284,18 @@ def _split_ints(tokens: list[str], index: int, line_no: int, line: str) -> tuple
     """The comma-separated integers of token `index`, () past the last token.
 
     int() alone accepts more than -?[0-9]+: '+', '_' and non-ASCII decimal
-    digits, which the test before it rules out.  What int() then rejects is
-    matched again to name the bad integer and its column; a list that does
-    match, with an integer too long for int(), raises int()'s ValueError."""
+    digits, which the test before it rules out.  A list that int() then
+    refuses but that matches the grammar holds an integer past the digit
+    limit; any other names its first bad integer."""
     if index >= len(tokens):
         return ()
     text = tokens[index]
     if text.isascii() and "_" not in text and "+" not in text:
         try:
             return tuple(map(int, text.split(",")))
-        except ValueError:
-            pass
-    if _INT_LIST.fullmatch(text):
-        return tuple(map(int, text.split(",")))
+        except ValueError as exc:
+            if _INT_LIST.fullmatch(text):
+                raise _too_long(exc, line_no, line, index) from None
     bad = next(p for p in text.split(",") if not _INT.fullmatch(p))
     raise ParseError(
         f"bad integer {bad!r} in coefficient list", line_no, _token_column(line, index)
@@ -306,6 +315,8 @@ def _group_from_fields(
         return FgAbGroup(int(free_rank), torsion)
     except FgAbError as exc:
         raise SchemaError(str(exc), path) from None
+    except ValueError as exc:  # int() past the digit limit
+        raise _too_long(exc, line_no, line, index) from None
 
 
 def _gen_path(m: int, q: int, name: str) -> str:
@@ -388,162 +399,123 @@ def parse_tables(text: str) -> TableSet:
 
     if text[:1] == "\ufeff":  # a byte order mark, kept by the utf-8 codec
         text = text[1:]
-    # The tests before each int() leave it one fault to raise: an integer
-    # past the interpreter's digit limit, which is put at its field here.
-    try:
-        for line_no, raw_line in enumerate(text.splitlines(), start=1):
-            line = raw_line.strip()
-            if not line or line[0] == "#":
-                continue
-            tokens = line.split()
-            head = tokens[0]
-            if head in _ENDS_ENTITY:
-                if entity is not None:
-                    entity.close(entries, stems)
-                entity = gen = open_name = None
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.strip()
+        if not line or line[0] == "#":
+            continue
+        tokens = line.split()
+        head = tokens[0]
+        if head in _ENDS_ENTITY:
+            if entity is not None:
+                entity.close(entries, stems)
+            entity = gen = open_name = None
 
-            spec = _ANNOTATIONS.get(head)
-            if spec is not None:
-                n_ints, needs, bad_int, slot = spec
-                if len(tokens) <= n_ints + 1:
-                    raise ParseError(f"{head!r} needs {needs}", line_no, len(line))
-                if gen is None:
-                    raise ParseError(f"{head} outside of a group generator", line_no)
-                if n_ints == 0:  # susp, antip
-                    coeffs = _split_ints(tokens, 1, line_no, line)
-                elif n_ints == 1:  # stab degree
-                    degree = tokens[1]
-                    if degree.isascii() and degree.isdigit():
-                        degree = int(degree)
-                    else:
-                        (degree,) = _read_ints(tokens, 1, 2, bad_int, line_no, line)
-                    coeffs = _split_ints(tokens, 2, line_no, line)
-                else:  # gamma k degree
-                    k, degree = tokens[1], tokens[2]
-                    if k.isascii() and k.isdigit() and degree.isascii() and degree.isdigit():
-                        k, degree = int(k), int(degree)
-                    else:
-                        k, degree = _read_ints(tokens, 1, 3, bad_int, line_no, line)
-                    coeffs = _split_ints(tokens, 3, line_no, line)
-                    if k < 1:
-                        raise SchemaError("gamma component index must be >= 1", entity.path)
-                    for kk, _coeffs, _degree in gen[2]:
-                        if kk == k:
-                            raise SchemaError(
-                                f"duplicate gamma component k={k}",
-                                _gen_path(*entity.key, entity.names[-1]),
-                            )
-                    gen[2].append((k, coeffs, degree))
-                    continue
-                if gen[slot] is not None:
-                    raise SchemaError(f"duplicate {head}", _gen_path(*entity.key, entity.names[-1]))
-                gen[slot] = coeffs
-                if n_ints:
-                    gen[5] = degree  # of stab
-            elif head == "gen":
-                if len(tokens) <= 1:
-                    raise ParseError("'gen' needs a generator name", line_no, len(line))
-                if entity is None:
-                    raise ParseError("gen outside of a group/stem", line_no)
-                name, names = tokens[1], entity.names
-                if name in names:
-                    raise SchemaError(f"duplicate generator {name!r}", entity.path)
-                if len(names) >= entity.rank:
-                    raise SchemaError(f"more generators than the rank {entity.rank}", entity.path)
-                names.append(name)
-                if entity.gens is not None:
-                    gen = [None, None, [], None, None, None]
-                    entity.gens.append(gen)
-            elif head == "src":
-                match = _SRC.match(line)
-                if not match:
-                    raise ParseError('src needs a quoted string: src "..."', line_no)
-                if open_name is not None:
-                    record, index, path = raw_names[open_name], 3, f"name {open_name}"
-                elif entity is None:
-                    raise ParseError("src outside of any entity", line_no)
-                elif not entity.names:
-                    if entity.src is not None:
-                        raise SchemaError("duplicate src", entity.path)
-                    entity.src = match.group(1)
-                    continue
-                elif gen is None:
-                    raise ParseError("src of a stem must come before its gen lines", line_no)
-                else:
-                    record, index, path = gen, 4, _gen_path(*entity.key, entity.names[-1])
-                if record[index] is not None:
-                    raise SchemaError("duplicate src", path)
-                record[index] = match.group(1)
-            elif head == "group":
-                if len(tokens) <= 3:
-                    raise ParseError("'group' needs m q free_rank [torsion]", line_no, len(line))
-                m, q = tokens[1], tokens[2]
-                if m.isascii() and m.isdigit() and q.isascii() and q.isdigit():
-                    m, q = int(m), int(q)
-                else:
-                    m, q = _read_ints(tokens, 1, 3, "m and q must be integers", line_no, line)
-                path = f"pi_{m}(S^{q})"
-                if (m, q) in entries:
-                    raise SchemaError("duplicate entry", path)
-                if q <= 1 or m <= q:
-                    raise SchemaError(
-                        "entry lies in the closed-form range (q <= 1, m <= q) and "
-                        "must not be tabulated",
-                        path,
-                    )
-                group = _group_from_fields(tokens, 3, line_no, line, path)
-                entity = _OpenEntity((m, q), path, group, True)
-            elif head == "stem":
-                if len(tokens) <= 2:
-                    raise ParseError("'stem' needs k free_rank [torsion]", line_no, len(line))
-                k = tokens[1]
-                if k.isascii() and k.isdigit():
-                    k = int(k)
-                else:
-                    (k,) = _read_ints(tokens, 1, 2, "stem degree must be an integer", line_no, line)
-                path = f"pi_{k}^S"
-                if k < 0:
-                    raise SchemaError("negative stem degree", path)
-                if k in stems:
-                    raise SchemaError("duplicate stem", path)
-                group = _group_from_fields(tokens, 2, line_no, line, path)
-                entity = _OpenEntity(k, path, group, False)
-            elif head == "prod":
-                if len(tokens) <= 4:
-                    raise ParseError("'prod' needs A B -> degree [coeffs]", line_no, len(line))
-                if tokens[3] != "->":
-                    raise ParseError("prod syntax: prod A B -> degree c1,...", line_no)
-                degree = tokens[4]
-                if degree.isascii() and degree.isdigit():
-                    degree = int(degree)
-                else:
-                    (degree,) = _read_ints(
-                        tokens, 4, 5, "product degree must be an integer", line_no, line
-                    )
-                coeffs = _split_ints(tokens, 5, line_no, line)
-                raw_products.append((tokens[1], tokens[2], degree, coeffs))
-            elif head == "name":
-                if len(tokens) <= 3:
-                    raise ParseError("'name' needs NAME m q [coeffs]", line_no, len(line))
-                m, q = tokens[2], tokens[3]
-                if m.isascii() and m.isdigit() and q.isascii() and q.isdigit():
-                    m, q = int(m), int(q)
-                else:
-                    m, q = _read_ints(tokens, 2, 4, "name m/q must be integers", line_no, line)
-                open_name = tokens[1]
-                if open_name in raw_names:
-                    raise SchemaError("duplicate name", f"name {open_name}")
-                raw_names[open_name] = [m, q, _split_ints(tokens, 4, line_no, line), None]
+        spec = _ANNOTATIONS.get(head)
+        if spec is not None:
+            n_ints, needs, bad_int, slot = spec
+            if len(tokens) <= n_ints + 1:
+                raise ParseError(f"{head!r} needs {needs}", line_no, len(line))
+            if gen is None:
+                raise ParseError(f"{head} outside of a group generator", line_no)
+            ints = _read_ints(tokens, 1, n_ints + 1, bad_int, line_no, line)
+            coeffs = _split_ints(tokens, n_ints + 1, line_no, line)
+            if n_ints == 2:  # gamma k degree
+                k, degree = ints
+                if k < 1:
+                    raise SchemaError("gamma component index must be >= 1", entity.path)
+                for kk, _coeffs, _degree in gen[2]:
+                    if kk == k:
+                        raise SchemaError(
+                            f"duplicate gamma component k={k}",
+                            _gen_path(*entity.key, entity.names[-1]),
+                        )
+                gen[2].append((k, coeffs, degree))
+                continue
+            if gen[slot] is not None:
+                raise SchemaError(f"duplicate {head}", _gen_path(*entity.key, entity.names[-1]))
+            gen[slot] = coeffs
+            if n_ints:
+                gen[5] = ints[0]  # the degree of stab
+        elif head == "gen":
+            if len(tokens) <= 1:
+                raise ParseError("'gen' needs a generator name", line_no, len(line))
+            if entity is None:
+                raise ParseError("gen outside of a group/stem", line_no)
+            name, names = tokens[1], entity.names
+            if name in names:
+                raise SchemaError(f"duplicate generator {name!r}", entity.path)
+            if len(names) >= entity.rank:
+                raise SchemaError(f"more generators than the rank {entity.rank}", entity.path)
+            names.append(name)
+            if entity.gens is not None:
+                gen = [None, None, [], None, None, None]
+                entity.gens.append(gen)
+        elif head == "src":
+            match = _SRC.match(line)
+            if not match:
+                raise ParseError('src needs a quoted string: src "..."', line_no)
+            if open_name is not None:
+                record, index, path = raw_names[open_name], 3, f"name {open_name}"
+            elif entity is None:
+                raise ParseError("src outside of any entity", line_no)
+            elif not entity.names:
+                if entity.src is not None:
+                    raise SchemaError("duplicate src", entity.path)
+                entity.src = match.group(1)
+                continue
+            elif gen is None:
+                raise ParseError("src of a stem must come before its gen lines", line_no)
             else:
-                raise ParseError(f"unknown directive {head!r}", line_no)
-    except ValueError as exc:
-        limit = sys.get_int_max_str_digits()
-        first = {"name": 2, "prod": 4}.get(tokens[0], 1)  # the fields after any names
-        index = next((i for i in range(first, len(tokens))
-                      if any(len(p.lstrip("-")) > limit for p in tokens[i].split(","))), None)
-        if index is None:
-            raise
-        raise ParseError(f"integer too long: {exc}", line_no, _token_column(line, index)) from None
+                record, index, path = gen, 4, _gen_path(*entity.key, entity.names[-1])
+            if record[index] is not None:
+                raise SchemaError("duplicate src", path)
+            record[index] = match.group(1)
+        elif head == "group":
+            if len(tokens) <= 3:
+                raise ParseError("'group' needs m q free_rank [torsion]", line_no, len(line))
+            m, q = _read_ints(tokens, 1, 3, "m and q must be integers", line_no, line)
+            path = f"pi_{m}(S^{q})"
+            if (m, q) in entries:
+                raise SchemaError("duplicate entry", path)
+            if q <= 1 or m <= q:
+                raise SchemaError(
+                    "entry lies in the closed-form range (q <= 1, m <= q) and "
+                    "must not be tabulated",
+                    path,
+                )
+            group = _group_from_fields(tokens, 3, line_no, line, path)
+            entity = _OpenEntity((m, q), path, group, True)
+        elif head == "stem":
+            if len(tokens) <= 2:
+                raise ParseError("'stem' needs k free_rank [torsion]", line_no, len(line))
+            (k,) = _read_ints(tokens, 1, 2, "stem degree must be an integer", line_no, line)
+            path = f"pi_{k}^S"
+            if k < 0:
+                raise SchemaError("negative stem degree", path)
+            if k in stems:
+                raise SchemaError("duplicate stem", path)
+            group = _group_from_fields(tokens, 2, line_no, line, path)
+            entity = _OpenEntity(k, path, group, False)
+        elif head == "prod":
+            if len(tokens) <= 4:
+                raise ParseError("'prod' needs A B -> degree [coeffs]", line_no, len(line))
+            if tokens[3] != "->":
+                raise ParseError("prod syntax: prod A B -> degree c1,...", line_no)
+            (degree,) = _read_ints(
+                tokens, 4, 5, "product degree must be an integer", line_no, line
+            )
+            coeffs = _split_ints(tokens, 5, line_no, line)
+            raw_products.append((tokens[1], tokens[2], degree, coeffs))
+        elif head == "name":
+            if len(tokens) <= 3:
+                raise ParseError("'name' needs NAME m q [coeffs]", line_no, len(line))
+            m, q = _read_ints(tokens, 2, 4, "name m/q must be integers", line_no, line)
+            open_name = tokens[1]
+            if open_name in raw_names:
+                raise SchemaError("duplicate name", f"name {open_name}")
+            raw_names[open_name] = [m, q, _split_ints(tokens, 4, line_no, line), None]
+        else:
+            raise ParseError(f"unknown directive {head!r}", line_no)
 
     if entity is not None:
         entity.close(entries, stems)
@@ -681,10 +653,10 @@ def load_tables(source) -> TableSet:
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            # The column counts characters from the line's first non-blank one,
-            # as in parse_tables, and on line 1 after a byte order mark.
-            line = data.count(b"\n", 0, exc.start) + 1
-            head = data[data.rfind(b"\n", 0, exc.start) + 1 : exc.start]
-            column = len(head.decode("utf-8-sig" if line == 1 else "utf-8").lstrip()) + 1
-            raise ParseError(f"not UTF-8 text ({exc.reason})", line, column) from None
+            # Counted as parse_tables counts: lines by str.splitlines() after a
+            # byte order mark, the column in characters from the line's first
+            # non-blank one.  A stand-in "?" for the bad byte ends the text.
+            lines = (data[: exc.start].decode("utf-8-sig") + "?").splitlines()
+            column = len(lines[-1].lstrip())
+            raise ParseError(f"not UTF-8 text ({exc.reason})", len(lines), column) from None
     return parse_tables(data)

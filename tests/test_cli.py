@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from coincalc import OutOfTabulatedRange, SphereTables, load_default_tables, space
 from coincalc import cli, selfco
 from coincalc.cli import main
-from coincalc.exprs import parse_class
+from coincalc.exprs import ExprError, parse_class
 from coincalc.tables import SchemaError, parse_tables
 
 
@@ -118,6 +118,27 @@ class TestNielsen:
             parse_class(load_default_tables(), "eta_2", 100, 95)
         assert str(info.value) == "pi_100(S^95) is not tabulated"
         assert info.value.__context__ is None
+
+    @pytest.mark.parametrize("drop, expr, m, q, expected", [
+        ("", "whitehead 5", 3, 2, "expected '(' at position 10, got '5'"),
+        ("", "susp(eta_2 eta_2)", 4, 3, "unexpected 'eta_2' at position 11 inside susp(...)"),
+        ("susp 1\n", "susp(eta_2)", 4, 3, "cannot suspend 1 time(s): suspension of generator "
+                                           "eta_2 of pi_3(S^2) is not annotated"),
+        ("", "iota", 4, 3, "iota lives in pi_3(S^3); context is pi_4(S^3)"),
+        ("", "iota", 3, 3, (1,)),
+        ("", "hopfC hopfC", 3, 2, "unexpected trailing 'hopfC' at position 6"),
+    ])
+    def test_expression_case(self, table_text, drop, expr, m, q, expected):
+        # `drop` is a row taken out after eta_2's gen line.
+        row = "gen eta_2\n"
+        assert table_text.count(row + drop) == 1
+        tables = SphereTables(parse_tables(table_text.replace(row + drop, row)))
+        if isinstance(expected, tuple):
+            assert parse_class(tables, expr, m, q).value.coeffs == expected
+        else:
+            with pytest.raises(ExprError) as err:
+                parse_class(tables, expr, m, q)
+            assert str(err.value) == expected
 
     def test_equal_pair_is_zero(self, capsys):
         code, out, _ = run(
@@ -274,6 +295,49 @@ class TestExitContract:
         assert err.startswith(f"input error: integer at position {position} is too long: "
                               "Exceeds the limit (4300 digits)")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("expr, what, position", [
+        ("9999*{0}", "term", 0), ("{0} + {0}", "sum", 4301), ("1 + 9999*{0}", "term", 4),
+        ("susp(9999*{0})", "term", 5)])
+    def test_value_past_the_digit_limit_names_its_position(self, capsys, expr, what, position):
+        # Each integer fits the limit; the term or the sum at `position` does
+        # not, so no report could print it.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, *_nielsen_cp1(expr.format("9" * 4300)))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: {what} at position {position} is too large: "
+                              "Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["pi", "9_0", "3"], "m must be an integer -?[0-9]+, got '9_0'"),
+        (["pi", "\u0669", "\u0663"], "m must be an integer -?[0-9]+, got '\u0669'"),
+        (["pi", "9", " 3"], "q must be an integer -?[0-9]+, got ' 3'"),
+        (["stems", "\uff14"], "k must be an integer -?[0-9]+, got '\uff14'"),
+        (["stems", "9" * 4301], "k is too long: Exceeds the limit (4300 digits)"),
+        (["wecken", "--field", "R", "--nprime", "+2", "--m", "5"],
+         "nprime must be an integer -?[0-9]+, got '+2'"),
+        (["verify-s", "--field", "C", "--samples", "1", "--seed", "x"],
+         "seed must be an integer -?[0-9]+, got 'x'"),
+        (["compare", "--surface", "CP1", "--m-range", "+2..3"],
+         "bad m-range '+2..3'; expected A..B"),
+    ], ids=["underscore", "arabic-indic", "space", "fullwidth", "too-long", "plus", "word",
+            "m-range-plus"])
+    def test_integer_argument_grammar(self, capsys, argv, reason):
+        # Integer arguments are ASCII -?[0-9]+, as in the table and in
+        # expressions; anything else is one line of bad input.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: {reason}") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "edit,argv,reason",
@@ -440,6 +504,9 @@ class TestDataHandling:
         cases = [
             (f"stem 0 1\ngen iota\nstem 1 0 {long}\n", 3, 10),  # torsion order
             (f"stem 0 1\ngen iota\nstem 1 0 2,-{long}\n", 3, 10),  # in a list
+            # Two on one line: a group's torsion is read before its free rank.
+            (f"stem 0 1\ngen iota\nstem 1 {long} 2,{long}\n", 3, 5009),
+            (f"group 3 2 {long} {long}\n", 1, 5012),
             (f"stem {long} 1\n", 1, 6),  # stem degree
             (f"group 3 2 {long}\n", 1, 11),  # free rank
             (f"group 3 2 1\ngen {long}\nstab -{long} 1\n", 3, 6),  # after a long name

@@ -115,6 +115,18 @@ class TestParsing:
                 load_tables(text)
             assert (err.value.line, err.value.column) == (text.count(b"\n") + 1, 3)
 
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_undecodable_byte_line_is_counted_as_parse_tables_counts(self, brk):
+        # A line ends wherever str.splitlines() ends one, in load_tables as in
+        # parse_tables: here the bad byte and the bad directive are on line 3.
+        text = f"# c{brk}# d\n"
+        with pytest.raises(ParseError) as err:
+            load_tables(text.encode("utf-8") + b"\xff\n")
+        assert str(err.value) == "line 3, column 1: not UTF-8 text (invalid start byte)"
+        with pytest.raises(ParseError) as err:
+            parse_tables(text + "x\n")
+        assert str(err.value) == "line 3, column 1: unknown directive 'x'"
+
     def test_leading_byte_order_mark_is_dropped(self, table_text):
         import io
 
@@ -182,6 +194,10 @@ POSITIONED = [
     ("group 4 2 \u00b9 2", 11, "bad free rank '\u00b9'"),
     ("group 4 2", 9, "'group' needs m q free_rank [torsion]"),
     ("stab 1", 6, "'stab' needs degree and a coefficient vector"),
+    ("gen", 3, "'gen' needs a generator name"),
+    ("stem 2", 6, "'stem' needs k free_rank [torsion]"),
+    ("prod a b ->", 11, "'prod' needs A B -> degree [coeffs]"),
+    ("name foo 3", 10, "'name' needs NAME m q [coeffs]"),
     ("prod eta eta 2 1", 1, "prod syntax: prod A B -> degree c1,..."),
     ('src "open', 1, 'src needs a quoted string: src "..."'),
     ("bogus 1", 1, "unknown directive 'bogus'"),
@@ -254,6 +270,27 @@ class TestParseErrorPositions:
         # The tokenizer splits on str.isspace(); the positions of its errors
         # come from \S+ matches, so both must see the same tokens.
         assert line.split() == re.findall(r"\S+", line)
+
+
+# (table, message) for the schema faults of parse_tables that no other test
+# raises.
+SCHEMA_FAULTS = [
+    (_PREFIX + "gamma 0 1 1\n", "pi_3(S^2): gamma component index must be >= 1"),
+    ("stem 0 2\ngen a\ngen a\n", "pi_0^S: duplicate generator 'a'"),
+    ("stem -1 1\n", "pi_-1^S: negative stem degree"),
+    ("stem 0 1\ngen iota\nstem 0 1\n", "pi_0^S: duplicate stem"),
+    ("name foo 3 3 1\nname foo 3 3 1\n", "name foo: duplicate name"),
+    (MINIMAL + "gamma 3 -1 1\n", "pi_3(S^2) gen eta_2: gamma component k=3 beyond k_max=2"),
+    ("stem 0 1\ngen iota\nstem 1 1\ngen iota\n",
+     "pi_1^S: stem generator name 'iota' reused across stems"),
+]
+
+
+@pytest.mark.parametrize("text, message", SCHEMA_FAULTS)
+def test_schema_fault_and_message(text, message):
+    with pytest.raises(SchemaError) as err:
+        parse_tables(text)
+    assert str(err.value) == message
 
 
 class TestSources:
