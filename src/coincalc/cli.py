@@ -140,6 +140,12 @@ def _expr_context(tables: SphereTables, sp, m: int) -> tuple[int, int]:
 def cmd_nielsen(args):
     tables = _load(args)
     sp = space(args.field, args.nprime)
+    try:
+        str(sp.q)  # the largest dimension a report prints
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise FgAbError(
+            f"--nprime is too large: the dimension of S^q cannot be printed: {exc}"
+        ) from None
     m, q = _expr_context(tables, sp, args.m)
     f1 = parse_class(tables, args.f1, m, q)
     f2 = parse_class(tables, args.f2, m, q)

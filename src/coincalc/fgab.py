@@ -391,7 +391,7 @@ class GroupElement(_Value):
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def order(self) -> Optional[int]:
         """Least k >= 1 with k*x == 0; None if the free part is nonzero."""

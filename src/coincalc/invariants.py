@@ -5,7 +5,10 @@ same ladder of vanishing criteria on a difference class (the class itself,
 its total Hopf-James invariant, the Hopf-multiplied stable image, and the
 top-degree obstruction), each worth 0 or a weight: 1 on a sphere, the full
 Reidemeister number on KP(n'), where the difference is of lifts.  Every report
-carries its derivation.  The tests, not the reports, run dichotomy_check on
+carries its derivation.  A report's inputs, each derivation step that names a
+value and each decided scan witness is a Text, a template kept with the
+values it names; render(), to_dict() and str() format it, so computing a
+value formats none.  The tests, not the reports, run dichotomy_check on
 the {0, R} dichotomy, which projective_report meets by construction, and
 chain_check on the monotone chain MC >= MCC >= N# >= N~ >= N >= NZ >= 0.
 """
@@ -50,7 +53,20 @@ class InvariantValue(_Value):
         return f"unknown ({self.reason})"
 
     def short(self) -> str:
-        return {FINITE: str(self.value), INFINITE_KIND: "inf"}.get(self.kind, "?")
+        if self.kind == FINITE:
+            return str(self.value)
+        return "inf" if self.kind == INFINITE_KIND else "?"
+
+
+class Text(tuple):
+    """One line of text kept as (template, *values): str() formats the values
+    into the template's {} fields.  Building one formats nothing; equal
+    templates with equal values are equal."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return self[0].format(*self[1:])
 
 
 # The values are frozen, so the small ones every report uses are shared.
@@ -80,10 +96,11 @@ class Report(_Value, frozen=False):
     )
 
     def __init__(
-        self, target: str, m: int, n: int, inputs: str, R: InvariantValue, MC: InvariantValue,
-        MCC: InvariantValue, N_sharp: InvariantValue, N_tilde: InvariantValue,
-        N_plain: InvariantValue, N_z: InvariantValue,
-        hypothesis_notes: Optional[list[str]] = None, derivation: Optional[list[str]] = None,
+        self, target: str, m: int, n: int, inputs: Union[str, Text], R: InvariantValue,
+        MC: InvariantValue, MCC: InvariantValue, N_sharp: InvariantValue,
+        N_tilde: InvariantValue, N_plain: InvariantValue, N_z: InvariantValue,
+        hypothesis_notes: Optional[list[str]] = None,
+        derivation: Optional[list[Union[str, Text]]] = None,
         non_wecken: bool = False,
     ):
         self.target = target
@@ -124,11 +141,11 @@ class Report(_Value, frozen=False):
             "target": self.target,
             "m": self.m,
             "n": self.n,
-            "inputs": self.inputs,
+            "inputs": str(self.inputs),
             "values": {k: enc(v) for k, v in self.values().items()},
             "non_wecken": self.non_wecken,
             "hypothesis_notes": list(self.hypothesis_notes),
-            "derivation": list(self.derivation),
+            "derivation": list(map(str, self.derivation)),
         }
 
     def render(self) -> str:
@@ -202,14 +219,14 @@ def _criteria(
     weight: int,
     n_factor: Callable[[StableElement], Union[StableElement, Unknown]],
     labels: tuple[str, str],
-    deriv: list[str],
+    deriv: list[Union[str, Text]],
 ) -> tuple[InvariantValue, InvariantValue, InvariantValue, InvariantValue]:
     """(MCC = N#, N~, N, NZ) from the vanishing tests on delta.
 
     Each number is 0 when its test vanishes and weight otherwise: delta for
     MCC and N#, Gamma(delta) for N~, n_factor(E^inf(delta)) for N, and delta
-    again for NZ, in the top degree only (NZ = 0 elsewhere).  labels prefix
-    the derivation lines of the Gamma and the N test.
+    again for NZ, in the top degree only (NZ = 0 elsewhere).  labels are the
+    templates of the derivation lines of the Gamma and the N test.
     """
 
     def worth(vanishes: bool) -> InvariantValue:
@@ -221,7 +238,7 @@ def _criteria(
         return mcc, mcc, mcc, n_z
     gamma = tables.gamma(delta)
     zero = gamma.is_zero()
-    deriv.append(f"{labels[0]}{gamma}")
+    deriv.append(Text((labels[0], gamma)))
     n_tilde = worth(zero) if isinstance(zero, bool) else unk(
         Unknown(f"Gamma undetermined: {gamma}", zero))
     image = gamma.component(1)
@@ -229,8 +246,18 @@ def _criteria(
         image = n_factor(image)
     if isinstance(image, Unknown):
         return mcc, n_tilde, unk(image), n_z
-    deriv.append(f"{labels[1]}{image}")
+    deriv.append(Text((labels[1], image)))
     return mcc, n_tilde, worth(image.is_zero), n_z
+
+
+# The templates of the Gamma and the N test lines: on a sphere, and on KP(n')
+# for each field.
+_SPHERE_LABELS = ("Gamma(delta): {}", "E^inf(delta) = {}")
+_PROJECTIVE_LABELS = {
+    tag: ("Hopf-James test (N~): Gamma(delta): {}",
+          f"stable Hopf product test (N): h_{tag} . E^inf(delta) = {{}}")
+    for tag in ("R", "C", "H")
+}
 
 
 def sphere_report(
@@ -247,14 +274,15 @@ def sphere_report(
         if (f.m, f.q) != (m, n):
             raise FgAbError(f"input class lives in pi_{f.m}(S^{f.q}), not pi_{m}(S^{n})")
     notes: list[str] = []
-    deriv: list[str] = []
+    deriv: list[Union[str, Text]] = []
     target = f"S^{n}"
-    inputs = f"f1 = {f1.value}, f2 = {f2.value}"
+    inputs = Text(("f1 = {}, f2 = {}", f1.value, f2.value))
 
     if m == 1 and n == 1:
         d1, d2 = f1.value.coeffs[0], f2.value.coeffs[0]
         k = abs(d1 - d2)
-        deriv.append(f"circle self maps of degrees {d1} and {d2}: all numbers |d1 - d2|")
+        deriv.append(
+            Text(("circle self maps of degrees {} and {}: all numbers |d1 - d2|", d1, d2)))
         rr = fin(k) if k else INF
         val = fin(k)
         return Report(target, m, n, inputs, rr, val, val, val, val, val, val, notes, deriv)
@@ -275,10 +303,9 @@ def sphere_report(
         u = unk(af2)
         return Report(target, m, n, inputs, r, u, u, u, u, u, u, notes, deriv)
     delta = f1 - af2
-    deriv.append(f"delta = [f1] - [a . f2] = {delta.value} in pi_{m}(S^{n})")
-    labels = ("Gamma(delta): ", "E^inf(delta) = ")
+    deriv.append(Text(("delta = [f1] - [a . f2] = {} in pi_{}(S^{})", delta.value, m, n)))
     mcc, n_tilde, n_plain, n_z = _criteria(
-        tables, delta, m == n, 1, lambda stab: stab, labels, deriv
+        tables, delta, m == n, 1, lambda stab: stab, _SPHERE_LABELS, deriv
     )
     if m == n:
         notes.append("m = n: all six numbers agree (classical self-coincidence count)")
@@ -294,7 +321,7 @@ def sphere_report(
         else:
             why = Unknown("suspension image membership undetermined", member)
             answer, mc = "unknown", unk(why)
-        deriv.append(f"delta in E(pi_{m - 1}(S^{n - 1}))? {answer}")
+        deriv.append(Text(("delta in E(pi_{}(S^{}))? {}", m - 1, n - 1, answer)))
     return Report(
         target, m, n, inputs, r, mc, mcc, mcc, n_tilde, n_plain, n_z, notes, deriv
     )
@@ -330,7 +357,7 @@ def projective_report(
     if m < 2:
         raise FgAbError("projective reports need a simply connected domain, m >= 2")
     notes: list[str] = []
-    deriv: list[str] = []
+    deriv: list[Union[str, Text]] = []
 
     if sp.n == 1:
         # RP(1) is the circle: with m >= 2 everything vanishes.
@@ -350,7 +377,7 @@ def projective_report(
         return rep
 
     lift1, lift2 = _as_lift(sp, m, f1), _as_lift(sp, m, f2)
-    inputs = f"lift1 = {lift1.value}, lift2 = {lift2.value} in pi_{m}(S^{sp.q})"
+    inputs = Text(("lift1 = {}, lift2 = {} in pi_{}(S^{})", lift1.value, lift2.value, m, sp.q))
     r_n = sp.reidemeister
     r = fin(r_n)
 
@@ -372,25 +399,19 @@ def projective_report(
         return Report(sp.name, m, sp.n, inputs, r, u, u, u, u, u, u, notes, deriv)
 
     delta = lift1 - lift2
-    deriv.append(f"delta = lift1 - lift2 = {delta.value} in pi_{m}(S^{sp.q})")
-    nonzero = not delta.is_zero
-    deriv.append(
-        f"difference test: delta {'nonzero' if nonzero else 'zero'} -> "
-        f"MCC = N# = {r_n if nonzero else 0}"
-    )
+    deriv.append(Text(("delta = lift1 - lift2 = {} in pi_{}(S^{})", delta.value, m, sp.q)))
+    if delta.is_zero:
+        deriv.append("difference test: delta zero -> MCC = N# = 0")
+    else:
+        deriv.append(Text(("difference test: delta nonzero -> MCC = N# = {}", r_n)))
     tag = sp.field.tag
-    labels = (
-        "Hopf-James test (N~): Gamma(delta): ",
-        f"stable Hopf product test (N): h_{tag} . E^inf(delta) = ",
-    )
     ring = tables.ring
+    top = m == sp.n
     mcc, n_tilde, n_plain, n_z = _criteria(
-        tables, delta, m == sp.n, r_n,
-        lambda stab: ring.multiply(ring.hopf_stable(tag), stab), labels, deriv,
+        tables, delta, top, r_n,
+        lambda stab: ring.multiply(ring.hopf_stable(tag), stab), _PROJECTIVE_LABELS[tag], deriv,
     )
-    deriv.append(
-        f"top-degree test: m {'=' if m == sp.n else '!='} n -> NZ = {n_z}"
-    )
+    deriv.append(Text(("top-degree test: m {} n -> NZ = {}", "=" if top else "!=", n_z)))
 
     if mcc.value == 0:
         mc: InvariantValue = fin(0)
@@ -427,7 +448,8 @@ class ScanResult(_Value, frozen=False):
     __slots__ = ("target", "m", "n", "verdicts", "nz_vanishes")
 
     def __init__(
-        self, target: str, m: int, n: int, verdicts: dict[str, tuple[ScanVerdict, str | Unknown]],
+        self, target: str, m: int, n: int,
+        verdicts: dict[str, tuple[ScanVerdict, Union[str, Text, Unknown]]],
         nz_vanishes: Optional[bool],  # is NZ == 0 for every pair?
     ):
         self.target = target
@@ -474,7 +496,7 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
 
     if sp.n_prime == 1 and m == sp.n:
         group = tables.lookup(m, sp.n).group
-        witness = f"m = n = {m}: all four Nielsen numbers agree on {sp.name} = S^{sp.n}"
+        witness = Text(("m = n = {}: all four Nielsen numbers agree on {} = S^{}", m, sp, sp.n))
         v = {k: (ScanVerdict.HOLDS, witness) for k in SCAN_KEYS}
         return ScanResult(sp.name, m, sp.n, v, group.is_trivial)
 
@@ -491,25 +513,24 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
         return ScanResult(sp.name, m, sp.n, v, None)
 
     # Each relation reads only the kernels it needs; N~ == N, which needs
-    # both, gives Gamma's gap first.
-    ker_gamma, ker_hopf, _whole = tables.kernel_chain(m, sp.q, sp.field.tag)
-    gamma_str, hopf_str, whole_str = tables.kernel_chain_texts(m, sp.q, sp.field.tag)
+    # both, gives Gamma's gap first.  A decided witness keeps the subgroups it
+    # names.
+    ker_gamma, ker_hopf, whole = tables.kernel_chain(m, sp.q, sp.field.tag)
     if isinstance(ker_hopf, Unknown):
         n_zero = n_nz = b_eq = (ScanVerdict.UNKNOWN, ker_hopf)
     else:
-        hopf_text = f"Ker(h . E^inf) = {hopf_str}"
         c_eq = ScanVerdict.HOLDS if ker_hopf.is_whole() else ScanVerdict.FAILS
-        n_zero = (c_eq, f"{hopf_text} vs whole = {whole_str}")
+        n_zero = (c_eq, Text(("Ker(h . E^inf) = {} vs whole = {}", ker_hopf, whole)))
         n_nz = (c_eq, "m != n: NZ vanishes identically, so N == NZ iff N == 0")
     if isinstance(ker_gamma, Unknown):
         a_eq = b_eq = (ScanVerdict.UNKNOWN, ker_gamma)
     else:
-        gamma_text = f"Ker Gamma = {gamma_str}"
-        a_eq = (ScanVerdict.HOLDS if ker_gamma.is_trivial else ScanVerdict.FAILS, gamma_text)
+        a_eq = (ScanVerdict.HOLDS if ker_gamma.is_trivial else ScanVerdict.FAILS,
+                Text(("Ker Gamma = {}", ker_gamma)))
         if not isinstance(ker_hopf, Unknown):
             b_eq = (
                 ScanVerdict.HOLDS if ker_gamma == ker_hopf else ScanVerdict.FAILS,
-                f"{gamma_text} vs {hopf_text}",
+                Text(("Ker Gamma = {} vs Ker(h . E^inf) = {}", ker_gamma, ker_hopf)),
             )
     verdicts = {"nsharp_eq_ntilde": a_eq, "ntilde_eq_n": b_eq, "n_eq_zero": n_zero}
     if m == sp.n:

@@ -131,7 +131,6 @@ def _unit(rank: int, i: int) -> tuple[int, ...]:
 
 Kernel = Union[Subgroup, Unknown]
 Chain = tuple[Kernel, Kernel, Subgroup]
-ChainTexts = tuple[str, str, str]
 
 
 class SphereTables:
@@ -140,14 +139,14 @@ class SphereTables:
     The table is never changed after construction, so each looked-up entry,
     each annotated map's columns (the one store that the pointwise maps, the
     kernel chain, Im E and validate() read), each suspension image, and each
-    kernel chain with the texts of its subgroups is computed once and kept.
+    kernel chain is computed once and kept.
     """
 
     def __init__(self, tables: TableSet):
         self.raw = tables
         self.ring = StableRing(tables)
         # Each memo holds only what was asked for: at most one value per
-        # resolved (m, q), times each kind of map and 3 fields for the chains.
+        # resolved (m, q), times each kind of map and each field for the chains.
         # (m, q) -> its entry; an untabulated (m, q) raises and is not kept.
         self._entries: dict[tuple[int, int], SphereEntry] = {}
         # (m, q, kind) -> the _map record (target, columns, first gap).
@@ -155,8 +154,8 @@ class SphereTables:
         # (m, q) -> (Im E from the known susp columns of pi_{m-1}(S^{q-1}), the
         # first missing column or None); (None, why) if the source is untabulated.
         self._susp_images: dict[tuple[int, int], tuple[Optional[Subgroup], Optional[Unknown]]] = {}
-        # (m, q, field_tag) -> the chain and the text of each member of it.
-        self._chains: dict[tuple[int, int, str], tuple[Chain, ChainTexts]] = {}
+        # (m, q, field_tag) -> its kernel chain.
+        self._chains: dict[tuple[int, int, str], Chain] = {}
 
     # ------------------------------------------------------------- lookup
 
@@ -329,20 +328,10 @@ class SphereTables:
         a Subgroup or the Unknown of its own first gap, so a gap in one leaves
         the other known.  When both are known, a table that breaks Ker Gamma <=
         Ker(h_K . E^inf) raises SchemaError.  Each answer is computed once."""
-        return self._chain_entry(m, q, field_tag)[0]
-
-    def kernel_chain_texts(self, m: int, q: int, field_tag: str) -> ChainTexts:
-        """str() of each member of kernel_chain(m, q, field_tag), formatted once
-        when the chain is built and kept with it."""
-        return self._chain_entry(m, q, field_tag)[1]
-
-    def _chain_entry(self, m: int, q: int, field_tag: str) -> tuple[Chain, ChainTexts]:
-        key = (m, q, field_tag)
-        entry = self._chains.get(key)
-        if entry is None:
-            chain = self._build_chain(m, q, field_tag)
-            entry = self._chains[key] = (chain, tuple(map(str, chain)))
-        return entry
+        chain = self._chains.get((m, q, field_tag))
+        if chain is None:
+            chain = self._chains[m, q, field_tag] = self._build_chain(m, q, field_tag)
+        return chain
 
     def _build_chain(self, m: int, q: int, field_tag: str) -> Chain:
         """The chain from the integer cores: Ker Gamma from the _map blocks of

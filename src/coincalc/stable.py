@@ -24,6 +24,9 @@ _DERIVED_NAMES: dict[str, tuple[int, tuple[int, ...]]] = {
     "einf_alpha1_3": (3, (8,)),  # stable image of alpha_1(3), order 3
 }
 
+# The registered name of the stable class of each Hopf projection.
+_HOPF_NAMES = {"R": "two", "C": "eta", "H": "nu"}
+
 
 class Unknown(_Value):
     """A value the tables cannot determine: its reason, and the Unknown it restates."""
@@ -84,6 +87,9 @@ class StableRing:
         self._tables = tables
         self._gen_degrees = tables.stem_gen_degrees
         self.max_degree = max(tables.stems, default=-1)
+        # field tag -> its Hopf class; an UnregisteredName is raised afresh
+        # on each ask and never kept.
+        self._hopf: dict[str, StableElement] = {}
 
     def stem(self, k: int) -> StemEntry:
         """The tabulated stem pi_k^S; errors outside the curated range."""
@@ -124,14 +130,15 @@ class StableRing:
         )
 
     def hopf_stable(self, field_tag: str) -> StableElement:
-        """Stable class of the Hopf projection: 2*iota, eta, nu for R, C, H."""
-        if field_tag == "R":
-            return self.named("two")
-        if field_tag == "C":
-            return self.named("eta")
-        if field_tag == "H":
-            return self.named("nu")
-        raise ValueError(f"unknown field tag {field_tag!r}")
+        """Stable class of the Hopf projection: 2*iota, eta, nu for R, C, H,
+        resolved once per ring."""
+        hopf = self._hopf.get(field_tag)
+        if hopf is None:
+            name = _HOPF_NAMES.get(field_tag)
+            if name is None:
+                raise ValueError(f"unknown field tag {field_tag!r}")
+            hopf = self._hopf[field_tag] = self.named(name)
+        return hopf
 
     def _gen_product(
         self, name_a: str, name_b: str

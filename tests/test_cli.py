@@ -339,6 +339,21 @@ class TestExitContract:
         assert (code, out) == (2, "")
         assert err.startswith(f"input error: {reason}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("machine", [(), ("--machine",)], ids=["text", "machine"])
+    @pytest.mark.parametrize("field", ["C", "H"])
+    def test_nprime_whose_dimension_passes_the_digit_limit(self, capsys, field, machine):
+        # n' itself is within the digit limit, but q = d n' + d - 1 of S^q is
+        # not over C and H: one line of bad input that names --nprime.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, "nielsen", "--field", field, "--nprime", "9" * 4300,
+                                 "--m", "5", "--f1", "zero", "--f2", "zero", *machine)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: --nprime is too large: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "edit,argv,reason",
         [

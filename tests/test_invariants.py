@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from coincalc.fgab import FgAbError
+from coincalc.fgab import FgAbError, GroupElement, Subgroup
 from coincalc.invariants import (
     INF,
     ScanResult,
@@ -23,7 +23,8 @@ from coincalc.invariants import (
 )
 from coincalc.projective import decompose_valid, space
 from coincalc.selfco import Verdict, fiber_projection_self_loose, self_loose
-from coincalc.spheres import SphereClass, SphereTables, Unknown
+from coincalc.spheres import GammaValue, SphereClass, SphereTables, Unknown
+from coincalc.stable import StableElement
 from coincalc.tables import OutOfTabulatedRange, TableError, parse_tables
 
 
@@ -378,7 +379,10 @@ class TestEquivalenceScan:
         gap = (ScanVerdict.UNKNOWN,
                Unknown("gamma k=2 of generator eta_2_nu_p of pi_6(S^2) is not annotated"))
         assert scan.verdicts["nsharp_eq_ntilde"][1] is gapped.kernel_chain(6, 2, "R")[0]
-        assert scan.verdicts == {
+        # A decided witness keeps the subgroups it names; it is read as text.
+        texts = {k: (v, w if isinstance(w, Unknown) else str(w))
+                 for k, (v, w) in scan.verdicts.items()}
+        assert texts == {
             "nsharp_eq_ntilde": gap,
             "ntilde_eq_n": gap,
             "n_eq_zero": (ScanVerdict.HOLDS, "Ker(h . E^inf) = <(1)> vs whole = <(1)>"),
@@ -631,6 +635,63 @@ def test_kept_lookups_and_images_answer_as_fresh_tables(table_text, gap):
     assert kept.validate() == SphereTables(raw).validate()
     assert "delta in E(pi_8(S^4))? unknown" in derivations
     assert ("delta in E(pi_3(S^2))? unknown" in derivations) == (gap == "susp")
+
+
+def _survey_answers(ts):
+    """Over the survey range (R n' <= 12, C n' <= 6, H n' <= 4, m <= 21):
+    every equivalence scan, and the sphere and projective reports (with and
+    without assumed looseness) of each pair of zero, each generator and
+    their sum, as computed and not yet printed."""
+    answers = []
+    for tag, top in (("R", 12), ("C", 6), ("H", 4)):
+        for n_prime in range(1, top + 1):
+            sp = space(tag, n_prime)
+            q = sp.q
+            for m in range(1, 22):
+                try:
+                    answers.append(equivalence_scan(ts, sp, m))
+                    rank = ts.lookup(m, q).group.rank
+                except OutOfTabulatedRange:
+                    continue
+                units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+                vectors = [(0,) * rank, *units, (1,) * rank]
+                for c1, c2 in itertools.product(vectors, repeat=2):
+                    f1, f2 = ts.cls(m, q, c1), ts.cls(m, q, c2)
+                    answers.append(sphere_report(ts, m, q, f1, f2))
+                    for assume in (False, True) if m >= 2 else ():
+                        try:
+                            answers.append(projective_report(ts, sp, m, f1, f2, assume))
+                        except (FgAbError, TableError):
+                            pass  # a KP(1) = S^n whose inputs live in pi_m(S^n)
+    return answers
+
+
+def _printed(answer):
+    """All the text of a report or a scan."""
+    if isinstance(answer, ScanResult):
+        return answer.row(), [str(w) for _v, w in answer.verdicts.values()]
+    return answer.render(), answer.to_dict()
+
+
+def test_computing_formats_no_value(table_text, monkeypatch):
+    # Reports and scans keep the values their text names: while they are
+    # computed, no group element, subgroup, stable element or Gamma value is
+    # formatted.  Printed afterwards, they read as those of a run in which
+    # formatting was allowed throughout.
+    raw = parse_tables(table_text)
+
+    def refuse(value):
+        raise AssertionError(f"{type(value).__name__} formatted while computing")
+
+    with monkeypatch.context() as patch:
+        for cls in (GroupElement, Subgroup, StableElement, GammaValue):
+            patch.setattr(cls, "__str__", refuse)
+        computed = _survey_answers(SphereTables(raw))
+    plain = _survey_answers(SphereTables(raw))
+    assert len(computed) == len(plain) > 3000
+    assert sum(isinstance(a, ScanResult) for a in computed) > 300
+    for lazy, eager in zip(computed, plain):
+        assert _printed(lazy) == _printed(eager)
 
 
 class TestChainCheck:

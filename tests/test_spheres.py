@@ -403,7 +403,7 @@ class TestKernelChain:
         kg, kh, whole = ts.kernel_chain(6, 2, "R")
         assert isinstance(kg, Unknown) and "gamma k=2" in kg.reason
         assert kh == whole == SphereTables(parse_tables(table_text)).kernel_chain(6, 2, "R")[1]
-        assert ts.kernel_chain_texts(6, 2, "R") == (str(kg), "<(1)>", "<(1)>")
+        assert tuple(map(str, ts.kernel_chain(6, 2, "R"))) == (str(kg), "<(1)>", "<(1)>")
 
     def test_one_missing_annotation_one_reason(self, table_text):
         # Drop the stabilization of eta_2: E^inf, Gamma and both kernels of

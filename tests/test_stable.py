@@ -252,3 +252,25 @@ def test_hopf_stable(tables):
     assert ring.hopf_stable("H").order() == 24
     with pytest.raises(ValueError):
         ring.hopf_stable("O")
+
+
+def test_hopf_stable_is_resolved_once_per_ring(table_text):
+    # Each ring keeps the Hopf class it resolves for a field, and answers
+    # every later ask with that same object.
+    ring = StableRing(parse_tables(table_text))
+    for tag in ("R", "C", "H"):
+        first = ring.hopf_stable(tag)
+        assert ring.hopf_stable(tag) is first
+        assert first == ring.named({"R": "two", "C": "eta", "H": "nu"}[tag])
+
+
+def test_missing_hopf_class_raises_on_every_ask():
+    # A table without eta has no Hopf class for C: each ask raises afresh,
+    # and nothing is kept in its place, while R and H still resolve.
+    ring = StableRing(parse_tables("stem 0 1\ngen iota\nstem 1 0 2\ngen e\n"
+                                   "stem 2 0 2\ngen e2\nstem 3 0 24\ngen nu\n"))
+    for _ in range(3):
+        with pytest.raises(UnregisteredName, match="unknown stable class 'eta'"):
+            ring.hopf_stable("C")
+        assert "C" not in ring._hopf
+    assert ring.hopf_stable("R").degree == 0 and ring.hopf_stable("H").degree == 3
