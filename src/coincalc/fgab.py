@@ -292,15 +292,6 @@ class FgAbGroup(_Value):
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
-    def order(self) -> Optional[int]:
-        """Number of elements, or None if infinite."""
-        if not self.is_finite:
-            return None
-        n = 1
-        for t in self.torsion:
-            n *= t
-        return n
-
     def coord_orders(self) -> tuple[int, ...]:
         """Per-coordinate orders, 0 for free coordinates."""
         return (0,) * self.free_rank + self.torsion

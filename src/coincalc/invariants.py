@@ -327,13 +327,13 @@ def sphere_report(
     )
 
 
-def _as_lift(sp: ProjSpace, m: int, f) -> SphereClass:
+def _as_lift(m: int, q: int, f) -> SphereClass:
     """The input itself, once checked to be a lift class in pi_m(S^q)."""
     if not isinstance(f, SphereClass):
         raise FgAbError("inputs must be SphereClass lifts")
-    if (f.m, f.q) != (m, sp.q):
+    if (f.m, f.q) != (m, q):
         raise FgAbError(
-            f"lift must live in pi_{m}(S^{sp.q}), got pi_{f.m}(S^{f.q})"
+            f"lift must live in pi_{m}(S^{q}), got pi_{f.m}(S^{f.q})"
         )
     return f
 
@@ -358,26 +358,27 @@ def projective_report(
         raise FgAbError("projective reports need a simply connected domain, m >= 2")
     notes: list[str] = []
     deriv: list[Union[str, Text]] = []
+    n, q = sp.n, sp.q
 
-    if sp.n == 1:
+    if n == 1:
         # RP(1) is the circle: with m >= 2 everything vanishes.
         z = fin(0)
         notes.append(f"{sp.name} is the circle: all numbers vanish for m >= 2")
         inputs = "any pair"
-        return Report(sp.name, m, sp.n, inputs, fin(sp.reidemeister), z, z, z, z, z, z, notes, deriv)
+        return Report(sp.name, m, n, inputs, fin(sp.reidemeister), z, z, z, z, z, z, notes, deriv)
 
     if not decompose_valid(tables, sp, m):
         # Only possible for n' = 1; route through the sphere the target is.
-        rep = sphere_report(tables, m, sp.n, f1, f2)
-        rep.target = f"{sp.name} = S^{sp.n}"
+        rep = sphere_report(tables, m, n, f1, f2)
+        rep.target = f"{sp.name} = S^{n}"
         rep.hypothesis_notes.append(
-            f"{sp.name} is the sphere S^{sp.n}; sphere closed forms used "
+            f"{sp.name} is the sphere S^{n}; sphere closed forms used "
             f"(no lift decomposition at m = {m})"
         )
         return rep
 
-    lift1, lift2 = _as_lift(sp, m, f1), _as_lift(sp, m, f2)
-    inputs = Text(("lift1 = {}, lift2 = {} in pi_{}(S^{})", lift1.value, lift2.value, m, sp.q))
+    lift1, lift2 = _as_lift(m, q, f1), _as_lift(m, q, f2)
+    inputs = Text(("lift1 = {}, lift2 = {} in pi_{}(S^{})", lift1.value, lift2.value, m, q))
     r_n = sp.reidemeister
     r = fin(r_n)
 
@@ -396,20 +397,22 @@ def projective_report(
         cause = loose.reason
         u = unk(Unknown(f"looseness of (f1, f1) not established: {cause}", cause))
         notes.append("criteria withheld; pass assume_self_loose to override")
-        return Report(sp.name, m, sp.n, inputs, r, u, u, u, u, u, u, notes, deriv)
+        return Report(sp.name, m, n, inputs, r, u, u, u, u, u, u, notes, deriv)
 
     delta = lift1 - lift2
-    deriv.append(Text(("delta = lift1 - lift2 = {} in pi_{}(S^{})", delta.value, m, sp.q)))
+    deriv.append(Text(("delta = lift1 - lift2 = {} in pi_{}(S^{})", delta.value, m, q)))
     if delta.is_zero:
         deriv.append("difference test: delta zero -> MCC = N# = 0")
     else:
         deriv.append(Text(("difference test: delta nonzero -> MCC = N# = {}", r_n)))
     tag = sp.field.tag
     ring = tables.ring
-    top = m == sp.n
+    hopf = ring.hopf_stable(tag)
+    top = m == n
     mcc, n_tilde, n_plain, n_z = _criteria(
         tables, delta, top, r_n,
-        lambda stab: ring.multiply(ring.hopf_stable(tag), stab), _PROJECTIVE_LABELS[tag], deriv,
+        lambda stab: hopf if isinstance(hopf, Unknown) else ring.multiply(hopf, stab),
+        _PROJECTIVE_LABELS[tag], deriv,
     )
     deriv.append(Text(("top-degree test: m {} n -> NZ = {}", "=" if top else "!=", n_z)))
 
@@ -426,7 +429,7 @@ def projective_report(
         mc = unk(Unknown("MC is determined by these tables only for sphere targets"))
 
     return Report(
-        sp.name, m, sp.n, inputs, r, mc, mcc, mcc, n_tilde, n_plain, n_z, notes, deriv
+        sp.name, m, n, inputs, r, mc, mcc, mcc, n_tilde, n_plain, n_z, notes, deriv
     )
 
 
@@ -487,18 +490,19 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
     """
     if m < 1:
         raise FgAbError("m >= 1 required")
-    if sp.n == 1:
+    n, q = sp.n, sp.q
+    if n == 1:
         v = {k: (ScanVerdict.HOLDS, "all numbers vanish for a circle target") for k in SCAN_KEYS}
-        return ScanResult(sp.name, m, sp.n, v, True)
+        return ScanResult(sp.name, m, n, v, True)
     if m == 1:
         v = {k: (ScanVerdict.HOLDS, "m = 1: all numbers vanish") for k in SCAN_KEYS}
-        return ScanResult(sp.name, m, sp.n, v, True)
+        return ScanResult(sp.name, m, n, v, True)
 
-    if sp.n_prime == 1 and m == sp.n:
-        group = tables.lookup(m, sp.n).group
-        witness = Text(("m = n = {}: all four Nielsen numbers agree on {} = S^{}", m, sp, sp.n))
+    if sp.n_prime == 1 and m == n:
+        group = tables.lookup(m, n).group
+        witness = Text(("m = n = {}: all four Nielsen numbers agree on {} = S^{}", m, sp, n))
         v = {k: (ScanVerdict.HOLDS, witness) for k in SCAN_KEYS}
-        return ScanResult(sp.name, m, sp.n, v, group.is_trivial)
+        return ScanResult(sp.name, m, n, v, group.is_trivial)
 
     hypothesis_fail = None
     if not decompose_valid(tables, sp, m):
@@ -510,12 +514,12 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
                 f"self-coincidence looseness not established: {loose.reason}", loose.reason)
     if hypothesis_fail is not None:
         v = {k: (ScanVerdict.UNKNOWN, hypothesis_fail) for k in SCAN_KEYS}
-        return ScanResult(sp.name, m, sp.n, v, None)
+        return ScanResult(sp.name, m, n, v, None)
 
     # Each relation reads only the kernels it needs; N~ == N, which needs
     # both, gives Gamma's gap first.  A decided witness keeps the subgroups it
     # names.
-    ker_gamma, ker_hopf, whole = tables.kernel_chain(m, sp.q, sp.field.tag)
+    ker_gamma, ker_hopf, whole = tables.kernel_chain(m, q, sp.field.tag)
     if isinstance(ker_hopf, Unknown):
         n_zero = n_nz = b_eq = (ScanVerdict.UNKNOWN, ker_hopf)
     else:
@@ -533,16 +537,16 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
                 Text(("Ker Gamma = {} vs Ker(h . E^inf) = {}", ker_gamma, ker_hopf)),
             )
     verdicts = {"nsharp_eq_ntilde": a_eq, "ntilde_eq_n": b_eq, "n_eq_zero": n_zero}
-    if m == sp.n:
+    if m == n:
         verdicts["n_eq_nz"] = (
             ScanVerdict.HOLDS,
             "m = n: both criteria see exactly the nonzero difference classes",
         )
-        nz_vanishes = tables.lookup(m, sp.q).group.is_trivial
+        nz_vanishes = tables.lookup(m, q).group.is_trivial
     else:
         verdicts["n_eq_nz"] = n_nz
         nz_vanishes = True
-    return ScanResult(sp.name, m, sp.n, verdicts, nz_vanishes)
+    return ScanResult(sp.name, m, n, verdicts, nz_vanishes)
 
 
 # ------------------------------------------------------------ Wecken status

@@ -26,9 +26,6 @@ class Field(_Value):
         _setattr(self, "tag", tag)
         _setattr(self, "d", d)
 
-    def __str__(self) -> str:
-        return self.tag
-
 
 REAL = Field("R", 1)
 COMPLEX = Field("C", 2)
@@ -37,8 +34,6 @@ FIELDS = {"R": REAL, "C": COMPLEX, "H": QUATERNION}
 
 
 def parse_field(tag) -> Field:
-    if isinstance(tag, Field):
-        return tag
     try:
         return FIELDS[str(tag)]
     except KeyError:

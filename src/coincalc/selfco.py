@@ -98,10 +98,6 @@ class KVector(_Value):
         _setattr(self, "entries", entries)
 
     @property
-    def n_prime(self) -> int:
-        return len(self.entries) - 1
-
-    @property
     def is_zero(self) -> bool:
         return all(x == 0 for e in self.entries for x in e)
 

@@ -60,9 +60,6 @@ class SphereClass(_Value):
     def scale(self, k: int) -> "SphereClass":
         return SphereClass(self.m, self.q, self.value.scale(k))
 
-    def __str__(self) -> str:
-        return f"{self.value} in pi_{self.m}(S^{self.q})"
-
 
 class GammaValue(_Value):
     """Total stabilized Hopf-James invariant, one component per k."""
@@ -359,10 +356,9 @@ class SphereTables:
             ker_gamma = kernel_into_coords(group, rows, orders)
         if stab is None:
             return ker_gamma, ker_gamma, whole  # both kernels need every E^inf column
-        try:
-            hopf = self.ring.hopf_stable(field_tag)
-        except UnregisteredName as exc:
-            ker_hopf = Unknown(str(exc))
+        hopf = self.ring.hopf_stable(field_tag)
+        if isinstance(hopf, Unknown):
+            ker_hopf = hopf
         else:
             products = []
             for column in stab:
@@ -417,10 +413,11 @@ class SphereTables:
         # generators needs no Hopf class.
         hopfs = {}
         for tag in ("R", "C", "H") if self.raw.entries else ():
-            try:
-                hopfs[tag] = self.ring.hopf_stable(tag)
-            except UnregisteredName as exc:
-                bad(f"h_{tag}", str(exc))
+            hopf = self.ring.hopf_stable(tag)
+            if isinstance(hopf, Unknown):
+                bad(f"h_{tag}", hopf.reason)
+            else:
+                hopfs[tag] = hopf
 
         max_degree = self.ring.max_degree
         for (m, q), entry in sorted(self.raw.entries.items()):

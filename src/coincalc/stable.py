@@ -57,22 +57,6 @@ class StableElement(_Value):
     def order(self) -> Optional[int]:
         return self.value.order()
 
-    def __add__(self, other: "StableElement") -> "StableElement":
-        if other.degree != self.degree:
-            raise ValueError("cannot add stable elements of different degrees")
-        return StableElement(self.degree, self.value + other.value)
-
-    def __sub__(self, other: "StableElement") -> "StableElement":
-        if other.degree != self.degree:
-            raise ValueError("cannot subtract stable elements of different degrees")
-        return StableElement(self.degree, self.value - other.value)
-
-    def __neg__(self) -> "StableElement":
-        return StableElement(self.degree, -self.value)
-
-    def scale(self, k: int) -> "StableElement":
-        return StableElement(self.degree, self.value.scale(k))
-
     def __str__(self) -> str:
         return f"{self.value} in pi_{self.degree}^S"
 
@@ -87,9 +71,8 @@ class StableRing:
         self._tables = tables
         self._gen_degrees = tables.stem_gen_degrees
         self.max_degree = max(tables.stems, default=-1)
-        # field tag -> its Hopf class; an UnregisteredName is raised afresh
-        # on each ask and never kept.
-        self._hopf: dict[str, StableElement] = {}
+        # field tag -> its Hopf class, or the Unknown of an unregistered one.
+        self._hopf: dict[str, ProductResult] = {}
 
     def stem(self, k: int) -> StemEntry:
         """The tabulated stem pi_k^S; errors outside the curated range."""
@@ -129,15 +112,20 @@ class StableRing:
             + (", ".join(self.available_names()) or "none")
         )
 
-    def hopf_stable(self, field_tag: str) -> StableElement:
+    def hopf_stable(self, field_tag: str) -> ProductResult:
         """Stable class of the Hopf projection: 2*iota, eta, nu for R, C, H,
-        resolved once per ring."""
+        or the Unknown of a table that does not register it; resolved once
+        per ring."""
         hopf = self._hopf.get(field_tag)
         if hopf is None:
             name = _HOPF_NAMES.get(field_tag)
             if name is None:
                 raise ValueError(f"unknown field tag {field_tag!r}")
-            hopf = self._hopf[field_tag] = self.named(name)
+            try:
+                hopf = self.named(name)
+            except UnregisteredName as exc:
+                hopf = Unknown(str(exc))
+            self._hopf[field_tag] = hopf
         return hopf
 
     def _gen_product(

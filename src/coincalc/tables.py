@@ -96,11 +96,11 @@ class GenAnnotations(_Value):
 class SphereEntry(_Value):
     """A tabulated (or synthesized) homotopy group pi_m(S^q)."""
 
-    __slots__ = ("m", "q", "group", "gen_names", "annotations", "source", "synthesized")
+    __slots__ = ("m", "q", "group", "gen_names", "annotations", "source")
 
     def __init__(
         self, m: int, q: int, group: FgAbGroup, gen_names: tuple[str, ...] = (),
-        annotations: tuple[GenAnnotations, ...] = (), source: str = "", synthesized: bool = False,
+        annotations: tuple[GenAnnotations, ...] = (), source: str = "",
     ):
         _setattr(self, "m", m)
         _setattr(self, "q", q)
@@ -108,7 +108,6 @@ class SphereEntry(_Value):
         _setattr(self, "gen_names", gen_names)
         _setattr(self, "annotations", annotations)
         _setattr(self, "source", source)
-        _setattr(self, "synthesized", synthesized)
 
     @property
     def k_max(self) -> int:
@@ -184,9 +183,7 @@ def closed_form_entry(m: int, q: int) -> Optional[SphereEntry]:
     if m < 1 or q < 0:
         return None
     if q == 0 or (q == 1 and m >= 2) or (q >= 1 and m < q):
-        return SphereEntry(
-            m, q, FgAbGroup.trivial(), source=CLOSED_FORM_NOTE, synthesized=True
-        )
+        return SphereEntry(m, q, FgAbGroup.trivial(), source=CLOSED_FORM_NOTE)
     if m == q:
         ann = GenAnnotations(
             susp=(1,),
@@ -202,7 +199,6 @@ def closed_form_entry(m: int, q: int) -> Optional[SphereEntry]:
             gen_names=(f"iota{q}",),
             annotations=(ann,),
             source=CLOSED_FORM_NOTE,
-            synthesized=True,
         )
     return None
 

@@ -361,10 +361,8 @@ class TestExitContract:
              "unknown named class 'whitehead5'"),
             (_drop_name("hopfC"), ["witnesses", "--claim", "b", "--machine"],
              "unknown named class 'hopfC'"),
-            (_without_eta, ["nielsen", "--field", "C", "--nprime", "1", "--m", "4",
-                            "--f1", "eta_3", "--f2", "zero"], "unknown stable class 'eta'"),
         ],
-        ids=["witnesses-no-whitehead5", "witnesses-no-hopfC", "nielsen-no-eta"],
+        ids=["witnesses-no-whitehead5", "witnesses-no-hopfC"],
     )
     def test_unregistered_class_exits_3(self, capsys, tmp_path, table_text, edit, argv, reason):
         # A class the command needs by name is missing from the table: a
@@ -417,6 +415,23 @@ class TestExitContract:
             "m=3: N# == N~ ?? N ?? NZ == 0",
             "m=4: N# == N~ ?? N ?? NZ == 0",
         ]
+
+    def test_missing_hopf_class_makes_report_unknown(self, capsys, tmp_path, table_text):
+        # The pointwise report gives the same answer as the scan above: N,
+        # which needs h_C, is unknown with the missing class as its reason,
+        # and MCC, N#, N~ and NZ stay decided; exit 0, or 1 under --strict.
+        path = tmp_path / "gap.txt"
+        path.write_text(_without_eta(table_text))
+        argv = ["nielsen", "--field", "C", "--nprime", "1", "--m", "4",
+                "--f1", "eta_3", "--f2", "zero"]
+        code, out, err = run(capsys, "--tables", str(path), *argv)
+        assert (code, err) == (0, "")
+        values = dict(re.findall(r"^\s+(\S+) = (.*)$", out, re.M))
+        assert {k: values[k] for k in ("MCC", "N#", "N~", "NZ")} == {
+            "MCC": "1", "N#": "1", "N~": "1", "NZ": "0"}
+        assert values["N"].startswith("unknown (unknown stable class 'eta'; available: ")
+        code, _out, err = run(capsys, "--tables", str(path), "--strict", *argv)
+        assert (code, err) == (1, "strict mode: Unknown verdicts present\n")
 
 
 class TestWitnessesAndVerdicts:

@@ -94,10 +94,16 @@ class TestParsing:
             parse_tables("group 9 2 0 3\n")
 
     def test_round_trip(self, table_text):
-        ts = parse_tables(table_text)
-        again = parse_tables(serialize_tables(ts))
-        assert again == ts
-        assert parse_tables(serialize_tables(again)) == again
+        # The bundled table, and a generator with a src line of its own,
+        # which the bundled table never has.
+        for text in (table_text, MINIMAL + 'src "[Toda] 1962"\n'):
+            ts = parse_tables(text)
+            again = parse_tables(serialize_tables(ts))
+            assert again == ts
+            assert parse_tables(serialize_tables(again)) == again
+        assert ts.entries[3, 2].annotations[0].source == "[Toda] 1962"
+        assert 'gen eta_2\nstab 1 1\ngamma 2 0 1\nantip 1\nsrc "[Toda] 1962"\n' \
+            in serialize_tables(ts)
 
     def test_load_from_bytes(self, table_text):
         import io
@@ -274,6 +280,8 @@ class TestParseErrorPositions:
 
 # (table, message) for the schema faults of parse_tables that no other test
 # raises.
+# Stems 0-2, over which `prod eta eta -> 2 1` is a valid product.
+_STEMS = "stem 0 1\ngen iota\nstem 1 0 2\ngen eta\nstem 2 0 2\ngen eta2\n"
 SCHEMA_FAULTS = [
     (_PREFIX + "gamma 0 1 1\n", "pi_3(S^2): gamma component index must be >= 1"),
     ("stem 0 2\ngen a\ngen a\n", "pi_0^S: duplicate generator 'a'"),
@@ -283,6 +291,10 @@ SCHEMA_FAULTS = [
     (MINIMAL + "gamma 3 -1 1\n", "pi_3(S^2) gen eta_2: gamma component k=3 beyond k_max=2"),
     ("stem 0 1\ngen iota\nstem 1 1\ngen iota\n",
      "pi_1^S: stem generator name 'iota' reused across stems"),
+    (_STEMS + "prod eta eta1 -> 2 1\n", "prod eta eta1: unknown stem generator 'eta1'"),
+    (_STEMS + "prod eta2 eta2 -> 4 1\n", "prod eta2 eta2: product degree 4 outside tabulated stems"),
+    (_STEMS + "prod eta eta -> 2 1,0\n", "prod eta eta: vector length 2 != rank 1"),
+    (_STEMS + "prod eta eta -> 2 1\n" * 2, "prod eta eta: duplicate product"),
 ]
 
 

@@ -75,9 +75,9 @@ VALUES = {
     "GenAnnotations": (("susp", "stab", "gammas", "antip", "source"),
                        lambda other: GenAnnotations(susp=(1,), stab=(1,), gammas=((2, (1,)),),
                                                     source="b" if other else "a")),
-    "SphereEntry": (("m", "q", "group", "gen_names", "annotations", "source", "synthesized"),
-                    lambda other: SphereEntry(3, 2, Z, ("eta2",), (GenAnnotations(),), "src",
-                                              synthesized=other)),
+    "SphereEntry": (("m", "q", "group", "gen_names", "annotations", "source"),
+                    lambda other: SphereEntry(3, 2, Z, ("eta2",), (GenAnnotations(),),
+                                              "closed form" if other else "src")),
     "StemEntry": (("degree", "group", "gen_names", "source"),
                   lambda other: StemEntry(1, Z2, ("eta",), "other" if other else "src")),
     "ProductEntry": (("degree", "coeffs"),
@@ -266,7 +266,11 @@ def test_every_definition_is_used_outside_the_tests():
 
     The match is by name alone, so it cannot tell two definitions that share
     one apart: a spare `StableRing.zero` passes while `SphereTables.zero`
-    is in use."""
+    is in use.  Such collisions, the dunders (`__add__`, `__str__`, ...)
+    and unread fields need a call trace over the non-test entry points
+    instead: `sys.setprofile` over every operation of the benchmark
+    catalogues and the CLI, acceptance and golden tests, listing each
+    function of the package that no call reaches."""
     root = os.path.dirname(SRC)
     pkg = os.path.join(SRC, "coincalc")
     users = [os.path.join(root, "tests", "test_acceptance.py")]
