@@ -19,11 +19,14 @@ can be Unknown then prints one `strict mode:` line on stderr); 2 bad input or
 out of tabulated range; 3 invalid or unreadable data file.  A reader that
 closes stdout early (`coincalc ... | head -1`) is not an error: the exit
 code stays the command's.
+
+`run` is the process entry; `main` is the in-process one.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Optional
@@ -401,5 +404,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     return {INVALID: EXIT_DATA, FAILED: EXIT_STRICT}.get(outcome, EXIT_OK)
 
 
+def run() -> None:
+    """The process entry (`python -m coincalc.cli`, the `coincalc` script).
+
+    Once the answer is written, every object left is moved into the
+    collector's permanent generation, which the full collections of
+    interpreter shutdown skip; `gc.disable()` would not stop them.  atexit
+    hooks still run, so coverage and cProfile keep working."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

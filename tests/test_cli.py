@@ -2,10 +2,12 @@
 
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -845,3 +847,76 @@ class TestClosedStdout:
             assert target.read_bytes() == b""
         finally:
             os.close(fd)
+
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def _process(args, stdout=subprocess.PIPE):
+    """(exit code, stdout, stderr) of `python ARGS` with coincalc importable."""
+    proc = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=_SRC),
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# What the installed `coincalc` script runs: the [project.scripts] entry.
+_SCRIPT = "import sys; from coincalc.cli import run; sys.argv[0] = 'coincalc'; sys.exit(run())"
+
+
+class TestProcessEntry:
+    """`python -m coincalc.cli` and the installed script go through cli.run:
+    the same output and exit code as cli.main, with the heap frozen on exit."""
+
+    @pytest.fixture
+    def bad_table(self, tmp_path, table_text):
+        path = tmp_path / "bad.txt"
+        path.write_text(table_text.replace("name whitehead3 5 3 0", "name whitehead3 5 3 1"))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["pi", "9", "3"], 0),
+        (["--strict", "nielsen", "--field", "C", "--nprime", "2", "--m", "6",
+          "--f1", "eta_5", "--f2", "zero"], 1),
+        (["pi", "100", "3"], 2),
+        (["--tables", None, "validate-data"], 3),
+    ], ids=["ok", "strict", "out-of-range", "invalid-data"])
+    def test_same_answer_as_main(self, bad_table, argv, expected):
+        argv = [bad_table if a is None else a for a in argv]
+        answer = _call(argv)
+        assert answer[0] == expected
+        assert _process(["-m", "coincalc.cli", *argv]) == answer
+
+    def test_script_entry(self):
+        assert _process(["-c", _SCRIPT, "pi", "9", "3"]) == _call(["pi", "9", "3"])
+
+    def test_usage_error_exits_2(self):
+        code, out, err = _call(["pi", "9"])
+        assert (code, out) == ("usage", "")
+        assert err.startswith("usage: coincalc pi")
+        assert _process(["-m", "coincalc.cli", "pi", "9"]) == (2, out, err)
+
+    def test_closed_stdout_keeps_the_exit_code(self, bad_table):
+        # validate-data prints its violations on stdout and exits 3.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            code, _out, err = _process(["-m", "coincalc.cli", "--tables", bad_table,
+                                        "validate-data"], stdout=write)
+        finally:
+            os.close(write)
+        assert (code, err) == (3, "")
+
+    def test_atexit_hooks_run_on_a_frozen_heap(self):
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "sys.argv = ['coincalc', 'pi', '9', '3']\n"
+            "runpy.run_module('coincalc.cli', run_name='__main__')\n"
+        )
+        code, out, err = _process(["-c", script])
+        assert (code, out.splitlines()[0], err) == (0, "Z_3", "frozen True\n")
+
+    def test_main_leaves_the_heap_unfrozen(self):
+        before = gc.get_freeze_count()
+        assert _call(["pi", "9", "3"])[0] == 0
+        assert gc.get_freeze_count() == before

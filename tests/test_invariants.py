@@ -30,23 +30,28 @@ from coincalc.stable import StableElement
 from coincalc.tables import OutOfTabulatedRange, TableError, parse_tables
 
 
+# n' <= 7 with 2 <= m <= 15, and HP(23) with 92 <= m <= 95: the first
+# quaternionic target that passes the looseness gate (n' = 23 mod 24).
+_CHAIN_RANGES = [(tag, n_prime, range(2, 16)) for tag in ("R", "C", "H")
+                 for n_prime in range(1, 8)] + [("H", 23, range(92, 96))]
+
+
 def kernel_chain_cases(tables):
-    """(target, m) with n' <= 7 and 2 <= m <= 15 that equivalence_scan
-    decides by comparing the kernels of the bundled table."""
-    for tag in ("R", "C", "H"):
-        for n_prime in range(1, 8):
-            sp = space(tag, n_prime)
-            for m in range(2, 16):
-                if sp.n == 1 or (n_prime == 1 and m == sp.n):
+    """(target, m) over _CHAIN_RANGES that equivalence_scan decides by
+    comparing the kernels of the bundled table."""
+    for tag, n_prime, ms in _CHAIN_RANGES:
+        sp = space(tag, n_prime)
+        for m in ms:
+            if sp.n == 1 or (n_prime == 1 and m == sp.n):
+                continue
+            try:
+                if not decompose_valid(tables, sp, m):
                     continue
-                try:
-                    if not decompose_valid(tables, sp, m):
-                        continue
-                    tables.kernel_chain(m, sp.q, tag)
-                except OutOfTabulatedRange:
-                    continue
-                if self_loose(tag, m, n_prime).verdict is Verdict.LOOSE:
-                    yield sp, m
+                tables.kernel_chain(m, sp.q, tag)
+            except OutOfTabulatedRange:
+                continue
+            if self_loose(tag, m, n_prime).verdict is Verdict.LOOSE:
+                yield sp, m
 
 
 def small_classes(tables, m, q):
@@ -340,9 +345,9 @@ class TestEquivalenceScan:
         # covers every pair the scan speaks about.
         cases = list(kernel_chain_cases(tables))
         groups = [tables.lookup(m, sp.q).group for sp, m in cases]
-        assert len(cases) == 65
-        assert sum(1 for g in groups if not g.is_finite) == 8
-        assert sum(math.prod(g.torsion) for g in groups if g.is_finite) == 133
+        assert len(cases) == 69
+        assert sum(1 for g in groups if not g.is_finite) == 9
+        assert sum(math.prod(g.torsion) for g in groups if g.is_finite) == 136
         for sp, m in cases:
             scan = _assert_scan_agrees(tables, sp, m)
             assert ScanVerdict.UNKNOWN not in [v for v, _w in scan.verdicts.values()]
@@ -378,8 +383,8 @@ class TestEquivalenceScan:
                                        len(verdicts) - unknown, unknown)):
                     counts[j] += n
         # Without eta, the ten CP(n') chains of this range have Ker(h . E^inf)
-        # unknown; no HP(n') case here is loose, so the table without nu adds none.
-        assert counts == [67, 12, 40, 92, 176]
+        # unknown; without nu, so has HP(23) at m = 95, where pi_95(S^95) = Z.
+        assert counts == [68, 13, 40, 93, 179]
 
     def test_scan_unknown_on_table_gap(self, table_text):
         # A gamma k=2 gap blocks Ker Gamma only: the relations that read it
