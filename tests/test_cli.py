@@ -51,13 +51,13 @@ class TestQueries:
 
 class TestNielsen:
     def test_rp2_hopf(self, capsys):
-        code, out, _ = run(
-            capsys, "nielsen", "--field", "R", "--nprime", "2", "--m", "3",
-            "--f1", "hopfC", "--f2", "zero",
-        )
+        answer = run(capsys, *_nielsen_rp2("hopfC"))
+        code, out, _ = answer
         assert code == 0
         assert " N# = 2" in out and " N~ = 2" in out
         assert "  N = 0" in out and " NZ = 0" in out
+        # Blanks after the last token end the expression.
+        assert run(capsys, *_nielsen_rp2("hopfC  ")) == answer
 
     def test_machine_mode_is_deterministic(self, capsys):
         argv = [
@@ -269,6 +269,7 @@ class TestExitContract:
              "n' must be >= 1\n"),
             (["verify-s", "--field", "H", "--nprime", "0"], "n' must be >= 1\n"),
             (["verify-s", "--field", "H", "--nprime", "-5"], "n' must be >= 1\n"),
+            (["pi", "3", "-1"], "out of tabulated range: pi_3(S^-1) is not tabulated\n"),
         ],
         ids=["whitehead-unregistered", "whitehead-not-int", "whitehead-open",
              "whitehead-arabic-indic-digit", "susp-arabic-indic-count", "arabic-indic-multiple",
@@ -277,7 +278,7 @@ class TestExitContract:
              "susp-zero-count", "susp-unclosed", "whitehead-leading-zero", "integer-off-the-diagonal",
              "wecken-negative-m", "verify-s-no-samples", "verify-s-negative-samples",
              "verify-s-negative-nprime", "verify-s-zero-nprime", "verify-s-negative-even-nprime",
-             "verify-s-H-zero-nprime", "verify-s-H-negative-nprime"],
+             "verify-s-H-zero-nprime", "verify-s-H-negative-nprime", "pi-negative-q"],
     )
     def test_bad_input_exits_2(self, capsys, argv, reason):
         code, out, err = run(capsys, *argv)
@@ -469,6 +470,15 @@ class TestWitnessesAndVerdicts:
     def test_verify_s_complex(self, capsys):
         code, out, _ = run(capsys, "verify-s", "--field", "C", "--samples", "20")
         assert code == 0 and "all residuals positive" in out
+        code, out, err = run(capsys, "verify-s", "--field", "C")
+        assert (code, err) == (0, "")
+        assert out.startswith("25 exact rational samples over C, n' = 3: all residuals positive")
+
+    def test_verify_s_complex_failure_is_reported(self, capsys, monkeypatch):
+        # A zero residual means s(x) lies on the line K.x for some sample.
+        monkeypatch.setattr(cli, "residual_not_parallel", lambda x: 0)
+        code, out, err = run(capsys, "verify-s", "--field", "C")
+        assert (code, out, err) == (1, "", "FAIL: found a vector with s(x) on the line K.x\n")
 
     def test_wecken_kervaire(self, capsys):
         code, out, _ = run(
@@ -496,6 +506,7 @@ class TestDataHandling:
         path.write_bytes(b"\xef\xbb\xbf" + table_text.replace("\n", "\r\n").encode("utf-8"))
         code, out, err = run(capsys, "--tables", str(path), "validate-data")
         assert (code, out, err) == (0, "dataset consistent: 0 violations\n", "")
+        assert run(capsys, "--tables", str(path), "pi", "9", "3") == run(capsys, "pi", "9", "3")
 
     def test_invalid_tables_exit_3(self, capsys, tmp_path, table_text):
         path = tmp_path / "broken.txt"
@@ -516,7 +527,11 @@ class TestDataHandling:
         at = table_text.index("stem 8 0 2,2")
         broken = table_text[:at].encode() + b"stem 8 \xff" + table_text[at + 7:].encode()
         line = table_text.count("\n", 0, at) + 1
-        cases = ((b"\xff\xfe bad", "line 1, column 1"), (broken, f"line {line}, column 8"))
+        cases = ((b"\xff\xfe bad", "line 1, column 1"), (broken, f"line {line}, column 8"),
+                 # A column counts characters after the byte order mark, and
+                 # a carriage return ends a line as a newline does.
+                 (b"\xef\xbb\xbfab\xff\n", "line 1, column 3"),
+                 (b"# c\r# d\n\xff\n", "line 3, column 1"))
         for data, where in cases:
             path = tmp_path / "bad.txt"
             path.write_bytes(data)
@@ -579,10 +594,19 @@ class TestDataHandling:
         assert err.startswith("data error: pi_4^S: missing below pi_19^S")
 
     def test_validator_flags_bad_dataset(self, capsys, tmp_path, table_text):
+        nu_p = "gen nu_p\nsusp 0,1\nstab 3 2\ngamma 2 1 1\nantip 1\n"
+        cases = [
+            ("name whitehead3 5 3 0", "name whitehead3 5 3 1",
+             "name whitehead3: Whitehead square must vanish for q=3"),
+            (nu_p, nu_p[:-2] + "2\n",
+             "pi_6(S^3) gen nu_p: antipodal action must be the identity for odd q"),
+        ]
         path = tmp_path / "bad.txt"
-        path.write_text(table_text.replace("name whitehead3 5 3 0", "name whitehead3 5 3 1"))
-        code, out, _ = run(capsys, "--tables", str(path), "validate-data")
-        assert code == 3 and "whitehead3" in out
+        for row, bad, violation in cases:
+            assert table_text.count(row) == 1
+            path.write_text(table_text.replace(row, bad))
+            code, out, err = run(capsys, "--tables", str(path), "validate-data")
+            assert (code, out, err) == (3, f"1 violation(s):\n  - {violation}\n", "")
 
     @pytest.mark.parametrize("name", ["whiteheadX", "whitehead", "whitehead\u0663", "whitehead+3"])
     def test_whitehead_name_without_decimal_q_exits_3(self, capsys, tmp_path, table_text, name):
@@ -894,6 +918,10 @@ class TestProcessEntry:
         assert (code, out) == ("usage", "")
         assert err.startswith("usage: coincalc pi")
         assert _process(["-m", "coincalc.cli", "pi", "9"]) == (2, out, err)
+        code, out, err = _call([])
+        assert (code, out) == ("usage", "")
+        assert err.startswith("usage: coincalc [-h]")
+        assert _process(["-c", _SCRIPT]) == (2, out, err)
 
     def test_closed_stdout_keeps_the_exit_code(self, bad_table):
         # validate-data prints its violations on stdout and exits 3.

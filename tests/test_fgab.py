@@ -67,6 +67,11 @@ class TestSmithNormalForm:
         for matrix in ([], [[]], [[], []]):
             snf_ok(matrix)
 
+    def test_determinant_of_a_singular_matrix(self):
+        # No pivot in the first column: Bareiss stops at once.
+        assert int_det([[0, 1], [0, 2]]) == 0
+        assert int_det([[0, 1], [1, 0]]) == -1
+
     def test_ragged_rejected(self):
         with pytest.raises(FgAbError):
             smith_normal_form([[1, 2], [3]])

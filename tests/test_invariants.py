@@ -10,6 +10,7 @@ import pytest
 from coincalc.fgab import FgAbError, GroupElement, Subgroup
 from coincalc.invariants import (
     INF,
+    Report,
     ScanResult,
     ScanVerdict,
     WeckenStatus,
@@ -709,7 +710,28 @@ def test_computing_formats_no_value(table_text, monkeypatch):
         assert _printed(lazy) == _printed(eager)
 
 
+def test_short_form_of_each_value(tables):
+    # The seven values as 'R,MC,MCC,N#,N~,N,NZ', the form the benchmark
+    # records for a report.
+    rep = sphere_report(tables, 3, 2, tables.named("hopfC"), tables.zero(3, 2))
+    assert ",".join(v.short() for v in rep.values().values()) == "1,inf,1,1,1,1,0"
+    assert unk(Unknown("gap")).short() == "?"
+
+
 class TestChainCheck:
+    @pytest.mark.parametrize("n, values, violations", [
+        (3, (fin(3), fin(3), fin(0), fin(0), fin(0), fin(0)), ["MCC = 3 exceeds R = 1"]),
+        # Labelled informational, yet it fails the check like any violation.
+        (2, (fin(3), fin(3), fin(0), fin(0), fin(0), fin(0)),
+         ["MCC = 3 exceeds R = 1 (n = 2, informational)"]),
+        (3, (fin(0),) * 5 + (fin(-1),), ["negative invariant"]),
+        (3, (INF, fin(1), fin(1), fin(1), fin(1), INF),
+         [f"{name} = 1 < N_z = infinite" for name in ("MCC", "N_sharp", "N_tilde", "N_plain")]),
+    ], ids=["above-R", "above-R-at-n-2", "negative", "infinite-NZ"])
+    def test_each_failing_branch(self, n, values, violations):
+        rep = Report(f"S^{n}", 5, n, "", fin(1), *values)
+        assert chain_check(rep) == (False, violations)
+
     def test_injected_violation(self, tables):
         rep = sphere_report(tables, 9, 5, tables.whitehead(5), tables.zero(9, 5))
         rep.N_tilde = fin(1)
