@@ -6,7 +6,8 @@ elements are integer coefficient vectors with torsion coordinates reduced to
 The one lattice algorithm at run time is a canonical Hermite normal form
 (HNF) taken modulo the torsion orders: a subgroup value is its HNF basis, so
 membership is a row reduction and equality is equality of values, and a
-kernel is read off the HNF of the graph of its map.  The Smith normal form
+kernel is read off the HNF of the graph of its map, or, for a cyclic
+domain, from the order of the generator's image.  The Smith normal form
 stays as a library function and as the oracle the tests check against.
 Every answer is exact, and all values are immutable after construction.
 """
@@ -572,7 +573,13 @@ class Subgroup(_Value, compare=("ambient", "generators_")):
 
     @classmethod
     def whole(cls, ambient: FgAbGroup) -> "Subgroup":
-        return cls._canonical(ambient, _identity(ambient.rank))
+        # Every identity row is a nonzero element, since each order t_i >= 2.
+        basis = tuple(map(tuple, _identity(ambient.rank)))
+        sub = object.__new__(cls)
+        _setattr(sub, "ambient", ambient)
+        _setattr(sub, "generators_", tuple(GroupElement._reduced(ambient, r) for r in basis))
+        _setattr(sub, "basis", basis)
+        return sub
 
     def contains(self, x: GroupElement) -> bool:
         if x.group != self.ambient:
@@ -589,7 +596,10 @@ class Subgroup(_Value, compare=("ambient", "generators_")):
         return not self.generators_
 
     def is_whole(self) -> bool:
-        return self.basis == tuple(tuple(r) for r in _identity(self.ambient.rank))
+        # A canonical basis of `rank` rows has its pivots on the diagonal, and
+        # with each pivot 1 every entry above it is reduced to 0: the identity.
+        basis = self.basis
+        return len(basis) == self.ambient.rank and all(r[i] == 1 for i, r in enumerate(basis))
 
     def enumerate(self) -> set[tuple[int, ...]]:
         """All element coordinate tuples (finite ambient groups only)."""
@@ -624,14 +634,32 @@ def kernel_into_coords(
     orders (0 = free).  Used when the codomain is a plain coordinate block,
     e.g. a direct sum of tabulated stems, without renormalizing it.
 
-    The graph rows (M e_j | e_j), with the torsion relations of both sides,
-    span a lattice whose HNF rows with a zero codomain part are exactly the
-    kernel's canonical basis."""
+    A cyclic domain (Z, or Z/d) needs no lattice.  Its kernel is generated
+    by k and d, where k is the order of the generator's image: the lcm of
+    t / gcd(v, t) over the torsion coordinates, or 0 once a free coordinate
+    has v != 0.  Its canonical basis is the one row (gcd(k, d),), taking
+    d = 0 for Z, or no row when that gcd is 0.  The rows need not be well
+    defined on Z/d; the answer is the one the graph HNF below gives.
+
+    A domain of rank >= 2 takes the graph rows (M e_j | e_j), with the
+    torsion relations of both sides.  They span a lattice whose HNF rows
+    with a zero codomain part are exactly the kernel's canonical basis."""
     if len(rows) != len(coord_orders):
         raise FgAbError("one coordinate order per matrix row required")
     for row in rows:
         if len(row) != domain.rank:
             raise FgAbError("matrix width must match domain rank")
+    if domain.rank == 1:
+        k = 1
+        for (v,), t in zip(rows, coord_orders):
+            if t:
+                step = t // gcd(v, t)
+                k = k * step // gcd(k, step)
+            elif v:
+                k = 0
+                break
+        g = gcd(k, domain.coord_orders()[0])
+        return Subgroup._canonical(domain, ((g,),) if g else ())
     c_dim = len(rows)
     graph = [
         [row[j] for row in rows] + [int(i == j) for i in range(domain.rank)]

@@ -191,14 +191,8 @@ def chain_check(report: Report) -> tuple[bool, list[str]]:
     last = ordered[-1][1]
     if last.is_finite and last.value < 0:
         violations.append("negative invariant")
-    bound = _ge(report.R, report.MCC)
-    if bound is False:
-        if report.n != 2:
-            violations.append(f"MCC = {report.MCC} exceeds R = {report.R}")
-        else:
-            violations.append(
-                f"MCC = {report.MCC} exceeds R = {report.R} (n = 2, informational)"
-            )
+    if _ge(report.R, report.MCC) is False:
+        violations.append(f"MCC = {report.MCC} exceeds R = {report.R}")
     return (not violations, violations)
 
 

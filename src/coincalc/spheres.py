@@ -20,7 +20,6 @@ from .tables import (
     OutOfTabulatedRange,
     SchemaError,
     SphereEntry,
-    TableError,
     TableSet,
     UnregisteredName,
     map_target,
@@ -337,10 +336,10 @@ class SphereTables:
         E^inf column, then the Hopf class, then a product)."""
         entry = self.lookup(m, q)
         group = entry.group
-        whole = Subgroup.whole(group)
         if group.is_trivial:
             triv = Subgroup.trivial(group)
-            return triv, triv, whole
+            return triv, triv, triv  # the whole of a trivial group is trivial
+        whole = Subgroup.whole(group)
         rows: list[tuple[int, ...]] = []  # one per coordinate of each Gamma component's stem
         orders: list[int] = []
         stab = None
@@ -480,11 +479,8 @@ class SphereTables:
                 bad(f"name {name}", "not whitehead<q> with q in decimal digits and no leading zero")
                 continue
             q = int(digits)
-            try:
-                w = self.named(name)
-            except (LookupError, TableError):
-                bad(f"name {name}", "cannot resolve registered class")
-                continue
+            # The parser has checked that the class lies in a tabulated group.
+            w = self.named(name)
             if (w.m, w.q) != (2 * q - 1, q):
                 bad(f"name {name}", f"must live in pi_{2 * q - 1}(S^{q})")
                 continue

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -413,6 +414,90 @@ class TestCanonicalConstructor:
         assert [x.coeffs for x in ker.generators_] == [(1, 1), (0, 2)]
         assert Subgroup.trivial(g).generators_ == ()
         assert [x.coeffs for x in kernel_into_coords(g, [[0, 0]], [0]).generators_] == [(1, 0), (0, 1)]
+
+
+KERNEL_ORDERS = (0, 2, 3, 4, 8, 12, 24, 240)
+
+
+def graph_kernel(domain, rows, coord_orders):
+    """The kernel as the graph HNF reads it, for a domain of any rank: the
+    rows of the HNF of (M e_j | e_j), with both sides' relations, whose
+    codomain part is zero, taken as the canonical basis."""
+    c_dim = len(rows)
+    graph = [
+        [row[j] for row in rows] + [int(i == j) for i in range(domain.rank)]
+        for j in range(domain.rank)
+    ]
+    hnf = _hnf(graph, tuple(coord_orders) + domain.coord_orders())
+    return Subgroup._canonical(domain, [r[c_dim:] for r in hnf if not any(r[:c_dim])])
+
+
+def kills(x, v, t):
+    """Is x * v zero in a coordinate of order t (0 = free)?"""
+    return x * v % t == 0 if t else x * v == 0
+
+
+def cyclic_maps(rng, count):
+    """(domain, rows, coord_orders, well_defined) for a domain Z or Z/d and
+    0-6 coordinates, with d and every order drawn from KERNEL_ORDERS.  Half
+    the columns are drawn well defined on Z/d, the other half at random."""
+    for _ in range(count):
+        d = rng.choice(KERNEL_ORDERS)
+        orders = [rng.choice(KERNEL_ORDERS) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.5:
+            # x -> x * v is well defined on Z/d when d * v is zero in each coordinate.
+            column = [rng.randint(-3, 3) * (t // math.gcd(d, t) if t else d == 0) for t in orders]
+        else:
+            column = [rng.randint(-2 * t - 3, 2 * t + 3) for t in orders]
+        rows = [[v] for v in column]
+        yield FgAbGroup.cyclic(d), rows, orders, all(kills(d, v, t) for v, t in zip(column, orders))
+
+
+def identity_basis(rank):
+    return tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+
+
+class TestCyclicDomainKernels:
+    """kernel_into_coords answers a domain Z or Z/d in closed form, from the
+    order of the generator's image; the graph HNF is the reference."""
+
+    def test_closed_form_is_the_graph_hnf_kernel(self):
+        kinds = Counter()
+        for domain, rows, orders, well_defined in cyclic_maps(random.Random(2026), 3000):
+            ker, ref = kernel_into_coords(domain, rows, orders), graph_kernel(domain, rows, orders)
+            assert ker == ref and ker.basis == ref.basis, (domain, rows, orders)
+            assert ker.generators_ == ref.generators_
+            kinds[domain.is_finite, well_defined] += 1
+        # Z, and Z/d under maps both well defined and not, each often.
+        assert len(kinds) == 3 and min(kinds.values()) > 300, kinds
+
+    def test_well_defined_maps_from_z_mod_d_match_enumeration(self):
+        checked = 0
+        for domain, rows, orders, well_defined in cyclic_maps(random.Random(2027), 2000):
+            if not (domain.is_finite and well_defined):
+                continue
+            brute = {
+                (x,) for x in range(domain.torsion[0])
+                if all(kills(x, v, t) for (v,), t in zip(rows, orders))
+            }
+            assert kernel_into_coords(domain, rows, orders).enumerate() == brute, (domain, rows, orders)
+            checked += 1
+        assert checked > 500
+
+    @given(generating_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_is_whole_is_the_identity_basis(self, drawn):
+        amb = drawn[0]
+        for sub in (Subgroup(*drawn), Subgroup.whole(amb), Subgroup.trivial(amb)):
+            assert sub.is_whole() == (sub.basis == identity_basis(amb.rank))
+
+    def test_is_whole_on_cyclic_kernels(self):
+        answers = Counter()
+        for domain, rows, orders, _ in cyclic_maps(random.Random(2028), 1000):
+            ker = kernel_into_coords(domain, rows, orders)
+            answers[ker.is_whole()] += 1
+            assert ker.is_whole() == (ker.basis == identity_basis(1))
+        assert min(answers[True], answers[False]) > 100, answers
 
 
 @pytest.fixture(scope="module")

@@ -721,9 +721,7 @@ def test_short_form_of_each_value(tables):
 class TestChainCheck:
     @pytest.mark.parametrize("n, values, violations", [
         (3, (fin(3), fin(3), fin(0), fin(0), fin(0), fin(0)), ["MCC = 3 exceeds R = 1"]),
-        # Labelled informational, yet it fails the check like any violation.
-        (2, (fin(3), fin(3), fin(0), fin(0), fin(0), fin(0)),
-         ["MCC = 3 exceeds R = 1 (n = 2, informational)"]),
+        (2, (fin(3), fin(3), fin(0), fin(0), fin(0), fin(0)), ["MCC = 3 exceeds R = 1"]),
         (3, (fin(0),) * 5 + (fin(-1),), ["negative invariant"]),
         (3, (INF, fin(1), fin(1), fin(1), fin(1), INF),
          [f"{name} = 1 < N_z = infinite" for name in ("MCC", "N_sharp", "N_tilde", "N_plain")]),

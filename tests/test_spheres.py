@@ -394,6 +394,18 @@ class TestKernelChain:
                 if not isinstance(kg, Unknown):
                     assert subgroup_cmp(kg, kh) in (Cmp.EQUAL, Cmp.PROPER_SUB)
 
+    @pytest.mark.parametrize("tag", ["R", "C", "H"])
+    def test_rank_two_kernels_hold_exactly_the_classes_sent_to_zero(self, tables, tag):
+        # pi_7(S^4) = Z + Z_12 is the one tabulated group that is not cyclic,
+        # so its kernels come from the graph HNF, not the closed form.
+        kg, kh, _whole = tables.kernel_chain(7, 4, tag)
+        hopf = tables.ring.hopf_stable(tag)
+        assert tables.lookup(7, 4).group.rank == 2
+        classes = [tables.cls(7, 4, c) for c in itertools.product(range(-2, 3), range(12))]
+        for x in classes:
+            assert kg.contains(x.value) == (tables.gamma(x).is_zero() is True), x
+            assert kh.contains(x.value) == tables.ring.multiply(hopf, tables.stabilize(x)).is_zero, x
+
     def test_missing_data_is_unknown_not_a_guess(self, table_text):
         # Drop a gamma annotation: Ker Gamma must refuse to answer, while
         # Ker(h_K . E^inf), which reads only the E^inf columns, stays known.
