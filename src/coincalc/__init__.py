@@ -47,7 +47,6 @@ from .projective import (
     ProjSpace,
     QUATERNION,
     REAL,
-    correction_group,
     decompose_valid,
     parse_field,
     space,

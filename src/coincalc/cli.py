@@ -35,15 +35,17 @@ from . import load_default_tables
 from .exprs import ExprError, parse_class
 from .fgab import FgAbError
 from .invariants import (
+    SPHERE,
     Report,
     ScanVerdict,
     WeckenStatus,
     equivalence_scan,
     projective_report,
+    route,
     sphere_report,
     wecken_status,
 )
-from .projective import decompose_valid, space
+from .projective import space
 from .selfco import (
     Verdict,
     fiber_projection_self_loose,
@@ -133,13 +135,6 @@ def cmd_stems(args):
     return _listing(_load(args).ring.stem(args.k)), None, OK
 
 
-def _expr_context(tables: SphereTables, sp, m: int) -> tuple[int, int]:
-    """Which pi_m(S^?) command-line expressions live in for this target."""
-    if sp.n == 1 or decompose_valid(tables, sp, m):
-        return m, sp.q
-    return m, sp.n
-
-
 def cmd_nielsen(args):
     tables = _load(args)
     sp = space(args.field, args.nprime)
@@ -149,9 +144,11 @@ def cmd_nielsen(args):
         raise FgAbError(
             f"--nprime is too large: the dimension of S^q cannot be printed: {exc}"
         ) from None
-    m, q = _expr_context(tables, sp, args.m)
-    f1 = parse_class(tables, args.f1, m, q)
-    f2 = parse_class(tables, args.f2, m, q)
+    if args.m < 2:
+        raise FgAbError("projective reports need a simply connected domain, m >= 2")
+    q = sp.n if route(tables, sp, args.m)[0] is SPHERE else sp.q  # pi_m(S^n), or lifts
+    f1 = parse_class(tables, args.f1, args.m, q)
+    f2 = parse_class(tables, args.f2, args.m, q)
     rep = projective_report(
         tables, sp, args.m, f1, f2, assume_self_loose=args.assume_self_loose
     )

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 
 from .fgab import FgAbError, _Value, _setattr
 from .projective import ProjSpace, decompose_valid, parse_field
-from .selfco import Verdict, _congruence_ok, self_loose
+from .selfco import Looseness, Verdict, _congruence_ok, self_loose
 from .spheres import SphereClass, SphereTables
 from .stable import StableElement, Unknown
 
@@ -332,6 +332,28 @@ def _as_lift(m: int, q: int, f) -> SphereClass:
     return f
 
 
+CIRCLE, M_ONE, SPHERE, LIFT = "circle", "m = 1", "sphere", "lift"
+
+
+def route(tables: SphereTables, sp: ProjSpace, m: int) -> tuple[str, Optional[Looseness]]:
+    """How reports, scans and the CLI answer maps S^m -> KP(n'), with the
+    self_loose verdict on the LIFT route (None on the others).
+
+    CIRCLE: RP(1) is the circle.  M_ONE: m = 1.  SPHERE: KP(1) = S^n has no
+    lift decomposition at m; classes live in pi_m(S^n).  LIFT: classes are
+    lifts in pi_m(S^q); the lift criteria apply where the verdict is LOOSE.
+    """
+    if m < 1:
+        raise FgAbError("m >= 1 required")
+    if sp.n == 1:
+        return CIRCLE, None
+    if m == 1:
+        return M_ONE, None
+    if not decompose_valid(tables, sp, m):
+        return SPHERE, None
+    return LIFT, self_loose(sp.field.tag, m, sp.n_prime)
+
+
 def projective_report(
     tables: SphereTables,
     sp: ProjSpace,
@@ -342,27 +364,25 @@ def projective_report(
 ) -> Report:
     """Minimum and Nielsen numbers for a pair of maps S^m -> KP(n').
 
-    Inputs are lift classes in pi_m(S^q) when the lift decomposition is
-    valid; the correction class is not modelled, because the numbers depend
-    on the lift difference alone.  For a sphere target KP(1) where the
-    decomposition is not valid, inputs are classes of pi_m(S^n) and the
-    sphere closed forms take over.
+    Inputs are lift classes in pi_m(S^q); the correction class is not
+    modelled, because the numbers depend on the lift difference alone.  On
+    route()'s sphere route they are classes of pi_m(S^n) = pi_m(KP(1)), and
+    the sphere closed forms take over.
     """
     if m < 2:
         raise FgAbError("projective reports need a simply connected domain, m >= 2")
     notes: list[str] = []
     deriv: list[Union[str, Text]] = []
     n, q = sp.n, sp.q
+    way, loose = route(tables, sp, m)
 
-    if n == 1:
-        # RP(1) is the circle: with m >= 2 everything vanishes.
+    if way is CIRCLE:
         z = fin(0)
         notes.append(f"{sp.name} is the circle: all numbers vanish for m >= 2")
-        inputs = "any pair"
-        return Report(sp.name, m, n, inputs, fin(sp.reidemeister), z, z, z, z, z, z, notes, deriv)
+        return Report(sp.name, m, n, "any pair", fin(sp.reidemeister), z, z, z, z, z, z,
+                      notes, deriv)
 
-    if not decompose_valid(tables, sp, m):
-        # Only possible for n' = 1; route through the sphere the target is.
+    if way is SPHERE:
         rep = sphere_report(tables, m, n, f1, f2)
         rep.target = f"{sp.name} = S^{n}"
         rep.hypothesis_notes.append(
@@ -377,7 +397,6 @@ def projective_report(
     r = fin(r_n)
 
     both_trivial = lift1.is_zero and lift2.is_zero
-    loose = self_loose(sp.field.tag, m, sp.n_prime)
     if both_trivial:
         notes.append("both classes are trivial: a pair of nullhomotopic maps is loose")
     elif loose.verdict is Verdict.LOOSE:
@@ -482,32 +501,24 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
     Ker(h_K . E^inf), and N~ == N reads both.  A gap in the table data makes
     unknown only the relations whose kernel it blocks.
     """
-    if m < 1:
-        raise FgAbError("m >= 1 required")
+    way, loose = route(tables, sp, m)
     n, q = sp.n, sp.q
-    if n == 1:
-        v = {k: (ScanVerdict.HOLDS, "all numbers vanish for a circle target") for k in SCAN_KEYS}
-        return ScanResult(sp.name, m, n, v, True)
-    if m == 1:
-        v = {k: (ScanVerdict.HOLDS, "m = 1: all numbers vanish") for k in SCAN_KEYS}
+    if way is CIRCLE or way is M_ONE:
+        why = ("all numbers vanish for a circle target" if way is CIRCLE
+               else "m = 1: all numbers vanish")
+        v = {k: (ScanVerdict.HOLDS, why) for k in SCAN_KEYS}
         return ScanResult(sp.name, m, n, v, True)
 
-    if sp.n_prime == 1 and m == n:
-        group = tables.lookup(m, n).group
+    if way is SPHERE and m == n:
         witness = Text(("m = n = {}: all four Nielsen numbers agree on {} = S^{}", m, sp, n))
         v = {k: (ScanVerdict.HOLDS, witness) for k in SCAN_KEYS}
-        return ScanResult(sp.name, m, n, v, group.is_trivial)
+        return ScanResult(sp.name, m, n, v, tables.lookup(m, n).group.is_trivial)
 
-    hypothesis_fail = None
-    if not decompose_valid(tables, sp, m):
-        hypothesis_fail = Unknown(f"lift decomposition invalid for {sp} at m = {m}")
-    else:
-        loose = self_loose(sp.field.tag, m, sp.n_prime)
-        if loose.verdict is not Verdict.LOOSE:
-            hypothesis_fail = Unknown(
-                f"self-coincidence looseness not established: {loose.reason}", loose.reason)
-    if hypothesis_fail is not None:
-        v = {k: (ScanVerdict.UNKNOWN, hypothesis_fail) for k in SCAN_KEYS}
+    if way is SPHERE or loose.verdict is not Verdict.LOOSE:
+        why = (Unknown(f"lift decomposition invalid for {sp} at m = {m}") if way is SPHERE
+               else Unknown(f"self-coincidence looseness not established: {loose.reason}",
+                            loose.reason))
+        v = {k: (ScanVerdict.UNKNOWN, why) for k in SCAN_KEYS}
         return ScanResult(sp.name, m, n, v, None)
 
     # Each relation reads only the kernels it needs; N~ == N, which needs

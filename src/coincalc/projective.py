@@ -10,7 +10,7 @@ only its group is, to decide where the decomposition is valid.
 
 from __future__ import annotations
 
-from .fgab import FgAbError, FgAbGroup, _Value, _setattr
+from .fgab import FgAbError, _Value, _setattr
 from .spheres import SphereTables
 
 
@@ -80,19 +80,9 @@ def space(field_tag, n_prime: int) -> ProjSpace:
     return ProjSpace(parse_field(field_tag), n_prime)
 
 
-def correction_group(tables: SphereTables, sp: ProjSpace, m: int) -> FgAbGroup:
-    """pi_{m-1}(S^{d-1}), where the non-lift part of a map class lives."""
-    if m < 2:
-        raise FgAbError("map classes need m >= 2")
-    return tables.lookup(m - 1, sp.d - 1).group
-
-
 def decompose_valid(tables: SphereTables, sp: ProjSpace, m: int) -> bool:
     """Whether every class of pi_m(KP(n')) splits as lift + correction:
     n' >= 2, or the correction group pi_{m-1}(S^{d-1}) vanishes."""
     if m < 2:
         raise FgAbError("decomposition is defined for m >= 2")
-    if sp.n_prime >= 2:
-        return True
-    return correction_group(tables, sp, m).is_trivial
-
+    return sp.n_prime >= 2 or tables.lookup(m - 1, sp.d - 1).group.is_trivial

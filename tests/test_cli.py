@@ -285,6 +285,15 @@ class TestExitContract:
         assert code == 2 and out == ""
         assert reason in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("m", ["1", "0", "-3"])
+    @pytest.mark.parametrize("field, nprime", [("R", "1"), ("C", "2"), ("H", "1")])
+    def test_nielsen_needs_m_at_least_2(self, capsys, field, nprime, m):
+        # One reason on every target: the circle, a lift target and a sphere.
+        code, out, err = run(capsys, "nielsen", "--field", field, "--nprime", nprime,
+                             "--m", m, "--f1", "zero", "--f2", "zero")
+        assert (code, out) == (2, "")
+        assert err == "input error: projective reports need a simply connected domain, m >= 2\n"
+
     @pytest.mark.parametrize("expr, position", [
         ("{}*eta_2", 0), ("susp(zero, {})", 11), ("eta_2 + -{}*eta_2", 8)])
     def test_integer_past_the_digit_limit_names_its_position(self, capsys, expr, position):

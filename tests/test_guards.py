@@ -14,7 +14,7 @@ from coincalc.fgab import (
     subgroup_cmp,
 )
 from coincalc.invariants import sphere_report
-from coincalc.projective import COMPLEX, REAL, Field, correction_group, space
+from coincalc.projective import COMPLEX, REAL, Field, decompose_valid, space
 from coincalc.selfco import KVector, s_zero, sample_unit_vectors, scalar, selfmap_s
 
 Z = FgAbGroup(1)
@@ -37,8 +37,8 @@ GUARDS = [
      FgAbError, "classes live in different homotopy groups"),
     ("gamma-missing-component", lambda t: t.gamma(t.named("hopfC")).component(5),
      KeyError, "no component k=5"),
-    ("correction-group-m-1", lambda t: correction_group(t, space("C", 1), 1),
-     FgAbError, "map classes need m >= 2"),
+    ("decompose-valid-m-1", lambda t: decompose_valid(t, space("C", 1), 1),
+     FgAbError, "decomposition is defined for m >= 2"),
     ("field-C-d-4", lambda t: Field("C", 4),
      FgAbError, "bad field (C, d=4)"),
     ("field-unknown-tag", lambda t: Field("O", 8),

@@ -9,8 +9,13 @@ import pytest
 
 from coincalc.fgab import FgAbError, GroupElement, Subgroup
 from coincalc.invariants import (
+    CIRCLE,
     INF,
+    LIFT,
+    M_ONE,
+    SPHERE,
     Report,
+    SCAN_KEYS,
     ScanResult,
     ScanVerdict,
     WeckenStatus,
@@ -20,11 +25,12 @@ from coincalc.invariants import (
     fin,
     kervaire_exception,
     projective_report,
+    route,
     sphere_report,
     unk,
     wecken_status,
 )
-from coincalc.projective import decompose_valid, space
+from coincalc.projective import space
 from coincalc.selfco import Verdict, fiber_projection_self_loose, self_loose
 from coincalc.spheres import GammaValue, SphereClass, SphereTables, Unknown
 from coincalc.stable import StableElement
@@ -43,16 +49,14 @@ def kernel_chain_cases(tables):
     for tag, n_prime, ms in _CHAIN_RANGES:
         sp = space(tag, n_prime)
         for m in ms:
-            if sp.n == 1 or (n_prime == 1 and m == sp.n):
-                continue
             try:
-                if not decompose_valid(tables, sp, m):
+                way, loose = route(tables, sp, m)
+                if way is not LIFT or loose.verdict is not Verdict.LOOSE:
                     continue
                 tables.kernel_chain(m, sp.q, tag)
             except OutOfTabulatedRange:
                 continue
-            if self_loose(tag, m, n_prime).verdict is Verdict.LOOSE:
-                yield sp, m
+            yield sp, m
 
 
 def small_classes(tables, m, q):
@@ -170,7 +174,7 @@ class TestSymmetryAndTranslation:
                 if (q + 1) % d or n_prime < 1:
                     continue
                 sp = space(tag, n_prime)
-                if sp.n == 1 or not decompose_valid(tables, sp, m):
+                if route(tables, sp, m)[0] is not LIFT:
                     continue
                 cases += 1
                 classes = small_classes(tables, m, q)
@@ -314,6 +318,64 @@ def _assert_scan_agrees(tables, sp, m):
         assert verdict is (ScanVerdict.HOLDS if holds else ScanVerdict.FAILS), (sp.name, m, key)
     assert scan.nz_vanishes == all(r.N_z == fin(0) for r in reps), (sp.name, m)
     return scan
+
+
+_GATE_REASONS = ("lift decomposition invalid", "self-coincidence looseness not established")
+
+
+class TestRoute:
+    def test_census_over_the_scan_survey(self, tables):
+        # The queries of the scan golden dump: R n' <= 12, C n' <= 6,
+        # H n' <= 4 and 1 <= m <= 21.  HP(1) has no lift decomposition at
+        # m = 4 ... 10, and past m = 10 its correction group pi_{m-1}(S^3) is
+        # not tabulated.  Every scan the gate withholds carries the reason of
+        # its route, and no other scan is withheld.
+        counts: dict[str, int] = {}
+        withheld_scans = 0
+        for tag, top in (("R", 12), ("C", 6), ("H", 4)):
+            for n_prime in range(1, top + 1):
+                sp = space(tag, n_prime)
+                for m in range(1, 22):
+                    try:
+                        way, loose = route(tables, sp, m)
+                    except OutOfTabulatedRange as exc:
+                        assert (sp.name, str(exc)) == ("HP(1)", f"pi_{m - 1}(S^3) is not tabulated")
+                        kind, reason = "raises", None
+                    else:
+                        kind, reason = way, None
+                        if way is SPHERE and m != sp.n:
+                            kind = "sphere, withheld"
+                            reason = Unknown(f"lift decomposition invalid for {sp} at m = {m}")
+                        elif way is LIFT:
+                            kind = f"lift, {loose.verdict.value}"
+                            if loose.verdict is not Verdict.LOOSE:
+                                reason = Unknown("self-coincidence looseness not established: "
+                                                 f"{loose.reason}", loose.reason)
+                    counts[kind] = counts.get(kind, 0) + 1
+                    if kind == "raises":
+                        continue
+                    try:
+                        scan = equivalence_scan(tables, sp, m)
+                    except OutOfTabulatedRange:
+                        assert way is LIFT and reason is None
+                        continue
+                    if reason:
+                        assert scan.verdicts == {k: (ScanVerdict.UNKNOWN, reason) for k in SCAN_KEYS}
+                        assert scan.nz_vanishes is None
+                        withheld_scans += 1
+                    else:
+                        assert not any(str(w).startswith(_GATE_REASONS)
+                                       for _v, w in scan.verdicts.values())
+        assert counts == {
+            CIRCLE: 21, M_ONE: 21, SPHERE: 2, "sphere, withheld": 6,
+            "lift, loose": 178, "lift, unknown": 223, "raises": 11,
+        }
+        assert withheld_scans == 229
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_raises_below_m_1(self, tables, m):
+        with pytest.raises(FgAbError, match=r"^m >= 1 required$"):
+            route(tables, space("C", 2), m)
 
 
 class TestEquivalenceScan:

@@ -5,12 +5,7 @@ import random
 import pytest
 
 from coincalc.fgab import FgAbError
-from coincalc.projective import (
-    correction_group,
-    decompose_valid,
-    parse_field,
-    space,
-)
+from coincalc.projective import decompose_valid, parse_field, space
 
 
 class TestSpaces:
@@ -69,13 +64,11 @@ class TestDecomposition:
             ("H", 1, 4, False),  # pi_3(S^3) = Z
             ("R", 2, 2, True),   # n' >= 2 always splits
             ("H", 2, 9, True),
+            ("R", 3, 9, True),   # pi_8(S^0) = 0
+            ("C", 2, 2, True),   # pi_1(S^1) = Z, but n' >= 2
+            ("H", 2, 7, True),   # pi_6(S^3) = Z_12, but n' >= 2
         ],
     )
     def test_decompose_valid(self, tables, tag, nprime, m, want):
         assert decompose_valid(tables, space(tag, nprime), m) is want
-
-    def test_correction_groups(self, tables):
-        assert correction_group(tables, space("R", 3), 9).is_trivial
-        assert correction_group(tables, space("C", 2), 2).free_rank == 1
-        assert str(correction_group(tables, space("H", 2), 7)) == "Z_12"
 
