@@ -222,12 +222,12 @@ def cmd_witnesses(args):
 def cmd_selfloose(args):
     if args.fiber:
         verdict = fiber_projection_self_loose(args.field, args.nprime)
-        subject = f"(p, p) for the fibration over {args.field}P({args.nprime})"
+        subject = f"(p, p) for the fibration over {space(args.field, args.nprime).name}"
     else:
         if args.m is None:
             raise FgAbError("selfloose needs --m unless --fiber is given")
         verdict = self_loose(args.field, args.m, args.nprime)
-        subject = f"(f, f) for every f: S^{args.m} -> {args.field}P({args.nprime})"
+        subject = f"(f, f) for every f: S^{args.m} -> {space(args.field, args.nprime).name}"
     doc = {"subject": subject, "verdict": verdict.verdict.value, "reason": str(verdict.reason)}
     outcome = UNKNOWN if verdict.verdict is Verdict.UNKNOWN else OK
     return f"{subject}: {verdict}\n", doc, outcome

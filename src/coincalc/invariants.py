@@ -19,7 +19,7 @@ import enum
 from typing import Callable, Optional, Union
 
 from .fgab import FgAbError, _Value, _setattr
-from .projective import ProjSpace, decompose_valid, parse_field
+from .projective import ProjSpace, decompose_valid, parse_field, space
 from .selfco import Looseness, Verdict, _congruence_ok, self_loose
 from .spheres import SphereClass, SphereTables
 from .stable import StableElement, Unknown
@@ -354,6 +354,9 @@ def route(tables: SphereTables, sp: ProjSpace, m: int) -> tuple[str, Optional[Lo
     return LIFT, self_loose(sp.field.tag, m, sp.n_prime)
 
 
+_MC_SPHERES_ONLY = unk(Unknown("MC is determined by these tables only for sphere targets"))
+
+
 def projective_report(
     tables: SphereTables,
     sp: ProjSpace,
@@ -439,7 +442,7 @@ def projective_report(
             "and E(pi_{m-1}(S^1)) = 0, so MC is infinite"
         )
     else:
-        mc = unk(Unknown("MC is determined by these tables only for sphere targets"))
+        mc = _MC_SPHERES_ONLY
 
     return Report(
         sp.name, m, n, inputs, r, mc, mcc, mcc, n_tilde, n_plain, n_z, notes, deriv
@@ -567,6 +570,9 @@ KERVAIRE_DIMS = (16, 32, 64)
 KERVAIRE_UNRESOLVED = 128
 
 
+_MC_AT_LEAST_ONE = unk(Unknown("at least MCC = 1; not determined by these tables"))
+
+
 def kervaire_exception(field_tag, n: int, m: int) -> Optional[Report]:
     """The exotic self-coincidence pairs on RP(n), n = 16, 32, 64, m = 2n-2.
 
@@ -583,12 +589,12 @@ def kervaire_exception(field_tag, n: int, m: int) -> Optional[Report]:
     ]
     zero = fin(0)
     return Report(
-        target=f"RP({n})",
+        target=space("R", n).name,
         m=m,
         n=n,
         inputs="f paired with itself, f the exotic class",
         R=fin(2),
-        MC=unk(Unknown("at least MCC = 1; not determined by these tables")),
+        MC=_MC_AT_LEAST_ONE,
         MCC=fin(1),
         N_sharp=zero,
         N_tilde=zero,

@@ -40,44 +40,51 @@ def parse_field(tag) -> Field:
         raise FgAbError(f"unknown field {tag!r}; expected R, C or H") from None
 
 
-class ProjSpace(_Value):
-    """The target KP(n') with its derived dimension data."""
+def _require_int(n_prime) -> None:
+    # True and 2.0 equal 1 and 2 as keys, so they are refused before any lookup.
+    if type(n_prime) is not int:
+        raise FgAbError(f"n' must be an int, got {n_prime!r}")
 
-    __slots__ = ("field", "n_prime")
+
+class ProjSpace(_Value, compare=("field", "n_prime")):
+    """The target KP(n') with its dimension data, stored when it is built.
+
+    Only the field and n' are compared and hashed; the rest follows from them.
+    """
+
+    __slots__ = ("field", "n_prime", "d", "n", "q", "reidemeister", "name")
 
     def __init__(self, field: Field, n_prime: int):
+        _require_int(n_prime)
         if n_prime < 1:
             raise FgAbError("n' must be >= 1")
+        d = field.d
+        n = d * n_prime
         _setattr(self, "field", field)
         _setattr(self, "n_prime", n_prime)
-
-    @property
-    def d(self) -> int:
-        return self.field.d
-
-    @property
-    def n(self) -> int:
-        return self.d * self.n_prime
-
-    @property
-    def q(self) -> int:
-        return self.n + self.d - 1
-
-    @property
-    def reidemeister(self) -> int:
-        """Order of the fundamental group: 2 for RP(n >= 2), else 1."""
-        return 2 if (self.field.tag == "R" and self.n >= 2) else 1
-
-    @property
-    def name(self) -> str:
-        return f"{self.field.tag}P({self.n_prime})"
+        _setattr(self, "d", d)
+        _setattr(self, "n", n)
+        _setattr(self, "q", n + d - 1)
+        # The order of the fundamental group: 2 for RP(n >= 2), else 1.
+        _setattr(self, "reidemeister", 2 if field.tag == "R" and n >= 2 else 1)
+        _setattr(self, "name", f"{field.tag}P({n_prime})")
 
     def __str__(self) -> str:
         return self.name
 
 
+# One shared KP(n') per (K tag, n') that the process names.
+_SPACES: dict[tuple[str, int], ProjSpace] = {}
+
+
 def space(field_tag, n_prime: int) -> ProjSpace:
-    return ProjSpace(parse_field(field_tag), n_prime)
+    """The one KP(n') value of this target, built when first named."""
+    _require_int(n_prime)
+    field = parse_field(field_tag)
+    sp = _SPACES.get((field.tag, n_prime))
+    if sp is None:
+        sp = _SPACES[field.tag, n_prime] = ProjSpace(field, n_prime)
+    return sp
 
 
 def decompose_valid(tables: SphereTables, sp: ProjSpace, m: int) -> bool:

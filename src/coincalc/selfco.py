@@ -172,26 +172,33 @@ def _congruence_ok(field: Field, n_prime: int) -> bool:
     return n_prime % 24 == 23
 
 
+# The verdicts are frozen, so each verdict with its reason is built once.
+_FIBER_ROTATION = Looseness(
+    Verdict.LOOSE,
+    "a fiberwise self map without eigenvector exists (pairwise rotation)")
+_FIBER_MOD24 = Looseness(
+    Verdict.LOOSE,
+    "a fiberwise self map without eigenvector exists (mod-24 congruence)")
+_FIBER_NO_SECTION_H = Looseness(
+    Verdict.NOT_LOOSE, "n' != 23 mod 24: the quaternionic Stiefel fibration has no section")
+_FIBER_NO_SECTION = Looseness(
+    Verdict.NOT_LOOSE, "n' even: the Stiefel fibration over the total sphere has no section")
+_SURFACE = Looseness(Verdict.UNKNOWN, Unknown(
+    "(m, n) = (2, 2): a self map of a surface with nonzero degree "
+    "cannot be pushed off itself"))
+_CONGRUENCE = Looseness(Verdict.LOOSE, "scalar congruence region")
+_LOW_DIMENSION = Looseness(Verdict.LOOSE, "low-dimensional target (n <= 3)")
+_UNCOVERED = Looseness(Verdict.UNKNOWN, Unknown("not covered by the congruence criteria"))
+
+
 def fiber_projection_self_loose(field_tag, n_prime: int) -> Looseness:
     """Looseness of (p, p) for the fibration p: S^{n+d-1} -> KP(n')."""
     field = parse_field(field_tag)
     if n_prime < 1:
         raise ValueError("n' must be >= 1")
     if _congruence_ok(field, n_prime):
-        return Looseness(
-            Verdict.LOOSE,
-            "a fiberwise self map without eigenvector exists "
-            + ("(pairwise rotation)" if field.tag != "H" else "(mod-24 congruence)"),
-        )
-    if field.tag == "H":
-        return Looseness(
-            Verdict.NOT_LOOSE,
-            "n' != 23 mod 24: the quaternionic Stiefel fibration has no section",
-        )
-    return Looseness(
-        Verdict.NOT_LOOSE,
-        "n' even: the Stiefel fibration over the total sphere has no section",
-    )
+        return _FIBER_MOD24 if field.tag == "H" else _FIBER_ROTATION
+    return _FIBER_NO_SECTION_H if field.tag == "H" else _FIBER_NO_SECTION
 
 
 def self_loose(field_tag, m: int, n_prime: int) -> Looseness:
@@ -204,15 +211,11 @@ def self_loose(field_tag, m: int, n_prime: int) -> Looseness:
     if m < 1 or n_prime < 1:
         raise ValueError("m and n' must be >= 1")
     n = field.d * n_prime
-    if (m, n) == (2, 2):
-        return Looseness(Verdict.UNKNOWN, Unknown(
-            "(m, n) = (2, 2): a self map of a surface with nonzero degree "
-            "cannot be pushed off itself"))
+    if m == 2 and n == 2:
+        return _SURFACE
     if _congruence_ok(field, n_prime):
-        return Looseness(Verdict.LOOSE, "scalar congruence region")
-    if n <= 3:
-        return Looseness(Verdict.LOOSE, "low-dimensional target (n <= 3)")
-    return Looseness(Verdict.UNKNOWN, Unknown("not covered by the congruence criteria"))
+        return _CONGRUENCE
+    return _LOW_DIMENSION if n <= 3 else _UNCOVERED
 
 
 def sample_unit_vectors(

@@ -14,7 +14,7 @@ from coincalc.fgab import (
     subgroup_cmp,
 )
 from coincalc.invariants import sphere_report
-from coincalc.projective import COMPLEX, REAL, Field, decompose_valid, space
+from coincalc.projective import COMPLEX, REAL, Field, ProjSpace, decompose_valid, space
 from coincalc.selfco import KVector, s_zero, sample_unit_vectors, scalar, selfmap_s
 
 Z = FgAbGroup(1)
@@ -39,6 +39,14 @@ GUARDS = [
      KeyError, "no component k=5"),
     ("decompose-valid-m-1", lambda t: decompose_valid(t, space("C", 1), 1),
      FgAbError, "decomposition is defined for m >= 2"),
+    ("space-nprime-bool", lambda t: space("R", True),
+     FgAbError, "n' must be an int, got True"),
+    ("space-nprime-float", lambda t: space("R", 2.0),
+     FgAbError, "n' must be an int, got 2.0"),
+    ("space-nprime-str", lambda t: space("R", "2"),
+     FgAbError, "n' must be an int, got '2'"),
+    ("projspace-nprime-bool", lambda t: ProjSpace(REAL, True),
+     FgAbError, "n' must be an int, got True"),
     ("field-C-d-4", lambda t: Field("C", 4),
      FgAbError, "bad field (C, d=4)"),
     ("field-unknown-tag", lambda t: Field("O", 8),

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from coincalc.projective import parse_field
+from coincalc.stable import Unknown
 from coincalc.selfco import (
     KVector,
+    Looseness,
     Verdict,
     fiber_projection_self_loose,
     line_coefficient,
@@ -175,3 +177,40 @@ class TestLooseness:
                         if (m, d * nprime) == (2, 2):
                             continue
                         assert self_loose(tag, m, nprime).verdict is Verdict.LOOSE
+
+
+TARGETS = [(tag, n_prime) for tag, top in (("R", 41), ("C", 21), ("H", 47))
+           for n_prime in range(1, top + 1)]
+
+
+def _expected_self_loose(tag, m, n_prime):
+    n = parse_field(tag).d * n_prime
+    if (m, n) == (2, 2):
+        return Verdict.UNKNOWN, Unknown(
+            "(m, n) = (2, 2): a self map of a surface with nonzero degree "
+            "cannot be pushed off itself")
+    if (n_prime % 2 == 1) if tag != "H" else (n_prime % 24 == 23):
+        return Verdict.LOOSE, "scalar congruence region"
+    if n <= 3:
+        return Verdict.LOOSE, "low-dimensional target (n <= 3)"
+    return Verdict.UNKNOWN, Unknown("not covered by the congruence criteria")
+
+
+def test_one_shared_looseness_per_verdict():
+    """Every verdict with its reason is one shared value, equal to a freshly
+    built Looseness."""
+    shared = {}
+    for tag, n_prime in TARGETS:
+        for m in range(1, 41):
+            got = self_loose(tag, m, n_prime)
+            verdict, reason = _expected_self_loose(tag, m, n_prime)
+            assert got == Looseness(verdict, reason)
+            assert shared.setdefault((verdict, str(reason)), got) is got
+    assert len(shared) == 4
+
+    fibers = {}
+    for tag, n_prime in TARGETS:
+        got = fiber_projection_self_loose(tag, n_prime)
+        assert got == Looseness(got.verdict, got.reason)
+        assert fibers.setdefault((got.verdict, got.reason), got) is got
+    assert len(fibers) == 4
