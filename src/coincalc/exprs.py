@@ -14,12 +14,15 @@ pi_{m-k}(S^{q-k}) and suspends k times (k defaults to 1).  The q of
 whitehead(q) is written without a leading zero, as in the table's names.  An
 integer, term or sum with more digits than the interpreter converts is an
 error at its position.
+
+An expression is read whole before anything in it is looked up, so a
+malformed one is reported at its first fault in reading order; only a
+well-formed one is evaluated in its context, left to right.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .spheres import SphereClass, SphereTables, Unknown
 from .tables import _INT, SchemaError
@@ -54,6 +57,92 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+class _Reader:
+    """Reads a token list into a tree in one left-to-right pass and looks
+    nothing up.  Every node is (kind, position, a, b):
+
+        ("+", pos, [TERM, ...], [position of each '+'])
+        ("*", pos, INT or None, ATOM)      a term; pos is its first token
+        ("int", pos, value, None)          ("name", pos, name, None)
+        ("whitehead", pos, q, None)        ("susp", pos, EXPR, k)
+    """
+
+    def __init__(self, tokens: list[tuple[str, int]]):
+        self.tokens = tokens
+        self.index = 0
+
+    def peek(self, ahead: int = 0) -> str:
+        at = self.index + ahead
+        return self.tokens[at][0] if at < len(self.tokens) else ""
+
+    def take(self, expected=None):
+        if self.index == len(self.tokens):
+            tok, pos = self.tokens[-1] if self.tokens else ("", 0)
+            wanted = "" if expected is None else f", wanted {expected!r}"
+            raise ExprError(f"unexpected end of expression at position {pos + len(tok)}{wanted}")
+        tok, pos = self.tokens[self.index]
+        if expected is not None and tok != expected:
+            raise ExprError(f"expected {expected!r} at position {pos}, got {tok!r}")
+        self.index += 1
+        return tok, pos
+
+    def expr(self) -> tuple:
+        terms, pluses = [self.term()], []
+        while self.peek() == "+":
+            pluses.append(self.take()[1])
+            terms.append(self.term())
+        return ("+", terms[0][1], terms, pluses)
+
+    def term(self) -> tuple:
+        if _INT.fullmatch(self.peek()) and self.peek(1) == "*":
+            tok, pos = self.take()
+            self.take()
+            return ("*", pos, int(tok), self.atom())
+        atom = self.atom()
+        return ("*", atom[1], None, atom)
+
+    def atom(self) -> tuple:
+        tok, pos = self.take()
+        if _INT.fullmatch(tok):
+            return ("int", pos, int(tok), None)
+        if tok == "whitehead":
+            self.take("(")
+            qq, qpos = self.take()
+            # As in the table's whitehead<q> names: one spelling per q.
+            if not _INT.fullmatch(qq) or str(int(qq)) != qq:
+                what = "q without a leading zero" if _INT.fullmatch(qq) else "an integer q"
+                raise ExprError(f"whitehead(q) needs {what}, got {qq!r} at position {qpos}")
+            self.take(")")
+            return ("whitehead", pos, qq, None)
+        if tok == "susp":
+            return self.susp(pos)
+        if tok in "()*,+":
+            hint = ": parentheses only follow susp and whitehead" if tok == "(" else ""
+            raise ExprError(f"unexpected {tok!r} at position {pos}{hint}")
+        return ("name", pos, tok, None)
+
+    def susp(self, pos: int) -> tuple:
+        _tok, open_at = self.take("(")
+        inner = self.expr()
+        times = 1
+        if self.peek() == ",":
+            self.take()
+            count, at = self.take()
+            ok = count.isdigit() and int(count) >= 1
+            if not ok or self.peek() not in ("", ")"):
+                count, at = self.tokens[self.index] if ok else (count, at)  # a second token
+                raise ExprError(
+                    f"susp(EXPR, k) needs a positive integer k, got {count!r} at position {at}"
+                )
+            times = int(count)
+        if not self.peek():
+            raise ExprError(f"unbalanced parentheses: '(' at position {open_at} is never closed")
+        tok, at = self.take()
+        if tok != ")":
+            raise ExprError(f"unexpected {tok!r} at position {at} inside susp(...)")
+        return ("susp", pos, inner, times)
+
+
 def _printable(cls: SphereClass, what: str, pos: int) -> SphereClass:
     """cls, unless a coefficient has more digits than str() converts, which
     every report that shows the class would then fail on."""
@@ -64,165 +153,70 @@ def _printable(cls: SphereClass, what: str, pos: int) -> SphereClass:
     return cls
 
 
-class _Parser:
-    """Reads tokens[start:end]; the token at end, if any, closes a susp(...)
-    argument and is where a short argument is reported."""
+def _fit(cls: SphereClass, m: int, q: int, what: str, pos: int) -> SphereClass:
+    if (cls.m, cls.q) != (m, q):
+        raise ExprError(
+            f"{what} lives in pi_{cls.m}(S^{cls.q}) but the context is "
+            f"pi_{m}(S^{q}) (position {pos})"
+        )
+    return cls
 
-    def __init__(self, tables: SphereTables, tokens: list[tuple[str, int]],
-                 start: int = 0, end: Optional[int] = None):
-        self.tables = tables
-        self.tokens = tokens
-        self.index = start
-        self.end = len(tokens) if end is None else end
 
-    def peek(self, ahead: int = 0):
-        at = self.index + ahead
-        return self.tokens[at][0] if at < self.end else None
-
-    def take(self, expected=None):
-        if self.index >= self.end:
-            wanted = "" if expected is None else f", wanted {expected!r}"
-            if self.end == len(self.tokens):
-                tok, pos = self.tokens[-1] if self.tokens else ("", 0)
-                raise ExprError(f"unexpected end of expression at position {pos + len(tok)}{wanted}")
-            tok, pos = self.tokens[self.end]
-            raise ExprError(f"unexpected {tok!r} at position {pos}{wanted}")
-        tok, pos = self.tokens[self.index]
-        if expected is not None and tok != expected:
-            raise ExprError(f"expected {expected!r} at position {pos}, got {tok!r}")
-        self.index += 1
-        return tok, pos
-
-    def expr(self, m: int, q: int) -> SphereClass:
-        total = self.term(m, q)
-        while self.peek() == "+":
-            _tok, pos = self.take("+")
-            total = _printable(total + self.term(m, q), "sum", pos)
+def _evaluate(tables: SphereTables, node: tuple, m: int, q: int) -> SphereClass:
+    """The class of a tree node in pi_m(S^q)."""
+    kind, pos, a, b = node
+    if kind == "+":
+        total = _evaluate(tables, a[0], m, q)
+        for plus, term in zip(b, a[1:]):
+            total = _printable(total + _evaluate(tables, term, m, q), "sum", plus)
         return total
-
-    def term(self, m: int, q: int) -> SphereClass:
-        start = self.index
-        tok = self.peek()
-        if tok is not None and _INT.fullmatch(tok) and self.peek(1) == "*":
-            self.take()
-            self.take("*")
-            cls = self.atom(m, q).scale(int(tok))
-        else:
-            cls = self.atom(m, q)
-        return _printable(cls, "term", self.tokens[start][1])
-
-    def _susp(self, m: int, q: int) -> SphereClass:
-        _tok, open_at = self.take("(")
-        # Find the matching ")" and a possible top-level ", k" to learn the
-        # suspension depth before parsing the inner expression.
-        depth = 1
-        comma_at = None
-        close_at = None
-        for j in range(self.index, len(self.tokens)):
-            tok = self.tokens[j][0]
-            if tok == "(":
-                depth += 1
-            elif tok == ")":
-                depth -= 1
-                if depth == 0:
-                    close_at = j
-                    break
-            elif tok == "," and depth == 1 and comma_at is None:
-                comma_at = j
-        if close_at is None:
-            raise ExprError(f"unbalanced parentheses: '(' at position {open_at} is never closed")
-        times = 1
-        inner_end = close_at
-        if comma_at is not None:
-            k_tokens = self.tokens[comma_at + 1 : close_at + 1]  # k, then the ")"
-            count = k_tokens[0][0]
-            ok = count.isdigit() and int(count) >= 1
-            if not ok or len(k_tokens) != 2:
-                tok, pos = k_tokens[1 if ok else 0]  # a bad or missing k, or a second token
-                raise ExprError(
-                    f"susp(EXPR, k) needs a positive integer k, got {tok!r} at position {pos}"
-                )
-            times = int(count)
-            inner_end = comma_at
-        inner = _Parser(self.tables, self.tokens, self.index, inner_end)
-        cls = inner.expr(m - times, q - times)
-        if inner.peek() is not None:
-            tok, pos = inner.tokens[inner.index]
-            raise ExprError(f"unexpected {tok!r} at position {pos} inside susp(...)")
-        self.index = close_at + 1
-        out = self.tables.suspend_iter(cls, times)
+    if kind == "*":
+        cls = _evaluate(tables, b, m, q)
+        return _printable(cls if a is None else cls.scale(a), "term", pos)
+    if kind == "susp":
+        out = tables.suspend_iter(_evaluate(tables, a, m - b, q - b), b)
         if isinstance(out, Unknown):
-            raise ExprError(f"cannot suspend {times} time(s): {out.reason}")
+            raise ExprError(f"cannot suspend {b} time(s): {out.reason}")
         return out
-
-    def atom(self, m: int, q: int) -> SphereClass:
-        tok, pos = self.take()
-        if _INT.fullmatch(tok):
-            if m != q:
-                raise ExprError(
-                    f"bare integer at position {pos} is a degree and needs "
-                    f"m = q; context is pi_{m}(S^{q})"
-                )
-            return self.tables.cls(m, q, [int(tok)])
-        if tok == "zero":
-            return self.tables.zero(m, q)
-        if tok == "iota":
-            if m != q:
-                raise ExprError(
-                    f"iota lives in pi_{q}(S^{q}); context is pi_{m}(S^{q})"
-                )
-            return self.tables.cls(m, q, [1])
-        if tok == "whitehead":
-            self.take("(")
-            qq, qpos = self.take()
-            self.take(")")
-            if not _INT.fullmatch(qq):
-                raise ExprError(
-                    f"whitehead(q) needs an integer q, got {qq!r} at position {qpos}"
-                )
-            if str(int(qq)) != qq:
-                # As in the table's whitehead<q> names: one spelling per q.
-                raise ExprError(
-                    f"whitehead(q) needs q without a leading zero, got {qq!r} at position {qpos}"
-                )
-            if f"whitehead{qq}" not in self.tables.raw.named:
-                raise ExprError(
-                    f"whitehead({qq}) at position {pos} is not registered; named "
-                    f"classes are {sorted(self.tables.raw.named)}"
-                )
-            return self._fit(self.tables.whitehead(int(qq)), m, q, f"whitehead({qq})", pos)
-        if tok == "susp":
-            return self._susp(m, q)
-        if tok in "()*,+":
-            hint = ": parentheses only follow susp and whitehead" if tok == "(" else ""
-            raise ExprError(f"unexpected {tok!r} at position {pos}{hint}")
-        if tok in self.tables.raw.named:
-            return self._fit(self.tables.named(tok), m, q, tok, pos)
-        try:
-            return self.tables.generator(m, q, tok)
-        except SchemaError:
-            entry = self.tables.lookup(m, q)
+    if kind == "int":
+        if m != q:
             raise ExprError(
-                f"unknown name {tok!r} at position {pos}; generators of "
-                f"pi_{m}(S^{q}) are {list(entry.gen_names)}, named classes are "
-                f"{sorted(self.tables.raw.named)}"
-            ) from None
-
-    @staticmethod
-    def _fit(cls: SphereClass, m: int, q: int, what: str, pos: int) -> SphereClass:
-        if (cls.m, cls.q) != (m, q):
-            raise ExprError(
-                f"{what} lives in pi_{cls.m}(S^{cls.q}) but the context is "
-                f"pi_{m}(S^{q}) (position {pos})"
+                f"bare integer at position {pos} is a degree and needs "
+                f"m = q; context is pi_{m}(S^{q})"
             )
-        return cls
+        return tables.cls(m, q, [a])
+    named = tables.raw.named
+    if kind == "whitehead":
+        if f"whitehead{a}" not in named:
+            raise ExprError(
+                f"whitehead({a}) at position {pos} is not registered; named "
+                f"classes are {sorted(named)}"
+            )
+        return _fit(tables.whitehead(int(a)), m, q, f"whitehead({a})", pos)
+    if a == "zero":
+        return tables.zero(m, q)
+    if a == "iota":
+        if m != q:
+            raise ExprError(f"iota lives in pi_{q}(S^{q}); context is pi_{m}(S^{q})")
+        return tables.cls(m, q, [1])
+    if a in named:
+        return _fit(tables.named(a), m, q, a, pos)
+    try:
+        return tables.generator(m, q, a)
+    except SchemaError:
+        entry = tables.lookup(m, q)
+        raise ExprError(
+            f"unknown name {a!r} at position {pos}; generators of "
+            f"pi_{m}(S^{q}) are {list(entry.gen_names)}, named classes are "
+            f"{sorted(named)}"
+        ) from None
 
 
 def parse_class(tables: SphereTables, text: str, m: int, q: int) -> SphereClass:
     """Evaluate an expression as a class of pi_m(S^q)."""
-    parser = _Parser(tables, _tokenize(text))
-    out = parser.expr(m, q)
-    if parser.peek() is not None:
-        tok, pos = parser.tokens[parser.index]
+    reader = _Reader(_tokenize(text))
+    tree = reader.expr()
+    if reader.index < len(reader.tokens):
+        tok, pos = reader.tokens[reader.index]
         raise ExprError(f"unexpected trailing {tok!r} at position {pos}")
-    return out
+    return _evaluate(tables, tree, m, q)

@@ -626,7 +626,7 @@ def wecken_status(sp: ProjSpace, m: int) -> WeckenAnswer:
             "on this congruence region every self-pair is loose and "
             "MCC = N# for all pairs",
         )
-    witness = kervaire_exception(tag, sp.n, m) if tag == "R" else None
+    witness = kervaire_exception(tag, sp.n, m)
     if witness is not None:
         return WeckenAnswer(
             WeckenStatus.FAILS_WITH_WITNESS,

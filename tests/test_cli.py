@@ -129,6 +129,11 @@ class TestNielsen:
         ("", "iota", 4, 3, "iota lives in pi_3(S^3); context is pi_4(S^3)"),
         ("", "iota", 3, 3, (1,)),
         ("", "hopfC hopfC", 3, 2, "unexpected trailing 'hopfC' at position 6"),
+        # An expression is read whole before any name in it is looked up.
+        ("", "foo eta_2", 3, 2, "unexpected trailing 'eta_2' at position 4"),
+        ("", "susp(zero +", 3, 2, "unexpected end of expression at position 11"),
+        ("", "susp(foo bar, 2)", 3, 2, "unexpected 'bar' at position 9 inside susp(...)"),
+        ("", "susp(whitehead, 1)", 3, 2, "expected '(' at position 14, got ','"),
     ])
     def test_expression_case(self, table_text, drop, expr, m, q, expected):
         # `drop` is a row taken out after eta_2's gen line.
@@ -258,6 +263,13 @@ class TestExitContract:
                                             "leading zero, got '02' at position 10\n"),
             (_nielsen_rp2("2*3"), "bare integer at position 2 is a degree and needs m = q; "
                                   "context is pi_3(S^2)\n"),
+            (["nielsen", "--field", "R", "--nprime", "2", "--m", "4",
+              "--f1", "hopfC", "--f2", "zero"],
+             "input error: hopfC lives in pi_3(S^2) but the context is pi_4(S^2) (position 0)\n"),
+            (["nielsen", "--field", "R", "--nprime", "5", "--m", "8",
+              "--f1", "whitehead(5)", "--f2", "zero"],
+             "input error: whitehead(5) lives in pi_9(S^5) but the context is pi_8(S^5) "
+             "(position 0)\n"),
             (["wecken", "--field", "R", "--nprime", "2", "--m", "-5"], "m must be >= 1"),
             (["verify-s", "--field", "C", "--samples", "0"], "--samples must be >= 1"),
             (["verify-s", "--field", "R", "--samples", "-3"], "--samples must be >= 1"),
@@ -276,6 +288,7 @@ class TestExitContract:
              "susp-two-counts", "multiple-of-a-star", "susp-empty-argument", "susp-missing-count",
              "leading-plus", "parenthesis",
              "susp-zero-count", "susp-unclosed", "whitehead-leading-zero", "integer-off-the-diagonal",
+             "named-class-off-context", "whitehead-off-context",
              "wecken-negative-m", "verify-s-no-samples", "verify-s-negative-samples",
              "verify-s-negative-nprime", "verify-s-zero-nprime", "verify-s-negative-even-nprime",
              "verify-s-H-zero-nprime", "verify-s-H-negative-nprime", "pi-negative-q"],
