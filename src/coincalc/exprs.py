@@ -17,7 +17,8 @@ error at its position.
 
 An expression is read whole before anything in it is looked up, so a
 malformed one is reported at its first fault in reading order; only a
-well-formed one is evaluated in its context, left to right.
+well-formed one is evaluated in its context, left to right.  One nested past
+the interpreter's recursion limit (a few hundred susp levels) is an error.
 """
 
 from __future__ import annotations
@@ -215,8 +216,12 @@ def _evaluate(tables: SphereTables, node: tuple, m: int, q: int) -> SphereClass:
 def parse_class(tables: SphereTables, text: str, m: int, q: int) -> SphereClass:
     """Evaluate an expression as a class of pi_m(S^q)."""
     reader = _Reader(_tokenize(text))
-    tree = reader.expr()
-    if reader.index < len(reader.tokens):
-        tok, pos = reader.tokens[reader.index]
-        raise ExprError(f"unexpected trailing {tok!r} at position {pos}")
-    return _evaluate(tables, tree, m, q)
+    try:
+        tree = reader.expr()
+        if reader.index < len(reader.tokens):
+            tok, pos = reader.tokens[reader.index]
+            raise ExprError(f"unexpected trailing {tok!r} at position {pos}")
+        return _evaluate(tables, tree, m, q)
+    except RecursionError:
+        # Reading and evaluating recurse a few frames per nesting level.
+        raise ExprError("expression is nested too deeply") from None

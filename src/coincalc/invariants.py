@@ -351,7 +351,7 @@ def route(tables: SphereTables, sp: ProjSpace, m: int) -> tuple[str, Optional[Lo
         return M_ONE, None
     if not decompose_valid(tables, sp, m):
         return SPHERE, None
-    return LIFT, self_loose(sp.field.tag, m, sp.n_prime)
+    return LIFT, self_loose(sp.field, m, sp.n_prime)
 
 
 _MC_SPHERES_ONLY = unk(Unknown("MC is determined by these tables only for sphere targets"))

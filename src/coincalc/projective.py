@@ -34,6 +34,9 @@ FIELDS = {"R": REAL, "C": COMPLEX, "H": QUATERNION}
 
 
 def parse_field(tag) -> Field:
+    """The Field of a tag R, C or H; a Field is returned as it is."""
+    if isinstance(tag, Field):
+        return tag
     try:
         return FIELDS[str(tag)]
     except KeyError:

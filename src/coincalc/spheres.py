@@ -125,6 +125,10 @@ def _unit(rank: int, i: int) -> tuple[int, ...]:
     return (0,) * i + (1,) + (0,) * (rank - 1 - i)
 
 
+# A Gamma record's value for a component that is zero on every class, until
+# gamma() first needs that zero.
+_ZERO = object()
+
 Kernel = Union[Subgroup, Unknown]
 Chain = tuple[Kernel, Kernel, Subgroup]
 
@@ -134,7 +138,8 @@ class SphereTables:
 
     The table is never changed after construction, so each looked-up entry,
     each annotated map's columns (the one store that the pointwise maps, the
-    kernel chain, Im E and validate() read), each suspension image, and each
+    kernel chain, Im E and validate() read), each Gamma record (the one store
+    that gamma() and the kernel chain read), each suspension image, and each
     kernel chain is computed once and kept.
     """
 
@@ -147,6 +152,8 @@ class SphereTables:
         self._entries: dict[tuple[int, int], SphereEntry] = {}
         # (m, q, kind) -> the _map record (target, columns, first gap).
         self._maps: dict[tuple[int, int, Union[str, int]], tuple] = {}
+        # (m, q) -> its Gamma record, one item per Hopf-James component.
+        self._gammas: dict[tuple[int, int], list] = {}
         # (m, q) -> (Im E from the known susp columns of pi_{m-1}(S^{q-1}), the
         # first missing column or None); (None, why) if the source is untabulated.
         self._susp_images: dict[tuple[int, int], tuple[Optional[Subgroup], Optional[Unknown]]] = {}
@@ -275,13 +282,56 @@ class SphereTables:
             raise FgAbError("stabilization needs m >= q")
         return self._apply(x, 1)
 
+    def _gamma_record(self, entry: SphereEntry) -> list:
+        """The Gamma record of entry, built once: for each k = 1..k_max the
+        _map record (stem, columns, first gap) and the value the component
+        takes on every class, if it has one.  That value is the gap's Unknown
+        of an untabulated stem, or _ZERO where every column is zero (also in
+        a trivial stem), replaced by the stem's zero when gamma() first needs
+        it; a component that depends on the class has None."""
+        record = self._gammas.get((entry.m, entry.q))
+        if record is None:
+            record = []
+            for k in range(1, entry.k_max + 1):
+                stem, columns, gap = self._map(entry, k)
+                if stem is None:
+                    value = gap
+                elif gap is None and not any(map(any, columns)):
+                    value = _ZERO
+                else:
+                    value = None
+                record.append((stem, columns, gap, value))
+            self._gammas[entry.m, entry.q] = record
+        return record
+
     def gamma(self, x: SphereClass) -> GammaValue:
-        """Total stabilized Hopf-James invariant of x (component 1 = E^inf)."""
+        """Total stabilized Hopf-James invariant of x (component 1 = E^inf),
+        read from the Gamma record: a component with one value for every
+        class is that shared value, any other the sum of the columns x
+        touches, or the first gap it touches."""
         if x.q < 2:
             raise FgAbError("the Hopf-James invariant needs q >= 2")
-        k_max = self.lookup(x.m, x.q).k_max
-        comps = [(1, self.stabilize(x))]
-        comps += [(k, self._apply(x, k)) for k in range(2, k_max + 1)]
+        record = self._gammas.get((x.m, x.q)) or self._gamma_record(self.lookup(x.m, x.q))
+        if x.m < x.q:
+            raise FgAbError("stabilization needs m >= q")
+        coeffs, comps = x.value.coeffs, []
+        for k, (stem, columns, gap, value) in enumerate(record, 1):
+            if value is None:
+                terms = []
+                for c, column in zip(coeffs, columns):
+                    if c:
+                        if isinstance(column, Unknown):
+                            value = column
+                            break
+                        terms.append((c, column))
+                else:
+                    group = stem.group
+                    coords = group.combine(terms)
+                    value = StableElement(stem.degree, GroupElement._reduced(group, coords))
+            elif value is _ZERO:
+                value = StableElement(stem.degree, stem.group.zero())
+                record[k - 1] = stem, columns, gap, value
+            comps.append((k, value))
         return GammaValue(x.m, x.q, tuple(comps))
 
     # -------------------------------------------------------- antipodal map
@@ -330,10 +380,11 @@ class SphereTables:
         return chain
 
     def _build_chain(self, m: int, q: int, field_tag: str) -> Chain:
-        """The chain from the integer cores: Ker Gamma from the _map blocks of
-        k = 1..k_max (first gap: first k, then generator), Ker(h_K . E^inf)
-        from ring.product of each E^inf column of block 1 (first gap: a missing
-        E^inf column, then the Hopf class, then a product)."""
+        """The chain from the integer cores: Ker Gamma from the Gamma record's
+        blocks of k = 1..k_max (first gap: first k, then generator; a zero
+        block adds no condition), Ker(h_K . E^inf) from ring.product of each
+        E^inf column of block 1 (first gap: a missing E^inf column, then the
+        Hopf class, then a product)."""
         entry = self.lookup(m, q)
         group = entry.group
         if group.is_trivial:
@@ -343,14 +394,14 @@ class SphereTables:
         rows: list[tuple[int, ...]] = []  # one per coordinate of each Gamma component's stem
         orders: list[int] = []
         stab = None
-        for k in range(1, entry.k_max + 1):
-            stem, columns, ker_gamma = self._map(entry, k)  # the block's first gap, if any
-            if ker_gamma is not None:
+        for k, (stem, columns, ker_gamma, value) in enumerate(self._gamma_record(entry), 1):
+            if ker_gamma is not None:  # the block's first gap
                 break
             if k == 1:
                 stab = columns
-            rows += zip(*columns)
-            orders += stem.group.coord_orders()
+            if value is None:
+                rows += zip(*columns)
+                orders += stem.group.coord_orders()
         else:
             ker_gamma = kernel_into_coords(group, rows, orders)
         if stab is None:

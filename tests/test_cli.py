@@ -298,6 +298,18 @@ class TestExitContract:
         assert code == 2 and out == ""
         assert reason in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("depth", [300, 2000])
+    def test_nesting_past_the_recursion_limit_exits_2(self, capsys, depth):
+        code, out, err = run(capsys, *_nielsen_rp2("susp(" * depth + "zero" + ")" * depth))
+        assert (code, out, err) == (2, "", "input error: expression is nested too deeply\n")
+
+    def test_nesting_within_the_recursion_limit_keeps_its_answer(self):
+        # 240 levels fit a fresh process's stack: the innermost class is read
+        # in pi_{3-240}(S^{2-240}), which is out of range.
+        argv = _nielsen_rp2("susp(" * 240 + "zero" + ")" * 240)
+        assert _process(["-m", "coincalc.cli", *argv]) == (
+            2, "", "out of tabulated range: pi_-237(S^-238) requires m >= 1\n")
+
     @pytest.mark.parametrize("m", ["1", "0", "-3"])
     @pytest.mark.parametrize("field, nprime", [("R", "1"), ("C", "2"), ("H", "1")])
     def test_nielsen_needs_m_at_least_2(self, capsys, field, nprime, m):

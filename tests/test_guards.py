@@ -31,6 +31,8 @@ GUARDS = [
      FgAbError, "stabilization needs m >= q"),
     ("gamma-q-1", lambda t: t.gamma(t.zero(3, 1)),
      FgAbError, "the Hopf-James invariant needs q >= 2"),
+    ("gamma-m-below-q", lambda t: t.gamma(t.zero(2, 3)),
+     FgAbError, "stabilization needs m >= q"),
     ("class-sum-across-groups", lambda t: t.zero(3, 2) + t.zero(4, 3),
      FgAbError, "classes live in different homotopy groups"),
     ("class-difference-across-groups", lambda t: t.zero(3, 2) - t.zero(4, 3),

@@ -70,6 +70,12 @@ def test_one_shared_value_per_target():
     assert len({id(sp) for sp in shared.values()}) == len(TARGETS)
 
 
+@pytest.mark.parametrize("tag", ["R", "C", "H"])
+def test_parse_field_returns_a_field_as_it_is(tag):
+    field = parse_field(tag)
+    assert parse_field(field) is field
+
+
 def _counting(monkeypatch, cls, calls):
     init = cls.__init__
 

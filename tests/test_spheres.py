@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coincalc.fgab import Cmp, FgAbError, FgAbGroup, subgroup_cmp
-from coincalc.spheres import SphereTables, Unknown
+from coincalc.invariants import sphere_report
+from coincalc.spheres import GammaValue, SphereTables, Unknown
+from coincalc.stable import StableElement
 from coincalc.tables import (
     GenAnnotations,
     OutOfTabulatedRange,
@@ -115,6 +117,96 @@ class TestGamma:
                     gx.components, gy.components, gxy.components
                 ):
                     assert vxy.value == vx.value + vy.value
+
+    @staticmethod
+    def composed(tables, x):
+        """Gamma of x composed from stabilize and the annotated-map images,
+        one component at a time."""
+        k_max = tables.lookup(x.m, x.q).k_max
+        comps = ((1, tables.stabilize(x)),)
+        comps += tuple((k, tables._apply(x, k)) for k in range(2, k_max + 1))
+        return GammaValue(x.m, x.q, comps)
+
+    def test_record_matches_the_composed_components(self, table_text):
+        # The bundled table and each table with one stab, gamma or prod line
+        # dropped, so that gaps and untabulated stems are read too: every
+        # tabulated (m, q) with q >= 2 and the closed forms m = q, on the zero
+        # class, each generator and each sum of two generators.
+        lines = table_text.splitlines(keepends=True)
+        texts = [table_text] + [
+            "".join(lines[:i] + lines[i + 1:])
+            for i, line in enumerate(lines) if line.split(" ")[0] in ("stab", "gamma", "prod")
+        ]
+        assert len(texts) == 57
+        checked = gaps = 0
+        for text in texts:
+            ts = SphereTables(parse_tables(text))
+            groups = sorted((m, q) for m, q in ts.raw.entries if q >= 2)
+            for m, q in groups + [(q, q) for q in range(2, 8)]:
+                gens = [ts.generator(m, q, name) for name in ts.lookup(m, q).gen_names]
+                sums = [a + b for a, b in itertools.combinations_with_replacement(gens, 2)]
+                for x in [ts.zero(m, q)] + gens + sums:
+                    got = ts.gamma(x)
+                    assert got == self.composed(ts, x), (m, q, x)
+                    checked += 1
+                    gaps += any(isinstance(v, Unknown) for _k, v in got.components)
+        assert (checked, gaps) == (4332, 74)
+
+    def test_record_is_built_once_and_shares_constant_components(self, tables):
+        class CountingDict(dict):
+            def __setitem__(self, key, value):
+                builds[key] = builds.get(key, 0) + 1
+                super().__setitem__(key, value)
+
+        builds = {}
+        ts = SphereTables(tables.raw)
+        ts._gammas = CountingDict()
+        seen = {}  # (m, q, k) -> every value gamma gave for that component
+        compute = ts.gamma
+
+        def gamma(x):
+            value = compute(x)
+            for k, v in value.components:
+                seen.setdefault((x.m, x.q, k), []).append(v)
+            return value
+
+        ts.gamma = gamma
+        groups = sorted(tables.raw.entries)
+        for _sweep in range(2):
+            for m, q in groups:
+                gens = [ts.generator(m, q, name) for name in ts.lookup(m, q).gen_names]
+                classes = [ts.zero(m, q)] + gens + [g.scale(3) for g in gens]
+                for f1, f2 in itertools.product(classes, repeat=2):
+                    sphere_report(ts, m, q, f1, f2)
+                for tag in ("R", "C", "H"):
+                    ts.kernel_chain(m, q, tag)
+        # A trivial group has no nonzero difference class and a trivial chain.
+        assert builds == {key: 1 for key in groups if not tables.lookup(*key).group.is_trivial}
+        shared = varying = 0
+        for (m, q, k), values in seen.items():
+            if ts._gammas[m, q][k - 1][3] is None:
+                varying += 1
+            else:
+                assert all(v is values[0] for v in values), (m, q, k)
+                shared += 1
+        assert (shared, varying) == (34, 23)
+
+    def test_chain_makes_no_zero_component_values(self, tables):
+        # A zero component adds no condition to Ker Gamma; its value is made
+        # only when gamma() first needs it, then kept.
+        ts = SphereTables(tables.raw)
+        for m, q in sorted(tables.raw.entries):
+            ts.kernel_chain(m, q, "C")
+        records = [(m, q, record) for (m, q), record in ts._gammas.items()]
+        assert not any(isinstance(item[3], StableElement) for _m, _q, record in records
+                       for item in record)
+        zeros = [(m, q, k) for m, q, record in records
+                 for k, item in enumerate(record, 1) if item[3] is not None
+                 and not isinstance(item[3], Unknown)]
+        assert zeros
+        m, q, k = zeros[0]
+        first = ts.gamma(ts.zero(m, q)).component(k)
+        assert first.is_zero and ts.gamma(ts.zero(m, q)).component(k) is first
 
     @staticmethod
     def target_shape(tables, m, q):
