@@ -16,6 +16,7 @@ from .fgab import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
+    InputError,
     Subgroup,
     direct_sum,
     image,

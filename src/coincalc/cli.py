@@ -15,9 +15,10 @@ raises on bad input or bad data; `main` alone prints the text or the JSON
 document and turns the outcome or the exception into the exit code.
 
 Exit codes: 0 ok; 1 an Unknown verdict under --strict (every command that
-can be Unknown then prints one `strict mode:` line on stderr); 2 bad input or
-out of tabulated range; 3 invalid or unreadable data file.  A reader that
-closes stdout early (`coincalc ... | head -1`) is not an error: the exit
+can be Unknown then prints one `strict mode:` line on stderr); 2 bad input,
+which a deliberate check raises as an InputError, or out of tabulated range;
+3 invalid or unreadable data file; any other exception propagates.  A reader
+that closes stdout early (`coincalc ... | head -1`) is not an error: the exit
 code stays the command's.
 
 `run` is the process entry; `main` is the in-process one.
@@ -32,8 +33,8 @@ import sys
 from typing import Optional
 
 from . import load_default_tables
-from .exprs import ExprError, parse_class
-from .fgab import FgAbError
+from .exprs import parse_class
+from .fgab import InputError
 from .invariants import (
     SPHERE,
     Report,
@@ -56,15 +57,7 @@ from .selfco import (
     selfmap_s,
 )
 from .spheres import SphereTables
-from .tables import (
-    _INT,
-    OutOfTabulatedRange,
-    ParseError,
-    SchemaError,
-    TableError,
-    UnregisteredName,
-    load_tables,
-)
+from .tables import _INT, OutOfTabulatedRange, TableError, load_tables
 
 ENV_TABLES = "COINCALC_TABLES"
 
@@ -101,11 +94,11 @@ class _IntArg(str):
 def _integer(text: str, what: str) -> int:
     """An integer argument: ASCII -?[0-9]+, which int() alone extends."""
     if not _INT.fullmatch(text):
-        raise ValueError(f"{what} must be an integer -?[0-9]+, got {text!r}")
+        raise InputError(f"{what} must be an integer -?[0-9]+, got {text!r}")
     try:
         return int(text)
     except ValueError as exc:  # past the interpreter's digit limit
-        raise ValueError(f"{what} is too long: {exc}") from None
+        raise InputError(f"{what} is too long: {exc}") from None
 
 
 def _has_unknown(rep: Report) -> bool:
@@ -141,11 +134,11 @@ def cmd_nielsen(args):
     try:
         str(sp.q)  # the largest dimension a report prints
     except ValueError as exc:  # past the interpreter's digit limit
-        raise FgAbError(
+        raise InputError(
             f"--nprime is too large: the dimension of S^q cannot be printed: {exc}"
         ) from None
     if args.m < 2:
-        raise FgAbError("projective reports need a simply connected domain, m >= 2")
+        raise InputError("projective reports need a simply connected domain, m >= 2")
     q = sp.n if route(tables, sp, args.m)[0] is SPHERE else sp.q  # pi_m(S^n), or lifts
     f1 = parse_class(tables, args.f1, args.m, q)
     f2 = parse_class(tables, args.f2, args.m, q)
@@ -161,12 +154,12 @@ SURFACES = {"CP1": ("C", 1), "RP2": ("R", 2)}
 def cmd_compare(args):
     tables = _load(args)
     if args.surface not in SURFACES:
-        raise FgAbError(f"unknown surface {args.surface!r}; expected CP1 or RP2")
+        raise InputError(f"unknown surface {args.surface!r}; expected CP1 or RP2")
     sp = space(*SURFACES[args.surface])
     try:
         lo, hi = (_integer(bound, "--m-range") for bound in args.m_range.split(".."))
-    except ValueError:
-        raise FgAbError(f"bad m-range {args.m_range!r}; expected A..B") from None
+    except ValueError:  # not two bounds, or a bound that is no integer
+        raise InputError(f"bad m-range {args.m_range!r}; expected A..B") from None
     rows = [equivalence_scan(tables, sp, m) for m in range(lo, hi + 1)]
     doc, unknown = {"surface": args.surface, "rows": []}, False
     for s in rows:
@@ -225,7 +218,7 @@ def cmd_selfloose(args):
         subject = f"(p, p) for the fibration over {space(args.field, args.nprime).name}"
     else:
         if args.m is None:
-            raise FgAbError("selfloose needs --m unless --fiber is given")
+            raise InputError("selfloose needs --m unless --fiber is given")
         verdict = self_loose(args.field, args.m, args.nprime)
         subject = f"(f, f) for every f: S^{args.m} -> {space(args.field, args.nprime).name}"
     doc = {"subject": subject, "verdict": verdict.verdict.value, "reason": str(verdict.reason)}
@@ -239,10 +232,10 @@ def _fmt_scalar(s) -> str:
 
 def cmd_verify_s(args):
     if args.samples < 1:
-        raise FgAbError("--samples must be >= 1")
+        raise InputError("--samples must be >= 1")
     nprime = args.nprime if args.nprime is not None else 3
     if nprime < 1:
-        raise FgAbError("n' must be >= 1")
+        raise InputError("n' must be >= 1")
     if args.field == "H":
         x, lam = quaternion_counterexample()
         sx = selfmap_s(x)
@@ -256,7 +249,7 @@ def cmd_verify_s(args):
         )
         return text, None, OK
     if nprime % 2 == 0:
-        raise FgAbError("the pairwise rotation needs n' odd")
+        raise InputError("the pairwise rotation needs n' odd")
     samples = sample_unit_vectors(args.field, nprime, args.samples, seed=args.seed)
     smallest = min(residual_not_parallel(vec) for vec in samples)
     if smallest <= 0:
@@ -378,13 +371,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             if isinstance(value, _IntArg):
                 setattr(args, name, _integer(value, name))
         text, doc, outcome = args.func(args)
-    except (ParseError, SchemaError, UnregisteredName) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OutOfTabulatedRange as exc:
         print(f"out of tabulated range: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ExprError, FgAbError, TableError, ValueError) as exc:
+    except TableError as exc:  # a parse, schema or unregistered-name fault
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TablesUnreadable as exc:

@@ -17,19 +17,20 @@ error at its position.
 
 An expression is read whole before anything in it is looked up, so a
 malformed one is reported at its first fault in reading order; only a
-well-formed one is evaluated in its context, left to right.  One nested past
-the interpreter's recursion limit (a few hundred susp levels) is an error.
+well-formed one is evaluated in its context, left to right.  Neither step
+recurses, so an answer does not depend on how deep susp( is nested.
 """
 
 from __future__ import annotations
 
 import re
 
+from .fgab import InputError
 from .spheres import SphereClass, SphereTables, Unknown
 from .tables import _INT, SchemaError
 
 
-class ExprError(ValueError):
+class ExprError(InputError):
     """Parse or evaluation failure, with the offending position."""
 
 
@@ -59,13 +60,12 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 class _Reader:
-    """Reads a token list into a tree in one left-to-right pass and looks
-    nothing up.  Every node is (kind, position, a, b):
-
-        ("+", pos, [TERM, ...], [position of each '+'])
-        ("*", pos, INT or None, ATOM)      a term; pos is its first token
-        ("int", pos, value, None)          ("name", pos, name, None)
-        ("whitehead", pos, q, None)        ("susp", pos, EXPR, k)
+    """Reads a token list in one left-to-right pass, looking nothing up, into
+    steps (kind, position, a) in evaluation order: a leaf ("int", "name" or
+    "whitehead"); ("*", first token, INT or None), which ends a term; ("+",
+    the '+', None); and ["(", pos, k] ... (")", pos, k) around each susp(EXPR,
+    k), whose '(' step is filled in once k has been read.  One frame per open
+    susp( keeps its '(' step and the term, and the '+' before it, that it ends.
     """
 
     def __init__(self, tokens: list[tuple[str, int]]):
@@ -87,25 +87,39 @@ class _Reader:
         self.index += 1
         return tok, pos
 
-    def expr(self) -> tuple:
-        terms, pluses = [self.term()], []
-        while self.peek() == "+":
-            pluses.append(self.take()[1])
-            terms.append(self.term())
-        return ("+", terms[0][1], terms, pluses)
-
-    def term(self) -> tuple:
-        if _INT.fullmatch(self.peek()) and self.peek(1) == "*":
+    def steps(self) -> list:
+        steps, frames, plus = [], [], None  # plus: the '+' before the term being read
+        while True:
+            coeff = start = None
+            if _INT.fullmatch(self.peek()) and self.peek(1) == "*":
+                coeff, start = self.take()
+                self.take()
             tok, pos = self.take()
-            self.take()
-            return ("*", pos, int(tok), self.atom())
-        atom = self.atom()
-        return ("*", atom[1], None, atom)
+            term = ("*", pos, None) if coeff is None else ("*", start, int(coeff))
+            if tok == "susp":
+                frames.append((len(steps), self.take("(")[1], term, plus))
+                steps.append(["(", pos, 1])
+                plus = None
+                continue
+            steps += (self.leaf(tok, pos), term)
+            while True:  # the term is read: add it, then close each susp( it ends
+                if plus is not None:
+                    steps.append(("+", plus, None))
+                if self.peek() == "+":
+                    plus = self.take()[1]
+                    break
+                if not frames:
+                    if self.index < len(self.tokens):
+                        tok, pos = self.tokens[self.index]
+                        raise ExprError(f"unexpected trailing {tok!r} at position {pos}")
+                    return steps
+                at, open_at, term, plus = frames.pop()
+                steps[at][2] = times = self.close(open_at)
+                steps += ((")", open_at, times), term)
 
-    def atom(self) -> tuple:
-        tok, pos = self.take()
+    def leaf(self, tok: str, pos: int) -> tuple:
         if _INT.fullmatch(tok):
-            return ("int", pos, int(tok), None)
+            return ("int", pos, int(tok))
         if tok == "whitehead":
             self.take("(")
             qq, qpos = self.take()
@@ -114,17 +128,14 @@ class _Reader:
                 what = "q without a leading zero" if _INT.fullmatch(qq) else "an integer q"
                 raise ExprError(f"whitehead(q) needs {what}, got {qq!r} at position {qpos}")
             self.take(")")
-            return ("whitehead", pos, qq, None)
-        if tok == "susp":
-            return self.susp(pos)
+            return ("whitehead", pos, qq)
         if tok in "()*,+":
             hint = ": parentheses only follow susp and whitehead" if tok == "(" else ""
             raise ExprError(f"unexpected {tok!r} at position {pos}{hint}")
-        return ("name", pos, tok, None)
+        return ("name", pos, tok)
 
-    def susp(self, pos: int) -> tuple:
-        _tok, open_at = self.take("(")
-        inner = self.expr()
+    def close(self, open_at: int) -> int:
+        """Reads the [, k] ')' that close the susp( opened at open_at; returns k."""
         times = 1
         if self.peek() == ",":
             self.take()
@@ -141,7 +152,7 @@ class _Reader:
         tok, at = self.take()
         if tok != ")":
             raise ExprError(f"unexpected {tok!r} at position {at} inside susp(...)")
-        return ("susp", pos, inner, times)
+        return times
 
 
 def _printable(cls: SphereClass, what: str, pos: int) -> SphereClass:
@@ -163,22 +174,8 @@ def _fit(cls: SphereClass, m: int, q: int, what: str, pos: int) -> SphereClass:
     return cls
 
 
-def _evaluate(tables: SphereTables, node: tuple, m: int, q: int) -> SphereClass:
-    """The class of a tree node in pi_m(S^q)."""
-    kind, pos, a, b = node
-    if kind == "+":
-        total = _evaluate(tables, a[0], m, q)
-        for plus, term in zip(b, a[1:]):
-            total = _printable(total + _evaluate(tables, term, m, q), "sum", plus)
-        return total
-    if kind == "*":
-        cls = _evaluate(tables, b, m, q)
-        return _printable(cls if a is None else cls.scale(a), "term", pos)
-    if kind == "susp":
-        out = tables.suspend_iter(_evaluate(tables, a, m - b, q - b), b)
-        if isinstance(out, Unknown):
-            raise ExprError(f"cannot suspend {b} time(s): {out.reason}")
-        return out
+def _leaf(tables: SphereTables, kind: str, pos: int, a, m: int, q: int) -> SphereClass:
+    """The class of a leaf step in pi_m(S^q)."""
     if kind == "int":
         if m != q:
             raise ExprError(
@@ -214,14 +211,25 @@ def _evaluate(tables: SphereTables, node: tuple, m: int, q: int) -> SphereClass:
 
 
 def parse_class(tables: SphereTables, text: str, m: int, q: int) -> SphereClass:
-    """Evaluate an expression as a class of pi_m(S^q)."""
-    reader = _Reader(_tokenize(text))
-    try:
-        tree = reader.expr()
-        if reader.index < len(reader.tokens):
-            tok, pos = reader.tokens[reader.index]
-            raise ExprError(f"unexpected trailing {tok!r} at position {pos}")
-        return _evaluate(tables, tree, m, q)
-    except RecursionError:
-        # Reading and evaluating recurse a few frames per nesting level.
-        raise ExprError("expression is nested too deeply") from None
+    """Evaluate an expression as a class of pi_m(S^q): its steps run in one
+    loop over a stack of values and a stack of (m, q) contexts."""
+    values: list[SphereClass] = []
+    contexts = [(m, q)]
+    for kind, pos, a in _Reader(_tokenize(text)).steps():
+        m, q = contexts[-1]
+        if kind == "(":
+            contexts.append((m - a, q - a))
+        elif kind == ")":
+            contexts.pop()
+            out = tables.suspend_iter(values.pop(), a)
+            if isinstance(out, Unknown):
+                raise ExprError(f"cannot suspend {a} time(s): {out.reason}")
+            values.append(out)
+        elif kind == "*":
+            values[-1] = _printable(values[-1] if a is None else values[-1].scale(a), "term", pos)
+        elif kind == "+":
+            term = values.pop()
+            values[-1] = _printable(values[-1] + term, "sum", pos)
+        else:
+            values.append(_leaf(tables, kind, pos, a, m, q))
+    return values[0]

@@ -27,6 +27,11 @@ class FgAbError(ValueError):
     """Domain error: mismatched parents, malformed matrices, bad orders."""
 
 
+class InputError(ValueError):
+    """A deliberate check of a caller's argument failed: bad input, or a query
+    outside what is defined.  The CLI reports it and exits 2."""
+
+
 # Sets a field of a frozen value past its __setattr__ guard.
 _setattr = object.__setattr__
 

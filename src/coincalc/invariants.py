@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional, Union
 
-from .fgab import FgAbError, _Value, _setattr
+from .fgab import FgAbError, InputError, _Value, _setattr
 from .projective import ProjSpace, decompose_valid, parse_field, space
 from .selfco import Looseness, Verdict, _congruence_ok, self_loose
 from .spheres import SphereClass, SphereTables
@@ -344,7 +344,7 @@ def route(tables: SphereTables, sp: ProjSpace, m: int) -> tuple[str, Optional[Lo
     lifts in pi_m(S^q); the lift criteria apply where the verdict is LOOSE.
     """
     if m < 1:
-        raise FgAbError("m >= 1 required")
+        raise InputError("m >= 1 required")
     if sp.n == 1:
         return CIRCLE, None
     if m == 1:
@@ -515,7 +515,10 @@ def equivalence_scan(tables: SphereTables, sp: ProjSpace, m: int) -> ScanResult:
     if way is SPHERE and m == n:
         witness = Text(("m = n = {}: all four Nielsen numbers agree on {} = S^{}", m, sp, n))
         v = {k: (ScanVerdict.HOLDS, witness) for k in SCAN_KEYS}
-        return ScanResult(sp.name, m, n, v, tables.lookup(m, n).group.is_trivial)
+        group = tables.lookup(m, n).group
+        v["n_eq_zero"] = (ScanVerdict.FAILS, Text(
+            ("m = n = {}: N = 1 for every pair with delta != 0 in pi_{}(S^{}) = {}", m, m, n, group)))
+        return ScanResult(sp.name, m, n, v, group.is_trivial)
 
     if way is SPHERE or loose.verdict is not Verdict.LOOSE:
         why = (Unknown(f"lift decomposition invalid for {sp} at m = {m}") if way is SPHERE
@@ -618,7 +621,7 @@ class WeckenAnswer(_Value, frozen=False):
 def wecken_status(sp: ProjSpace, m: int) -> WeckenAnswer:
     """Does MCC == N# hold for all pairs of maps S^m -> KP(n')?"""
     if m < 1:
-        raise FgAbError("m must be >= 1")
+        raise InputError("m must be >= 1")
     tag = sp.field.tag
     if _congruence_ok(sp.field, sp.n_prime):
         return WeckenAnswer(

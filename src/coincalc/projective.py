@@ -10,7 +10,7 @@ only its group is, to decide where the decomposition is valid.
 
 from __future__ import annotations
 
-from .fgab import FgAbError, _Value, _setattr
+from .fgab import FgAbError, InputError, _Value, _setattr
 from .spheres import SphereTables
 
 
@@ -40,13 +40,13 @@ def parse_field(tag) -> Field:
     try:
         return FIELDS[str(tag)]
     except KeyError:
-        raise FgAbError(f"unknown field {tag!r}; expected R, C or H") from None
+        raise InputError(f"unknown field {tag!r}; expected R, C or H") from None
 
 
 def _require_int(n_prime) -> None:
     # True and 2.0 equal 1 and 2 as keys, so they are refused before any lookup.
     if type(n_prime) is not int:
-        raise FgAbError(f"n' must be an int, got {n_prime!r}")
+        raise InputError(f"n' must be an int, got {n_prime!r}")
 
 
 class ProjSpace(_Value, compare=("field", "n_prime")):
@@ -60,7 +60,7 @@ class ProjSpace(_Value, compare=("field", "n_prime")):
     def __init__(self, field: Field, n_prime: int):
         _require_int(n_prime)
         if n_prime < 1:
-            raise FgAbError("n' must be >= 1")
+            raise InputError("n' must be >= 1")
         d = field.d
         n = d * n_prime
         _setattr(self, "field", field)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 
-from .fgab import _Value, _setattr
+from .fgab import InputError, _Value, _setattr
 from .projective import Field, parse_field
 from .stable import Unknown
 
@@ -195,7 +195,7 @@ def fiber_projection_self_loose(field_tag, n_prime: int) -> Looseness:
     """Looseness of (p, p) for the fibration p: S^{n+d-1} -> KP(n')."""
     field = parse_field(field_tag)
     if n_prime < 1:
-        raise ValueError("n' must be >= 1")
+        raise InputError("n' must be >= 1")
     if _congruence_ok(field, n_prime):
         return _FIBER_MOD24 if field.tag == "H" else _FIBER_ROTATION
     return _FIBER_NO_SECTION_H if field.tag == "H" else _FIBER_NO_SECTION
@@ -209,7 +209,7 @@ def self_loose(field_tag, m: int, n_prime: int) -> Looseness:
     """
     field = parse_field(field_tag)
     if m < 1 or n_prime < 1:
-        raise ValueError("m and n' must be >= 1")
+        raise InputError("m and n' must be >= 1")
     n = field.d * n_prime
     if m == 2 and n == 2:
         return _SURFACE
@@ -227,7 +227,7 @@ def sample_unit_vectors(
 
     field = parse_field(field_tag)
     if n_prime < 1:
-        raise ValueError("n' must be >= 1")
+        raise InputError("n' must be >= 1")
     rng = random.Random((seed, field.tag, n_prime, count).__repr__())
     out = []
     while len(out) < count:

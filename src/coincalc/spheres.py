@@ -376,6 +376,8 @@ class SphereTables:
         Ker(h_K . E^inf) raises SchemaError.  Each answer is computed once."""
         chain = self._chains.get((m, q, field_tag))
         if chain is None:
+            if q < 2:
+                raise FgAbError("the Hopf-James invariant needs q >= 2")
             chain = self._chains[m, q, field_tag] = self._build_chain(m, q, field_tag)
         return chain
 

@@ -111,9 +111,7 @@ class SphereEntry(_Value):
 
     @property
     def k_max(self) -> int:
-        """Largest k with a Hopf-James component, floor((m-1)/(q-1))."""
-        if self.q < 2:
-            return 1
+        """Largest k with a Hopf-James component, floor((m-1)/(q-1)); q >= 2."""
         return max(1, (self.m - 1) // (self.q - 1))
 
     def gamma_degree(self, k: int) -> int:

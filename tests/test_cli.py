@@ -18,6 +18,7 @@ from coincalc import OutOfTabulatedRange, SphereTables, load_default_tables, spa
 from coincalc import cli, selfco
 from coincalc.cli import main
 from coincalc.exprs import ExprError, parse_class
+from coincalc.fgab import FgAbError
 from coincalc.tables import SchemaError, parse_tables
 
 
@@ -298,13 +299,38 @@ class TestExitContract:
         assert code == 2 and out == ""
         assert reason in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("depth", [300, 2000])
-    def test_nesting_past_the_recursion_limit_exits_2(self, capsys, depth):
-        code, out, err = run(capsys, *_nielsen_rp2("susp(" * depth + "zero" + ")" * depth))
-        assert (code, out, err) == (2, "", "input error: expression is nested too deeply\n")
+    @pytest.mark.parametrize("depth", [100, 240, 10_000])
+    def test_nesting_answers_alike_at_any_stack_depth(self, capsys, depth):
+        # Reading and evaluating call nothing once per susp( level, so the
+        # caller's stack depth cannot change an answer.  Out of range where
+        # the innermost class lands below pi_1; iota of pi_1(S^1), suspended
+        # into pi_m(S^m) by the closed forms, where it lands on the circle.
+        def down(frames, argv):
+            return run(capsys, *argv) if frames == 0 else down(frames - 1, argv)
+
+        nested = ("susp(" * depth + "{}" + ")" * depth).format
+        n = str(depth + 1)
+        argvs = (_nielsen_rp2(nested("zero")), ["nielsen", "--field", "R", "--nprime", n,
+                                                "--m", n, "--f1", nested("iota"), "--f2", "zero"])
+        top = [run(capsys, *argv) for argv in argvs]
+        assert [down(800, argv) for argv in argvs] == top
+        assert top[0] == (2, "", f"out of tabulated range: pi_{3 - depth}(S^{2 - depth}) "
+                                 "requires m >= 1\n")
+        assert top[1][0] == 0 and f"lift1 = (1), lift2 = (0) in pi_{n}(S^{n})" in top[1][1]
+
+    @pytest.mark.parametrize("error", [FgAbError, ValueError])
+    def test_an_unchecked_error_propagates(self, monkeypatch, error):
+        # Exit 2 is for the deliberate checks (InputError) and for ranges past
+        # the tables; any other error is a fault of the program, not an input.
+        def cmd_pi(args):
+            raise error("not a check")
+
+        monkeypatch.setattr(cli, "cmd_pi", cmd_pi)
+        with pytest.raises(error, match="^not a check$"):
+            main(["pi", "3", "2"])
 
     def test_nesting_within_the_recursion_limit_keeps_its_answer(self):
-        # 240 levels fit a fresh process's stack: the innermost class is read
+        # A fresh process answers as in process: the innermost class is read
         # in pi_{3-240}(S^{2-240}), which is out of range.
         argv = _nielsen_rp2("susp(" * 240 + "zero" + ")" * 240)
         assert _process(["-m", "coincalc.cli", *argv]) == (

@@ -15,7 +15,11 @@ import io
 import os
 import sys
 
+from coincalc import cli
 from coincalc.cli import main
+from coincalc.exprs import ExprError
+from coincalc.fgab import InputError
+from coincalc.tables import OutOfTabulatedRange
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_all.txt")
 
@@ -116,6 +120,70 @@ def test_cli_dump_matches_golden():
         golden = fh.read()
     assert golden.count("\n$ coincalc ") + 1 == len(CALLS)
     assert cli_dump() == golden
+
+
+# How each call that exits 2 gets there (with and without --strict alike):
+# a deliberate argument check (InputError), a malformed or misplaced
+# expression (ExprError), or a group past the tables (OutOfTabulatedRange).
+_EXIT_2 = {
+    "pi 30 3": "range",
+    "pi -1 2": "range",
+    "stems 20": "range",
+    "stems -1": "range",
+    "nielsen --field C --nprime 3 --m 9 --f1=zero --f2=zero": "range",
+    "nielsen --field C --nprime 3 --m 9 --f1=zero --f2=zero --machine": "range",
+    "nielsen --field R --nprime 2 --m 12 --f1=zero --f2=zero": "range",
+    "nielsen --field R --nprime 2 --m 12 --f1=zero --f2=zero --machine": "range",
+    "nielsen --field R --nprime 2 --m 3 --f1=whitehead(4) --f2=zero": "expression",
+    "nielsen --field R --nprime 2 --m 3 --f1=bogus --f2=zero": "expression",
+    "nielsen --field C --nprime 0 --m 3 --f1=zero --f2=zero": "check",
+    "nielsen --field R --nprime 2 --m 1 --f1=zero --f2=zero": "check",
+    "compare --surface CP1 --m-range 2..11": "range",
+    "compare --surface RP2 --m-range 2-9": "check",
+    "compare --surface XP3 --m-range 2..5": "check",
+    "selfloose --field R --nprime 2": "check",
+    "selfloose --field C --nprime 0 --fiber": "check",
+    "verify-s --field R --nprime 2": "check",
+    "verify-s --field C --nprime -1": "check",
+    "verify-s --field C --samples 0": "check",
+    "wecken --field R --nprime 2 --m -5": "check",
+    "wecken --field C --nprime 0 --m 5": "check",
+}
+_KINDS = {InputError: ("check", "input error: "), ExprError: ("expression", "input error: "),
+          OutOfTabulatedRange: ("range", "out of tabulated range: ")}
+
+
+def test_each_exit_2_is_a_check_an_expression_or_out_of_range(monkeypatch):
+    raised = []
+
+    def recording(real):
+        def call(*args):
+            try:
+                return real(*args)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+        return call
+
+    for name in [n for n in vars(cli) if n.startswith("cmd_")] + ["_integer"]:
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    kinds = {}
+    for argv in CALLS:
+        raised.clear()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit:  # argparse's usage error
+                continue
+        if code != 2:
+            continue
+        # The last exception raised is the one main reported.
+        kind, prefix = _KINDS[type(raised[-1])]
+        assert err.getvalue() == f"{prefix}{raised[-1]}\n", argv
+        key = " ".join(a for a in argv if a != "--strict")
+        assert kinds.setdefault(key, kind) == kind, argv
+    assert kinds == _EXIT_2
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from coincalc.fgab import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
+    InputError,
     Subgroup,
     int_det,
     kernel_into_coords,
@@ -33,6 +34,8 @@ GUARDS = [
      FgAbError, "the Hopf-James invariant needs q >= 2"),
     ("gamma-m-below-q", lambda t: t.gamma(t.zero(2, 3)),
      FgAbError, "stabilization needs m >= q"),
+    ("kernel-chain-q-1", lambda t: t.kernel_chain(1, 1, "C"),
+     FgAbError, "the Hopf-James invariant needs q >= 2"),
     ("class-sum-across-groups", lambda t: t.zero(3, 2) + t.zero(4, 3),
      FgAbError, "classes live in different homotopy groups"),
     ("class-difference-across-groups", lambda t: t.zero(3, 2) - t.zero(4, 3),
@@ -42,13 +45,13 @@ GUARDS = [
     ("decompose-valid-m-1", lambda t: decompose_valid(t, space("C", 1), 1),
      FgAbError, "decomposition is defined for m >= 2"),
     ("space-nprime-bool", lambda t: space("R", True),
-     FgAbError, "n' must be an int, got True"),
+     InputError, "n' must be an int, got True"),
     ("space-nprime-float", lambda t: space("R", 2.0),
-     FgAbError, "n' must be an int, got 2.0"),
+     InputError, "n' must be an int, got 2.0"),
     ("space-nprime-str", lambda t: space("R", "2"),
-     FgAbError, "n' must be an int, got '2'"),
+     InputError, "n' must be an int, got '2'"),
     ("projspace-nprime-bool", lambda t: ProjSpace(REAL, True),
-     FgAbError, "n' must be an int, got True"),
+     InputError, "n' must be an int, got True"),
     ("field-C-d-4", lambda t: Field("C", 4),
      FgAbError, "bad field (C, d=4)"),
     ("field-unknown-tag", lambda t: Field("O", 8),
@@ -61,7 +64,7 @@ GUARDS = [
     ("selfmap-at-zero", lambda t: selfmap_s(KVector(REAL, (s_zero(REAL),) * 2)),
      ValueError, "selfmap is defined on the unit sphere, not at 0"),
     ("sample-nprime-0", lambda t: sample_unit_vectors("C", 0, 1),
-     ValueError, "n' must be >= 1"),
+     InputError, "n' must be >= 1"),
     # fgab
     ("det-non-square", lambda t: int_det([[1, 2]]),
      FgAbError, "determinant of non-square matrix"),

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from coincalc.fgab import FgAbError, GroupElement, Subgroup
+from coincalc.fgab import FgAbError, GroupElement, InputError, Subgroup
 from coincalc.invariants import (
     CIRCLE,
     INF,
@@ -296,16 +296,18 @@ _RELATION_VALUES = {
 
 def _assert_scan_agrees(tables, sp, m):
     """The scan at m, once each relation it decides is checked against the
-    projective reports of (x, 0), x over the lift group: the values the
-    relation compares are known for every x, and it holds exactly when they
-    agree (N == 0: when N is 0) for every x.  NZ == 0 is checked likewise."""
-    group = tables.lookup(m, sp.q).group
+    projective reports of (x, 0), x over the group of the classes (the lift
+    group, or pi_m(S^n) on the sphere route): the values the relation compares
+    are known for every x, and it holds exactly when they agree (N == 0: when
+    N is 0) for every x.  NZ == 0 is checked likewise."""
+    q = sp.n if route(tables, sp, m)[0] is SPHERE else sp.q
+    group = tables.lookup(m, q).group
     if group.is_finite:
-        lifts = [SphereClass(m, sp.q, x) for x in group.elements()]
+        lifts = [SphereClass(m, q, x) for x in group.elements()]
     else:
         assert str(group) == "Z"
-        lifts = [tables.cls(m, sp.q, [c]) for c in range(-24, 25)]
-    zero = tables.zero(m, sp.q)
+        lifts = [tables.cls(m, q, [c]) for c in range(-24, 25)]
+    zero = tables.zero(m, q)
     reps = [projective_report(tables, sp, m, x, zero) for x in lifts]
     scan = equivalence_scan(tables, sp, m)
     for key, names in _RELATION_VALUES.items():
@@ -374,7 +376,7 @@ class TestRoute:
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_raises_below_m_1(self, tables, m):
-        with pytest.raises(FgAbError, match=r"^m >= 1 required$"):
+        with pytest.raises(InputError, match=r"^m >= 1 required$"):
             route(tables, space("C", 2), m)
 
 
@@ -400,6 +402,14 @@ class TestEquivalenceScan:
             scan = equivalence_scan(tables, sp, m)
             assert scan.verdicts["n_eq_nz"][0] is ScanVerdict.HOLDS, m
             assert scan.verdicts["n_eq_zero"][0] is ScanVerdict.HOLDS, m
+
+    def test_sphere_route_at_m_equal_n_matches_pointwise_reports(self, tables):
+        # CP(1) = S^2 at m = 2 and HP(1) = S^4 at m = 4: classes live in
+        # pi_n(S^n) = Z, and N = 1 for every c . iota with c != 0.
+        for sp, m in ((space("C", 1), 2), (space("H", 1), 4)):
+            scan = _assert_scan_agrees(tables, sp, m)
+            assert [v for v, _w in scan.verdicts.values()].count(ScanVerdict.FAILS) == 1
+            assert scan.verdicts["n_eq_zero"][0] is ScanVerdict.FAILS
 
     def test_scan_matches_pointwise_reports(self, tables):
         # Oracle equivalence over the whole tabulated range: each report of

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from coincalc import projective
-from coincalc.fgab import FgAbError
+from coincalc.fgab import InputError
 from coincalc.invariants import SPHERE, equivalence_scan, projective_report, route
 from coincalc.projective import ProjSpace, decompose_valid, parse_field, space
 from coincalc.selfco import Looseness
@@ -31,11 +31,11 @@ class TestSpaces:
         assert space("R", 1).reidemeister == 1
 
     def test_bad_inputs(self):
-        with pytest.raises(FgAbError):
+        with pytest.raises(InputError):
             space("R", 0)
-        with pytest.raises(FgAbError):
+        with pytest.raises(InputError):
             space("X", 2)
-        with pytest.raises(FgAbError):
+        with pytest.raises(InputError):
             parse_field("Q")
 
     def test_dimension_identities(self):
