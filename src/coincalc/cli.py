@@ -6,7 +6,7 @@
     coincalc compare ...                equivalence table over a range of m
     coincalc witnesses --claim a|b|c    inequivalence witnesses
     coincalc selfloose ...              self-coincidence verdicts
-    coincalc verify-s ...               exact geometry of the pairwise rotation
+    coincalc verify-s ...               exact rotation check, (n' + 1) * samples <= 10^5
     coincalc wecken ...                 does MCC = N# hold for all pairs?
     coincalc validate-data              internal consistency of the dataset
 
@@ -65,6 +65,7 @@ EXIT_OK = 0
 EXIT_STRICT = 1
 EXIT_INPUT = 2
 EXIT_DATA = 3
+VERIFY_S_MAX_COORDS = 100_000  # verify-s's exact coordinates: a few seconds' work
 
 # What a command's answer means for the exit code; main alone maps it.
 OK, UNKNOWN, INVALID, FAILED = "ok", "unknown", "invalid", "failed"
@@ -233,8 +234,7 @@ def _fmt_scalar(s) -> str:
 def cmd_verify_s(args):
     if args.samples < 1:
         raise InputError("--samples must be >= 1")
-    nprime = args.nprime if args.nprime is not None else 3
-    if nprime < 1:
+    if args.nprime < 1:
         raise InputError("n' must be >= 1")
     if args.field == "H":
         x, lam = quaternion_counterexample()
@@ -248,14 +248,16 @@ def cmd_verify_s(args):
             f"s(x) - lambda*x = 0 exactly; residual = {residual_not_parallel(x)!s}\n"
         )
         return text, None, OK
-    if nprime % 2 == 0:
+    if args.nprime % 2 == 0:
         raise InputError("the pairwise rotation needs n' odd")
-    samples = sample_unit_vectors(args.field, nprime, args.samples, seed=args.seed)
+    if (args.nprime + 1) * args.samples > VERIFY_S_MAX_COORDS:
+        raise InputError(f"(n' + 1) * samples must be at most {VERIFY_S_MAX_COORDS:,}")
+    samples = sample_unit_vectors(args.field, args.nprime, args.samples, seed=args.seed)
     smallest = min(residual_not_parallel(vec) for vec in samples)
     if smallest <= 0:
         return "FAIL: found a vector with s(x) on the line K.x\n", None, FAILED
     text = (
-        f"{args.samples} exact rational samples over {args.field}, n' = {nprime}: "
+        f"{args.samples} exact rational samples over {args.field}, n' = {args.nprime}: "
         f"all residuals positive (smallest {smallest!s})\n"
     )
     return text, None, OK
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_selfloose)
 
     p = sub.add_parser("verify-s", parents=[field], help="exact check of the pairwise rotation")
-    p.add_argument("--nprime", type=_IntArg, default=None)
+    p.add_argument("--nprime", type=_IntArg, default=3)
     p.add_argument("--samples", type=_IntArg, default=25)
     p.add_argument("--seed", type=_IntArg, default=0)
     p.set_defaults(func=cmd_verify_s)

@@ -16,7 +16,7 @@ chain_check on the monotone chain MC >= MCC >= N# >= N~ >= N >= NZ >= 0.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .fgab import FgAbError, InputError, _Value, _setattr
 from .projective import ProjSpace, decompose_valid, parse_field, space
@@ -88,11 +88,11 @@ VALUE_ORDER = ("MC", "MCC", "N_sharp", "N_tilde", "N_plain", "N_z")
 
 
 class Report(_Value, frozen=False):
-    """The invariant bundle for one pair of maps."""
+    """The invariant bundle for one pair of maps; non_wecken is read from MCC and N#."""
 
     __slots__ = (
         "target", "m", "n", "inputs", "R", "MC", "MCC", "N_sharp", "N_tilde",
-        "N_plain", "N_z", "hypothesis_notes", "derivation", "non_wecken",
+        "N_plain", "N_z", "hypothesis_notes", "derivation",
     )
 
     def __init__(
@@ -101,7 +101,6 @@ class Report(_Value, frozen=False):
         N_tilde: InvariantValue, N_plain: InvariantValue, N_z: InvariantValue,
         hypothesis_notes: Optional[list[str]] = None,
         derivation: Optional[list[Union[str, Text]]] = None,
-        non_wecken: bool = False,
     ):
         self.target = target
         self.m = m
@@ -116,7 +115,11 @@ class Report(_Value, frozen=False):
         self.N_z = N_z
         self.hypothesis_notes = [] if hypothesis_notes is None else hypothesis_notes
         self.derivation = [] if derivation is None else derivation
-        self.non_wecken = non_wecken
+
+    @property
+    def non_wecken(self) -> bool:
+        """MCC and N# are both decided and differ: the Wecken property fails."""
+        return not (self.MCC.is_unknown or self.N_sharp.is_unknown) and self.MCC != self.N_sharp
 
     def values(self) -> dict[str, InvariantValue]:
         return {
@@ -211,16 +214,17 @@ def _criteria(
     delta: SphereClass,
     top: bool,
     weight: int,
-    n_factor: Callable[[StableElement], Union[StableElement, Unknown]],
+    hopf: Union[StableElement, Unknown, None],
     labels: tuple[str, str],
     deriv: list[Union[str, Text]],
 ) -> tuple[InvariantValue, InvariantValue, InvariantValue, InvariantValue]:
     """(MCC = N#, N~, N, NZ) from the vanishing tests on delta.
 
     Each number is 0 when its test vanishes and weight otherwise: delta for
-    MCC and N#, Gamma(delta) for N~, n_factor(E^inf(delta)) for N, and delta
-    again for NZ, in the top degree only (NZ = 0 elsewhere).  labels are the
-    templates of the derivation lines of the Gamma and the N test.
+    MCC and N#, Gamma(delta) for N~, hopf . E^inf(delta) for N (hopf is h_K or
+    its Unknown on KP(n'); None on a sphere, where N reads E^inf(delta)), and
+    delta again for NZ, in the top degree only (NZ = 0 elsewhere).  labels are
+    the templates of the derivation lines of the Gamma and the N test.
     """
 
     def worth(vanishes: bool) -> InvariantValue:
@@ -236,8 +240,8 @@ def _criteria(
     n_tilde = worth(zero) if isinstance(zero, bool) else unk(
         Unknown(f"Gamma undetermined: {gamma}", zero))
     image = gamma.component(1)
-    if not isinstance(image, Unknown):
-        image = n_factor(image)
+    if hopf is not None and not isinstance(image, Unknown):
+        image = hopf if isinstance(hopf, Unknown) else tables.ring.multiply(hopf, image)
     if isinstance(image, Unknown):
         return mcc, n_tilde, unk(image), n_z
     deriv.append(Text((labels[1], image)))
@@ -298,9 +302,7 @@ def sphere_report(
         return Report(target, m, n, inputs, r, u, u, u, u, u, u, notes, deriv)
     delta = f1 - af2
     deriv.append(Text(("delta = [f1] - [a . f2] = {} in pi_{}(S^{})", delta.value, m, n)))
-    mcc, n_tilde, n_plain, n_z = _criteria(
-        tables, delta, m == n, 1, lambda stab: stab, _SPHERE_LABELS, deriv
-    )
+    mcc, n_tilde, n_plain, n_z = _criteria(tables, delta, m == n, 1, None, _SPHERE_LABELS, deriv)
     if m == n:
         notes.append("m = n: all six numbers agree (classical self-coincidence count)")
 
@@ -422,13 +424,9 @@ def projective_report(
     else:
         deriv.append(Text(("difference test: delta nonzero -> MCC = N# = {}", r_n)))
     tag = sp.field.tag
-    ring = tables.ring
-    hopf = ring.hopf_stable(tag)
     top = m == n
     mcc, n_tilde, n_plain, n_z = _criteria(
-        tables, delta, top, r_n,
-        lambda stab: hopf if isinstance(hopf, Unknown) else ring.multiply(hopf, stab),
-        _PROJECTIVE_LABELS[tag], deriv,
+        tables, delta, top, r_n, tables.ring.hopf_stable(tag), _PROJECTIVE_LABELS[tag], deriv
     )
     deriv.append(Text(("top-degree test: m {} n -> NZ = {}", "=" if top else "!=", n_z)))
 
@@ -605,7 +603,6 @@ def kervaire_exception(field_tag, n: int, m: int) -> Optional[Report]:
         N_z=zero,
         hypothesis_notes=notes,
         derivation=[],
-        non_wecken=True,
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .fgab import FgAbError, GroupElement, Subgroup, _Value, _setattr, kernel_into_coords
+from .fgab import FgAbError, FgAbGroup, GroupElement, Subgroup, _Value, _setattr, kernel_into_coords
 from .stable import StableElement, StableRing, Unknown
 from .tables import (
     OutOfTabulatedRange,
@@ -123,6 +123,18 @@ class ValidationReport(_Value, frozen=False):
 def _unit(rank: int, i: int) -> tuple[int, ...]:
     """Coordinates of generator i in a group of this rank."""
     return (0,) * i + (1,) + (0,) * (rank - 1 - i)
+
+
+def _touched(group: FgAbGroup, coeffs, columns) -> Union[tuple[int, ...], Unknown]:
+    """Reduced coordinates in group of the sum of the _map columns the class
+    coeffs touches, or the Unknown of the first gap it touches."""
+    terms = []
+    for c, column in zip(coeffs, columns):
+        if c:
+            if isinstance(column, Unknown):
+                return column
+            terms.append((c, column))
+    return group.combine(terms)
 
 
 # A Gamma record's value for a component that is zero on every class, until
@@ -251,18 +263,12 @@ class SphereTables:
 
     def _image(self, entry: SphereEntry, coeffs, kind: Union[str, int]) -> Union[tuple, Unknown]:
         """(target, reduced coordinates in it) of the class coeffs of entry under
-        kind, the sum of the _map columns coeffs touches; or the Unknown of an
-        untabulated target or of the first touched gap."""
+        kind, or the Unknown of an untabulated target or of _touched's gap."""
         target, columns, gap = self._map(entry, kind)
         if target is None:
             return gap
-        terms = []
-        for c, column in zip(coeffs, columns):
-            if c:
-                if isinstance(column, Unknown):
-                    return column
-                terms.append((c, column))
-        return target, target.group.combine(terms)
+        coords = _touched(target.group, coeffs, columns)
+        return coords if isinstance(coords, Unknown) else (target, coords)
 
     def _apply(self, x: SphereClass, kind: Union[str, int]):
         """The image of x under kind (Gamma component k is a StableElement), or
@@ -307,8 +313,7 @@ class SphereTables:
     def gamma(self, x: SphereClass) -> GammaValue:
         """Total stabilized Hopf-James invariant of x (component 1 = E^inf),
         read from the Gamma record: a component with one value for every
-        class is that shared value, any other the sum of the columns x
-        touches, or the first gap it touches."""
+        class is that shared value, any other the _touched sum of its columns."""
         if x.q < 2:
             raise FgAbError("the Hopf-James invariant needs q >= 2")
         record = self._gammas.get((x.m, x.q)) or self._gamma_record(self.lookup(x.m, x.q))
@@ -317,17 +322,9 @@ class SphereTables:
         coeffs, comps = x.value.coeffs, []
         for k, (stem, columns, gap, value) in enumerate(record, 1):
             if value is None:
-                terms = []
-                for c, column in zip(coeffs, columns):
-                    if c:
-                        if isinstance(column, Unknown):
-                            value = column
-                            break
-                        terms.append((c, column))
-                else:
-                    group = stem.group
-                    coords = group.combine(terms)
-                    value = StableElement(stem.degree, GroupElement._reduced(group, coords))
+                value = _touched(stem.group, coeffs, columns)
+                if not isinstance(value, Unknown):
+                    value = StableElement(stem.degree, GroupElement._reduced(stem.group, value))
             elif value is _ZERO:
                 value = StableElement(stem.degree, stem.group.zero())
                 record[k - 1] = stem, columns, gap, value

@@ -131,14 +131,14 @@ class StableRing:
     def _gen_product(
         self, name_a: str, name_b: str
     ) -> Union[tuple[int, tuple[int, ...]], Unknown]:
-        """(sign, stored coefficients) of the product of two stem generators."""
+        """(sign, stored vector) of A*B: as stored, or from B*A with the graded sign."""
         ka, kb = self._gen_degrees[name_a], self._gen_degrees[name_b]
-        entry = self._tables.products.get((name_a, name_b))
-        if entry is not None:
-            return 1, entry.coeffs
-        entry = self._tables.products.get((name_b, name_a))
-        if entry is not None:
-            return (-1 if (ka % 2 == 1 and kb % 2 == 1) else 1), entry.coeffs
+        coeffs = self._tables.products.get((name_a, name_b))
+        if coeffs is not None:
+            return 1, coeffs
+        coeffs = self._tables.products.get((name_b, name_a))
+        if coeffs is not None:
+            return (-1 if (ka % 2 == 1 and kb % 2 == 1) else 1), coeffs
         return Unknown(
             f"product {name_a} * {name_b} (degrees {ka}+{kb}) not tabulated"
         )

@@ -141,14 +141,6 @@ class StemEntry(_Value):
         _setattr(self, "source", source)
 
 
-class ProductEntry(_Value):
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs: tuple[int, ...]):
-        _setattr(self, "degree", degree)
-        _setattr(self, "coeffs", coeffs)
-
-
 class NamedClass(_Value):
     __slots__ = ("m", "q", "coeffs", "source")
 
@@ -160,14 +152,15 @@ class NamedClass(_Value):
 
 
 class TableSet(_Value):
-    """Everything parsed from one table file.  Each omitted dict is a new one."""
+    """Everything parsed from one table file.  Each omitted dict is a new one.
+    products maps stem generators (A, B) to A*B's vector in stem deg A + deg B."""
 
     __slots__ = ("entries", "stems", "products", "named", "stem_gen_degrees")
 
     def __init__(
         self, entries: Optional[dict[tuple[int, int], SphereEntry]] = None,
         stems: Optional[dict[int, StemEntry]] = None,
-        products: Optional[dict[tuple[str, str], ProductEntry]] = None,
+        products: Optional[dict[tuple[str, str], tuple[int, ...]]] = None,
         named: Optional[dict[str, NamedClass]] = None,
         stem_gen_degrees: Optional[dict[str, int]] = None,  # generator -> k
     ):
@@ -382,7 +375,7 @@ def parse_tables(text: str) -> TableSet:
     """Parse and structurally validate a table file.  All-or-nothing."""
     entries: dict[tuple[int, int], SphereEntry] = {}
     stems: dict[int, StemEntry] = {}
-    products: dict[tuple[str, str], ProductEntry] = {}
+    products: dict[tuple[str, str], tuple[int, ...]] = {}
     named: dict[str, NamedClass] = {}
     stem_gen_degrees: dict[str, int] = {}
     raw_products: list[tuple[str, str, int, tuple[int, ...]]] = []
@@ -570,7 +563,7 @@ def parse_tables(text: str) -> TableSet:
         elif (a, b) in products:
             fault = "duplicate product"
         else:
-            products[(a, b)] = ProductEntry(degree, coeffs)
+            products[(a, b)] = coeffs
             continue
         raise SchemaError(fault, f"prod {a} {b}")
 
@@ -609,9 +602,9 @@ def serialize_tables(tables: TableSet) -> str:
             out.append(f'src "{stem.source}"')
         for g in stem.gen_names:
             out.append(f"gen {g}")
-    for (a, b) in sorted(tables.products):
-        pe = tables.products[(a, b)]
-        out.append(_fmt_tail(f"prod {a} {b} -> {pe.degree}", pe.coeffs))
+    degrees = tables.stem_gen_degrees
+    for (a, b), coeffs in sorted(tables.products.items()):
+        out.append(_fmt_tail(f"prod {a} {b} -> {degrees[a] + degrees[b]}", coeffs))
     for (m, q) in sorted(tables.entries):
         entry = tables.entries[(m, q)]
         out.append(_fmt_tail(f"group {m} {q} {entry.group.free_rank}", entry.group.torsion))

@@ -315,8 +315,8 @@ def test_criterion_09iii_chain_and_dichotomy_on_all_reports(tables):
     for rep in REPORT_LOG:
         ok, violations = chain_check(rep)
         assert ok, (rep.target, rep.m, violations)
-        if rep.non_wecken:
-            continue  # the exotic pairs break the dichotomy by construction
+        # Only the exotic pairs of criterion 8 are non-Wecken; none is logged.
+        assert not rep.non_wecken, rep.render()
         if rep.R.is_finite:
             assert not dichotomy_check(rep, rep.R.value), rep.render()
     passed(9, f"(iii) chain and dichotomy hold on all {len(REPORT_LOG)} logged reports")

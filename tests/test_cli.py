@@ -282,6 +282,11 @@ class TestExitContract:
              "n' must be >= 1\n"),
             (["verify-s", "--field", "H", "--nprime", "0"], "n' must be >= 1\n"),
             (["verify-s", "--field", "H", "--nprime", "-5"], "n' must be >= 1\n"),
+            # The work bound: (n' + 1) * samples coordinates, n' = 3 by default.
+            (["verify-s", "--field", "R", "--nprime", "100000001"],
+             "input error: (n' + 1) * samples must be at most 100,000\n"),
+            (["verify-s", "--field", "C", "--samples", "25001"],
+             "input error: (n' + 1) * samples must be at most 100,000\n"),
             (["pi", "3", "-1"], "out of tabulated range: pi_3(S^-1) is not tabulated\n"),
         ],
         ids=["whitehead-unregistered", "whitehead-not-int", "whitehead-open",
@@ -292,7 +297,8 @@ class TestExitContract:
              "named-class-off-context", "whitehead-off-context",
              "wecken-negative-m", "verify-s-no-samples", "verify-s-negative-samples",
              "verify-s-negative-nprime", "verify-s-zero-nprime", "verify-s-negative-even-nprime",
-             "verify-s-H-zero-nprime", "verify-s-H-negative-nprime", "pi-negative-q"],
+             "verify-s-H-zero-nprime", "verify-s-H-negative-nprime", "verify-s-huge-nprime",
+             "verify-s-default-nprime-too-many-samples", "pi-negative-q"],
     )
     def test_bad_input_exits_2(self, capsys, argv, reason):
         code, out, err = run(capsys, *argv)

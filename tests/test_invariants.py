@@ -828,6 +828,26 @@ class TestWecken:
         # The {0, R} dichotomy genuinely fails here; that is the point.
         assert dichotomy_check(rep, 2)
 
+    def test_non_wecken_is_read_from_mcc_and_nsharp(self, tables):
+        witness = kervaire_exception("R", 16, 30)
+        assert witness.to_dict()["non_wecken"] is True
+        assert "  non-Wecken: MCC differs from N#" in witness.render().splitlines()
+        rep = sphere_report(tables, 9, 5, tables.whitehead(5), tables.zero(9, 5))
+        assert rep.MCC == rep.N_sharp == fin(1) and not rep.non_wecken
+        rep.N_sharp = fin(0)
+        assert rep.non_wecken
+        gap, other = unk(Unknown("gap a")), unk(Unknown("gap b"))
+        for mcc, n_sharp in ((gap, fin(0)), (fin(1), gap), (gap, gap), (gap, other)):
+            rep.MCC, rep.N_sharp = mcc, n_sharp
+            assert not rep.non_wecken and rep.to_dict()["non_wecken"] is False
+            assert "non-Wecken" not in rep.render()
+        # A flag, not a field: neither stored nor passed.
+        assert "non_wecken" not in Report.__slots__
+        with pytest.raises(AttributeError):
+            rep.non_wecken = True
+        with pytest.raises(TypeError):
+            Report("S^5", 9, 5, "", *(fin(1),) * 7, non_wecken=True)
+
     def test_kervaire_non_cases(self):
         assert kervaire_exception("R", 16, 29) is None
         assert kervaire_exception("R", 128, 254) is None

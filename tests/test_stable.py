@@ -95,7 +95,7 @@ def _multiply_by_elements(ring, tables, a, b):
                 sign = -1 if a.degree % 2 and b.degree % 2 else 1
             if entry is None:
                 return None
-            total = total + ring.element(k, entry.coeffs).value.scale(sign * ca * cb)
+            total = total + ring.element(k, entry).value.scale(sign * ca * cb)
     return StableElement(k, total)
 
 
