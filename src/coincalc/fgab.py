@@ -574,16 +574,21 @@ class Subgroup(_Value, compare=("ambient", "generators_")):
 
     @classmethod
     def trivial(cls, ambient: FgAbGroup) -> "Subgroup":
-        return cls._canonical(ambient, list(_relations(ambient.coord_orders()).values()))
+        """The zero subgroup, built once and shared by the whole process: one
+        value per group value that it names.  The key compares by value, so
+        the ambient of the value returned may be an equal group of another
+        table; nothing may rely on its identity."""
+        sub = _TRIVIALS.get(ambient)
+        if sub is None:
+            sub = _TRIVIALS[ambient] = _trivial_subgroup(ambient)
+        return sub
 
     @classmethod
     def whole(cls, ambient: FgAbGroup) -> "Subgroup":
-        # Every identity row is a nonzero element, since each order t_i >= 2.
-        basis = tuple(map(tuple, _identity(ambient.rank)))
-        sub = object.__new__(cls)
-        _setattr(sub, "ambient", ambient)
-        _setattr(sub, "generators_", tuple(GroupElement._reduced(ambient, r) for r in basis))
-        _setattr(sub, "basis", basis)
+        """The whole group as a subgroup, shared as `trivial` is."""
+        sub = _WHOLES.get(ambient)
+        if sub is None:
+            sub = _WHOLES[ambient] = _whole_subgroup(ambient)
         return sub
 
     def contains(self, x: GroupElement) -> bool:
@@ -625,6 +630,21 @@ class Subgroup(_Value, compare=("ambient", "generators_")):
         if self.is_trivial:
             return "<0>"
         return "<" + ", ".join(str(g) for g in self.generators_) + ">"
+
+
+# The trivial and the whole subgroup of each group value the process names.
+# No table decides them, so they are shared across tables; kernels are not.
+_TRIVIALS: dict[FgAbGroup, Subgroup] = {}
+_WHOLES: dict[FgAbGroup, Subgroup] = {}
+
+
+def _trivial_subgroup(ambient: FgAbGroup) -> Subgroup:
+    return Subgroup._canonical(ambient, _relations(ambient.coord_orders()).values())
+
+
+def _whole_subgroup(ambient: FgAbGroup) -> Subgroup:
+    # The identity is canonical, and each of its rows a nonzero element.
+    return Subgroup._canonical(ambient, _identity(ambient.rank))
 
 
 def kernel(h: Homomorphism) -> Subgroup:

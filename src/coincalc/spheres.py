@@ -152,7 +152,12 @@ class SphereTables:
     each annotated map's columns (the one store that the pointwise maps, the
     kernel chain, Im E and validate() read), each Gamma record (the one store
     that gamma() and the kernel chain read), each suspension image, and each
-    kernel chain is computed once and kept.
+    kernel chain is computed once and kept.  All of these are decided by
+    the table and stay with this instance.  What no table decides is shared
+    by the whole process instead: each closed-form entry (see
+    tables.closed_form_entry) and the trivial and whole subgroups of a group
+    (Subgroup.trivial, Subgroup.whole), so a fresh SphereTables builds none
+    of those that an earlier one has.
     """
 
     def __init__(self, tables: TableSet):
@@ -455,7 +460,11 @@ class SphereTables:
         """
         v: list[Violation] = []
 
-        def bad(path, message):
+        def bad(path, message, gen=None):
+            # An entry's path comes as its key (m, q), with the generator's
+            # name if any, and is formatted only here.
+            if not isinstance(path, str):
+                path = "pi_{}(S^{})".format(*path) + ("" if gen is None else f" gen {gen}")
             v.append(Violation(path, message))
 
         # Each generator's h_K . E^inf is checked below; a table without
@@ -469,33 +478,33 @@ class SphereTables:
                 hopfs[tag] = hopf
 
         max_degree = self.ring.max_degree
-        for (m, q), entry in sorted(self.raw.entries.items()):
-            path = f"pi_{m}(S^{q})"
+        for key, entry in sorted(self.raw.entries.items()):
+            m, q = key
             rank = entry.group.rank
             # The susp and antip columns are read once per entry, when a check
             # first needs them.
             susp_map = antips = None
             stabs = self._map(entry, 1)[1]
             for i, (name, ann, stab) in enumerate(zip(entry.gen_names, entry.annotations, stabs)):
-                gpath = f"{path} gen {name}"
                 gamma1 = ann.gamma_component(1)
                 if gamma1 is not None:
                     if ann.stab is None:
-                        bad(gpath, "gamma k=1 stored but stabilization missing")
+                        bad(key, "gamma k=1 stored but stabilization missing", name)
                     elif tuple(gamma1) != tuple(ann.stab):
                         bad(
-                            gpath,
+                            key,
                             "gamma k=1 component disagrees with the stabilization "
                             f"({list(gamma1)} vs {list(ann.stab)})",
+                            name,
                         )
                 s1 = None if isinstance(stab, Unknown) else stab
                 for tag, hopf in hopfs.items() if s1 is not None else ():
                     if (m - q) + hopf.degree > max_degree:
-                        bad(gpath, f"h_{tag} product degree exceeds tabulated stems")
+                        bad(key, f"h_{tag} product degree exceeds tabulated stems", name)
                         continue
                     prod = self.ring.product(hopf.degree, hopf.value.coeffs, m - q, s1)
                     if isinstance(prod, Unknown):
-                        bad(gpath, f"h_{tag} . E^inf not computable: {prod.reason}")
+                        bad(key, f"h_{tag} . E^inf not computable: {prod.reason}", name)
                 if s1 is not None and ann.susp is not None:
                     # The parser has checked that the susp target is tabulated.
                     if susp_map is None:
@@ -504,21 +513,22 @@ class SphereTables:
                     s2 = self._image(above, susps[i], 1)
                     if not isinstance(s2, Unknown) and s1 != s2[1]:
                         bad(
-                            gpath,
+                            key,
                             f"stabilization not suspension-invariant: "
                             f"{self.ring.element(m - q, s1)} vs "
                             f"{self.ring.element(m - q, s2[1])} after E",
+                            name,
                         )
                 if q % 2 == 1 and ann.antip is not None:
                     if antips is None:
                         antips = self._map(entry, "antip")[1]
                     if antips[i] != _unit(rank, i):
-                        bad(gpath, "antipodal action must be the identity for odd q")
+                        bad(key, "antipodal action must be the identity for odd q", name)
             if q % 2 == 0 and all(a.antip is not None for a in entry.annotations):
                 antips = self._map(entry, "antip")[1]
                 for i, (name, once) in enumerate(zip(entry.gen_names, antips)):
                     if self._image(entry, once, "antip")[1] != _unit(rank, i):
-                        bad(path, f"antipodal action is not an involution on {name}")
+                        bad(key, f"antipodal action is not an involution on {name}")
 
         # Registry constraints.
         for name in sorted(self.raw.named):

@@ -169,8 +169,29 @@ class TableSet(_Value):
             _setattr(self, name, {} if value is None else value)
 
 
+# One shared closed-form entry per (m, q) that the process names: no table
+# decides these values, so every SphereTables reads the same one.
+_CLOSED_FORMS: dict[tuple[int, int], SphereEntry] = {}
+
+
 def closed_form_entry(m: int, q: int) -> Optional[SphereEntry]:
-    """Entries known without table data: q <= 1, m < q, and m == q."""
+    """Entries known without table data: q <= 1, m < q, and m == q.
+
+    Each is built on first use and shared by the whole process, one entry
+    per closed-form (m, q) that it names; the None of any other (m, q) is
+    not kept.  The curated entries stay with their TableSet."""
+    entry = _CLOSED_FORMS.get((m, q))
+    if entry is None:
+        entry = _closed_form(m, q)
+        # True and 2.0 equal 1 and 2 as keys: only an int pair is kept, so
+        # the shared entry has int fields.
+        if entry is not None and type(m) is int and type(q) is int:
+            _CLOSED_FORMS[m, q] = entry
+    return entry
+
+
+def _closed_form(m: int, q: int) -> Optional[SphereEntry]:
+    """A new closed-form entry for (m, q), or None outside their range."""
     if m < 1 or q < 0:
         return None
     if q == 0 or (q == 1 and m >= 2) or (q >= 1 and m < q):

@@ -48,14 +48,6 @@ from coincalc.tables import ParseError, SchemaError, parse_tables
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cp1_compare_2_9.txt")
 
-REPORT_LOG = []  # every report the suite produces, swept by criterion 9(iii)
-
-
-def log_report(rep):
-    REPORT_LOG.append(rep)
-    return rep
-
-
 def passed(n, text):
     print(f"ACCEPTANCE {n}: PASS - {text}")
 
@@ -71,21 +63,78 @@ def test_criterion_01_equivalence_table_reproduction(capsys):
         passed(1, "CP1 comparison table m=2..9 matches the golden file exactly")
 
 
-def test_criterion_02_rp2_factor_two_chain(tables):
+# Each criterion 2-5 builds its reports in one helper, which criterion 9(iii)
+# calls too, so that every test sweeps only reports it has built itself.
+
+
+def rp2_factor_two_reports(tables):
+    """RP(2) at m = 3 on (hopfC, 0), then (lifted, spherical) on each of the
+    9 pairs drawn from 0, hopfC and -hopfC."""
     rp2 = space("R", 2)
     h = tables.named("hopfC")
     zero = tables.zero(3, 2)
-    rep = log_report(projective_report(tables, rp2, 3, h, zero))
+    pairs = [
+        (projective_report(tables, rp2, 3, x, y), sphere_report(tables, 3, 2, x, y))
+        for x in (zero, h, -h)
+        for y in (zero, h, -h)
+    ]
+    return projective_report(tables, rp2, 3, h, zero), pairs
+
+
+def cp1_z2_reports(tables, m):
+    """CP(1) at m on the 4 pairs of classes of pi_m(S^3) = Z_2."""
+    cp1 = space("C", 1)
+    return [
+        projective_report(tables, cp1, m, tables.cls(m, 3, [a]), tables.cls(m, 3, [b]))
+        for a in range(2)
+        for b in range(2)
+    ]
+
+
+def rp3_three_torsion_reports(tables):
+    """RP(3) at m = 9 on (k, 0) for each k of pi_9(S^3) = Z_3."""
+    rp3 = space("R", 3)
+    return [
+        projective_report(tables, rp3, 9, tables.cls(9, 3, [k]), tables.zero(9, 3))
+        for k in range(3)
+    ]
+
+
+def witness_reports(tables):
+    """Criterion 5's witnesses, by label."""
+    rp5 = space("R", 5)
+    w5 = tables.whitehead(5)
+    eta5 = tables.suspend_iter(tables.named("hopfC"), 3)
+    e2a = tables.suspend_iter(tables.named("alpha1_3"), 2)
+    return {
+        # (a) The Whitehead square of S^5: N# = 1 without any stabilized trace.
+        "a": sphere_report(tables, 9, 5, w5, tables.zero(9, 5)),
+        "a2": projective_report(tables, rp5, 9, w5, tables.zero(9, 5)),
+        # (b) Triple suspension of the complex Hopf class at (6, 5): the
+        # stabilized invariant survives (N~ = 1 on the sphere) but twice it
+        # dies (N = 0 on RP(5)).
+        "b": sphere_report(tables, 6, 5, eta5, tables.zero(6, 5)),
+        "b2": projective_report(tables, rp5, 6, eta5, tables.zero(6, 5)),
+        # (b') 24 times the quaternionic Hopf class on HP(1) = S^4.
+        "b3": projective_report(
+            tables, space("H", 1), 7, tables.cls(7, 4, [24, 0]), tables.zero(7, 4)
+        ),
+        # (c) Double suspension of the order-12 class of pi_6(S^3): N = 1, NZ = 0.
+        "c": sphere_report(tables, 8, 5, e2a, tables.zero(8, 5)),
+        "c2": projective_report(tables, rp5, 8, e2a, tables.zero(8, 5)),
+    }
+
+
+def test_criterion_02_rp2_factor_two_chain(tables):
+    rep, pairs = rp2_factor_two_reports(tables)
     assert rep.N_sharp == fin(2)
     assert rep.N_tilde == fin(2)
     assert rep.N_plain == fin(0)
     assert rep.N_z == fin(0)
-    for x in (zero, h, -h):
-        for y in (zero, h, -h):
-            lifted = log_report(projective_report(tables, rp2, 3, x, y))
-            spherical = log_report(sphere_report(tables, 3, 2, x, y))
-            assert lifted.N_sharp.value == 2 * spherical.N_sharp.value
-            assert lifted.N_tilde.value == 2 * spherical.N_tilde.value
+    assert len(pairs) == 9
+    for lifted, spherical in pairs:
+        assert lifted.N_sharp.value == 2 * spherical.N_sharp.value
+        assert lifted.N_tilde.value == 2 * spherical.N_tilde.value
     passed(2, "RP(2) values (2,2,0,0) and both factor-2 relations on all 9 pairs")
 
 
@@ -94,16 +143,10 @@ def test_criterion_03_pointwise_vs_kernel_scan(tables):
     for m in (4, 5):
         assert str(tables.lookup(m, 3).group) == "Z_2"
         nonzero_seen = False
-        for a in range(2):
-            for b in range(2):
-                rep = log_report(
-                    projective_report(
-                        tables, cp1, m, tables.cls(m, 3, [a]), tables.cls(m, 3, [b])
-                    )
-                )
-                assert rep.N_sharp == rep.N_tilde == rep.N_plain
-                assert rep.N_z == fin(0)
-                nonzero_seen = nonzero_seen or rep.N_sharp == fin(1)
+        for rep in cp1_z2_reports(tables, m):
+            assert rep.N_sharp == rep.N_tilde == rep.N_plain
+            assert rep.N_z == fin(0)
+            nonzero_seen = nonzero_seen or rep.N_sharp == fin(1)
         assert nonzero_seen
         scan = equivalence_scan(tables, cp1, m)
         assert scan.verdicts["nsharp_eq_ntilde"][0] is ScanVerdict.HOLDS
@@ -118,48 +161,22 @@ def test_criterion_04_forced_vanishing_on_three_torsion(tables):
     for k in range(3):
         x = tables.cls(9, 3, [k])
         assert tables.gamma(x).is_zero() is True
-    rp3 = space("R", 3)
-    for k in range(3):
-        rep = log_report(
-            projective_report(tables, rp3, 9, tables.cls(9, 3, [k]), tables.zero(9, 3))
-        )
+    for rep in rp3_three_torsion_reports(tables):
         assert rep.N_tilde == fin(0)
     passed(4, "Ker Gamma is all of pi_9(S^3) = Z_3; N~ vanishes identically at m=9")
 
 
 def test_criterion_05_witnesses(tables):
-    # (a) The Whitehead square of S^5: N# = 1 without any stabilized trace.
-    w5 = tables.whitehead(5)
-    rep_a = log_report(sphere_report(tables, 9, 5, w5, tables.zero(9, 5)))
-    assert rep_a.N_sharp == fin(1) and rep_a.N_tilde == fin(0)
-    rp5 = space("R", 5)
-    rep_a2 = log_report(projective_report(tables, rp5, 9, w5, tables.zero(9, 5)))
-    assert rep_a2.N_sharp == fin(2) and rep_a2.N_tilde == fin(0)
-
-    # (b) Triple suspension of the complex Hopf class at (6, 5): the
-    # stabilized invariant survives (N~ = 1 on the sphere) but twice it dies
-    # (N = 0 on RP(5)).
-    eta5 = tables.suspend_iter(tables.named("hopfC"), 3)
-    rep_b = log_report(sphere_report(tables, 6, 5, eta5, tables.zero(6, 5)))
-    assert rep_b.N_tilde == fin(1)
-    rep_b2 = log_report(projective_report(tables, rp5, 6, eta5, tables.zero(6, 5)))
-    assert rep_b2.N_plain == fin(0) and rep_b2.N_tilde == fin(2)
-    assert rep_b2.N_tilde.value == 2 * rep_b.N_tilde.value
-
-    # (b') 24 times the quaternionic Hopf class on HP(1) = S^4.
-    hp1 = space("H", 1)
-    rep_b3 = log_report(
-        projective_report(tables, hp1, 7, tables.cls(7, 4, [24, 0]), tables.zero(7, 4))
-    )
-    assert rep_b3.N_tilde == fin(1) and rep_b3.N_plain == fin(0)
-
-    # (c) Double suspension of the order-12 class of pi_6(S^3): N = 1, NZ = 0.
-    e2a = tables.suspend_iter(tables.named("alpha1_3"), 2)
-    assert e2a.value.coeffs == (8,)
-    rep_c = log_report(sphere_report(tables, 8, 5, e2a, tables.zero(8, 5)))
-    assert rep_c.N_plain == fin(1) and rep_c.N_z == fin(0)
-    rep_c2 = log_report(projective_report(tables, rp5, 8, e2a, tables.zero(8, 5)))
-    assert rep_c2.N_plain == fin(2) and rep_c2.N_z == fin(0)
+    assert tables.suspend_iter(tables.named("alpha1_3"), 2).value.coeffs == (8,)
+    rep = witness_reports(tables)
+    assert rep["a"].N_sharp == fin(1) and rep["a"].N_tilde == fin(0)
+    assert rep["a2"].N_sharp == fin(2) and rep["a2"].N_tilde == fin(0)
+    assert rep["b"].N_tilde == fin(1)
+    assert rep["b2"].N_plain == fin(0) and rep["b2"].N_tilde == fin(2)
+    assert rep["b2"].N_tilde.value == 2 * rep["b"].N_tilde.value
+    assert rep["b3"].N_tilde == fin(1) and rep["b3"].N_plain == fin(0)
+    assert rep["c"].N_plain == fin(1) and rep["c"].N_z == fin(0)
+    assert rep["c2"].N_plain == fin(2) and rep["c2"].N_z == fin(0)
     passed(5, "witness values (a) N#=1>0=N~, (b) N~=1,N=0 twice, (c) N=1,NZ=0")
 
 
@@ -290,7 +307,12 @@ def test_criterion_09ii_snf_on_500_matrices():
 
 
 def test_criterion_09iii_chain_and_dichotomy_on_all_reports(tables):
-    # Extend the log with a sweep over targets and classes.
+    # The reports of criteria 2-5, then a sweep over targets and classes.
+    first, pairs = rp2_factor_two_reports(tables)
+    reports = [first, *(rep for pair in pairs for rep in pair)]
+    reports += cp1_z2_reports(tables, 4) + cp1_z2_reports(tables, 5)
+    reports += rp3_three_torsion_reports(tables)
+    reports += witness_reports(tables).values()
     sweeps = [
         (space("R", 2), 3, tables.named("whitehead2"), tables.zero(3, 2)),
         (space("R", 3), 6, tables.named("alpha1_3"), tables.zero(6, 3)),
@@ -300,26 +322,26 @@ def test_criterion_09iii_chain_and_dichotomy_on_all_reports(tables):
         (space("H", 1), 7, tables.cls(7, 4, [1, 3]), tables.cls(7, 4, [0, 1])),
     ]
     for sp, m, a, b in sweeps:
-        REPORT_LOG.append(projective_report(tables, sp, m, a, b))
+        reports.append(projective_report(tables, sp, m, a, b))
     rng = random.Random(6)
     for _ in range(10):
         mm = rng.choice([2, 3, 5])
-        REPORT_LOG.append(
+        reports.append(
             sphere_report(
                 tables, mm, mm,
                 tables.cls(mm, mm, [rng.randint(-3, 3)]),
                 tables.cls(mm, mm, [rng.randint(-3, 3)]),
             )
         )
-    assert len(REPORT_LOG) >= 30
-    for rep in REPORT_LOG:
+    assert len(reports) >= 30
+    for rep in reports:
         ok, violations = chain_check(rep)
         assert ok, (rep.target, rep.m, violations)
-        # Only the exotic pairs of criterion 8 are non-Wecken; none is logged.
+        # Only the exotic pairs of criterion 8 are non-Wecken; none is swept.
         assert not rep.non_wecken, rep.render()
         if rep.R.is_finite:
             assert not dichotomy_check(rep, rep.R.value), rep.render()
-    passed(9, f"(iii) chain and dichotomy hold on all {len(REPORT_LOG)} logged reports")
+    passed(9, f"(iii) chain and dichotomy hold on all {len(reports)} swept reports")
 
 
 FAULTS = [
@@ -364,19 +386,17 @@ def test_criterion_09iv_validator_and_faults(tables, table_text):
 
 
 def test_criterion_10_sphere_closed_forms(tables):
-    rep = log_report(sphere_report(tables, 1, 1, tables.cls(1, 1, [3]), tables.cls(1, 1, [5])))
+    rep = sphere_report(tables, 1, 1, tables.cls(1, 1, [3]), tables.cls(1, 1, [5]))
     assert rep.MCC == fin(2) and rep.MC == fin(2)
 
-    rep = log_report(sphere_report(tables, 3, 2, tables.named("whitehead2"), tables.zero(3, 2)))
+    rep = sphere_report(tables, 3, 2, tables.named("whitehead2"), tables.zero(3, 2))
     assert rep.MC == INF and rep.MCC == fin(1)
 
     rng = random.Random(99)
     for _ in range(10):
         m = rng.choice([2, 3, 4, 5, 6, 7])
         d1, d2 = rng.randint(-5, 5), rng.randint(-5, 5)
-        rep = log_report(
-            sphere_report(tables, m, m, tables.cls(m, m, [d1]), tables.cls(m, m, [d2]))
-        )
+        rep = sphere_report(tables, m, m, tables.cls(m, m, [d1]), tables.cls(m, m, [d2]))
         vals = [rep.MC, rep.MCC, rep.N_sharp, rep.N_tilde, rep.N_plain, rep.N_z]
         assert len(set(vals)) == 1, rep.render()
     passed(10, "circle degrees, infinite MC instance, m = n spheres all-equal")

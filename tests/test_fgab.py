@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coincalc import fgab
 from coincalc.fgab import (
     Cmp,
     FgAbError,
@@ -406,6 +407,22 @@ class TestCanonicalConstructor:
             gens = tuple(dom.element([rng.randint(-9, 9) for _ in range(dom.rank)]) for _ in range(2))
             self.assert_canonical(Subgroup(dom, gens))
         assert {0, 1, 2, 3}.issubset(ranks)
+
+    def test_shared_trivial_and_whole_equal_a_fresh_build(self, tables, monkeypatch):
+        monkeypatch.setattr(fgab, "_TRIVIALS", {})
+        monkeypatch.setattr(fgab, "_WHOLES", {})
+        raw = tables.raw
+        groups = {e.group for e in raw.entries.values()} | {s.group for s in raw.stems.values()}
+        assert len(groups) > 10
+        for g in groups:
+            units = tuple(g.element([int(i == j) for j in range(g.rank)]) for i in range(g.rank))
+            assert Subgroup.whole(g) == Subgroup(g, units)
+            assert Subgroup.trivial(g) == Subgroup(g, ())
+            # An equal group value of another table gets the same shared value.
+            twin = FgAbGroup(g.free_rank, g.torsion)
+            assert Subgroup.whole(twin) is Subgroup.whole(g)
+            assert Subgroup.trivial(twin) is Subgroup.trivial(g)
+        assert set(fgab._TRIVIALS) == set(fgab._WHOLES) == groups
 
     def test_relation_rows_are_not_generators(self):
         g = FgAbGroup(0, (2, 4))

@@ -13,9 +13,11 @@ Regenerate the file, after a deliberate change of an answer, with
 import os
 import sys
 
+from coincalc import fgab, tables as tables_module
 from coincalc.invariants import SCAN_KEYS, equivalence_scan
 from coincalc.projective import space
 from coincalc.spheres import SphereTables
+from coincalc.tables import SphereEntry
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "scan_all.txt")
 
@@ -62,6 +64,39 @@ def test_scan_dump_matches_golden(tables):
     assert first == golden, "first-pass scan dump differs from the golden file"
     assert again == golden, "memoized scan dump differs from the golden file"
     assert fresh == golden, "fresh-table scan dump differs from the golden file"
+
+
+def test_table_free_values_are_built_once_per_process(tables, monkeypatch):
+    """A second fresh SphereTables builds no closed-form entry and no whole or
+    trivial subgroup, and shares nothing that the table decides."""
+    built = {"entry": 0, "trivial": 0, "whole": 0}
+
+    def counting(kind, build):
+        def counted(*args, **kwargs):
+            built[kind] += 1
+            return build(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(SphereEntry, "__init__", counting("entry", SphereEntry.__init__))
+    for module, memo in ((tables_module, "_CLOSED_FORMS"), (fgab, "_TRIVIALS"), (fgab, "_WHOLES")):
+        monkeypatch.setattr(module, memo, {})
+    for kind in ("trivial", "whole"):
+        name = f"_{kind}_subgroup"
+        monkeypatch.setattr(fgab, name, counting(kind, getattr(fgab, name)))
+    sessions, dumps = [], []
+    for run in range(2):
+        sessions.append(SphereTables(tables.raw))
+        dumps.append("".join(_entry(sessions[-1], *q) for q in QUERIES))
+        if run == 0:
+            assert all(built.values()), built
+            built.update(entry=0, trivial=0, whole=0)
+    assert built == {"entry": 0, "trivial": 0, "whole": 0}
+    assert dumps[0] == dumps[1] == _golden()
+    first, second = sessions
+    for memo in ("_maps", "_gammas", "_susp_images", "_chains"):
+        assert getattr(first, memo).keys() == getattr(second, memo).keys()
+        assert not set(map(id, getattr(first, memo).values())) & set(
+            map(id, getattr(second, memo).values())), memo
 
 
 if __name__ == "__main__":

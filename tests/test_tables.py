@@ -10,11 +10,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import coincalc
+from coincalc import tables as tables_module
 from coincalc.spheres import SphereTables
 from coincalc.tables import (
     OutOfTabulatedRange,
     ParseError,
     SchemaError,
+    closed_form_entry,
     load_tables,
     parse_tables,
     resolve_entry,
@@ -387,6 +389,30 @@ class TestLookup:
         assert tables.lookup(7, 1).group.is_trivial
         assert tables.lookup(3, 0).group.is_trivial
         assert tables.lookup(2, 3).group.is_trivial
+
+    def test_closed_forms_are_shared_and_equal_a_fresh_build(self, monkeypatch):
+        monkeypatch.setattr(tables_module, "_CLOSED_FORMS", {})
+        built = 0
+        for q in range(-1, 31):
+            for m in range(-1, 41):
+                entry = closed_form_entry(m, q)
+                assert entry == tables_module._closed_form(m, q), (m, q)
+                if entry is None:
+                    assert (m, q) not in tables_module._CLOSED_FORMS
+                else:
+                    built += 1
+                    assert closed_form_entry(m, q) is entry
+        # 1 <= m <= 40 for q = 0 and q = 1, and 1 <= m <= q for 2 <= q <= 30.
+        assert len(tables_module._CLOSED_FORMS) == built == 40 + 40 + sum(range(2, 31))
+
+    def test_only_an_int_pair_is_kept(self, monkeypatch):
+        monkeypatch.setattr(tables_module, "_CLOSED_FORMS", {})
+        assert closed_form_entry(2.0, 2).m == 2.0
+        assert closed_form_entry(True, True).gen_names == ("iotaTrue",)
+        assert not tables_module._CLOSED_FORMS
+        entry = closed_form_entry(2, 2)
+        assert type(entry.m) is int and entry.gen_names == ("iota2",)
+        assert closed_form_entry(2.0, 2) is entry
 
     def test_untabulated_is_an_error_not_trivial(self, tables):
         with pytest.raises(OutOfTabulatedRange):
