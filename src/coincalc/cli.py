@@ -1,14 +1,6 @@
-"""Command-line front end.
-
-    coincalc pi M Q                     print pi_M(S^Q)
-    coincalc stems K                    print pi_K^S
-    coincalc nielsen ...                invariants of one pair of maps
-    coincalc compare ...                equivalence table over a range of m
-    coincalc witnesses --claim a|b|c    inequivalence witnesses
-    coincalc selfloose ...              self-coincidence verdicts
-    coincalc verify-s ...               exact rotation check, (n' + 1) * samples <= 10^5
-    coincalc wecken ...                 does MCC = N# hold for all pairs?
-    coincalc validate-data              internal consistency of the dataset
+"""Command-line front end.  One table, COMMANDS, holds each command with its
+arguments and help texts (`coincalc -h`, `coincalc CMD -h`); a small reader
+reads it in place of argparse, so a call loads no argparse, gettext or locale.
 
 Each command returns its answer as (text, --machine document, outcome) and
 raises on bad input or bad data; `main` alone prints the text or the JSON
@@ -26,10 +18,11 @@ code stays the command's.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import load_default_tables
@@ -87,9 +80,9 @@ def _load(args) -> SphereTables:
 
 
 class _IntArg(str):
-    """The text of an integer argument.  main reads it with _integer, in the
-    grammar of the table and of expressions, so that a bad one is an input
-    error of one line rather than argparse's usage error."""
+    """The text of an integer argument.  main reads it with _integer once the
+    whole line is read, in the grammar of the table and of expressions, so a
+    bad one is an input error of one line, and a usage error wins over it."""
 
 
 def _integer(text: str, what: str) -> int:
@@ -175,7 +168,7 @@ def cmd_compare(args):
 
 
 def _witness_reports(tables: SphereTables, claim: str) -> list[tuple[str, Report]]:
-    """The (description, report) pairs of one claim; argparse admits a, b, c."""
+    """The (description, report) pairs of one claim; COMMANDS admits a, b, c."""
     rp5 = space("R", 5)
     if claim == "a":
         w5 = tables.whitehead(5)
@@ -284,74 +277,140 @@ def cmd_wecken(args):
     return text, doc, UNKNOWN if answer.status is WeckenStatus.UNKNOWN else OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coincalc",
-        description="Exact coincidence invariants for maps from spheres into "
-        "projective spaces.",
-    )
-    parser.add_argument(
-        "--tables", metavar="PATH", default=None,
-        help=f"table file (default: ${ENV_TABLES} or the bundled dataset)",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when a verdict is Unknown for lack of data",
-    )
-    field = argparse.ArgumentParser(add_help=False)
-    field.add_argument("--field", required=True, choices=["R", "C", "H"])
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line: command -> (function, help, positionals, options).  A
+# positional is an integer, (name, help); an option is (flag, dest, kind,
+# required, default, help), its kind _IntArg for an integer, a metavar for
+# text, a tuple of choices, or bool for a switch; a required one has the
+# default None.  _TOP is the global level, whose one positional is the command.
+_FIELD = ("--field", "field", ("R", "C", "H"), True, None, "the field K of the target KP(n')")
+_NPRIME = ("--nprime", "nprime", _IntArg, True, None, "n', the dimension of KP(n') over K")
+_M = ("--m", "m", _IntArg, True, None, "the dimension m of the source sphere S^m")
+_MACHINE = ("--machine", "machine", bool, False, False, "JSON output")
+COMMANDS = {
+    "pi": (cmd_pi, "print pi_m(S^q)", (("m", "the source S^m"), ("q", "the target S^q")), ()),
+    "stems": (cmd_stems, "print a stable stem", (("k", "the stem pi_k^S"),), ()),
+    "nielsen": (cmd_nielsen, "invariants of one pair of maps", (), (
+        _FIELD, _NPRIME, _M, ("--f1", "f1", "EXPR", True, None, "the class of f1"),
+        ("--f2", "f2", "EXPR", True, None, "the class of f2"),
+        ("--assume-self-loose", "assume_self_loose", bool, False, False, "assume (f1, f1) loose"),
+        _MACHINE)),
+    "compare": (cmd_compare, "equivalence table over a range of m", (), (
+        ("--surface", "surface", "SURFACE", True, None, "CP1 or RP2"),
+        ("--m-range", "m_range", "A..B", True, None, "the values A to B of m"), _MACHINE)),
+    "witnesses": (cmd_witnesses, "inequivalence witnesses", (), (
+        ("--claim", "claim", ("a", "b", "c"), True, None, "the claim to witness"), _MACHINE)),
+    "selfloose": (cmd_selfloose, "self-coincidence verdicts", (), (
+        _FIELD, _NPRIME, ("--m", "m", _IntArg, False, None, _M[5] + ", unless --fiber"),
+        ("--fiber", "fiber", bool, False, False, "judge the fiber projection"), _MACHINE)),
+    "verify-s": (cmd_verify_s, "exact check of the pairwise rotation", (), (
+        _FIELD, ("--nprime", "nprime", _IntArg, False, 3, "n' (default 3)"),
+        ("--samples", "samples", _IntArg, False, 25,
+         f"unit vectors to check, (n' + 1) * samples <= {VERIFY_S_MAX_COORDS:,} (default 25)"),
+        ("--seed", "seed", _IntArg, False, 0, "seed of the samples (default 0)"))),
+    "wecken": (cmd_wecken, "does MCC = N# hold for all pairs?", (),
+               (_FIELD, _NPRIME, _M, _MACHINE)),
+    "validate-data": (cmd_validate_data, "check dataset consistency", (), ()),
+}
+_TOP = (None, "Exact coincidence invariants for maps from spheres into projective spaces.",
+        (("command", "one of:"),), (
+    ("--tables", "tables", "PATH", False, None,
+     f"table file (default: ${ENV_TABLES} or the bundled dataset)"),
+    ("--strict", "strict", bool, False, False,
+     "exit 1 when a verdict is Unknown for lack of data")))
+_HELP = ("-h", "help", bool, False, False, "show this help message and exit")
 
-    p = sub.add_parser("pi", help="print pi_m(S^q)")
-    p.add_argument("m", type=_IntArg)
-    p.add_argument("q", type=_IntArg)
-    p.set_defaults(func=cmd_pi)
 
-    p = sub.add_parser("stems", help="print a stable stem")
-    p.add_argument("k", type=_IntArg)
-    p.set_defaults(func=cmd_stems)
+def _usage(command, full=False) -> str:
+    """The usage line of a command (None for the global one); in full, the help text."""
+    _f, about, positionals, options = COMMANDS[command] if command else _TOP
 
-    p = sub.add_parser("nielsen", parents=[field], help="invariants of one pair of maps")
-    p.add_argument("--nprime", required=True, type=_IntArg)
-    p.add_argument("--m", required=True, type=_IntArg)
-    p.add_argument("--f1", required=True)
-    p.add_argument("--f2", required=True)
-    p.add_argument("--assume-self-loose", action="store_true")
-    p.set_defaults(func=cmd_nielsen)
+    def flag(option):
+        flag, dest, kind = option[:3]
+        meta = dest.upper() if kind is _IntArg else kind
+        meta = "{%s}" % ",".join(meta) if isinstance(meta, tuple) else meta
+        return flag if kind is bool else f"{flag} {meta}"
+    words = ["[-h]"] + [flag(o) if o[3] else f"[{flag(o)}]" for o in options]
+    words += [p for p, _h in positionals] if command else ["{%s} ..." % ",".join(COMMANDS)]
+    text = f"usage: coincalc {command + ' ' if command else ''}{' '.join(words)}\n"
+    if full:
+        rows = [*positionals] + [(f"  {c}", spec[1]) for c, spec in COMMANDS.items() if not command]
+        rows += [("-h, --help", _HELP[5])] + [(flag(o), o[5]) for o in options]
+        text += f"\n{about}\n\narguments:\n" + "".join(f"  {n:<21} {h}\n" for n, h in rows)
+    return text
 
-    p = sub.add_parser("compare", help="equivalence table over a range of m")
-    p.add_argument("--surface", required=True, help="CP1 or RP2")
-    p.add_argument("--m-range", required=True, dest="m_range", metavar="A..B")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("witnesses", help="inequivalence witnesses")
-    p.add_argument("--claim", required=True, choices=["a", "b", "c"])
-    p.set_defaults(func=cmd_witnesses)
+def _refuse(command, message: str):
+    """A usage error: the usage line and the error on stderr, then exit 2."""
+    sys.stderr.write(f"{_usage(command)}coincalc{' ' + command if command else ''}: "
+                     f"error: {message}\n")
+    raise SystemExit(2)
 
-    p = sub.add_parser("selfloose", parents=[field], help="self-coincidence verdicts")
-    p.add_argument("--nprime", required=True, type=_IntArg)
-    p.add_argument("--m", type=_IntArg, default=None)
-    p.add_argument("--fiber", action="store_true", help="judge the fiber projection")
-    p.set_defaults(func=cmd_selfloose)
 
-    p = sub.add_parser("verify-s", parents=[field], help="exact check of the pairwise rotation")
-    p.add_argument("--nprime", type=_IntArg, default=3)
-    p.add_argument("--samples", type=_IntArg, default=25)
-    p.add_argument("--seed", type=_IntArg, default=0)
-    p.set_defaults(func=cmd_verify_s)
+def _token(token: str, options: dict, command):
+    """None for a value, else (the option or None if unknown, the text after
+    its '=' or None).  A long option may be cut to a unique prefix; a token
+    starting with '-' is a value only as a negative number or with a space."""
+    if token[:1] != "-" or token == "-":
+        return None
+    flag, eq, text = token.partition("=")
+    if flag in options:
+        return options[flag], text if eq else None
+    if token[1] == "-":
+        found = [f for f in options if f.startswith(flag)]
+        if len(found) > 1:
+            _refuse(command, f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return options[found[0]], text if eq else None
+    elif token[:2] == "-h":  # -hh is -h twice; -hX is refused
+        return _HELP, None if token.rstrip("h") == "-" else token[2:]
+    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else (None, None)
 
-    p = sub.add_parser("wecken", parents=[field], help="does MCC = N# hold for all pairs?")
-    p.add_argument("--nprime", required=True, type=_IntArg)
-    p.add_argument("--m", required=True, type=_IntArg)
-    p.set_defaults(func=cmd_wecken)
 
-    p = sub.add_parser("validate-data", help="check dataset consistency")
-    p.set_defaults(func=cmd_validate_data)
-
-    # Declared last, so that it follows each command's own options in usage.
-    for name in ("nielsen", "compare", "witnesses", "selfloose", "wecken"):
-        sub.choices[name].add_argument("--machine", action="store_true", help="JSON output")
-    return parser
+def _read(tokens, command=None, args=None, extras=None):
+    """The arguments of a command line, read as argparse read them: the global
+    options up to the command, then its own into the same args.  Tokens are
+    classified before any is read; after the first "--" come values only, and
+    unknown tokens wait in extras.  Usage errors and help exit 2 and 0 here."""
+    _f, _about, positionals, options = COMMANDS[command] if command else _TOP
+    if command is None:
+        args, extras = SimpleNamespace(**{o[1]: o[4] for o in options}), []
+    table = {"-h": _HELP, "--help": _HELP, **{o[0]: o for o in options}}
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_token(t, table, command) for t in tokens[:end]]
+    todo, i = [p for p, _h in positionals], 0
+    while i < len(tokens):
+        token, kind, i = tokens[i], kinds[i] if i < end else None, i + 1
+        if kind is None and command is None:  # the command, which reads the rest
+            if token not in COMMANDS:
+                _refuse(None, f"argument command: invalid choice: {token!r}")
+            args.command, func = token, COMMANDS[token][0]
+            args.__dict__.update((o[1], o[4]) for o in COMMANDS[token][3])
+            args.func = globals()[func.__name__]  # by name: a replaced cmd_* is the one called
+            return _read(tokens[i:], token, args, extras)
+        if kind is None or kind[0] is None:  # a value, the "--" or an unknown option
+            if todo and kind is None and i - 1 != end:
+                setattr(args, todo.pop(0), _IntArg(token))
+            elif i - 1 != end or not positionals:  # only a positional absorbs "--"
+                extras.append(token)
+            continue
+        (flag, dest, typ, *_rest), text = kind
+        if typ is bool and text is not None:
+            _refuse(command, f"argument {flag}: ignored explicit argument {text!r}")
+        if kind[0] is _HELP:
+            sys.stdout.write(_usage(command, full=True))
+            raise SystemExit(0)
+        if typ is not bool and text is None:
+            if i >= end or kinds[i] is not None:
+                _refuse(command, f"argument {flag}: expected one argument")
+            text, i = tokens[i], i + 1
+        if isinstance(typ, tuple) and text not in typ:
+            _refuse(command, f"argument {flag}: invalid choice: {text!r}")
+        setattr(args, dest, True if typ is bool else _IntArg(text) if typ is _IntArg else text)
+    missing = todo + [o[0] for o in options if o[3] and getattr(args, o[1]) is None]
+    if missing or extras:
+        _refuse(command, f"the following arguments are required: {', '.join(missing)}"
+                if missing else f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _emit(stream, text: str) -> None:
@@ -367,7 +426,7 @@ def _emit(stream, text: str) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _read(sys.argv[1:] if argv is None else argv)
     try:
         for name, value in vars(args).items():
             if isinstance(value, _IntArg):

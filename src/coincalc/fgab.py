@@ -32,6 +32,12 @@ class InputError(ValueError):
     outside what is defined.  The CLI reports it and exits 2."""
 
 
+def _require_int(value, what: str) -> None:
+    # True and 2.0 equal 1 and 2 as keys, so they are refused before any lookup.
+    if type(value) is not int:
+        raise InputError(f"{what} must be an int, got {value!r}")
+
+
 # Sets a field of a frozen value past its __setattr__ guard.
 _setattr = object.__setattr__
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from typing import Optional, Union
 
-from .fgab import FgAbError, InputError, _Value, _setattr
+from .fgab import FgAbError, InputError, _Value, _require_int, _setattr
 from .projective import ProjSpace, decompose_valid, parse_field, space
 from .selfco import Looseness, Verdict, _congruence_ok, self_loose
 from .spheres import SphereClass, SphereTables
@@ -266,6 +266,8 @@ def sphere_report(
     f2: SphereClass,
 ) -> Report:
     """Minimum and Nielsen numbers for a pair of maps S^m -> S^n."""
+    _require_int(m, "m")
+    _require_int(n, "n")
     if m < 1 or n < 1:
         raise FgAbError("sphere targets need m, n >= 1")
     for f in (f1, f2):

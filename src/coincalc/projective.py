@@ -10,7 +10,7 @@ only its group is, to decide where the decomposition is valid.
 
 from __future__ import annotations
 
-from .fgab import FgAbError, InputError, _Value, _setattr
+from .fgab import FgAbError, InputError, _Value, _require_int, _setattr
 from .spheres import SphereTables
 
 
@@ -43,12 +43,6 @@ def parse_field(tag) -> Field:
         raise InputError(f"unknown field {tag!r}; expected R, C or H") from None
 
 
-def _require_int(n_prime) -> None:
-    # True and 2.0 equal 1 and 2 as keys, so they are refused before any lookup.
-    if type(n_prime) is not int:
-        raise InputError(f"n' must be an int, got {n_prime!r}")
-
-
 class ProjSpace(_Value, compare=("field", "n_prime")):
     """The target KP(n') with its dimension data, stored when it is built.
 
@@ -58,7 +52,7 @@ class ProjSpace(_Value, compare=("field", "n_prime")):
     __slots__ = ("field", "n_prime", "d", "n", "q", "reidemeister", "name")
 
     def __init__(self, field: Field, n_prime: int):
-        _require_int(n_prime)
+        _require_int(n_prime, "n'")
         if n_prime < 1:
             raise InputError("n' must be >= 1")
         d = field.d
@@ -82,7 +76,7 @@ _SPACES: dict[tuple[str, int], ProjSpace] = {}
 
 def space(field_tag, n_prime: int) -> ProjSpace:
     """The one KP(n') value of this target, built when first named."""
-    _require_int(n_prime)
+    _require_int(n_prime, "n'")
     field = parse_field(field_tag)
     sp = _SPACES.get((field.tag, n_prime))
     if sp is None:

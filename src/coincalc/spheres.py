@@ -14,7 +14,16 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .fgab import FgAbError, FgAbGroup, GroupElement, Subgroup, _Value, _setattr, kernel_into_coords
+from .fgab import (
+    FgAbError,
+    FgAbGroup,
+    GroupElement,
+    Subgroup,
+    _Value,
+    _require_int,
+    _setattr,
+    kernel_into_coords,
+)
 from .stable import StableElement, StableRing, Unknown
 from .tables import (
     OutOfTabulatedRange,
@@ -180,25 +189,30 @@ class SphereTables:
     # ------------------------------------------------------------- lookup
 
     def lookup(self, m: int, q: int) -> SphereEntry:
+        """The entry pi_m(S^q).  A degree that is no int is refused before it
+        is first kept; a later equal key (2.0 for 2) finds the int entry."""
         entry = self._entries.get((m, q))
         if entry is None:
+            _require_int(m, "m")
+            _require_int(q, "q")
             entry = self._entries[m, q] = resolve_entry(self.raw, m, q)
         return entry
 
+    # A class takes its degrees from its entry, so they are ints.
     def cls(self, m: int, q: int, coeffs) -> SphereClass:
         entry = self.lookup(m, q)
-        return SphereClass(m, q, entry.group.element(coeffs))
+        return SphereClass(entry.m, entry.q, entry.group.element(coeffs))
 
     def zero(self, m: int, q: int) -> SphereClass:
         entry = self.lookup(m, q)
-        return SphereClass(m, q, entry.group.zero())
+        return SphereClass(entry.m, entry.q, entry.group.zero())
 
     def generator(self, m: int, q: int, name: str) -> SphereClass:
         entry = self.lookup(m, q)
         idx = entry.gen_index(name)
         coeffs = [0] * entry.group.rank
         coeffs[idx] = 1
-        return SphereClass(m, q, entry.group.element(coeffs))
+        return SphereClass(entry.m, entry.q, entry.group.element(coeffs))
 
     def named(self, name: str) -> SphereClass:
         """Resolve a registered class (hopfC, whitehead5, alpha1_3, ...)."""

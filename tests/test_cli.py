@@ -837,7 +837,7 @@ def _call(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse's usage error, and only that
+        except SystemExit as exc:  # cli._read's usage error, and only that
             assert exc.code == 2, argv
             code = "usage"
     return code, out.getvalue(), err.getvalue()
@@ -870,13 +870,13 @@ def _nielsen_pairs(draw):
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(names), max_size=len(names)))
         return " + ".join(f"{c}*{g}" for c, g in zip(coeffs, names)) or "zero"
 
-    # `--f1=EXPR`, since argparse would read a leading "-2*g" as an option.
+    # `--f1=EXPR`, since a separate "-2*g" reads as an option, not as a value.
     return (["nielsen", "--field", field, "--nprime", str(nprime), "--m", str(m),
              f"--f1={cls()}", f"--f2={cls()}"] + draw(_flags("--assume-self-loose")))
 
 
 class TestContractProperty:
-    """Exit codes 0/1/2/3 only; nothing but argparse's usage exit escapes
+    """Exit codes 0/1/2/3 only; nothing but cli._read's usage exit escapes
     main; 1 only under --strict; --machine prints JSON."""
 
     @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@
 The calls cover each subcommand in text and --machine form, each with and
 without --strict, and the bad-input calls, whose stdout must stay empty.
 Each call runs cli.main in this process on the bundled table; the dump holds
-the argv, the exit code (or argparse's usage exit) and stdout, and must
+the argv, the exit code (or cli._read's usage exit) and stdout, and must
 equal the file byte for byte.  stderr is not recorded.
 
 Regenerate the file, after a deliberate change of an answer, with
@@ -101,7 +101,7 @@ def _entry(argv: list[str]) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse's usage error
+        except SystemExit as exc:  # cli._read's usage error
             code = f"usage {exc.code}"
     return f"$ coincalc {' '.join(argv)}\nexit {code}\n{out.getvalue()}"
 
@@ -174,7 +174,7 @@ def test_each_exit_2_is_a_check_an_expression_or_out_of_range(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit:  # argparse's usage error
+            except SystemExit:  # cli._read's usage error
                 continue
         if code != 2:
             continue

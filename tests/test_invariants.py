@@ -82,6 +82,12 @@ class TestSphereClosedForms:
         assert rep.R == fin(2)
         assert_clean(rep)
 
+    @pytest.mark.parametrize("m, n", [(3.0, 2), (3, 2.0), (True, 1)])
+    def test_a_degree_that_is_no_int_is_refused(self, tables, m, n):
+        f = tables.zero(int(m), int(n))
+        with pytest.raises(InputError, match=r"^[mn] must be an int, got "):
+            sphere_report(tables, m, n, f, f)
+
     def test_circle_equal_degrees(self, tables):
         rep = sphere_report(tables, 1, 1, tables.cls(1, 1, [4]), tables.cls(1, 1, [4]))
         assert rep.MCC == fin(0) and rep.R == INF

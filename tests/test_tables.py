@@ -10,7 +10,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import coincalc
+from coincalc import load_default_tables
 from coincalc import tables as tables_module
+from coincalc.fgab import InputError
 from coincalc.spheres import SphereTables
 from coincalc.tables import (
     OutOfTabulatedRange,
@@ -413,6 +415,22 @@ class TestLookup:
         entry = closed_form_entry(2, 2)
         assert type(entry.m) is int and entry.gen_names == ("iota2",)
         assert closed_form_entry(2.0, 2) is entry
+
+    @pytest.mark.parametrize("m, q", [(2.0, 2), (True, 1), (2, 2.0), (3, False)])
+    def test_a_degree_that_is_no_int_is_refused(self, m, q):
+        # An equal float or bool key would otherwise keep that degree in the
+        # entry for every later lookup of the int pair.
+        fresh = load_default_tables()
+        with pytest.raises(InputError, match=r"^[mq] must be an int, got "):
+            fresh.lookup(m, q)
+        assert not fresh._entries
+        entry = fresh.lookup(int(m), int(q))
+        assert (type(entry.m), type(entry.q)) == (int, int)
+        # Once the int entry is kept, an equal key finds it, and a class built
+        # through it takes the entry's int degrees.
+        assert fresh.lookup(m, q) is entry
+        for x in (fresh.cls(m, q, [0] * entry.group.rank), fresh.zero(m, q)):
+            assert (type(x.m), type(x.q)) == (int, int)
 
     def test_untabulated_is_an_error_not_trivial(self, tables):
         with pytest.raises(OutOfTabulatedRange):

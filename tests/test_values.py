@@ -233,13 +233,27 @@ def test_cli_import_generates_no_code():
 def test_cli_import_defers_rationals_json_and_random():
     """`import coincalc.cli` loads none of fractions (with decimal and
     numbers), json or random; verify-s and --machine load them when used.
+    No call loads argparse, gettext or locale: not the import, an answer, a
+    usage error nor a help text.
 
     `-S` keeps `site` and whatever it imports out of the measurement."""
     code = (
         "import contextlib, io, sys\n"
         "deferred = {'fractions', 'decimal', 'numbers', 'json', 'random'}\n"
+        "never = {'argparse', 'gettext', 'locale'}\n"
         "import coincalc.cli\n"
-        "print(sorted(deferred & set(sys.modules)))\n"
+        "print(sorted(deferred & set(sys.modules)), sorted(never & set(sys.modules)))\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = coincalc.cli.main(['pi', '9', '3'])\n"
+        "print(code, sorted(never & set(sys.modules)))\n"
+        "for argv in (['pi', '9'], ['nielsen', '-h']):\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+        "        try:\n"
+        "            coincalc.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    print(code, sorted(never & set(sys.modules)))\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         "    code = coincalc.cli.main(['verify-s', '--field', 'C', '--samples', '3'])\n"
@@ -247,15 +261,15 @@ def test_cli_import_defers_rationals_json_and_random():
         "with contextlib.redirect_stdout(out):\n"
         "    code = coincalc.cli.main(['wecken', '--field', 'R', '--nprime', '2',\n"
         "                              '--m', '3', '--machine'])\n"
-        "print(code, sorted(deferred - set(sys.modules)))\n"
+        "print(code, sorted(deferred - set(sys.modules)), sorted(never & set(sys.modules)))\n"
         "print(out.getvalue(), end='')\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout.splitlines()
-    assert out[:3] == ["[]", "0 ['json']", "0 []"]
-    assert "all residuals positive" in out[3]
-    assert out[4] == "{"
+    assert out[:6] == ["[] []", "0 []", "2 []", "0 []", "0 ['json']", "0 [] []"]
+    assert "all residuals positive" in out[6]
+    assert out[7] == "{"
 
 
 def test_no_assert_statements_in_the_package():
