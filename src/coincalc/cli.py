@@ -69,8 +69,11 @@ class TablesUnreadable(Exception):
 
 
 def _load(args) -> SphereTables:
-    path = args.tables or os.environ.get(ENV_TABLES)
-    if path:
+    # A given --tables is a path even when empty; an empty variable is unset.
+    path = args.tables
+    if path is None:
+        path = os.environ.get(ENV_TABLES) or None
+    if path is not None:
         try:
             with open(path, "rb") as fh:
                 return SphereTables(load_tables(fh))

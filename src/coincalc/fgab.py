@@ -7,8 +7,9 @@ The one lattice algorithm at run time is a canonical Hermite normal form
 (HNF) taken modulo the torsion orders: a subgroup value is its HNF basis, so
 membership is a row reduction and equality is equality of values, and a
 kernel is read off the HNF of the graph of its map, or, for a cyclic
-domain, from the order of the generator's image.  The Smith normal form
-stays as a library function and as the oracle the tests check against.
+domain, from the order of the generator's image.  The Smith normal form,
+one pivot loop over the diagonal places, stays as a library function and as
+the oracle the tests check against.
 Every answer is exact, and all values are immutable after construction.
 """
 
@@ -137,6 +138,16 @@ def smith_normal_form(
     Returns (U, D, V) with D == U * matrix * V, U and V unimodular, D diagonal
     with non-negative entries satisfying d_i | d_{i+1}.  Any rectangular
     matrix is accepted, including empty ones.
+
+    One loop over the diagonal places t (Cohen, GTM 138, section 2.4): the
+    smallest nonzero entry p of the trailing block moves to (t, t), and
+    floor-division steps clear column t and row t.  If a remainder is left
+    there, the place starts again.  If instead an entry of the block is no
+    multiple of p, its row is added to row t, one more column step leaves
+    its remainder in row t, and the place starts again.  So every restart
+    leaves a nonzero entry smaller than |p| in the block: the pivot strictly
+    shrinks and the loop ends.  Once the block is all multiples of p, it
+    stays so, which gives the divisibility chain.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -146,107 +157,42 @@ def smith_normal_form(
     u = _identity(rows)
     v = _identity(cols)
 
-    def swap_rows(i, j):
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
+    def add_row(dst, src, q):  # row dst += q * row src, in D and in U
+        for m in (d, u):
+            m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
 
-    def swap_cols(i, j):
-        if i != j:
-            for row in d:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+    def add_col(dst, src, q):  # column dst += q * column src, in D and in V
+        for row in d + v:
+            row[dst] += q * row[src]
 
-    def row_combine(i, j, a, b, c, e):
-        # (row_i, row_j) <- (a*row_i + b*row_j, c*row_i + e*row_j), a*e-b*c = +-1
-        d[i], d[j] = (
-            [a * d[i][k] + b * d[j][k] for k in range(cols)],
-            [c * d[i][k] + e * d[j][k] for k in range(cols)],
-        )
-        u[i], u[j] = (
-            [a * u[i][k] + b * u[j][k] for k in range(rows)],
-            [c * u[i][k] + e * u[j][k] for k in range(rows)],
-        )
-
-    def col_combine(i, j, a, b, c, e):
-        for row in d:
-            row[i], row[j] = a * row[i] + b * row[j], c * row[i] + e * row[j]
-        for row in v:
-            row[i], row[j] = a * row[i] + b * row[j], c * row[i] + e * row[j]
-
-    def add_col_into(src, dst):
-        for row in d:
-            row[dst] += row[src]
-        for row in v:
-            row[dst] += row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    n = min(rows, cols)
-
-    def diagonalize():
-        for t in range(n):
-            while True:
-                # Pivot: smallest nonzero magnitude in the trailing submatrix.
-                pivot = None
-                for i in range(t, rows):
-                    for j in range(t, cols):
-                        if d[i][j] != 0 and (
-                            pivot is None
-                            or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])
-                        ):
-                            pivot = (i, j)
-                if pivot is None:
-                    break
-                swap_rows(t, pivot[0])
-                swap_cols(t, pivot[1])
-                dirty = False
-                for i in range(t + 1, rows):
-                    if d[i][t] != 0:
-                        if d[i][t] % d[t][t] == 0:
-                            quo = d[i][t] // d[t][t]
-                            row_combine(t, i, 1, 0, -quo, 1)
-                        else:
-                            g, x, y = xgcd(d[t][t], d[i][t])
-                            a, b = d[t][t] // g, d[i][t] // g
-                            row_combine(t, i, x, y, -b, a)
-                            dirty = True
-                for j in range(t + 1, cols):
-                    if d[t][j] != 0:
-                        if d[t][j] % d[t][t] == 0:
-                            quo = d[t][j] // d[t][t]
-                            col_combine(t, j, 1, 0, -quo, 1)
-                        else:
-                            g, x, y = xgcd(d[t][t], d[t][j])
-                            a, b = d[t][t] // g, d[t][j] // g
-                            col_combine(t, j, x, y, -b, a)
-                            dirty = True
-                if dirty:
-                    continue
-                if all(d[i][t] == 0 for i in range(t + 1, rows)) and all(
-                    d[t][j] == 0 for j in range(t + 1, cols)
-                ):
-                    break
-            if d[t][t] < 0:
-                negate_row(t)
-
-    diagonalize()
-    # Enforce the divisibility chain: fold a violating d_{i+1} back into
-    # column i and rerun; each pass strictly shrinks d_i, so this terminates.
-    while True:
-        violation = None
-        for i in range(n - 1):
-            a, b = d[i][i], d[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                violation = i
-                break
-        if violation is None:
+    t = 0
+    while t < min(rows, cols):
+        block = [(abs(d[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if d[i][j]]
+        if not block:
             break
-        add_col_into(violation + 1, violation)
-        diagonalize()
+        _, i, j = min(block)
+        d[t], d[i], u[t], u[i] = d[i], d[t], u[i], u[t]
+        for row in d + v:
+            row[t], row[j] = row[j], row[t]
+        p = d[t][t]
+        for i in range(t + 1, rows):
+            if d[i][t]:
+                add_row(i, t, -(d[i][t] // p))
+        for j in range(t + 1, cols):
+            if d[t][j]:
+                add_col(j, t, -(d[t][j] // p))
+        if any(d[t][t + 1:]) or any(d[i][t] for i in range(t + 1, rows)):
+            continue
+        left = next(((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols)
+                     if d[i][j] % p), None)
+        if left:
+            i, j = left
+            add_row(t, i, 1)
+            add_col(j, t, -(d[t][j] // p))
+            continue
+        if p < 0:
+            d[t], u[t] = [-a for a in d[t]], [-a for a in u[t]]
+        t += 1
     return u, d, v
 
 

@@ -445,6 +445,21 @@ class TestExitContract:
         assert err.startswith("data error: ") and reason in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["--tables="], ["--tables", ""]], ids=["joined", "apart"])
+    def test_empty_tables_flag_is_an_unreadable_path(self, capsys, monkeypatch, argv):
+        # An explicit --tables is read as given, never replaced by the
+        # environment's table or the bundled one.
+        monkeypatch.delenv("COINCALC_TABLES", raising=False)
+        code, out, err = run(capsys, *argv, "pi", "9", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("cannot read tables: ") and err.count("\n") == 1
+
+    def test_empty_tables_variable_means_the_bundled_table(self, capsys, monkeypatch):
+        monkeypatch.delenv("COINCALC_TABLES", raising=False)
+        bundled = run(capsys, "pi", "9", "3")
+        monkeypatch.setenv("COINCALC_TABLES", "")
+        assert bundled[0] == 0 and run(capsys, "pi", "9", "3") == bundled
+
     def test_broken_kernel_chain_exits_3(self, capsys, tmp_path, table_text):
         # Both rows pass validate-data, yet together Ker Gamma of pi_5(S^3)
         # no longer lies in Ker(h_C . E^inf): a fault of the table, not of

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,45 @@ class TestSmithNormalForm:
     @settings(max_examples=150, deadline=None)
     def test_random_property(self, matrix):
         snf_ok(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix,diagonal",
+        [
+            ([[2, 0], [0, 3]], [1, 6]),  # diagonal, but 2 does not divide 3: a restart
+            ([[0, 0], [0, -4]], [4, 0]),  # a negative pivot
+            ([[6, 10, 15]], [1]),
+            ([[6], [10], [15]], [1]),
+        ],
+        ids=["restart", "negative-pivot", "row", "column"],
+    )
+    def test_exact_diagonal(self, matrix, diagonal):
+        assert snf_ok(matrix) == diagonal
+
+    def test_consecutive_fibonacci_chains(self):
+        # det = +-1 with the longest Euclidean chains for entries of their size.
+        fib = [0, 1]
+        while len(fib) <= 80:
+            fib.append(fib[-1] + fib[-2])
+        for k in range(1, 79):
+            assert snf_ok([[fib[k], fib[k + 1]], [fib[k + 1], fib[k + 2]]]) == [1, 1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_entries_match_determinantal_divisors(self, seed):
+        # d_1 ... d_k is the gcd of the k x k minors.  In odd seeds the last
+        # row is a combination of two others, so the rank drops, and every
+        # nonzero 4 x 4 minor reads row 3, times 10: d_4 is a multiple of 10.
+        rng = random.Random(seed)
+        matrix = [[rng.randint(-10**6, 10**6) for _ in range(5)] for _ in range(5)]
+        if seed % 2:
+            matrix[4] = [6 * a - 4 * b for a, b in zip(matrix[0], matrix[1])]
+            matrix[3] = [10 * a for a in matrix[3]]
+        divisors = [1]
+        for k in range(1, 6):
+            minors = (int_det([[matrix[i][j] for j in cs] for i in rs])
+                      for rs in combinations(range(5), k) for cs in combinations(range(5), k))
+            divisors.append(math.gcd(*minors))
+        expected = [b // a if a else 0 for a, b in zip(divisors, divisors[1:])]
+        assert snf_ok(matrix) == expected
 
 
 class TestGroupsAndElements:

@@ -1,5 +1,6 @@
 """README's "Command line" section stays true: every example command in it
-exits 0, and every expression fault it quotes reads as quoted."""
+exits 0, and every expression fault it quotes reads as quoted.  Its account
+of CI names every step of the workflow."""
 
 import os
 import re
@@ -56,3 +57,18 @@ def test_quoted_expression_fault(capsys, expr, message):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith(f"input error: {message}") and err.count("\n") == 1
+
+
+def test_ci_paragraph_names_every_step():
+    # Each step after "Install" in the workflow is named, word for word, in
+    # README's account of CI, so a new step cannot go undocumented.
+    with open(os.path.join(os.path.dirname(README), ".github", "workflows", "tests.yml"),
+              encoding="utf-8") as fh:
+        steps = re.findall(r"^\s+- name: (.+)$", fh.read(), re.M)
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    ci = text.split("\nCI (`.github/workflows/tests.yml`)", 1)[1].split("\n## ", 1)[0]
+    ci = " ".join(ci.split())
+    after_install = steps[steps.index("Install") + 1:]
+    assert len(after_install) >= 4
+    assert [step for step in after_install if f'"{step}"' not in ci] == []
