@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from itertools import product as _iproduct
-from math import gcd
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
@@ -344,16 +344,7 @@ class GroupElement(_Value):
 
     def order(self) -> Optional[int]:
         """Least k >= 1 with k*x == 0; None if the free part is nonzero."""
-        off = self.group.free_rank
-        if any(c != 0 for c in self.coeffs[:off]):
-            return None
-        k = 1
-        for i, t in enumerate(self.group.torsion):
-            c = self.coeffs[off + i]
-            if c:
-                step = t // gcd(c, t)
-                k = k * step // gcd(k, step)
-        return k
+        return _order(self.coeffs, self.group.coord_orders()) or None
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -599,6 +590,19 @@ def _whole_subgroup(ambient: FgAbGroup) -> Subgroup:
     return Subgroup._canonical(ambient, _identity(ambient.rank))
 
 
+def _order(coeffs: Sequence[int], coord_orders: Sequence[int]) -> int:
+    """The order of a vector in coordinates of these orders (0 = free): the
+    lcm of t / gcd(c, t) over the torsion coordinates, or 0, for infinite
+    order, once a free coordinate is nonzero."""
+    k = 1
+    for c, t in zip(coeffs, coord_orders):
+        if t:
+            k = lcm(k, t // gcd(c, t))
+        elif c:
+            return 0
+    return k
+
+
 def kernel(h: Homomorphism) -> Subgroup:
     """The kernel of a homomorphism, as a subgroup of its domain."""
     return kernel_into_coords(h.domain, h.matrix, h.codomain.coord_orders())
@@ -627,15 +631,7 @@ def kernel_into_coords(
         if len(row) != domain.rank:
             raise FgAbError("matrix width must match domain rank")
     if domain.rank == 1:
-        k = 1
-        for (v,), t in zip(rows, coord_orders):
-            if t:
-                step = t // gcd(v, t)
-                k = k * step // gcd(k, step)
-            elif v:
-                k = 0
-                break
-        g = gcd(k, domain.coord_orders()[0])
+        g = gcd(_order([v for (v,) in rows], coord_orders), domain.coord_orders()[0])
         return Subgroup._canonical(domain, ((g,),) if g else ())
     c_dim = len(rows)
     graph = [

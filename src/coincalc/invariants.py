@@ -258,6 +258,15 @@ _PROJECTIVE_LABELS = {
 }
 
 
+def _as_class(m: int, q: int, f) -> SphereClass:
+    """The input itself, once checked to be a class in pi_m(S^q)."""
+    if not isinstance(f, SphereClass):
+        raise FgAbError("inputs must be SphereClass values")
+    if (f.m, f.q) != (m, q):
+        raise FgAbError(f"input class lives in pi_{f.m}(S^{f.q}), not pi_{m}(S^{q})")
+    return f
+
+
 def sphere_report(
     tables: SphereTables,
     m: int,
@@ -270,9 +279,7 @@ def sphere_report(
     _require_int(n, "n")
     if m < 1 or n < 1:
         raise FgAbError("sphere targets need m, n >= 1")
-    for f in (f1, f2):
-        if (f.m, f.q) != (m, n):
-            raise FgAbError(f"input class lives in pi_{f.m}(S^{f.q}), not pi_{m}(S^{n})")
+    f1, f2 = _as_class(m, n, f1), _as_class(m, n, f2)
     notes: list[str] = []
     deriv: list[Union[str, Text]] = []
     target = f"S^{n}"
@@ -323,17 +330,6 @@ def sphere_report(
     return Report(
         target, m, n, inputs, r, mc, mcc, mcc, n_tilde, n_plain, n_z, notes, deriv
     )
-
-
-def _as_lift(m: int, q: int, f) -> SphereClass:
-    """The input itself, once checked to be a lift class in pi_m(S^q)."""
-    if not isinstance(f, SphereClass):
-        raise FgAbError("inputs must be SphereClass lifts")
-    if (f.m, f.q) != (m, q):
-        raise FgAbError(
-            f"lift must live in pi_{m}(S^{q}), got pi_{f.m}(S^{f.q})"
-        )
-    return f
 
 
 CIRCLE, M_ONE, SPHERE, LIFT = "circle", "m = 1", "sphere", "lift"
@@ -398,7 +394,7 @@ def projective_report(
         )
         return rep
 
-    lift1, lift2 = _as_lift(m, q, f1), _as_lift(m, q, f2)
+    lift1, lift2 = _as_class(m, q, f1), _as_class(m, q, f2)
     inputs = Text(("lift1 = {}, lift2 = {} in pi_{}(S^{})", lift1.value, lift2.value, m, q))
     r_n = sp.reidemeister
     r = fin(r_n)

@@ -29,6 +29,11 @@ its first line, and lines end where str.splitlines() ends them.  The stems
 run from 0 up without a gap.  A `src` line cites what it follows: a group or
 stem before its first `gen`, the last group generator, or a `name`; each of
 these takes one `src` at most, so a stem's `src` comes before its `gen` lines.
+Each fact is checked once, at the first stage whose data decides it: a line
+against its entity's header (stab's degree m - q, antip's length), an entity
+when it closes (a gamma row's degree, then k <= k_max; a stem's generator
+names, unique across stems), and the file after its last line (the stems, the
+lengths of rows against their targets, the products and the named classes).
 """
 
 from __future__ import annotations
@@ -250,7 +255,7 @@ _SRC = re.compile(r'src\s+"([^"]*)"\s*$')
 
 # Annotation directive -> (integer fields before its coefficient vector, what
 # a short line lacks, the message for a bad integer field, the index of its
-# row in a generator record; gamma rows are appended to the list there).
+# row in a generator record; gamma rows go into the dict there).
 _ANNOTATIONS = {
     "susp": (0, "a coefficient vector", None, 0),
     "antip": (0, "a coefficient vector", None, 3),
@@ -349,12 +354,14 @@ class _OpenEntity:
         self.rank = group.rank
         self.src: Optional[str] = None
         self.names: list[str] = []
-        # A group's record per gen line, [susp, stab, gammas, antip, src, stab
-        # degree], gammas a list of (k, coeffs, degree) in the order given;
-        # an absent row, src or degree is None.  A stem keeps no records.
+        # A group's record per gen line, [susp, stab, gammas, antip, src],
+        # gammas a dict k -> (coeffs, degree) in the order given; an absent
+        # row or src is None.  A stem keeps no records.  Rows are checked on
+        # their line, gamma degrees and k at close(), lengths against their
+        # targets in the file stage.
         self.gens: Optional[list[list]] = [] if is_group else None
 
-    def close(self, entries: dict, stems: dict) -> None:
+    def close(self, tables: TableSet) -> None:
         """Check what needs all of the entity's lines, then store its entry."""
         names, rank = self.names, self.rank
         if len(names) != rank:
@@ -362,43 +369,40 @@ class _OpenEntity:
                 f"{len(names)} generators declared for a group of rank {rank}", self.path
             )
         if self.gens is None:
-            stems[self.key] = StemEntry(self.key, self.group, tuple(names), self.src or "")
+            degrees = tables.stem_gen_degrees
+            for name in names:
+                if name in degrees:
+                    raise SchemaError(f"stem generator name {name!r} reused across stems",
+                                      self.path)
+                degrees[name] = self.key
+            tables.stems[self.key] = StemEntry(self.key, self.group, tuple(names), self.src or "")
             return
         m, q = self.key
         anns = []
-        for susp, stab, gammas, antip, src, _stab_degree in self.gens:
+        for susp, stab, gammas, antip, src in self.gens:
             if gammas:
-                gammas = tuple(sorted([(k, coeffs) for k, coeffs, _degree in gammas]))
+                gammas = tuple(sorted([(k, row[0]) for k, row in gammas.items()]))
             anns.append(GenAnnotations(susp, stab, gammas or (), antip, src or ""))
         entry = SphereEntry(m, q, self.group, tuple(names), tuple(anns), self.src or "")
-        for name, (_susp, stab, gammas, antip, _src, stab_degree) in zip(names, self.gens):
-            # The Hopf-James components in the order given, then stab, which
-            # lands in the degree of the component k = 1.
-            for k, _coeffs, degree in gammas:
-                if degree != entry.gamma_degree(k):
-                    raise SchemaError(
-                        f"gamma k={k} declares degree {degree}, expected {entry.gamma_degree(k)}",
-                        _gen_path(m, q, name),
-                    )
-            if stab is not None and stab_degree != entry.gamma_degree(1):
-                raise SchemaError(
-                    f"stab declares degree {stab_degree}, expected {entry.gamma_degree(1)}",
-                    _gen_path(m, q, name),
-                )
-            if antip is not None and len(antip) != rank:
-                raise SchemaError(
-                    f"antip vector of length {len(antip)}, expected {rank}", _gen_path(m, q, name)
-                )
-        entries[self.key] = entry
+        k_max = entry.k_max
+        for name, (_susp, _stab, gammas, _antip, _src) in zip(names, self.gens):
+            # In the order given.  A degree is checked only here, once every
+            # row is read: a k that a later row repeats reads as the duplicate.
+            for k, (_coeffs, degree) in gammas.items():
+                if degree != (expected := entry.gamma_degree(k)):
+                    fault = f"gamma k={k} declares degree {degree}, expected {expected}"
+                elif k > k_max:
+                    fault = f"gamma component k={k} beyond k_max={k_max}"
+                else:
+                    continue
+                raise SchemaError(fault, _gen_path(m, q, name))
+        tables.entries[self.key] = entry
 
 
 def parse_tables(text: str) -> TableSet:
     """Parse and structurally validate a table file.  All-or-nothing."""
-    entries: dict[tuple[int, int], SphereEntry] = {}
-    stems: dict[int, StemEntry] = {}
-    products: dict[tuple[str, str], tuple[int, ...]] = {}
-    named: dict[str, NamedClass] = {}
-    stem_gen_degrees: dict[str, int] = {}
+    tables = TableSet()
+    entries, stems, stem_gen_degrees = tables.entries, tables.stems, tables.stem_gen_degrees
     raw_products: list[tuple[str, str, int, tuple[int, ...]]] = []
     raw_names: dict[str, list] = {}  # [m, q, coeffs, src or None]
     entity: Optional[_OpenEntity] = None
@@ -415,7 +419,7 @@ def parse_tables(text: str) -> TableSet:
         head = tokens[0]
         if head in _ENDS_ENTITY:
             if entity is not None:
-                entity.close(entries, stems)
+                entity.close(tables)
             entity = gen = open_name = None
 
         spec = _ANNOTATIONS.get(head)
@@ -427,23 +431,26 @@ def parse_tables(text: str) -> TableSet:
                 raise ParseError(f"{head} outside of a group generator", line_no)
             ints = _read_ints(tokens, 1, n_ints + 1, bad_int, line_no, line)
             coeffs = _split_ints(tokens, n_ints + 1, line_no, line)
+            m, q = entity.key
             if n_ints == 2:  # gamma k degree
                 k, degree = ints
                 if k < 1:
                     raise SchemaError("gamma component index must be >= 1", entity.path)
-                for kk, _coeffs, _degree in gen[2]:
-                    if kk == k:
-                        raise SchemaError(
-                            f"duplicate gamma component k={k}",
-                            _gen_path(*entity.key, entity.names[-1]),
-                        )
-                gen[2].append((k, coeffs, degree))
+                if k in gen[2]:
+                    fault = f"duplicate gamma component k={k}"
+                else:
+                    gen[2][k] = coeffs, degree
+                    continue
+            elif gen[slot] is not None:
+                fault = f"duplicate {head}"
+            elif head == "stab" and ints[0] != m - q:  # stab lands in stem m - q
+                fault = f"stab declares degree {ints[0]}, expected {m - q}"
+            elif head == "antip" and len(coeffs) != entity.rank:
+                fault = f"antip vector of length {len(coeffs)}, expected {entity.rank}"
+            else:
+                gen[slot] = coeffs
                 continue
-            if gen[slot] is not None:
-                raise SchemaError(f"duplicate {head}", _gen_path(*entity.key, entity.names[-1]))
-            gen[slot] = coeffs
-            if n_ints:
-                gen[5] = ints[0]  # the degree of stab
+            raise SchemaError(fault, _gen_path(m, q, entity.names[-1]))
         elif head == "gen":
             if len(tokens) <= 1:
                 raise ParseError("'gen' needs a generator name", line_no, len(line))
@@ -456,7 +463,7 @@ def parse_tables(text: str) -> TableSet:
                 raise SchemaError(f"more generators than the rank {entity.rank}", entity.path)
             names.append(name)
             if entity.gens is not None:
-                gen = [None, None, [], None, None, None]
+                gen = [None, None, {}, None, None]
                 entity.gens.append(gen)
         elif head == "src":
             match = _SRC.match(line)
@@ -526,12 +533,11 @@ def parse_tables(text: str) -> TableSet:
             raise ParseError(f"unknown directive {head!r}", line_no)
 
     if entity is not None:
-        entity.close(entries, stems)
-    tables = TableSet(entries, stems, products, named, stem_gen_degrees)
+        entity.close(tables)
 
-    # Second pass: resolve lengths and degrees that may reference entities
-    # declared anywhere in the file.  Every lookup of a stem up to the
-    # highest one relies on the stems having no gap.
+    # File stage: what refers to entities declared anywhere in the file.
+    # Every lookup of a stem up to the highest one relies on the stems
+    # having no gap.
     for k in range(len(stems)):
         if k not in stems:
             raise SchemaError(
@@ -546,11 +552,6 @@ def parse_tables(text: str) -> TableSet:
             for key, coeffs in (("susp", ann.susp), ("stab", ann.stab), *ann.gammas):
                 if coeffs is None:
                     continue
-                if type(key) is int and key > entry.k_max:
-                    raise SchemaError(
-                        f"gamma component k={key} beyond k_max={entry.k_max}",
-                        _gen_path(m, q, name),
-                    )
                 rank = ranks.get(key)
                 if rank is None:
                     target = map_target(tables, entry, key)
@@ -563,13 +564,6 @@ def parse_tables(text: str) -> TableSet:
                     fault = f"vector length {len(coeffs)} != rank {rank}"
                 raise SchemaError(f"{_label(key)} {fault}", _gen_path(m, q, name))
 
-    for k, stem in stems.items():
-        for g in stem.gen_names:
-            if g in stem_gen_degrees:
-                raise SchemaError(
-                    f"stem generator name {g!r} reused across stems", f"pi_{k}^S"
-                )
-            stem_gen_degrees[g] = k
     for a, b, degree, coeffs in raw_products:
         unknown = [g for g in (a, b) if g not in stem_gen_degrees]
         stem = stems.get(degree)
@@ -581,10 +575,10 @@ def parse_tables(text: str) -> TableSet:
             fault = f"product degree {degree} outside tabulated stems"
         elif len(coeffs) != stem.group.rank:
             fault = f"vector length {len(coeffs)} != rank {stem.group.rank}"
-        elif (a, b) in products:
+        elif (a, b) in tables.products:
             fault = "duplicate product"
         else:
-            products[(a, b)] = coeffs
+            tables.products[(a, b)] = coeffs
             continue
         raise SchemaError(fault, f"prod {a} {b}")
 
@@ -592,15 +586,13 @@ def parse_tables(text: str) -> TableSet:
         try:
             entry = resolve_entry(tables, m, q)
         except OutOfTabulatedRange:
-            raise SchemaError(
-                f"registered in untabulated pi_{m}(S^{q})", f"name {name}"
-            )
+            raise SchemaError(f"registered in untabulated pi_{m}(S^{q})", f"name {name}") from None
         if len(coeffs) != entry.group.rank:
             raise SchemaError(
                 f"vector length {len(coeffs)} != rank {entry.group.rank}",
                 f"name {name}",
             )
-        named[name] = NamedClass(m, q, coeffs, src or "")
+        tables.named[name] = NamedClass(m, q, coeffs, src or "")
     return tables
 
 

@@ -3,16 +3,17 @@
 Each report_sweep, scan_sweep and table_curation record of
 perfbench/expected.json is replayed through perfbench/workloads.py's own
 operations, so a change that a benchmark run would call `incorrect` fails
-here first.  Both files are read, never changed.  The cli_oneshot records
-need one process per call and stay with the benchmark.
+here first.  Both files are read, never changed.
 """
 
 import importlib.util
 import os
+import traceback
 
 import pytest
 
 import coincalc
+from coincalc import cli
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -66,3 +67,27 @@ def test_table_curation_records(table_lines):
     pairs = ((item, wl.curation_op(coincalc, wl.variant_text(table_lines, item["edit"])))
              for item in items)
     assert _misses(pairs) == []
+
+
+def test_cli_oneshot_records(monkeypatch, capsys):
+    # Each call the benchmark makes in a fresh `python -m coincalc.cli`
+    # process, made here through cli.main; the recorded defects are probed
+    # by the benchmark alone.  An exception that escapes is what the process
+    # would print: a traceback, and exit code 1.
+    monkeypatch.delenv(cli.ENV_TABLES, raising=False)
+    items = [item for item in EXPECTED["cli_oneshot"] if "defect" not in item]
+    assert len(items) > 900
+    changed = []
+    for item in items:
+        argv, escaped = item["argv"], ""
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code, escaped = 1, traceback.format_exc()
+        out, err = capsys.readouterr()
+        seen = wl.cli_outcome(argv, code, out, err + escaped, "values" not in item["expect"])
+        if seen != item["expect"]:
+            changed.append(f"{argv}: recorded {item['expect']}, seen {seen}")
+    assert not changed, f"{len(changed)} changed CLI records:\n" + "\n".join(changed)

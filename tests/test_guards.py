@@ -14,7 +14,7 @@ from coincalc.fgab import (
     kernel_into_coords,
     subgroup_cmp,
 )
-from coincalc.invariants import sphere_report
+from coincalc.invariants import projective_report, sphere_report
 from coincalc.projective import COMPLEX, REAL, Field, ProjSpace, decompose_valid, space
 from coincalc.selfco import KVector, s_zero, sample_unit_vectors, scalar, selfmap_s
 
@@ -28,6 +28,19 @@ GUARDS = [
      FgAbError, "sphere targets need m, n >= 1"),
     ("sphere-n-0", lambda t: sphere_report(t, 3, 0, t.zero(3, 2), t.zero(3, 2)),
      FgAbError, "sphere targets need m, n >= 1"),
+    ("sphere-int-input", lambda t: sphere_report(t, 3, 2, 5, 5),
+     FgAbError, "inputs must be SphereClass values"),
+    ("sphere-none-input", lambda t: sphere_report(t, 3, 2, t.zero(3, 2), None),
+     FgAbError, "inputs must be SphereClass values"),
+    ("sphere-wrong-group", lambda t: sphere_report(t, 3, 2, t.zero(4, 2), t.zero(3, 2)),
+     FgAbError, "input class lives in pi_4(S^2), not pi_3(S^2)"),
+    ("projective-int-input", lambda t: projective_report(t, space("R", 2), 3, 5, 5),
+     FgAbError, "inputs must be SphereClass values"),
+    ("projective-none-input", lambda t: projective_report(t, space("R", 2), 3, None, None),
+     FgAbError, "inputs must be SphereClass values"),
+    ("projective-wrong-group",
+     lambda t: projective_report(t, space("R", 2), 3, t.zero(3, 2), t.zero(4, 2)),
+     FgAbError, "input class lives in pi_4(S^2), not pi_3(S^2)"),
     ("stabilize-m-below-q", lambda t: t.stabilize(t.zero(2, 3)),
      FgAbError, "stabilization needs m >= q"),
     ("gamma-q-1", lambda t: t.gamma(t.zero(3, 1)),

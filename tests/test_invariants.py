@@ -380,6 +380,45 @@ class TestRoute:
         }
         assert withheld_scans == 229
 
+    def test_census_over_the_paper_region(self, tables):
+        # The paper's region: R odd n' <= 41, C odd n' <= 21, H n' in
+        # {23, 47}, n <= m <= q + 19.  A scan is decided (no relation
+        # unknown), withheld by its route's gate, partial, or out of range
+        # (the tables raise), the last split at m = 2q - 2, the top of the
+        # range that stable-range synthesis would fill.  Each decided scan
+        # with m >= 2 agrees with the projective reports.
+        counts: dict[tuple[str, str], int] = {}
+        agreed = 0
+        for tag, n_primes in (("R", range(1, 42, 2)), ("C", range(1, 22, 2)), ("H", (23, 47))):
+            for n_prime in n_primes:
+                sp = space(tag, n_prime)
+                for m in range(sp.n, sp.q + 20):
+                    try:
+                        scan = equivalence_scan(tables, sp, m)
+                    except OutOfTabulatedRange:
+                        past = m > 2 * sp.q - 2
+                        kind = "out of range, m > 2q - 2" if past else "out of range, m <= 2q - 2"
+                    else:
+                        witnesses = [w for v, w in scan.verdicts.values()
+                                     if v is ScanVerdict.UNKNOWN]
+                        if not witnesses:
+                            kind = "decided"
+                            if m >= 2:  # RP(1) at m = 1 has no projective report
+                                _assert_scan_agrees(tables, sp, m)
+                                agreed += 1
+                        elif any(str(w).startswith(_GATE_REASONS) for w in witnesses):
+                            kind = "withheld"
+                        else:
+                            kind = "partial"
+                    counts[kind, tag] = counts.get((kind, tag), 0) + 1
+        assert counts == {
+            ("decided", "R"): 49, ("decided", "C"): 28, ("decided", "H"): 8,
+            ("out of range, m <= 2q - 2", "R"): 287, ("out of range, m <= 2q - 2", "C"): 158,
+            ("out of range, m <= 2q - 2", "H"): 38,
+            ("out of range, m > 2q - 2", "R"): 84, ("out of range, m > 2q - 2", "C"): 45,
+        }
+        assert sum(counts.values()) == 697 and agreed == 84
+
     @pytest.mark.parametrize("m", [0, -3])
     def test_raises_below_m_1(self, tables, m):
         with pytest.raises(InputError, match=r"^m >= 1 required$"):

@@ -299,6 +299,12 @@ SCHEMA_FAULTS = [
     (_STEMS + "prod eta2 eta2 -> 4 1\n", "prod eta2 eta2: product degree 4 outside tabulated stems"),
     (_STEMS + "prod eta eta -> 2 1,0\n", "prod eta eta: vector length 2 != rank 1"),
     (_STEMS + "prod eta eta -> 2 1\n" * 2, "prod eta eta: duplicate product"),
+    ("stem 0 1\ngen iota\ngroup 3 2 0 2\ngen g\nantip 1,1\n",
+     "pi_3(S^2) gen g: antip vector of length 2, expected 1"),
+    # A row's line is checked before its group closes: gen h's stab degree
+    # is reported before gen g's gamma degree.
+    (_STEMS + "group 4 2 0 2,2\ngen g\ngamma 2 0 1\ngen h\nstab 1 1\n",
+     "pi_4(S^2) gen h: stab declares degree 1, expected 2"),
 ]
 
 
