@@ -166,7 +166,9 @@ class SphereTables:
     by the whole process instead: each closed-form entry (see
     tables.closed_form_entry) and the trivial and whole subgroups of a group
     (Subgroup.trivial, Subgroup.whole), so a fresh SphereTables builds none
-    of those that an earlier one has.
+    of those that an earlier one has.  The parsed entries themselves are
+    shared by text: TableSets parsed from one group or stem block hold its
+    one entry (see tables._BLOCKS), each in dicts of its own.
     """
 
     def __init__(self, tables: TableSet):

@@ -34,11 +34,23 @@ against its entity's header (stab's degree m - q, antip's length), an entity
 when it closes (a gamma row's degree, then k <= k_max; a stem's generator
 names, unique across stems), and the file after its last line (the stems, the
 lengths of rows against their targets, the products and the named classes).
+
+A block is a group or stem line and the lines after it up to the next
+group, stem, prod or name line.  Its line and entity stages read nothing
+else, so its entry is a pure function of its stripped lines: the
+process-wide store _BLOCKS keeps one entry per distinct block that closed
+without error, and a parse that meets a stored block takes its entry without
+reading its lines again.  What reads another entity runs on every parse, for
+a stored block as for a read one: the refusal of a second group (m, q) or
+stem k, a stem's generator names against the other stems, and the file stage.
+Entries are frozen values, so TableSets parsed from one text share them;
+each TableSet has dicts of its own.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Optional, Union
 
 from .fgab import FgAbError, FgAbGroup, _Value, _setattr
@@ -263,6 +275,11 @@ _ANNOTATIONS = {
     "gamma": (2, "k, degree and a coefficient vector", "gamma k/degree must be integers", 2),
 }
 _ENDS_ENTITY = frozenset(("group", "stem", "prod", "name"))
+_ENDS_PREFIXES = tuple(_ENDS_ENTITY)
+
+# A block's stripped lines -> the entry it closed to, for each distinct block
+# that closed without error in this process (see the module docstring).
+_BLOCKS: dict[tuple[str, ...], Union[SphereEntry, StemEntry]] = {}
 
 
 def _token_column(line: str, index: int) -> int:
@@ -336,6 +353,41 @@ def _gen_path(m: int, q: int, name: str) -> str:
     return f"pi_{m}(S^{q}) gen {name}"
 
 
+def _block_ends(lines: list[str]) -> dict[int, int]:
+    """For the index of each line that ends an entity, the index of the next
+    such line, or len(lines): where the block that the line opens ends."""
+    heads = [i for i, line in enumerate(lines)
+             if line.startswith(_ENDS_PREFIXES) and line.split(None, 1)[0] in _ENDS_ENTITY]
+    return dict(zip(heads, heads[1:] + [len(lines)]))
+
+
+def _claim(tables: TableSet, key) -> str:
+    """How messages name the group (m, q) or the stem k that a header line
+    opens, once a second header of it is refused."""
+    if type(key) is int:
+        path, seen, fault = f"pi_{key}^S", tables.stems, "duplicate stem"
+    else:
+        path, seen, fault = f"pi_{key[0]}(S^{key[1]})", tables.entries, "duplicate entry"
+    if key in seen:
+        raise SchemaError(fault, path)
+    return path
+
+
+def _store(tables: TableSet, entry: Union[SphereEntry, StemEntry], path: str):
+    """Add a closed group or stem to tables and return it; the generator
+    names of a stem must be new to the file's stems."""
+    if type(entry) is SphereEntry:
+        tables.entries[entry.m, entry.q] = entry
+        return entry
+    degrees = tables.stem_gen_degrees
+    for name in entry.gen_names:
+        if name in degrees:
+            raise SchemaError(f"stem generator name {name!r} reused across stems", path)
+        degrees[name] = entry.degree
+    tables.stems[entry.degree] = entry
+    return entry
+
+
 def _label(key) -> str:
     """How messages name the annotation stored under `key`: the directive, or
     the Hopf-James component k."""
@@ -361,22 +413,17 @@ class _OpenEntity:
         # targets in the file stage.
         self.gens: Optional[list[list]] = [] if is_group else None
 
-    def close(self, tables: TableSet) -> None:
-        """Check what needs all of the entity's lines, then store its entry."""
+    def close(self, tables: TableSet) -> Union[SphereEntry, StemEntry]:
+        """Check what needs all of the entity's lines, then store its entry
+        and return it."""
         names, rank = self.names, self.rank
         if len(names) != rank:
             raise SchemaError(
                 f"{len(names)} generators declared for a group of rank {rank}", self.path
             )
         if self.gens is None:
-            degrees = tables.stem_gen_degrees
-            for name in names:
-                if name in degrees:
-                    raise SchemaError(f"stem generator name {name!r} reused across stems",
-                                      self.path)
-                degrees[name] = self.key
-            tables.stems[self.key] = StemEntry(self.key, self.group, tuple(names), self.src or "")
-            return
+            entry = StemEntry(self.key, self.group, tuple(names), self.src or "")
+            return _store(tables, entry, self.path)
         m, q = self.key
         anns = []
         for susp, stab, gammas, antip, src in self.gens:
@@ -396,31 +443,47 @@ class _OpenEntity:
                 else:
                     continue
                 raise SchemaError(fault, _gen_path(m, q, name))
-        tables.entries[self.key] = entry
+        return _store(tables, entry, self.path)
 
 
 def parse_tables(text: str) -> TableSet:
-    """Parse and structurally validate a table file.  All-or-nothing."""
+    """Parse and structurally validate a table file.  All-or-nothing; a
+    block stored by an earlier parse is taken from _BLOCKS, unread."""
     tables = TableSet()
-    entries, stems, stem_gen_degrees = tables.entries, tables.stems, tables.stem_gen_degrees
+    stems, stem_gen_degrees = tables.stems, tables.stem_gen_degrees
     raw_products: list[tuple[str, str, int, tuple[int, ...]]] = []
     raw_names: dict[str, list] = {}  # [m, q, coeffs, src or None]
     entity: Optional[_OpenEntity] = None
     gen: Optional[list] = None  # the record of the open group's last generator
     open_name: Optional[str] = None
+    start = 0  # the index of the open entity's header line
 
     if text[:1] == "\ufeff":  # a byte order mark, kept by the utf-8 codec
         text = text[1:]
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
+    lines = [line.strip() for line in text.splitlines()]
+    # Where each block ends, found only to look blocks up: not while the store
+    # is empty, as on the first parse of a process.
+    ends = _block_ends(lines) if _BLOCKS else None
+    numbered = enumerate(lines, start=1)
+    for line_no, line in numbered:
         if not line or line[0] == "#":
             continue
         tokens = line.split()
         head = tokens[0]
         if head in _ENDS_ENTITY:
             if entity is not None:
-                entity.close(tables)
+                _BLOCKS[tuple(lines[start:line_no - 1])] = entity.close(tables)
             entity = gen = open_name = None
+            start = line_no - 1
+            if ends is not None and head in ("group", "stem"):
+                end = ends[start]
+                entry = _BLOCKS.get(tuple(lines[start:end]))
+                if entry is not None:
+                    # A stored block: its per-parse checks, then on past its lines.
+                    key = entry.degree if head == "stem" else (entry.m, entry.q)
+                    _store(tables, entry, _claim(tables, key))
+                    next(islice(numbered, end - line_no, end - line_no), None)
+                    continue
 
         spec = _ANNOTATIONS.get(head)
         if spec is not None:
@@ -489,9 +552,7 @@ def parse_tables(text: str) -> TableSet:
             if len(tokens) <= 3:
                 raise ParseError("'group' needs m q free_rank [torsion]", line_no, len(line))
             m, q = _read_ints(tokens, 1, 3, "m and q must be integers", line_no, line)
-            path = f"pi_{m}(S^{q})"
-            if (m, q) in entries:
-                raise SchemaError("duplicate entry", path)
+            path = _claim(tables, (m, q))
             if q <= 1 or m <= q:
                 raise SchemaError(
                     "entry lies in the closed-form range (q <= 1, m <= q) and "
@@ -504,11 +565,9 @@ def parse_tables(text: str) -> TableSet:
             if len(tokens) <= 2:
                 raise ParseError("'stem' needs k free_rank [torsion]", line_no, len(line))
             (k,) = _read_ints(tokens, 1, 2, "stem degree must be an integer", line_no, line)
-            path = f"pi_{k}^S"
+            path = _claim(tables, k)  # a negative k is never stored
             if k < 0:
                 raise SchemaError("negative stem degree", path)
-            if k in stems:
-                raise SchemaError("duplicate stem", path)
             group = _group_from_fields(tokens, 2, line_no, line, path)
             entity = _OpenEntity(k, path, group, False)
         elif head == "prod":
@@ -533,7 +592,7 @@ def parse_tables(text: str) -> TableSet:
             raise ParseError(f"unknown directive {head!r}", line_no)
 
     if entity is not None:
-        entity.close(tables)
+        _BLOCKS[tuple(lines[start:])] = entity.close(tables)
 
     # File stage: what refers to entities declared anywhere in the file.
     # Every lookup of a stem up to the highest one relies on the stems
@@ -544,7 +603,7 @@ def parse_tables(text: str) -> TableSet:
                 f"missing below pi_{max(stems)}^S: stems must run from 0 without a gap",
                 f"pi_{k}^S",
             )
-    for (m, q), entry in entries.items():
+    for (m, q), entry in tables.entries.items():
         # Each vector must fit the group its map lands in: the rank of each
         # map's target, or why it has none, is found once per entry.
         ranks: dict = {}

@@ -14,10 +14,15 @@ from coincalc import load_default_tables
 from coincalc import tables as tables_module
 from coincalc.fgab import InputError
 from coincalc.spheres import SphereTables
+from test_bench_replay import EXPECTED, wl
 from coincalc.tables import (
+    GenAnnotations,
     OutOfTabulatedRange,
     ParseError,
     SchemaError,
+    SphereEntry,
+    StemEntry,
+    TableSet,
     closed_form_entry,
     load_tables,
     parse_tables,
@@ -506,3 +511,103 @@ class TestValidator:
         assert faulty != table_text
         violations = _load_and_validate(faulty)
         assert any("suspension-invariant" in v for v in violations)
+
+
+# Texts whose group or stem block is stored by the warm-up texts after them,
+# so that a warm parse takes it from the store and meets each fault there:
+# the same group twice, the same stem twice, a stored stem whose generator
+# name an earlier stem has, and a stored block before a malformed line.
+STORED_BLOCK_FAULTS = [
+    (MINIMAL + "group 3 2 1\ngen eta_2\nstab 1 1\ngamma 2 0 1\nantip 1\n",
+     ("group 3 2 1", "gen eta_2", "stab 1 1", "gamma 2 0 1", "antip 1")),
+    ("stem 0 1\ngen iota\nstem 0 1\ngen iota\n", ("stem 0 1", "gen iota")),
+    ("stem 0 1\ngen iota\nstem 1 1\ngen iota\n", ("stem 1 1", "gen iota")),
+    (MINIMAL + "name foo x 2\n",
+     ("group 3 2 1", "gen eta_2", "stab 1 1", "gamma 2 0 1", "antip 1")),
+]
+_WARM_UPS = [MINIMAL, "stem 0 1\ngen i0\nstem 1 1\ngen iota\n"]
+
+
+def _outcome(text):
+    """The TableSet that text parses to, or its error's type, text and position."""
+    try:
+        return parse_tables(text)
+    except (ParseError, SchemaError) as exc:
+        return type(exc), str(exc), [getattr(exc, key, None) for key in ("line", "column", "path")]
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Count the values of each entry class built from here on."""
+    built = dict.fromkeys((SphereEntry, StemEntry, GenAnnotations), 0)
+    for cls in built:
+        def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+class TestBlockStore:
+    def test_a_cold_and_a_warm_store_give_the_same_results(self, table_text, monkeypatch):
+        lines = table_text.splitlines()
+        texts = [wl.variant_text(lines, item["edit"]) for item in EXPECTED["table_curation"]]
+        assert len(texts) == 233
+        texts += [text for text, _message in SCHEMA_FAULTS]
+        texts += [_PREFIX + line + "\n" for line, _column, _message in POSITIONED]
+        texts += [text for text, _block in STORED_BLOCK_FAULTS]
+        store = {}
+        monkeypatch.setattr(tables_module, "_BLOCKS", store)
+        cold = []
+        for text in texts:
+            store.clear()
+            cold.append(_outcome(text))
+        for text in [table_text, *_WARM_UPS, *texts]:
+            _outcome(text)
+        for _text, block in STORED_BLOCK_FAULTS:
+            assert block in store
+        assert [_outcome(text) for text in texts] == cold
+        # Each fault of a stored block, as a parse that reads it would give it.
+        assert [outcome[1] for outcome in cold[-4:]] == [
+            "pi_3(S^2): duplicate entry",
+            "pi_0^S: duplicate stem",
+            "pi_1^S: stem generator name 'iota' reused across stems",
+            "line 11, column 10: name m/q must be integers",
+        ]
+
+    def test_entries_are_shared_by_text_and_dicts_are_not(self, table_text, monkeypatch):
+        store = {}
+        monkeypatch.setattr(tables_module, "_BLOCKS", store)
+        first = parse_tables(table_text)
+        assert (len(first.entries), len(first.stems)) == (19, 20)
+        assert len(store) == 39
+        built = _count_builds(monkeypatch)
+        second = parse_tables(table_text)
+        assert second == first and not any(built.values())
+        assert all(second.entries[key] is entry for key, entry in first.entries.items())
+        assert all(second.stems[k] is stem for k, stem in first.stems.items())
+        for name in TableSet.__slots__:
+            assert getattr(second, name) is not getattr(first, name)
+        del second.entries[3, 2]
+        assert (3, 2) in first.entries and (3, 2) not in second.entries
+        # One changed row: only its group is read and built again.
+        variant = table_text.replace("gen eta_2_eta\nsusp 1\n", "gen eta_2_eta\nsusp 0\n")
+        assert variant != table_text
+        changed = parse_tables(variant)
+        assert built == {SphereEntry: 1, StemEntry: 0, GenAnnotations: 1}
+        assert changed.entries[4, 2].annotations[0].susp == (0,)
+        assert len(store) == 40
+
+    @pytest.mark.parametrize("text", [
+        "stem 0 2\ngen a\n",
+        "stem 0 1\ngen iota\nstem 1 1\ngen iota\n",
+        _STEMS + "group 4 2 0 2,2\ngen g\ngamma 2 1 1\ngen h\ngamma 2 2 1\n",
+    ], ids=["rank", "reused name", "gamma degree"])
+    def test_a_block_whose_close_raises_is_not_stored(self, text, monkeypatch):
+        # The last block fails when it closes; each block before it is stored.
+        store = {}
+        monkeypatch.setattr(tables_module, "_BLOCKS", store)
+        with pytest.raises(SchemaError):
+            parse_tables(text)
+        lines = text.splitlines()
+        heads = [i for i, line in enumerate(lines) if line.split()[0] in ("group", "stem")]
+        assert set(store) == {tuple(lines[i:j]) for i, j in zip(heads, heads[1:])}
