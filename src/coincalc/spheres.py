@@ -150,6 +150,16 @@ def _touched(group: FgAbGroup, coeffs, columns) -> Union[tuple[int, ...], Unknow
 # gamma() first needs that zero.
 _ZERO = object()
 
+# The violations of each curated entry's own checks (see
+# SphereTables._entry_violations), once per process for each distinct set of
+# the inputs they read.  The outer key is what the table's stable ring reads:
+# the stems' degrees and ids, the products and the stem generator degrees
+# (the parser derives these from the stems; a TableSet built by hand need
+# not).  Under it, an entry is keyed by its (m, q), its id and the id of its
+# curated susp target, or of None if it has none.  Each value holds the
+# objects whose ids its key has, so no id is reused while the key is stored.
+_CHECKED: dict[tuple, tuple[tuple, dict]] = {}
+
 Kernel = Union[Subgroup, Unknown]
 Chain = tuple[Kernel, Kernel, Subgroup]
 
@@ -168,7 +178,11 @@ class SphereTables:
     (Subgroup.trivial, Subgroup.whole), so a fresh SphereTables builds none
     of those that an earlier one has.  The parsed entries themselves are
     shared by text: TableSets parsed from one group or stem block hold its
-    one entry (see tables._BLOCKS), each in dicts of its own.
+    one entry (see tables._BLOCKS), each in dicts of its own.  The
+    violations of each entry's own checks in validate() are shared as well,
+    keyed by the objects those checks read (see _CHECKED): a table that
+    shares an entry, its susp target, the stems and the products with an
+    earlier one does not check that entry again.
     """
 
     def __init__(self, tables: TableSet):
@@ -469,6 +483,12 @@ class SphereTables:
         - alpha1_3 lives in pi_6(S^3), with a stable image of order 3.
         Images are integer vectors; objects and text are made for violations.
 
+        The checks of one entry (_entry_violations) run once per process
+        for each distinct set of the inputs they read, kept in _CHECKED: a
+        table that shares all but one group block with an earlier one
+        re-checks only that block's entry and the entry whose susp lands in
+        it.  The Hopf-class and registry checks run on every call.
+
         It cannot catch a Hopf-James component with k >= 2 (never read) or a
         product row no identity constrains (`prod eta eta -> 2 1` shifted to
         0): of the 204 +-1 shifts of one annotation, product or name coefficient
@@ -476,75 +496,36 @@ class SphereTables:
         """
         v: list[Violation] = []
 
-        def bad(path, message, gen=None):
-            # An entry's path comes as its key (m, q), with the generator's
-            # name if any, and is formatted only here.
-            if not isinstance(path, str):
-                path = "pi_{}(S^{})".format(*path) + ("" if gen is None else f" gen {gen}")
+        def bad(path, message):
             v.append(Violation(path, message))
 
+        raw = self.raw
         # Each generator's h_K . E^inf is checked below; a table without
         # generators needs no Hopf class.
-        hopfs = {}
-        for tag in ("R", "C", "H") if self.raw.entries else ():
+        hopfs = []
+        for tag in ("R", "C", "H") if raw.entries else ():
             hopf = self.ring.hopf_stable(tag)
             if isinstance(hopf, Unknown):
                 bad(f"h_{tag}", hopf.reason)
             else:
-                hopfs[tag] = hopf
+                hopfs.append((tag, hopf.degree, hopf.value.coeffs))
 
-        max_degree = self.ring.max_degree
-        for key, entry in sorted(self.raw.entries.items()):
-            m, q = key
-            rank = entry.group.rank
-            # The susp and antip columns are read once per entry, when a check
-            # first needs them.
-            susp_map = antips = None
-            stabs = self._map(entry, 1)[1]
-            for i, (name, ann, stab) in enumerate(zip(entry.gen_names, entry.annotations, stabs)):
-                gamma1 = ann.gamma_component(1)
-                if gamma1 is not None:
-                    if ann.stab is None:
-                        bad(key, "gamma k=1 stored but stabilization missing", name)
-                    elif tuple(gamma1) != tuple(ann.stab):
-                        bad(
-                            key,
-                            "gamma k=1 component disagrees with the stabilization "
-                            f"({list(gamma1)} vs {list(ann.stab)})",
-                            name,
-                        )
-                s1 = None if isinstance(stab, Unknown) else stab
-                for tag, hopf in hopfs.items() if s1 is not None else ():
-                    if (m - q) + hopf.degree > max_degree:
-                        bad(key, f"h_{tag} product degree exceeds tabulated stems", name)
-                        continue
-                    prod = self.ring.product(hopf.degree, hopf.value.coeffs, m - q, s1)
-                    if isinstance(prod, Unknown):
-                        bad(key, f"h_{tag} . E^inf not computable: {prod.reason}", name)
-                if s1 is not None and ann.susp is not None:
-                    # The parser has checked that the susp target is tabulated.
-                    if susp_map is None:
-                        susp_map = self._map(entry, "susp")
-                    above, susps, _ = susp_map
-                    s2 = self._image(above, susps[i], 1)
-                    if not isinstance(s2, Unknown) and s1 != s2[1]:
-                        bad(
-                            key,
-                            f"stabilization not suspension-invariant: "
-                            f"{self.ring.element(m - q, s1)} vs "
-                            f"{self.ring.element(m - q, s2[1])} after E",
-                            name,
-                        )
-                if q % 2 == 1 and ann.antip is not None:
-                    if antips is None:
-                        antips = self._map(entry, "antip")[1]
-                    if antips[i] != _unit(rank, i):
-                        bad(key, "antipodal action must be the identity for odd q", name)
-            if q % 2 == 0 and all(a.antip is not None for a in entry.annotations):
-                antips = self._map(entry, "antip")[1]
-                for i, (name, once) in enumerate(zip(entry.gen_names, antips)):
-                    if self._image(entry, once, "antip")[1] != _unit(rank, i):
-                        bad(key, f"antipodal action is not an involution on {name}")
+        ring = (tuple(raw.stems), tuple(map(id, raw.stems.values())),
+                tuple(raw.products), tuple(raw.products.values()),
+                tuple(raw.stem_gen_degrees), tuple(raw.stem_gen_degrees.values()))
+        held = _CHECKED.get(ring)
+        if held is None:
+            held = _CHECKED[ring] = tuple(raw.stems.values()), {}
+        checked = held[1]
+        for key, entry in sorted(raw.entries.items()):
+            # The susp target, or None where (m + 1, q + 1) is not curated:
+            # a closed form is then decided by the entry's own degrees.
+            above = raw.entries.get((entry.m + 1, entry.q + 1))
+            ids = key, id(entry), id(above)
+            found = checked.get(ids)
+            if found is None:
+                found = checked[ids] = entry, above, self._entry_violations(key, entry, hopfs)
+            v += found[2]
 
         # Registry constraints.
         for name in sorted(self.raw.named):
@@ -578,3 +559,66 @@ class SphereTables:
                 if isinstance(stab, Unknown) or stab.order() != 3:
                     bad("name alpha1_3", "stable image must have order 3")
         return ValidationReport(v)
+
+    def _entry_violations(self, key, entry: SphereEntry, hopfs: list) -> tuple[Violation, ...]:
+        """The violations of the curated entry stored under key (m, q), in
+        report order: its generators' checks, then the involution check.
+        hopfs holds (tag, degree, coefficients) of each registered Hopf class.
+        Besides the entry, the checks read only its susp target, the stems
+        (which fix hopfs), the stem generator degrees and the products: the
+        inputs that _CHECKED keys."""
+        v: list[Violation] = []
+
+        def bad(message, gen=None):
+            path = "pi_{}(S^{})".format(*key)
+            v.append(Violation(path if gen is None else f"{path} gen {gen}", message))
+
+        m, q = key
+        rank, stem = entry.group.rank, m - q
+        max_degree, product = self.ring.max_degree, self.ring.product
+        # The susp and antip columns are read once, when a check first needs them.
+        susp_map = antips = None
+        stabs = self._map(entry, 1)[1]
+        for i, (name, ann, stab) in enumerate(zip(entry.gen_names, entry.annotations, stabs)):
+            gamma1 = ann.gamma_component(1)
+            if gamma1 is not None:
+                if ann.stab is None:
+                    bad("gamma k=1 stored but stabilization missing", name)
+                elif tuple(gamma1) != tuple(ann.stab):
+                    bad(
+                        "gamma k=1 component disagrees with the stabilization "
+                        f"({list(gamma1)} vs {list(ann.stab)})",
+                        name,
+                    )
+            s1 = None if isinstance(stab, Unknown) else stab
+            for tag, degree, coeffs in hopfs if s1 is not None else ():
+                if stem + degree > max_degree:
+                    bad(f"h_{tag} product degree exceeds tabulated stems", name)
+                    continue
+                prod = product(degree, coeffs, stem, s1)
+                if isinstance(prod, Unknown):
+                    bad(f"h_{tag} . E^inf not computable: {prod.reason}", name)
+            if s1 is not None and ann.susp is not None:
+                # The parser has checked that the susp target is tabulated.
+                if susp_map is None:
+                    susp_map = self._map(entry, "susp")
+                above, susps, _ = susp_map
+                s2 = self._image(above, susps[i], 1)
+                if not isinstance(s2, Unknown) and s1 != s2[1]:
+                    bad(
+                        f"stabilization not suspension-invariant: "
+                        f"{self.ring.element(m - q, s1)} vs "
+                        f"{self.ring.element(m - q, s2[1])} after E",
+                        name,
+                    )
+            if q % 2 == 1 and ann.antip is not None:
+                if antips is None:
+                    antips = self._map(entry, "antip")[1]
+                if antips[i] != _unit(rank, i):
+                    bad("antipodal action must be the identity for odd q", name)
+        if q % 2 == 0 and all(a.antip is not None for a in entry.annotations):
+            antips = self._map(entry, "antip")[1]
+            for i, (name, once) in enumerate(zip(entry.gen_names, antips)):
+                if self._image(entry, once, "antip")[1] != _unit(rank, i):
+                    bad(f"antipodal action is not an involution on {name}")
+        return tuple(v)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coincalc import spheres as spheres_module
 from coincalc.fgab import Cmp, FgAbError, FgAbGroup, subgroup_cmp
 from coincalc.invariants import sphere_report
 from coincalc.spheres import GammaValue, SphereTables, Unknown
@@ -14,12 +15,17 @@ from coincalc.stable import StableElement
 from coincalc.tables import (
     GenAnnotations,
     OutOfTabulatedRange,
+    ParseError,
+    SchemaError,
     SphereEntry,
+    StemEntry,
     TableError,
     TableSet,
     map_target,
     parse_tables,
 )
+from test_bench_replay import EXPECTED, wl
+from test_validate_golden import sweep
 
 
 class TestSuspend:
@@ -662,3 +668,118 @@ def test_two_lift_routes_agree(tables):
         assert kg2.is_trivial == kg3.is_trivial, m
         # 2 . E^inf kills eta-multiples: the whole group on the S^2 side.
         assert kh2.is_whole(), m
+
+
+# Two tables that differ only in stem 1: their group blocks parse to the same
+# entries, and pi_3(S^2)'s stabilization 2 equals E^inf of its suspension,
+# 0, in Z/2 but not in Z/4.
+_STEM_EDITS = [
+    f"stem 0 1\ngen iota\nstem 1 0 {order}\ngen eta\n"
+    "group 3 2 1\ngen a\nsusp 1\nstab 1 2\ngroup 4 3 0 2\ngen b\nstab 1 0\n"
+    for order in (2, 4)
+]
+
+
+def _parsed(text):
+    try:
+        return parse_tables(text)
+    except (ParseError, SchemaError):
+        return None
+
+
+def _report(raw):
+    """validate()'s (path, message) pairs, or what it raised."""
+    try:
+        return [(v.path, v.message) for v in SphereTables(raw).validate().violations]
+    except Exception as exc:  # some sweep tables make validate() raise
+        return type(exc), str(exc)
+
+
+def _count_checks(monkeypatch) -> list:
+    """The (m, q) of each entry checked from here on."""
+    checked = []
+    check = SphereTables._entry_violations
+
+    def counted(self, key, entry, hopfs):
+        checked.append(key)
+        return check(self, key, entry, hopfs)
+    monkeypatch.setattr(SphereTables, "_entry_violations", counted)
+    return checked
+
+
+class TestCheckStore:
+    def test_a_cold_and_a_warm_store_give_the_same_reports(self, table_text, monkeypatch):
+        lines = table_text.splitlines()
+        texts = [wl.variant_text(lines, item["edit"]) for item in EXPECTED["table_curation"]]
+        assert len(texts) == 233
+        texts += [text for _label, text in sweep(table_text)] + _STEM_EDITS
+        tables = [raw for raw in map(_parsed, texts) if raw is not None]
+        bundled = parse_tables(table_text)
+        store = {}
+        monkeypatch.setattr(spheres_module, "_CHECKED", store)
+        cold = []
+        for raw in tables:
+            store.clear()
+            cold.append(_report(raw))
+        in_z2, in_z4 = cold[-2:]
+        assert [pair for pair in in_z4 if pair not in in_z2] == [(
+            "pi_3(S^2) gen a",
+            "stabilization not suspension-invariant: (2) in pi_1^S vs (0) in pi_1^S after E",
+        )]
+        # The store is filled by the bundled table and every other table, in
+        # one order and then in the other, before each table is checked.
+        for order in (list(range(len(tables))), list(range(len(tables)))[::-1]):
+            store.clear()
+            for raw in [bundled, *(tables[i] for i in order)]:
+                _report(raw)
+            assert [_report(tables[i]) for i in order] == [cold[i] for i in order]
+
+    def test_an_entry_is_checked_again_only_when_what_it_reads_changes(
+        self, table_text, monkeypatch
+    ):
+        monkeypatch.setattr(spheres_module, "_CHECKED", {})
+        checked = _count_checks(monkeypatch)
+        raw = parse_tables(table_text)
+        assert _report(raw) == [] and len(checked) == len(raw.entries) == 19
+        del checked[:]
+        assert _report(parse_tables(table_text)) == [] and checked == []
+        # One group block edited: its entry and the entry whose susp lands in it.
+        group = "group 5 3 0 2\n"
+        edited = table_text.replace(group + "src", group + "# edited\nsrc")
+        assert edited != table_text
+        assert _report(parse_tables(edited)) == [] and checked == [(4, 2), (5, 3)]
+        del checked[:]
+        broken = table_text.replace("gen eta_3_sq\nstab 2 1\n", "gen eta_3_sq\nstab 2 0\n")
+        assert _report(parse_tables(broken)) == [(
+            "pi_4(S^2) gen eta_2_eta",
+            "stabilization not suspension-invariant: (1) in pi_2^S vs (0) in pi_2^S after E",
+        )]
+        assert checked == [(4, 2), (5, 3)]
+        # A product row is read by every entry's h_K . E^inf check.
+        del checked[:]
+        product = "prod eta eta -> 2 1\n"
+        assert product in table_text
+        _report(parse_tables(table_text.replace(product, "prod eta eta -> 2 0\n")))
+        assert checked == sorted(raw.entries)
+
+    @pytest.mark.parametrize("new_stems", [False, True], ids=["entries", "stems"])
+    def test_an_id_is_not_reused_while_its_key_is_stored(self, new_stems, monkeypatch):
+        # Tables built by hand are in no parse store: each is dropped before
+        # the next one, whose values may take its ids, is built.
+        store = {}
+
+        def stem_entries():
+            return {0: StemEntry(0, FgAbGroup.free(1), ("iota",)),
+                    1: StemEntry(1, FgAbGroup(0, (2,)), ("eta",))}
+        shared = stem_entries()
+        for c in range(40):
+            stems = stem_entries() if new_stems else shared
+            ann = GenAnnotations(stab=(c % 2,), gammas=((1, (c,)),))
+            entry = SphereEntry(3, 2, FgAbGroup.free(1), ("eta_2",), (ann,))
+            raw = TableSet({(3, 2): entry}, stems, stem_gen_degrees={"iota": 0, "eta": 1})
+            monkeypatch.setattr(spheres_module, "_CHECKED", store)
+            warm = _report(raw)
+            monkeypatch.setattr(spheres_module, "_CHECKED", {})
+            assert warm == _report(raw)
+            del stems, ann, entry, raw
+        assert len(store) == (40 if new_stems else 1)
