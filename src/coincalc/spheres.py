@@ -598,19 +598,23 @@ class SphereTables:
                 prod = product(degree, coeffs, stem, s1)
                 if isinstance(prod, Unknown):
                     bad(f"h_{tag} . E^inf not computable: {prod.reason}", name)
-            if s1 is not None and ann.susp is not None:
-                # The parser has checked that the susp target is tabulated.
+            if ann.susp is not None:
                 if susp_map is None:
                     susp_map = self._map(entry, "susp")
-                above, susps, _ = susp_map
-                s2 = self._image(above, susps[i], 1)
-                if not isinstance(s2, Unknown) and s1 != s2[1]:
-                    bad(
-                        f"stabilization not suspension-invariant: "
-                        f"{self.ring.element(m - q, s1)} vs "
-                        f"{self.ring.element(m - q, s2[1])} after E",
-                        name,
-                    )
+                above, susps, gap = susp_map
+                if above is None:
+                    # The parser refuses such a row; a TableSet built by hand
+                    # is told so in the parser's words.
+                    bad(f"susp target {gap.reason}", name)
+                elif s1 is not None:
+                    s2 = self._image(above, susps[i], 1)
+                    if not isinstance(s2, Unknown) and s1 != s2[1]:
+                        bad(
+                            f"stabilization not suspension-invariant: "
+                            f"{self.ring.element(m - q, s1)} vs "
+                            f"{self.ring.element(m - q, s2[1])} after E",
+                            name,
+                        )
             if q % 2 == 1 and ann.antip is not None:
                 if antips is None:
                     antips = self._map(entry, "antip")[1]

@@ -35,22 +35,26 @@ when it closes (a gamma row's degree, then k <= k_max; a stem's generator
 names, unique across stems), and the file after its last line (the stems, the
 lengths of rows against their targets, the products and the named classes).
 
-A block is a group or stem line and the lines after it up to the next
-group, stem, prod or name line.  Its line and entity stages read nothing
-else, so its entry is a pure function of its stripped lines: the
-process-wide store _BLOCKS keeps one entry per distinct block that closed
-without error, and a parse that meets a stored block takes its entry without
-reading its lines again.  What reads another entity runs on every parse, for
-a stored block as for a read one: the refusal of a second group (m, q) or
-stem k, a stem's generator names against the other stems, and the file stage.
-Entries are frozen values, so TableSets parsed from one text share them;
-each TableSet has dicts of its own.
+A parse joins the stripped lines with "\n" and cuts the result once, before
+each line whose first token is group, stem, prod or name (_HEADS: re's \\s
+holds where str.isspace() does, on the characters str.split() splits on).
+A block is such a piece that starts with a group or stem line.  Its line
+and entity stages read nothing else, so its entry is a pure function of its
+text: the process-wide store _BLOCKS maps the text of each distinct block
+that closed without error to its entry, and a parse that meets a stored
+block takes its entry and counts its lines without reading them.  Any other
+piece is read line by line, and the entity it opens closes at its end.
+What reads another entity runs on every parse, for a stored block as for a
+read one: the refusal of a second group (m, q) or stem k, a stem's generator
+names against the other stems, and the file stage.  Entries are frozen
+values, so TableSets parsed from one text share them; each TableSet has
+dicts of its own.  serialize_tables formats each stem and group once per
+process as well, kept in _TEXTS by its dict key and its id.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
 from typing import Optional, Union
 
 from .fgab import FgAbError, FgAbGroup, _Value, _setattr
@@ -258,11 +262,7 @@ def map_target(tables: TableSet, entry: SphereEntry, kind) -> Union[SphereEntry,
     return tables.stems.get(degree) or f"pi_{degree}^S is not tabulated"
 
 
-# Lines are tokenized with str.split(), which splits on the same characters
-# as this pattern; its matches are searched only to position an error.
-_TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"-?[0-9]+")
-_INT_LIST = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 _SRC = re.compile(r'src\s+"([^"]*)"\s*$')
 
 # Annotation directive -> (integer fields before its coefficient vector, what
@@ -274,17 +274,23 @@ _ANNOTATIONS = {
     "stab": (1, "degree and a coefficient vector", "stab degree must be an integer", 1),
     "gamma": (2, "k, degree and a coefficient vector", "gamma k/degree must be integers", 2),
 }
-_ENDS_ENTITY = frozenset(("group", "stem", "prod", "name"))
-_ENDS_PREFIXES = tuple(_ENDS_ENTITY)
 
-# A block's stripped lines -> the entry it closed to, for each distinct block
-# that closed without error in this process (see the module docstring).
-_BLOCKS: dict[tuple[str, ...], Union[SphereEntry, StemEntry]] = {}
+# Where the stripped lines, joined with "\n", are cut into pieces: before each
+# line whose first token is group, stem, prod or name (see the module
+# docstring).
+_HEADS = re.compile(r"\n(?=(?:group|stem|prod|name)(?:\s|$))")
+
+# A block's text (its stripped lines joined with "\n") -> the entry it closed
+# to, for each distinct block that closed without error in this process (see
+# the module docstring).
+_BLOCKS: dict[str, Union[SphereEntry, StemEntry]] = {}
 
 
 def _token_column(line: str, index: int) -> int:
-    """1-based column of token `index` of `line`."""
-    return [match.start() + 1 for match in _TOKEN.finditer(line)][index]
+    """1-based column of token `index` of `line`.  Lines are tokenized with
+    str.split(), which splits on the same characters as \\S+ does; its matches
+    are searched only to position an error."""
+    return [match.start() + 1 for match in re.finditer(r"\S+", line)][index]
 
 
 def _too_long(exc: ValueError, line_no: int, line: str, index: int) -> ParseError:
@@ -324,7 +330,7 @@ def _split_ints(tokens: list[str], index: int, line_no: int, line: str) -> tuple
         try:
             return tuple(map(int, text.split(",")))
         except ValueError as exc:
-            if _INT_LIST.fullmatch(text):
+            if re.fullmatch(r"-?[0-9]+(?:,-?[0-9]+)*", text):
                 raise _too_long(exc, line_no, line, index) from None
     bad = next(p for p in text.split(",") if not _INT.fullmatch(p))
     raise ParseError(
@@ -351,14 +357,6 @@ def _group_from_fields(
 
 def _gen_path(m: int, q: int, name: str) -> str:
     return f"pi_{m}(S^{q}) gen {name}"
-
-
-def _block_ends(lines: list[str]) -> dict[int, int]:
-    """For the index of each line that ends an entity, the index of the next
-    such line, or len(lines): where the block that the line opens ends."""
-    heads = [i for i, line in enumerate(lines)
-             if line.startswith(_ENDS_PREFIXES) and line.split(None, 1)[0] in _ENDS_ENTITY]
-    return dict(zip(heads, heads[1:] + [len(lines)]))
 
 
 def _claim(tables: TableSet, key) -> str:
@@ -453,146 +451,133 @@ def parse_tables(text: str) -> TableSet:
     stems, stem_gen_degrees = tables.stems, tables.stem_gen_degrees
     raw_products: list[tuple[str, str, int, tuple[int, ...]]] = []
     raw_names: dict[str, list] = {}  # [m, q, coeffs, src or None]
-    entity: Optional[_OpenEntity] = None
-    gen: Optional[list] = None  # the record of the open group's last generator
-    open_name: Optional[str] = None
-    start = 0  # the index of the open entity's header line
-
     if text[:1] == "\ufeff":  # a byte order mark, kept by the utf-8 codec
         text = text[1:]
-    lines = [line.strip() for line in text.splitlines()]
-    # Where each block ends, found only to look blocks up: not while the store
-    # is empty, as on the first parse of a process.
-    ends = _block_ends(lines) if _BLOCKS else None
-    numbered = enumerate(lines, start=1)
-    for line_no, line in numbered:
-        if not line or line[0] == "#":
+    line_no = 0  # the number of lines before the piece
+    for piece in _HEADS.split("\n".join([line.strip() for line in text.splitlines()])):
+        entry = _BLOCKS.get(piece)
+        if entry is not None:
+            # A stored block: its per-parse checks, then on past its lines.
+            key = entry.degree if type(entry) is StemEntry else (entry.m, entry.q)
+            _store(tables, entry, _claim(tables, key))
+            line_no += piece.count("\n") + 1
             continue
-        tokens = line.split()
-        head = tokens[0]
-        if head in _ENDS_ENTITY:
-            if entity is not None:
-                _BLOCKS[tuple(lines[start:line_no - 1])] = entity.close(tables)
-            entity = gen = open_name = None
-            start = line_no - 1
-            if ends is not None and head in ("group", "stem"):
-                end = ends[start]
-                entry = _BLOCKS.get(tuple(lines[start:end]))
-                if entry is not None:
-                    # A stored block: its per-parse checks, then on past its lines.
-                    key = entry.degree if head == "stem" else (entry.m, entry.q)
-                    _store(tables, entry, _claim(tables, key))
-                    next(islice(numbered, end - line_no, end - line_no), None)
-                    continue
-
-        spec = _ANNOTATIONS.get(head)
-        if spec is not None:
-            n_ints, needs, bad_int, slot = spec
-            if len(tokens) <= n_ints + 1:
-                raise ParseError(f"{head!r} needs {needs}", line_no, len(line))
-            if gen is None:
-                raise ParseError(f"{head} outside of a group generator", line_no)
-            ints = _read_ints(tokens, 1, n_ints + 1, bad_int, line_no, line)
-            coeffs = _split_ints(tokens, n_ints + 1, line_no, line)
-            m, q = entity.key
-            if n_ints == 2:  # gamma k degree
-                k, degree = ints
-                if k < 1:
-                    raise SchemaError("gamma component index must be >= 1", entity.path)
-                if k in gen[2]:
-                    fault = f"duplicate gamma component k={k}"
+        entity: Optional[_OpenEntity] = None
+        gen: Optional[list] = None  # the record of the open group's last generator
+        open_name: Optional[str] = None
+        for line_no, line in enumerate(piece.split("\n"), line_no + 1):
+            if not line or line[0] == "#":
+                continue
+            tokens = line.split()
+            head = tokens[0]
+            spec = _ANNOTATIONS.get(head)
+            if spec is not None:
+                n_ints, needs, bad_int, slot = spec
+                if len(tokens) <= n_ints + 1:
+                    raise ParseError(f"{head!r} needs {needs}", line_no, len(line))
+                if gen is None:
+                    raise ParseError(f"{head} outside of a group generator", line_no)
+                ints = _read_ints(tokens, 1, n_ints + 1, bad_int, line_no, line)
+                coeffs = _split_ints(tokens, n_ints + 1, line_no, line)
+                m, q = entity.key
+                if n_ints == 2:  # gamma k degree
+                    k, degree = ints
+                    if k < 1:
+                        raise SchemaError("gamma component index must be >= 1", entity.path)
+                    if k in gen[2]:
+                        fault = f"duplicate gamma component k={k}"
+                    else:
+                        gen[2][k] = coeffs, degree
+                        continue
+                elif gen[slot] is not None:
+                    fault = f"duplicate {head}"
+                elif head == "stab" and ints[0] != m - q:  # stab lands in stem m - q
+                    fault = f"stab declares degree {ints[0]}, expected {m - q}"
+                elif head == "antip" and len(coeffs) != entity.rank:
+                    fault = f"antip vector of length {len(coeffs)}, expected {entity.rank}"
                 else:
-                    gen[2][k] = coeffs, degree
+                    gen[slot] = coeffs
                     continue
-            elif gen[slot] is not None:
-                fault = f"duplicate {head}"
-            elif head == "stab" and ints[0] != m - q:  # stab lands in stem m - q
-                fault = f"stab declares degree {ints[0]}, expected {m - q}"
-            elif head == "antip" and len(coeffs) != entity.rank:
-                fault = f"antip vector of length {len(coeffs)}, expected {entity.rank}"
-            else:
-                gen[slot] = coeffs
-                continue
-            raise SchemaError(fault, _gen_path(m, q, entity.names[-1]))
-        elif head == "gen":
-            if len(tokens) <= 1:
-                raise ParseError("'gen' needs a generator name", line_no, len(line))
-            if entity is None:
-                raise ParseError("gen outside of a group/stem", line_no)
-            name, names = tokens[1], entity.names
-            if name in names:
-                raise SchemaError(f"duplicate generator {name!r}", entity.path)
-            if len(names) >= entity.rank:
-                raise SchemaError(f"more generators than the rank {entity.rank}", entity.path)
-            names.append(name)
-            if entity.gens is not None:
-                gen = [None, None, {}, None, None]
-                entity.gens.append(gen)
-        elif head == "src":
-            match = _SRC.match(line)
-            if not match:
-                raise ParseError('src needs a quoted string: src "..."', line_no)
-            if open_name is not None:
-                record, index, path = raw_names[open_name], 3, f"name {open_name}"
-            elif entity is None:
-                raise ParseError("src outside of any entity", line_no)
-            elif not entity.names:
-                if entity.src is not None:
-                    raise SchemaError("duplicate src", entity.path)
-                entity.src = match.group(1)
-                continue
-            elif gen is None:
-                raise ParseError("src of a stem must come before its gen lines", line_no)
-            else:
-                record, index, path = gen, 4, _gen_path(*entity.key, entity.names[-1])
-            if record[index] is not None:
-                raise SchemaError("duplicate src", path)
-            record[index] = match.group(1)
-        elif head == "group":
-            if len(tokens) <= 3:
-                raise ParseError("'group' needs m q free_rank [torsion]", line_no, len(line))
-            m, q = _read_ints(tokens, 1, 3, "m and q must be integers", line_no, line)
-            path = _claim(tables, (m, q))
-            if q <= 1 or m <= q:
-                raise SchemaError(
-                    "entry lies in the closed-form range (q <= 1, m <= q) and "
-                    "must not be tabulated",
-                    path,
+                raise SchemaError(fault, _gen_path(m, q, entity.names[-1]))
+            elif head == "gen":
+                if len(tokens) <= 1:
+                    raise ParseError("'gen' needs a generator name", line_no, len(line))
+                if entity is None:
+                    raise ParseError("gen outside of a group/stem", line_no)
+                name, names = tokens[1], entity.names
+                if name in names:
+                    raise SchemaError(f"duplicate generator {name!r}", entity.path)
+                if len(names) >= entity.rank:
+                    raise SchemaError(f"more generators than the rank {entity.rank}", entity.path)
+                names.append(name)
+                if entity.gens is not None:
+                    gen = [None, None, {}, None, None]
+                    entity.gens.append(gen)
+            elif head == "src":
+                match = _SRC.match(line)
+                if not match:
+                    raise ParseError('src needs a quoted string: src "..."', line_no)
+                if open_name is not None:
+                    record, index, path = raw_names[open_name], 3, f"name {open_name}"
+                elif entity is None:
+                    raise ParseError("src outside of any entity", line_no)
+                elif not entity.names:
+                    if entity.src is not None:
+                        raise SchemaError("duplicate src", entity.path)
+                    entity.src = match.group(1)
+                    continue
+                elif gen is None:
+                    raise ParseError("src of a stem must come before its gen lines", line_no)
+                else:
+                    record, index, path = gen, 4, _gen_path(*entity.key, entity.names[-1])
+                if record[index] is not None:
+                    raise SchemaError("duplicate src", path)
+                record[index] = match.group(1)
+            elif head == "group":
+                if len(tokens) <= 3:
+                    raise ParseError("'group' needs m q free_rank [torsion]", line_no, len(line))
+                m, q = _read_ints(tokens, 1, 3, "m and q must be integers", line_no, line)
+                path = _claim(tables, (m, q))
+                if q <= 1 or m <= q:
+                    raise SchemaError(
+                        "entry lies in the closed-form range (q <= 1, m <= q) and "
+                        "must not be tabulated",
+                        path,
+                    )
+                group = _group_from_fields(tokens, 3, line_no, line, path)
+                entity = _OpenEntity((m, q), path, group, True)
+            elif head == "stem":
+                if len(tokens) <= 2:
+                    raise ParseError("'stem' needs k free_rank [torsion]", line_no, len(line))
+                (k,) = _read_ints(tokens, 1, 2, "stem degree must be an integer", line_no, line)
+                path = _claim(tables, k)  # a negative k is never stored
+                if k < 0:
+                    raise SchemaError("negative stem degree", path)
+                group = _group_from_fields(tokens, 2, line_no, line, path)
+                entity = _OpenEntity(k, path, group, False)
+            elif head == "prod":
+                if len(tokens) <= 4:
+                    raise ParseError("'prod' needs A B -> degree [coeffs]", line_no, len(line))
+                if tokens[3] != "->":
+                    raise ParseError("prod syntax: prod A B -> degree c1,...", line_no)
+                (degree,) = _read_ints(
+                    tokens, 4, 5, "product degree must be an integer", line_no, line
                 )
-            group = _group_from_fields(tokens, 3, line_no, line, path)
-            entity = _OpenEntity((m, q), path, group, True)
-        elif head == "stem":
-            if len(tokens) <= 2:
-                raise ParseError("'stem' needs k free_rank [torsion]", line_no, len(line))
-            (k,) = _read_ints(tokens, 1, 2, "stem degree must be an integer", line_no, line)
-            path = _claim(tables, k)  # a negative k is never stored
-            if k < 0:
-                raise SchemaError("negative stem degree", path)
-            group = _group_from_fields(tokens, 2, line_no, line, path)
-            entity = _OpenEntity(k, path, group, False)
-        elif head == "prod":
-            if len(tokens) <= 4:
-                raise ParseError("'prod' needs A B -> degree [coeffs]", line_no, len(line))
-            if tokens[3] != "->":
-                raise ParseError("prod syntax: prod A B -> degree c1,...", line_no)
-            (degree,) = _read_ints(
-                tokens, 4, 5, "product degree must be an integer", line_no, line
-            )
-            coeffs = _split_ints(tokens, 5, line_no, line)
-            raw_products.append((tokens[1], tokens[2], degree, coeffs))
-        elif head == "name":
-            if len(tokens) <= 3:
-                raise ParseError("'name' needs NAME m q [coeffs]", line_no, len(line))
-            m, q = _read_ints(tokens, 2, 4, "name m/q must be integers", line_no, line)
-            open_name = tokens[1]
-            if open_name in raw_names:
-                raise SchemaError("duplicate name", f"name {open_name}")
-            raw_names[open_name] = [m, q, _split_ints(tokens, 4, line_no, line), None]
-        else:
-            raise ParseError(f"unknown directive {head!r}", line_no)
+                coeffs = _split_ints(tokens, 5, line_no, line)
+                raw_products.append((tokens[1], tokens[2], degree, coeffs))
+            elif head == "name":
+                if len(tokens) <= 3:
+                    raise ParseError("'name' needs NAME m q [coeffs]", line_no, len(line))
+                m, q = _read_ints(tokens, 2, 4, "name m/q must be integers", line_no, line)
+                open_name = tokens[1]
+                if open_name in raw_names:
+                    raise SchemaError("duplicate name", f"name {open_name}")
+                raw_names[open_name] = [m, q, _split_ints(tokens, 4, line_no, line), None]
+            else:
+                raise ParseError(f"unknown directive {head!r}", line_no)
 
-    if entity is not None:
-        _BLOCKS[tuple(lines[start:])] = entity.close(tables)
+        if entity is not None:
+            _BLOCKS[piece] = entity.close(tables)
 
     # File stage: what refers to entities declared anywhere in the file.
     # Every lookup of a stem up to the highest one relies on the stems
@@ -664,36 +649,62 @@ def _fmt_tail(line: str, coeffs: tuple[int, ...]) -> str:
     return f"{line} {_fmt_vec(coeffs)}" if coeffs else line
 
 
+def _fmt_stem(k: int, stem: StemEntry) -> str:
+    """The lines of the stem stored under k, joined with "\n"."""
+    out = [_fmt_tail(f"stem {k} {stem.group.free_rank}", stem.group.torsion)]
+    if stem.source:
+        out.append(f'src "{stem.source}"')
+    out += [f"gen {g}" for g in stem.gen_names]
+    return "\n".join(out)
+
+
+def _fmt_group(key: tuple[int, int], entry: SphereEntry) -> str:
+    """The lines of the group stored under key (m, q), joined with "\n"."""
+    m, q = key
+    out = [_fmt_tail(f"group {m} {q} {entry.group.free_rank}", entry.group.torsion)]
+    if entry.source:
+        out.append(f'src "{entry.source}"')
+    for name, ann in zip(entry.gen_names, entry.annotations):
+        out.append(f"gen {name}")
+        if ann.susp is not None:
+            out.append(f"susp {_fmt_vec(ann.susp)}")
+        if ann.stab is not None:
+            out.append(f"stab {m - q} {_fmt_vec(ann.stab)}")
+        for k, coeffs in ann.gammas:
+            out.append(f"gamma {k} {entry.gamma_degree(k)} {_fmt_vec(coeffs)}")
+        if ann.antip is not None:
+            out.append(f"antip {_fmt_vec(ann.antip)}")
+        if ann.source:
+            out.append(f'src "{ann.source}"')
+    return "\n".join(out)
+
+
+# (dict key, id) of each stem or group that serialize_tables wrote -> (that
+# stem or group, its text), once per process.  Each value holds the object
+# whose id its key has, so no id is reused while the key is stored.  Only a
+# key of ints is kept: True and 2.0 equal 1 and 2 as keys but are written
+# otherwise.
+_TEXTS: dict[tuple, tuple] = {}
+
+
+def _kept_text(fmt, key, entity) -> str:
+    """fmt(key, entity), formatted once per process for a key of ints."""
+    if not (type(key) is int or type(key) is tuple and type(key[0]) is type(key[1]) is int):
+        return fmt(key, entity)
+    held = _TEXTS.get((key, id(entity)))
+    if held is None:
+        held = _TEXTS[key, id(entity)] = entity, fmt(key, entity)
+    return held[1]
+
+
 def serialize_tables(tables: TableSet) -> str:
-    """Emit a canonical text form; parse(serialize(parse(x))) == parse(x)."""
-    out: list[str] = []
-    for k in sorted(tables.stems):
-        stem = tables.stems[k]
-        out.append(_fmt_tail(f"stem {k} {stem.group.free_rank}", stem.group.torsion))
-        if stem.source:
-            out.append(f'src "{stem.source}"')
-        for g in stem.gen_names:
-            out.append(f"gen {g}")
-    degrees = tables.stem_gen_degrees
+    """Emit a canonical text form; parse(serialize(parse(x))) == parse(x).
+    Each stem and group is formatted once per process (see _TEXTS)."""
+    stems, entries, degrees = tables.stems, tables.entries, tables.stem_gen_degrees
+    out = [_kept_text(_fmt_stem, k, stems[k]) for k in sorted(stems)]
     for (a, b), coeffs in sorted(tables.products.items()):
         out.append(_fmt_tail(f"prod {a} {b} -> {degrees[a] + degrees[b]}", coeffs))
-    for (m, q) in sorted(tables.entries):
-        entry = tables.entries[(m, q)]
-        out.append(_fmt_tail(f"group {m} {q} {entry.group.free_rank}", entry.group.torsion))
-        if entry.source:
-            out.append(f'src "{entry.source}"')
-        for name, ann in zip(entry.gen_names, entry.annotations):
-            out.append(f"gen {name}")
-            if ann.susp is not None:
-                out.append(f"susp {_fmt_vec(ann.susp)}")
-            if ann.stab is not None:
-                out.append(f"stab {m - q} {_fmt_vec(ann.stab)}")
-            for k, coeffs in ann.gammas:
-                out.append(f"gamma {k} {entry.gamma_degree(k)} {_fmt_vec(coeffs)}")
-            if ann.antip is not None:
-                out.append(f"antip {_fmt_vec(ann.antip)}")
-            if ann.source:
-                out.append(f'src "{ann.source}"')
+    out += [_kept_text(_fmt_group, key, entries[key]) for key in sorted(entries)]
     for name in sorted(tables.named):
         nc = tables.named[name]
         out.append(_fmt_tail(f"name {name} {nc.m} {nc.q}", nc.coeffs))

@@ -762,6 +762,22 @@ class TestCheckStore:
         _report(parse_tables(table_text.replace(product, "prod eta eta -> 2 0\n")))
         assert checked == sorted(raw.entries)
 
+    def test_a_susp_row_into_an_untabulated_group_is_a_violation(self, monkeypatch):
+        # The parser refuses the row, so only a TableSet built by hand holds
+        # one; validate() reports it in the parser's words, cold and warm.
+        text = "stem 0 1\ngen iota\nstem 1 0 2\ngen eta\ngroup 3 2 1\ngen a\nsusp 1\nstab 1 1\n"
+        with pytest.raises(SchemaError) as err:
+            parse_tables(text)
+        path = err.value.path
+        assert str(err.value) == f"{path}: susp target pi_4(S^3) is not tabulated"
+        raw = parse_tables(text.replace("susp 1\n", ""))
+        ann = GenAnnotations(susp=(1,), stab=(1,))
+        raw.entries[3, 2] = SphereEntry(3, 2, FgAbGroup.free(1), ("a",), (ann,))
+        monkeypatch.setattr(spheres_module, "_CHECKED", {})
+        for _store in ("cold", "warm"):
+            report = _report(raw)
+            assert (path, "susp target pi_4(S^3) is not tabulated") in report, report
+
     @pytest.mark.parametrize("new_stems", [False, True], ids=["entries", "stems"])
     def test_an_id_is_not_reused_while_its_key_is_stored(self, new_stems, monkeypatch):
         # Tables built by hand are in no parse store: each is dropped before

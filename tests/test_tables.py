@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import coincalc
 from coincalc import load_default_tables
 from coincalc import tables as tables_module
-from coincalc.fgab import InputError
+from coincalc.fgab import FgAbGroup, InputError
 from coincalc.spheres import SphereTables
 from test_bench_replay import EXPECTED, wl
 from coincalc.tables import (
@@ -310,6 +310,9 @@ SCHEMA_FAULTS = [
     # is reported before gen g's gamma degree.
     (_STEMS + "group 4 2 0 2,2\ngen g\ngamma 2 0 1\ngen h\nstab 1 1\n",
      "pi_4(S^2) gen h: stab declares degree 1, expected 2"),
+    # An entity closes before the header after it is read, also before a
+    # bare header that ends the file.
+    ("stem 0 2\ngen a\nstem", "pi_0^S: 1 generators declared for a group of rank 2"),
 ]
 
 
@@ -342,6 +345,13 @@ class TestSources:
         with pytest.raises(SchemaError) as err:
             parse_tables(text)
         assert str(err.value) == f"{path}: duplicate src"
+
+    def test_src_cites_the_group_after_a_name(self):
+        tables = parse_tables(
+            'stem 0 1\ngen iota\nstem 1 0 2\ngen eta\nname foo 3 2 1\n'
+            'group 3 2 1\nsrc "a"\ngen g\n'
+        )
+        assert tables.entries[3, 2].source == "a" and tables.named["foo"].source == ""
 
 
 class TestStemGap:
@@ -527,6 +537,12 @@ STORED_BLOCK_FAULTS = [
 ]
 _WARM_UPS = [MINIMAL, "stem 0 1\ngen i0\nstem 1 1\ngen iota\n"]
 
+# The str.isspace() characters that str.splitlines() does not end a line at:
+# each parts the tokens of a line, a header's first two among them.
+_BLANKS = "\t\x1f \xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u202f\u205f\u3000"
+# Every line break of str.splitlines() but "\n".
+_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 def _outcome(text):
     """The TableSet that text parses to, or its error's type, text and position."""
@@ -534,6 +550,12 @@ def _outcome(text):
         return parse_tables(text)
     except (ParseError, SchemaError) as exc:
         return type(exc), str(exc), [getattr(exc, key, None) for key in ("line", "column", "path")]
+
+
+def _written(text):
+    """_outcome(text), and what serialize_tables writes of a TableSet."""
+    outcome = _outcome(text)
+    return outcome, serialize_tables(outcome) if isinstance(outcome, TableSet) else None
 
 
 def _count_builds(monkeypatch) -> dict:
@@ -554,20 +576,31 @@ class TestBlockStore:
         assert len(texts) == 233
         texts += [text for text, _message in SCHEMA_FAULTS]
         texts += [_PREFIX + line + "\n" for line, _column, _message in POSITIONED]
+        # The bundled table with a header's first two tokens parted by each
+        # blank, and with its lines ended by each line break: the same tables.
+        header = "\ngroup 5 3 "
+        assert table_text.count(header) == 1
+        same = [table_text.replace(header, f"\ngroup{blank}5 3 ") for blank in _BLANKS]
+        same += [table_text.replace("\n", brk) for brk in _BREAKS]
+        texts += same
         texts += [text for text, _block in STORED_BLOCK_FAULTS]
-        store = {}
+        store, kept = {}, {}
         monkeypatch.setattr(tables_module, "_BLOCKS", store)
+        monkeypatch.setattr(tables_module, "_TEXTS", kept)
         cold = []
-        for text in texts:
+        for text in [table_text, *texts]:
             store.clear()
-            cold.append(_outcome(text))
+            kept.clear()
+            cold.append(_written(text))
+        bundled = cold.pop(0)
+        assert cold[-4 - len(same):-4] == [bundled] * len(same)
         for text in [table_text, *_WARM_UPS, *texts]:
-            _outcome(text)
+            _written(text)
         for _text, block in STORED_BLOCK_FAULTS:
-            assert block in store
-        assert [_outcome(text) for text in texts] == cold
+            assert "\n".join(block) in store
+        assert [_written(text) for text in texts] == cold
         # Each fault of a stored block, as a parse that reads it would give it.
-        assert [outcome[1] for outcome in cold[-4:]] == [
+        assert [outcome[1] for outcome, _written_text in cold[-4:]] == [
             "pi_3(S^2): duplicate entry",
             "pi_0^S: duplicate stem",
             "pi_1^S: stem generator name 'iota' reused across stems",
@@ -610,4 +643,111 @@ class TestBlockStore:
             parse_tables(text)
         lines = text.splitlines()
         heads = [i for i, line in enumerate(lines) if line.split()[0] in ("group", "stem")]
-        assert set(store) == {tuple(lines[i:j]) for i, j in zip(heads, heads[1:])}
+        assert set(store) == {"\n".join(lines[i:j]) for i, j in zip(heads, heads[1:])}
+
+    def test_the_head_split_sees_the_blanks_that_str_split_sees(self):
+        # The pieces are cut where a line starts with group, stem, prod or
+        # name and a \s or its end; tokens end where str.isspace() holds.
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        spaces = [c for c in chars if c.isspace()]
+        assert re.findall(r"\s", chars) == spaces
+        assert [c for c in spaces if len(f"a{c}b".splitlines()) == 1] == list(_BLANKS)
+        breaks = {c for c in spaces if len(f"a{c}b".splitlines()) == 2}
+        assert breaks | {"\r\n"} == {*_BREAKS, "\n"}
+
+
+def _serialize_oracle(tables: TableSet) -> str:
+    """serialize_tables with every line formatted on each call, and no store."""
+    out: list[str] = []
+    for k in sorted(tables.stems):
+        stem = tables.stems[k]
+        out.append(tables_module._fmt_tail(f"stem {k} {stem.group.free_rank}", stem.group.torsion))
+        if stem.source:
+            out.append(f'src "{stem.source}"')
+        for g in stem.gen_names:
+            out.append(f"gen {g}")
+    degrees = tables.stem_gen_degrees
+    for (a, b), coeffs in sorted(tables.products.items()):
+        out.append(tables_module._fmt_tail(f"prod {a} {b} -> {degrees[a] + degrees[b]}", coeffs))
+    for (m, q) in sorted(tables.entries):
+        entry = tables.entries[(m, q)]
+        out.append(
+            tables_module._fmt_tail(f"group {m} {q} {entry.group.free_rank}", entry.group.torsion)
+        )
+        if entry.source:
+            out.append(f'src "{entry.source}"')
+        for name, ann in zip(entry.gen_names, entry.annotations):
+            out.append(f"gen {name}")
+            if ann.susp is not None:
+                out.append(f"susp {','.join(map(str, ann.susp))}")
+            if ann.stab is not None:
+                out.append(f"stab {m - q} {','.join(map(str, ann.stab))}")
+            for k, coeffs in ann.gammas:
+                out.append(f"gamma {k} {entry.gamma_degree(k)} {','.join(map(str, coeffs))}")
+            if ann.antip is not None:
+                out.append(f"antip {','.join(map(str, ann.antip))}")
+            if ann.source:
+                out.append(f'src "{ann.source}"')
+    for name in sorted(tables.named):
+        nc = tables.named[name]
+        out.append(tables_module._fmt_tail(f"name {name} {nc.m} {nc.q}", nc.coeffs))
+        if nc.source:
+            out.append(f'src "{nc.source}"')
+    return "\n".join(out) + "\n"
+
+
+def _hand_built() -> list[TableSet]:
+    """Tables built by hand: a stem and a group stored under keys that are not
+    their own degrees, then the same values under keys that equal ints but are
+    written otherwise."""
+    iota = StemEntry(0, FgAbGroup.free(1), ("iota",))
+    stem = StemEntry(3, FgAbGroup(0, (2,)), ("eta",), "stem of degree 3")
+    ann = GenAnnotations((1,), (1, 0), ((1, (1,)), (2, (0, 1))), (-1,), "its generator")
+    entry = SphereEntry(3, 2, FgAbGroup(1, (2,)), ("g",), (ann,), "group (3, 2)")
+    return [
+        TableSet({(5, 2): entry, (3, 2): entry}, {0: iota, 1: stem},
+                 {("eta", "eta"): (1,)}, stem_gen_degrees={"eta": 1}),
+        TableSet({(5.0, 2): entry, (3, True): entry}, {False: iota, 1.0: stem}),
+        TableSet(),
+    ]
+
+
+def _count_formats(monkeypatch) -> list:
+    """The key of each stem and group formatted from here on."""
+    formatted = []
+    for name in ("_fmt_stem", "_fmt_group"):
+        def counted(key, entity, _fmt=getattr(tables_module, name)):
+            formatted.append(key)
+            return _fmt(key, entity)
+        monkeypatch.setattr(tables_module, name, counted)
+    return formatted
+
+
+class TestTextStore:
+    def test_the_text_is_the_one_every_line_formatted_gives(self, table_text, monkeypatch):
+        lines = table_text.splitlines()
+        texts = [wl.variant_text(lines, item["edit"]) for item in EXPECTED["table_curation"]]
+        texts += [MINIMAL, MINIMAL + 'src "[Toda] 1962"\n', *_WARM_UPS, _STEMS]
+        tables = [raw for raw in map(_outcome, texts) if isinstance(raw, TableSet)]
+        assert len(tables) == 181 + 5
+        tables += _hand_built()
+        monkeypatch.setattr(tables_module, "_TEXTS", {})
+        for raw in tables + tables[::-1]:
+            assert serialize_tables(raw) == _serialize_oracle(raw)
+        assert "stem False 1\ngen iota\nstem 1.0 0 2\n" in serialize_tables(tables[-2])
+
+    def test_a_stem_or_group_is_formatted_once(self, table_text, monkeypatch):
+        monkeypatch.setattr(tables_module, "_BLOCKS", {})
+        store = {}
+        monkeypatch.setattr(tables_module, "_TEXTS", store)
+        formatted = _count_formats(monkeypatch)
+        text = serialize_tables(parse_tables(table_text))
+        assert len(formatted) == len(store) == 39
+        del formatted[:]
+        assert serialize_tables(parse_tables(table_text)) == text and formatted == []
+        # One changed row: only its group is formatted again.
+        variant = table_text.replace("gen eta_2_eta\nsusp 1\n", "gen eta_2_eta\nsusp 0\n")
+        assert variant != table_text
+        written = text.replace("gen eta_2_eta\nsusp 1\n", "gen eta_2_eta\nsusp 0\n")
+        assert written != text and serialize_tables(parse_tables(variant)) == written
+        assert formatted == [(4, 2)] and len(store) == 40
