@@ -152,13 +152,22 @@ _ZERO = object()
 
 # The violations of each curated entry's own checks (see
 # SphereTables._entry_violations), once per process for each distinct set of
-# the inputs they read.  The outer key is what the table's stable ring reads:
-# the stems' degrees and ids, the products and the stem generator degrees
-# (the parser derives these from the stems; a TableSet built by hand need
-# not).  Under it, an entry is keyed by its (m, q), its id and the id of its
-# curated susp target, or of None if it has none.  Each value holds the
-# objects whose ids its key has, so no id is reused while the key is stored.
+# the inputs they read.  The outer key is the table's ring key (see
+# SphereTables._shared).  Under it, an entry is keyed by its (m, q), its id
+# and the id of its curated susp target, or of None if it has none.  Each
+# value holds the objects whose ids its key has, so no id is reused while the
+# key is stored.
 _CHECKED: dict[tuple, tuple[tuple, dict]] = {}
+
+# Each kernel chain, once per process for each distinct set of the inputs it
+# reads: the entry, the stems its Gamma record lands in, the Hopf class (stem
+# generator names and degrees) and the products.  The outer key is the
+# table's ring key (see SphereTables._shared).  Under it, a chain is keyed by
+# (m, q, field_tag, id of the curated or closed-form entry pi_m(S^q)), and
+# its value is (entry, chain), so no id is reused while the key is stored.
+# A raise (a broken chain, q < 2, a column of the wrong length, an
+# untabulated group) is never stored.
+_CHAINS: dict[tuple, tuple[tuple, dict]] = {}
 
 Kernel = Union[Subgroup, Unknown]
 Chain = tuple[Kernel, Kernel, Subgroup]
@@ -170,26 +179,26 @@ class SphereTables:
     The table is never changed after construction, so each looked-up entry,
     each annotated map's columns (the one store that the pointwise maps, the
     kernel chain, Im E and validate() read), each Gamma record (the one store
-    that gamma() and the kernel chain read), each suspension image, and each
-    kernel chain is computed once and kept.  All of these are decided by
-    the table and stay with this instance.  What no table decides is shared
-    by the whole process instead: each closed-form entry (see
-    tables.closed_form_entry) and the trivial and whole subgroups of a group
-    (Subgroup.trivial, Subgroup.whole), so a fresh SphereTables builds none
-    of those that an earlier one has.  The parsed entries themselves are
-    shared by text: TableSets parsed from one group or stem block hold its
-    one entry (see tables._BLOCKS), each in dicts of its own.  The
-    violations of each entry's own checks in validate() are shared as well,
-    keyed by the objects those checks read (see _CHECKED): a table that
-    shares an entry, its susp target, the stems and the products with an
-    earlier one does not check that entry again.
+    that gamma() and the kernel chain read) and each suspension image is
+    computed once and kept.  These stay with this instance.  What no table
+    decides is shared by the whole process instead: each closed-form entry
+    (see tables.closed_form_entry) and the trivial and whole subgroups of a
+    group (Subgroup.trivial, Subgroup.whole), so a fresh SphereTables builds
+    none of those that an earlier one has.  The parsed entries themselves
+    are shared by text: TableSets parsed from one group or stem block hold
+    its one entry (see tables._BLOCKS), each in dicts of its own.  The
+    violations of each entry's own checks in validate() and each kernel
+    chain are shared as well, keyed by the objects they read (see _CHECKED
+    and _CHAINS): a table that shares an entry, the stems and the products
+    with an earlier one neither checks that entry again (if it also shares
+    its susp target) nor builds its chains again.
     """
 
     def __init__(self, tables: TableSet):
         self.raw = tables
         self.ring = StableRing(tables)
         # Each memo holds only what was asked for: at most one value per
-        # resolved (m, q), times each kind of map and each field for the chains.
+        # resolved (m, q), times each kind of map.
         # (m, q) -> its entry; an untabulated (m, q) raises and is not kept.
         self._entries: dict[tuple[int, int], SphereEntry] = {}
         # (m, q, kind) -> the _map record (target, columns, first gap).
@@ -199,8 +208,33 @@ class SphereTables:
         # (m, q) -> (Im E from the known susp columns of pi_{m-1}(S^{q-1}), the
         # first missing column or None); (None, why) if the source is untabulated.
         self._susp_images: dict[tuple[int, int], tuple[Optional[Subgroup], Optional[Unknown]]] = {}
-        # (m, q, field_tag) -> its kernel chain.
-        self._chains: dict[tuple[int, int, str], Chain] = {}
+        # The ring key of _shared and this table's part of _CHAINS, each found
+        # when first needed.
+        self._ring: Optional[tuple] = None
+        self._chain_store: Optional[dict] = None
+
+    def _shared(self, store: dict) -> dict:
+        """This table's part of a process-wide store (_CHECKED, _CHAINS), kept
+        under its ring key: what the stable ring reads, the stems' degrees and
+        ids, the products and the stem generator names and degrees (the parser
+        derives these from the stems; a TableSet built by hand need not).  The
+        key is built once per instance; the stored value holds the stems, so
+        no id is reused while the key is stored.  It is one flat tuple, led by
+        the lengths that fix where each run of it starts: CPython keeps up to
+        2000 freed tuples of each length up to 20 for reuse, so the short
+        tuples of a nested key, dropped with each session, would stay resident
+        (about 0.4 MB with the bundled table's 20 stems)."""
+        key = self._ring
+        if key is None:
+            raw = self.raw
+            key = self._ring = (
+                len(raw.stems), len(raw.products), *raw.stems, *map(id, raw.stems.values()),
+                *raw.products, *raw.products.values(),
+                *raw.stem_gen_degrees, *raw.stem_gen_degrees.values())
+        held = store.get(key)
+        if held is None:
+            held = store[key] = tuple(self.raw.stems.values()), {}
+        return held[1]
 
     # ------------------------------------------------------------- lookup
 
@@ -405,13 +439,21 @@ class SphereTables:
         """(Ker Gamma, Ker(h_K . E^inf), whole group) for pi_m(S^q), each kernel
         a Subgroup or the Unknown of its own first gap, so a gap in one leaves
         the other known.  When both are known, a table that breaks Ker Gamma <=
-        Ker(h_K . E^inf) raises SchemaError.  Each answer is computed once."""
-        chain = self._chains.get((m, q, field_tag))
-        if chain is None:
-            if q < 2:
-                raise FgAbError("the Hopf-James invariant needs q >= 2")
-            chain = self._chains[m, q, field_tag] = self._build_chain(m, q, field_tag)
-        return chain
+        Ker(h_K . E^inf) raises SchemaError.  Each answer is computed once per
+        process for its entry, stems, Hopf class and products (see _CHAINS),
+        so a fresh SphereTables over a table that shares them with an earlier
+        one builds none of its chains; a raise is not kept."""
+        if q < 2:
+            raise FgAbError("the Hopf-James invariant needs q >= 2")
+        entry = self.lookup(m, q)
+        chains = self._chain_store
+        if chains is None:
+            chains = self._chain_store = self._shared(_CHAINS)
+        key = m, q, field_tag, id(entry)
+        held = chains.get(key)
+        if held is None:
+            held = chains[key] = entry, self._build_chain(m, q, field_tag)
+        return held[1]
 
     def _build_chain(self, m: int, q: int, field_tag: str) -> Chain:
         """The chain from the integer cores: Ker Gamma from the Gamma record's
@@ -480,7 +522,9 @@ class SphereTables:
         - for even q with every antip row present: antip is an involution;
         - whitehead<q> lives in pi_{2q-1}(S^q), has order <= 2 for odd q and
           is zero exactly for q = 1, 3, 7; any other whitehead... name fails;
-        - alpha1_3 lives in pi_6(S^3), with a stable image of order 3.
+        - alpha1_3 lives in pi_6(S^3), with a stable image of order 3;
+        - each of these two names lies in a tabulated group (the parser
+          refuses any other name; a TableSet built by hand is told so).
         Images are integer vectors; objects and text are made for violations.
 
         The checks of one entry (_entry_violations) run once per process
@@ -510,13 +554,7 @@ class SphereTables:
             else:
                 hopfs.append((tag, hopf.degree, hopf.value.coeffs))
 
-        ring = (tuple(raw.stems), tuple(map(id, raw.stems.values())),
-                tuple(raw.products), tuple(raw.products.values()),
-                tuple(raw.stem_gen_degrees), tuple(raw.stem_gen_degrees.values()))
-        held = _CHECKED.get(ring)
-        if held is None:
-            held = _CHECKED[ring] = tuple(raw.stems.values()), {}
-        checked = held[1]
+        checked = self._shared(_CHECKED)
         for key, entry in sorted(raw.entries.items()):
             # The susp target, or None where (m + 1, q + 1) is not curated:
             # a closed form is then decided by the entry's own degrees.
@@ -527,6 +565,16 @@ class SphereTables:
                 found = checked[ids] = entry, above, self._entry_violations(key, entry, hopfs)
             v += found[2]
 
+        def registered(name):
+            """The class name registers, or None once an untabulated group is
+            reported: the parser refuses such a name, and a TableSet built by
+            hand is told so in the parser's words."""
+            try:
+                return self.named(name)
+            except OutOfTabulatedRange:
+                nc = raw.named[name]
+                bad(f"name {name}", f"registered in untabulated pi_{nc.m}(S^{nc.q})")
+
         # Registry constraints.
         for name in sorted(self.raw.named):
             if not name.startswith("whitehead"):
@@ -536,8 +584,9 @@ class SphereTables:
                 bad(f"name {name}", "not whitehead<q> with q in decimal digits and no leading zero")
                 continue
             q = int(digits)
-            # The parser has checked that the class lies in a tabulated group.
-            w = self.named(name)
+            w = registered(name)
+            if w is None:
+                continue
             if (w.m, w.q) != (2 * q - 1, q):
                 bad(f"name {name}", f"must live in pi_{2 * q - 1}(S^{q})")
                 continue
@@ -550,8 +599,7 @@ class SphereTables:
                     bad(f"name {name}", f"Whitehead square must vanish for q={q}")
             elif w.is_zero:
                 bad(f"name {name}", f"Whitehead square must be nonzero for q={q}")
-        if "alpha1_3" in self.raw.named:
-            a13 = self.named("alpha1_3")
+        if "alpha1_3" in self.raw.named and (a13 := registered("alpha1_3")) is not None:
             if (a13.m, a13.q) != (6, 3):
                 bad("name alpha1_3", "must live in pi_6(S^3)")
             else:

@@ -13,7 +13,7 @@ Regenerate the file, after a deliberate change of an answer, with
 import os
 import sys
 
-from coincalc import fgab, tables as tables_module
+from coincalc import fgab, spheres, tables as tables_module
 from coincalc.invariants import SCAN_KEYS, equivalence_scan
 from coincalc.projective import space
 from coincalc.spheres import SphereTables
@@ -67,9 +67,10 @@ def test_scan_dump_matches_golden(tables):
 
 
 def test_table_free_values_are_built_once_per_process(tables, monkeypatch):
-    """A second fresh SphereTables builds no closed-form entry and no whole or
-    trivial subgroup, and shares nothing that the table decides."""
-    built = {"entry": 0, "trivial": 0, "whole": 0}
+    """A second fresh SphereTables builds no closed-form entry, no whole or
+    trivial subgroup and no kernel chain, and shares no map columns, Gamma
+    record or suspension image with the first."""
+    built = {"entry": 0, "trivial": 0, "whole": 0, "chain": 0}
 
     def counting(kind, build):
         def counted(*args, **kwargs):
@@ -78,7 +79,9 @@ def test_table_free_values_are_built_once_per_process(tables, monkeypatch):
         return counted
 
     monkeypatch.setattr(SphereEntry, "__init__", counting("entry", SphereEntry.__init__))
-    for module, memo in ((tables_module, "_CLOSED_FORMS"), (fgab, "_TRIVIALS"), (fgab, "_WHOLES")):
+    monkeypatch.setattr(SphereTables, "_build_chain", counting("chain", SphereTables._build_chain))
+    for module, memo in ((tables_module, "_CLOSED_FORMS"), (fgab, "_TRIVIALS"), (fgab, "_WHOLES"),
+                         (spheres, "_CHAINS")):
         monkeypatch.setattr(module, memo, {})
     for kind in ("trivial", "whole"):
         name = f"_{kind}_subgroup"
@@ -89,12 +92,11 @@ def test_table_free_values_are_built_once_per_process(tables, monkeypatch):
         dumps.append("".join(_entry(sessions[-1], *q) for q in QUERIES))
         if run == 0:
             assert all(built.values()), built
-            built.update(entry=0, trivial=0, whole=0)
-    assert built == {"entry": 0, "trivial": 0, "whole": 0}
+            built.update(entry=0, trivial=0, whole=0, chain=0)
+    assert built == {"entry": 0, "trivial": 0, "whole": 0, "chain": 0}
     assert dumps[0] == dumps[1] == _golden()
     first, second = sessions
-    for memo in ("_maps", "_gammas", "_susp_images", "_chains"):
-        assert getattr(first, memo).keys() == getattr(second, memo).keys()
+    for memo in ("_maps", "_gammas", "_susp_images"):
         assert not set(map(id, getattr(first, memo).values())) & set(
             map(id, getattr(second, memo).values())), memo
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from coincalc.spheres import GammaValue, SphereTables, Unknown
 from coincalc.stable import StableElement
 from coincalc.tables import (
     GenAnnotations,
+    NamedClass,
     OutOfTabulatedRange,
     ParseError,
     SchemaError,
@@ -25,6 +27,7 @@ from coincalc.tables import (
     parse_tables,
 )
 from test_bench_replay import EXPECTED, wl
+from test_invariants import kernel_chain_cases
 from test_validate_golden import sweep
 
 
@@ -197,9 +200,11 @@ class TestGamma:
                 shared += 1
         assert (shared, varying) == (34, 23)
 
-    def test_chain_makes_no_zero_component_values(self, tables):
+    def test_chain_makes_no_zero_component_values(self, tables, monkeypatch):
         # A zero component adds no condition to Ker Gamma; its value is made
-        # only when gamma() first needs it, then kept.
+        # only when gamma() first needs it, then kept.  The chain store starts
+        # empty, so that every chain is built here and reads the Gamma records.
+        monkeypatch.setattr(spheres_module, "_CHAINS", {})
         ts = SphereTables(tables.raw)
         for m, q in sorted(tables.raw.entries):
             ts.kernel_chain(m, q, "C")
@@ -542,8 +547,8 @@ class TestKernelChain:
         assert chains[1] == chains[0] and chains[2] == chains[0]
 
     def test_each_table_keeps_its_own_chains(self, table_text):
-        # The memo lives on the instance: a bundled and a gapped table in one
-        # process each answer as if it were alone, whichever asks first.
+        # Chains are kept by the entry they read: a bundled and a gapped table
+        # in one process each answer as if it were alone, whichever asks first.
         gapped_text = table_text.replace("gamma 2 3 14\n", "")
         alone = SphereTables(parse_tables(table_text)).kernel_chain(6, 2, "R")
         bundled = SphereTables(parse_tables(table_text))
@@ -778,6 +783,19 @@ class TestCheckStore:
             report = _report(raw)
             assert (path, "susp target pi_4(S^3) is not tabulated") in report, report
 
+    @pytest.mark.parametrize("name, m, q", [("whitehead3", 5, 3), ("alpha1_3", 6, 3)])
+    def test_a_name_in_an_untabulated_group_is_a_violation(self, name, m, q):
+        # The parser refuses the name, so only a TableSet built by hand holds
+        # one; validate() reports it in the parser's words instead of raising.
+        stems = "stem 0 1\ngen iota\nstem 1 0 2\ngen eta\n"
+        with pytest.raises(SchemaError) as err:
+            parse_tables(stems + f"name {name} {m} {q} 0\n")
+        message = f"registered in untabulated pi_{m}(S^{q})"
+        assert str(err.value) == f"name {name}: {message}"
+        raw = parse_tables(stems)
+        raw.named[name] = NamedClass(m, q, (0,))
+        assert _report(raw) == [(f"name {name}", message)]
+
     @pytest.mark.parametrize("new_stems", [False, True], ids=["entries", "stems"])
     def test_an_id_is_not_reused_while_its_key_is_stored(self, new_stems, monkeypatch):
         # Tables built by hand are in no parse store: each is dropped before
@@ -799,3 +817,166 @@ class TestCheckStore:
             assert warm == _report(raw)
             del stems, ann, entry, raw
         assert len(store) == (40 if new_stems else 1)
+
+
+_FIELDS = ("R", "C", "H")
+
+# Two tables that differ only in stem 1: the group block parses to one entry,
+# whose stabilization 2 is zero in Z/2 but not in Z/4, so Ker Gamma differs.
+_STEM_CHAINS = [
+    f"stem 0 1\ngen iota\nstem 1 0 {order}\ngen eta\ngroup 4 3 1\ngen b\nstab 1 2\n"
+    for order in (2, 4)
+]
+
+
+def _chain_answers(raw, pairs):
+    """Each kernel chain of a fresh SphereTables over raw, or the type and
+    text of what it raised, at each (m, q) of pairs and each field."""
+    tables = SphereTables(raw)
+    answers = []
+    for m, q in pairs:
+        for tag in _FIELDS:
+            try:
+                answers.append(tables.kernel_chain(m, q, tag))
+            except Exception as exc:  # a broken chain or a gap the chain refuses
+                answers.append((type(exc), str(exc)))
+    return answers
+
+
+def _count_builds(monkeypatch) -> list:
+    """The (m, q, field) of each chain built from here on."""
+    built = []
+    build = SphereTables._build_chain
+
+    def counted(self, m, q, field_tag):
+        built.append((m, q, field_tag))
+        return build(self, m, q, field_tag)
+    monkeypatch.setattr(SphereTables, "_build_chain", counted)
+    return built
+
+
+class TestChainStore:
+    def test_a_cold_and_a_warm_store_give_the_same_chains(self, tables, table_text, monkeypatch):
+        # The tables of test_partial_scans_match_pointwise_reports (one stab,
+        # gamma or prod line dropped; eta or nu renamed), a shifted product,
+        # the two stem edits, and tables built by hand that share the second
+        # one's stems and entries but not its stem generators' names, or that
+        # hold its stem 1 at degree 2: every chain of kernel_chain_cases and
+        # of each table's own entries.
+        pairs = sorted({(m, sp.q) for sp, m in kernel_chain_cases(tables)})
+        lines = table_text.splitlines(keepends=True)
+        texts = ["".join(lines[:i] + lines[i + 1:]) for i, line in enumerate(lines)
+                 if line.split(" ")[0] in ("stab", "gamma", "prod")]
+        for hopf in ("eta", "nu"):
+            texts.append(re.sub(
+                r"^(gen|prod) .*$", lambda line: re.sub(rf"\b{hopf}\b", hopf + "1", line.group(0)),
+                table_text, flags=re.M))
+        product = "prod eta eta -> 2 1\n"
+        assert product in table_text
+        texts += [table_text.replace(product, "prod eta eta -> 2 0\n"), *_STEM_CHAINS]
+        raws = [parse_tables(text) for text in texts]
+        small = raws[-1]
+        raws += [TableSet(dict(small.entries), small.stems, small.products, small.named, {"iota": 0}),
+                 TableSet(dict(small.entries), {0: small.stems[0], 2: small.stems[1]},
+                          small.products, small.named, small.stem_gen_degrees)]
+        bundled = parse_tables(table_text)
+        store = {}
+        monkeypatch.setattr(spheres_module, "_CHAINS", store)
+        asked = [sorted(set(pairs) | set(raw.entries)) for raw in raws]
+        cold = []
+        for raw, own in zip(raws, asked):
+            store.clear()
+            cold.append(_chain_answers(raw, own))
+        # The edits each change a chain the others share.
+        assert cold[-4] != cold[-3] != cold[-2] and cold[-3] != cold[-1]
+        assert cold[-5] != _chain_answers(bundled, asked[-5])
+        # The store is filled by the bundled table and every other table, in
+        # one order and then in the other, before each table is asked.
+        for order in (list(range(len(raws))), list(range(len(raws)))[::-1]):
+            store.clear()
+            for raw, own in [(bundled, pairs), *((raws[i], asked[i]) for i in order)]:
+                _chain_answers(raw, own)
+            assert [_chain_answers(raws[i], asked[i]) for i in order] == [cold[i] for i in order]
+
+    def test_a_chain_is_built_again_only_when_what_it_reads_changes(
+        self, table_text, monkeypatch
+    ):
+        monkeypatch.setattr(spheres_module, "_CHAINS", {})
+        built = _count_builds(monkeypatch)
+        raw = parse_tables(table_text)
+        pairs = sorted(key for key in raw.entries if key[1] >= 2) + [(q, q) for q in range(2, 8)]
+        first = _chain_answers(raw, pairs)
+        assert len(built) == len(first) == 3 * len(pairs)
+        # A second session over the same TableSet, or over a new parse of the
+        # same text, builds none.
+        del built[:]
+        assert _chain_answers(raw, pairs) == first and built == []
+        assert _chain_answers(parse_tables(table_text), pairs) == first and built == []
+        # One group block edited: only its entry's chains.  A chain does not
+        # read the susp target, so pi_4(S^2)'s chains stay.
+        group = "group 5 3 0 2\n"
+        edited = table_text.replace(group + "src", group + "# edited\nsrc")
+        assert edited != table_text
+        assert _chain_answers(parse_tables(edited), pairs) == first
+        assert built == [(5, 3, tag) for tag in _FIELDS]
+        # A product row is read by every chain's Ker(h_K . E^inf).
+        del built[:]
+        product = "prod eta eta -> 2 1\n"
+        _chain_answers(parse_tables(table_text.replace(product, "prod eta eta -> 2 0\n")), pairs)
+        assert built == [(m, q, tag) for m, q in pairs for tag in _FIELDS]
+
+    @pytest.mark.parametrize("new_stems", [False, True], ids=["entries", "stems"])
+    def test_an_id_is_not_reused_while_its_key_is_stored(self, new_stems, monkeypatch):
+        # Tables built by hand are in no parse store: each is dropped before
+        # the next one, whose values may take its ids, is built.  Either the
+        # entry is new with a stabilization that runs through 0, 1, 2 into
+        # stem 1 = Z/4, or the stems are new with a stem 1 that runs through
+        # Z/2, Z/4, Z/8 under one entry whose stabilization is 2: three
+        # chains each, so ids that come back every second table show too.
+        store = {}
+
+        def stem_entries(order):
+            return {0: StemEntry(0, FgAbGroup.free(1), ("iota",)),
+                    1: StemEntry(1, FgAbGroup(0, (order,)), ("eta",))}
+
+        def sphere_entry(stab):
+            return SphereEntry(4, 3, FgAbGroup.free(1), ("b",), (GenAnnotations(stab=(stab,)),))
+        shared_stems, shared_entry = stem_entries(4), sphere_entry(2)
+        for c in range(40):
+            if new_stems:
+                stems, entry = stem_entries(2 ** (1 + c % 3)), shared_entry
+            else:
+                stems, entry = shared_stems, sphere_entry(c % 3)
+            raw = TableSet({(4, 3): entry}, stems, stem_gen_degrees={"iota": 0, "eta": 1})
+            monkeypatch.setattr(spheres_module, "_CHAINS", store)
+            warm = _chain_answers(raw, [(4, 3)])
+            monkeypatch.setattr(spheres_module, "_CHAINS", {})
+            assert warm == _chain_answers(raw, [(4, 3)])
+            del stems, entry, raw
+        assert len(store) == (40 if new_stems else 1)
+
+    def test_a_broken_chain_raises_on_a_warm_store(self, table_text, monkeypatch):
+        # The table of test_broken_kernel_chain_exits_3 edits a group and a
+        # product row; the store first holds the chains of the bundled table
+        # and of each table with one of the two edits, whose chains are whole.
+        edits = (("group 5 3 0 2\n", "group 5 3 0 4\n"),
+                 ("prod eta eta2 -> 3 12\n", "prod eta eta2 -> 3 1\n"))
+
+        def edited(*rows):
+            text = table_text
+            for row, bad in rows:
+                assert text.count(row) == 1
+                text = text.replace(row, bad)
+            return parse_tables(text)
+        monkeypatch.setattr(spheres_module, "_CHAINS", {})
+        for raw in (parse_tables(table_text), edited(edits[0]), edited(edits[1])):
+            answers = _chain_answers(raw, sorted(raw.entries))
+            assert not any(isinstance(answer[0], type) for answer in answers)
+        broken = edited(*edits)
+        message = "kernel chain broken for K=C: Ker Gamma is not contained in Ker(h_K . E^inf)"
+        for _session in range(2):
+            tables = SphereTables(broken)
+            for _ in range(2):
+                with pytest.raises(SchemaError, match=re.escape(message)) as caught:
+                    tables.kernel_chain(5, 3, "C")
+                assert caught.value.path == "pi_5(S^3)"
