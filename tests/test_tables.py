@@ -1,5 +1,6 @@
 """Table format: parsing, rejection, round-trip, closed forms, fault injection."""
 
+import itertools
 import os
 import re
 import subprocess
@@ -523,10 +524,12 @@ class TestValidator:
         assert any("suspension-invariant" in v for v in violations)
 
 
-# Texts whose group or stem block is stored by the warm-up texts after them,
-# so that a warm parse takes it from the store and meets each fault there:
-# the same group twice, the same stem twice, a stored stem whose generator
-# name an earlier stem has, and a stored block before a malformed line.
+# Texts whose piece is stored by the warm-up texts after them or by their own
+# first parse, so that a warm parse takes it from the store and meets each
+# fault there: the same group twice, the same stem twice, a stored stem whose
+# generator name an earlier stem has, a stored block before a malformed line,
+# the same name twice, a stored product of a generator the text lacks, and
+# the same product twice.
 STORED_BLOCK_FAULTS = [
     (MINIMAL + "group 3 2 1\ngen eta_2\nstab 1 1\ngamma 2 0 1\nantip 1\n",
      ("group 3 2 1", "gen eta_2", "stab 1 1", "gamma 2 0 1", "antip 1")),
@@ -534,6 +537,11 @@ STORED_BLOCK_FAULTS = [
     ("stem 0 1\ngen iota\nstem 1 1\ngen iota\n", ("stem 1 1", "gen iota")),
     (MINIMAL + "name foo x 2\n",
      ("group 3 2 1", "gen eta_2", "stab 1 1", "gamma 2 0 1", "antip 1")),
+    (MINIMAL + 'name hopf 3 2 1\nsrc "eta_2"\nname hopf 3 2 1\nsrc "eta_2"\n',
+     ("name hopf 3 2 1", 'src "eta_2"')),
+    ("stem 0 1\ngen iota\nprod eta eta -> 2 1\n", ("prod eta eta -> 2 1",)),
+    (MINIMAL + "stem 2 0 2\ngen eta2\nprod eta eta -> 2 1\nprod eta eta -> 2 1\n",
+     ("prod eta eta -> 2 1",)),
 ]
 _WARM_UPS = [MINIMAL, "stem 0 1\ngen i0\nstem 1 1\ngen iota\n"]
 
@@ -593,18 +601,22 @@ class TestBlockStore:
             kept.clear()
             cold.append(_written(text))
         bundled = cold.pop(0)
-        assert cold[-4 - len(same):-4] == [bundled] * len(same)
+        faults = len(STORED_BLOCK_FAULTS)
+        assert cold[-faults - len(same):-faults] == [bundled] * len(same)
         for text in [table_text, *_WARM_UPS, *texts]:
             _written(text)
         for _text, block in STORED_BLOCK_FAULTS:
             assert "\n".join(block) in store
         assert [_written(text) for text in texts] == cold
-        # Each fault of a stored block, as a parse that reads it would give it.
-        assert [outcome[1] for outcome, _written_text in cold[-4:]] == [
-            "pi_3(S^2): duplicate entry",
-            "pi_0^S: duplicate stem",
-            "pi_1^S: stem generator name 'iota' reused across stems",
-            "line 11, column 10: name m/q must be integers",
+        # Each fault of a stored piece, as a parse that reads it would give it.
+        assert [outcome[1:] for outcome, _written_text in cold[-faults:]] == [
+            ("pi_3(S^2): duplicate entry", [None, None, "pi_3(S^2)"]),
+            ("pi_0^S: duplicate stem", [None, None, "pi_0^S"]),
+            ("pi_1^S: stem generator name 'iota' reused across stems", [None, None, "pi_1^S"]),
+            ("line 11, column 10: name m/q must be integers", [11, 10, None]),
+            ("name hopf: duplicate name", [None, None, "name hopf"]),
+            ("prod eta eta: unknown stem generator 'eta'", [None, None, "prod eta eta"]),
+            ("prod eta eta: duplicate product", [None, None, "prod eta eta"]),
         ]
 
     def test_entries_are_shared_by_text_and_dicts_are_not(self, table_text, monkeypatch):
@@ -612,7 +624,7 @@ class TestBlockStore:
         monkeypatch.setattr(tables_module, "_BLOCKS", store)
         first = parse_tables(table_text)
         assert (len(first.entries), len(first.stems)) == (19, 20)
-        assert len(store) == 39
+        assert len(store) == 56
         built = _count_builds(monkeypatch)
         second = parse_tables(table_text)
         assert second == first and not any(built.values())
@@ -628,7 +640,7 @@ class TestBlockStore:
         changed = parse_tables(variant)
         assert built == {SphereEntry: 1, StemEntry: 0, GenAnnotations: 1}
         assert changed.entries[4, 2].annotations[0].susp == (0,)
-        assert len(store) == 40
+        assert len(store) == 57
 
     @pytest.mark.parametrize("text", [
         "stem 0 2\ngen a\n",
@@ -654,6 +666,118 @@ class TestBlockStore:
         assert [c for c in spaces if len(f"a{c}b".splitlines()) == 1] == list(_BLANKS)
         breaks = {c for c in spaces if len(f"a{c}b".splitlines()) == 2}
         assert breaks | {"\r\n"} == {*_BREAKS, "\n"}
+
+
+def _row_fault_oracle(tables: TableSet):
+    """The first row-length fault of the file stage, read row by row: every
+    entry in order, each generator, then its susp, stab and each gamma row.
+    Its message as SchemaError words it, or None."""
+    for (m, q), entry in tables.entries.items():
+        for name, ann in zip(entry.gen_names, entry.annotations):
+            for key, coeffs in (("susp", ann.susp), ("stab", ann.stab), *ann.gammas):
+                if coeffs is None:
+                    continue
+                target = tables_module.map_target(tables, entry, key)
+                if isinstance(target, str):
+                    fault = f"target {target}"
+                elif len(coeffs) != target.group.rank:
+                    fault = f"vector length {len(coeffs)} != rank {target.group.rank}"
+                else:
+                    continue
+                label = key if type(key) is str else f"gamma k={key}"
+                return f"pi_{m}(S^{q}) gen {name}: {label} {fault}"
+    return None
+
+
+def _rows(lines):
+    """(line index, (m, q), generator, key) of each susp, stab and gamma row."""
+    group = gen = None
+    for index, line in enumerate(lines):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if tokens[0] in ("group", "stem", "prod", "name"):
+            group = (int(tokens[1]), int(tokens[2])) if tokens[0] == "group" else None
+        elif tokens[0] == "gen":
+            gen = tokens[1]
+        elif group and tokens[0] in ("susp", "stab", "gamma"):
+            yield index, group, gen, int(tokens[1]) if tokens[0] == "gamma" else tokens[0]
+
+
+def _resized(lines, index):
+    """Each one-row length mutation of line `index`: a coefficient added, and
+    one dropped where the row has two or more: (line, new coefficients)."""
+    head, _, vector = lines[index].rpartition(" ")
+    coeffs = tuple(map(int, vector.split(",")))
+    out = [(f"{head} {vector},0", coeffs + (0,))]
+    if len(coeffs) > 1:
+        out.append((f"{head} {vector.rpartition(',')[0]}", coeffs[:-1]))
+    return out
+
+
+def _with_row(entry: SphereEntry, gen: str, key, coeffs) -> SphereEntry:
+    """entry with the row `key` of generator `gen` replaced by coeffs."""
+    anns = list(entry.annotations)
+    i = entry.gen_names.index(gen)
+    a = anns[i]
+    if key == "susp":
+        a = GenAnnotations(coeffs, a.stab, a.gammas, a.antip, a.source)
+    elif key == "stab":
+        a = GenAnnotations(a.susp, coeffs, a.gammas, a.antip, a.source)
+    else:
+        gammas = tuple((k, coeffs if k == key else c) for k, c in a.gammas)
+        a = GenAnnotations(a.susp, a.stab, gammas, a.antip, a.source)
+    anns[i] = a
+    return SphereEntry(entry.m, entry.q, entry.group, entry.gen_names, tuple(anns), entry.source)
+
+
+class TestRowDemands:
+    """The file stage checks each distinct (map key, vector length) of a
+    group's rows once, at its first row; a row-by-row reading must report
+    the same first fault."""
+
+    def _check(self, table_text, edits):
+        """Apply edits [(line index, (m, q), generator, key, line, coeffs)] to
+        the text and to its parsed table; both readings give one fault."""
+        lines = table_text.splitlines()
+        tables = parse_tables(table_text)
+        for index, group, gen, key, line, coeffs in edits:
+            lines[index] = line
+            tables.entries[group] = _with_row(tables.entries[group], gen, key, coeffs)
+        expected = _row_fault_oracle(tables)
+        assert expected is not None
+        with pytest.raises(SchemaError) as err:
+            parse_tables("\n".join(lines) + "\n")
+        assert str(err.value) == expected
+        return expected
+
+    def test_each_one_row_length_mutation(self, table_text):
+        lines = table_text.splitlines()
+        rows = list(_rows(lines))
+        assert len(rows) == 59
+        for index, group, gen, key in rows:
+            for line, coeffs in _resized(lines, index):
+                self._check(table_text, [(index, group, gen, key, line, coeffs)])
+
+    def test_two_faults_in_the_group_with_two_generators(self, table_text):
+        lines = table_text.splitlines()
+        rows = [row for row in _rows(lines) if row[1] == (7, 4)]
+        assert [(gen, key) for _i, _g, gen, key in rows] == [
+            ("nu_4", "susp"), ("nu_4", "stab"), ("nu_4", 2),
+            ("e_nu_p", "susp"), ("e_nu_p", "stab"), ("e_nu_p", 2),
+        ]
+        reported = set()
+        for first, second in itertools.combinations(rows, 2):
+            edits = [(*row, *_resized(lines, row[0])[0]) for row in (first, second)]
+            reported.add(self._check(table_text, edits))
+        # Only reading order picks the fault: the first row, whatever its key.
+        assert reported == {
+            "pi_7(S^4) gen nu_4: susp vector length 2 != rank 1",
+            "pi_7(S^4) gen nu_4: stab vector length 2 != rank 1",
+            "pi_7(S^4) gen nu_4: gamma k=2 vector length 2 != rank 1",
+            "pi_7(S^4) gen e_nu_p: susp vector length 2 != rank 1",
+            "pi_7(S^4) gen e_nu_p: stab vector length 2 != rank 1",
+        }
 
 
 def _serialize_oracle(tables: TableSet) -> str:
