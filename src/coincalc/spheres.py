@@ -150,24 +150,21 @@ def _touched(group: FgAbGroup, coeffs, columns) -> Union[tuple[int, ...], Unknow
 # gamma() first needs that zero.
 _ZERO = object()
 
-# The violations of each curated entry's own checks (see
-# SphereTables._entry_violations), once per process for each distinct set of
-# the inputs they read.  The outer key is the table's ring key (see
-# SphereTables._shared).  Under it, an entry is keyed by its (m, q), its id
-# and the id of its curated susp target, or of None if it has none.  Each
-# value holds the objects whose ids its key has, so no id is reused while the
-# key is stored.
-_CHECKED: dict[tuple, tuple[tuple, dict]] = {}
-
-# Each kernel chain, once per process for each distinct set of the inputs it
-# reads: the entry, the stems its Gamma record lands in, the Hopf class (stem
-# generator names and degrees) and the products.  The outer key is the
-# table's ring key (see SphereTables._shared).  Under it, a chain is keyed by
-# (m, q, field_tag, id of the curated or closed-form entry pi_m(S^q)), and
-# its value is (entry, chain), so no id is reused while the key is stored.
-# A raise (a broken chain, q < 2, a column of the wrong length, an
-# untabulated group) is never stored.
-_CHAINS: dict[tuple, tuple[tuple, dict]] = {}
+# What a table's stable ring decides, once per process for each distinct set
+# of the inputs it reads: ring key -> (the stems, checked, chains).  The ring
+# key is what the stable ring reads, the stems' degrees and ids, the products
+# and the stem generator names and degrees (the parser derives these from the
+# stems; a TableSet built by hand need not), in one flat tuple led by the
+# lengths that fix where each run of it starts: CPython keeps up to 2000 freed
+# tuples of each length up to 20 for reuse, so the short tuples of a nested
+# key, dropped with each session, would stay resident (about 0.4 MB with the
+# bundled table's 20 stems).  checked maps ((m, q), id of the entry, id of its
+# curated susp target or of None) to (entry, target, the violations of the
+# entry's own checks; see SphereTables._entry_violations).  chains maps (m, q,
+# field_tag, id of the curated or closed-form entry) to (entry, kernel chain);
+# a raise is never stored.  Each value holds the objects whose ids its key
+# has, so no id is reused while the key is stored.
+_RINGS: dict[tuple, tuple[tuple, dict, dict]] = {}
 
 Kernel = Union[Subgroup, Unknown]
 Chain = tuple[Kernel, Kernel, Subgroup]
@@ -186,12 +183,9 @@ class SphereTables:
     group (Subgroup.trivial, Subgroup.whole), so a fresh SphereTables builds
     none of those that an earlier one has.  The parsed entries themselves
     are shared by text: TableSets parsed from one group or stem block hold
-    its one entry (see tables._BLOCKS), each in dicts of its own.  The
-    violations of each entry's own checks in validate() and each kernel
-    chain are shared as well, keyed by the objects they read (see _CHECKED
-    and _CHAINS): a table that shares an entry, the stems and the products
-    with an earlier one neither checks that entry again (if it also shares
-    its susp target) nor builds its chains again.
+    its one entry (see tables._BLOCKS), each in dicts of its own, and the
+    checks and chains of an entry under the same stems and products are
+    shared through _RINGS.
     """
 
     def __init__(self, tables: TableSet):
@@ -208,33 +202,22 @@ class SphereTables:
         # (m, q) -> (Im E from the known susp columns of pi_{m-1}(S^{q-1}), the
         # first missing column or None); (None, why) if the source is untabulated.
         self._susp_images: dict[tuple[int, int], tuple[Optional[Subgroup], Optional[Unknown]]] = {}
-        # The ring key of _shared and this table's part of _CHAINS, each found
-        # when first needed.
-        self._ring: Optional[tuple] = None
-        self._chain_store: Optional[dict] = None
+        # This table's _RINGS record, found when first needed.
+        self._held: Optional[tuple] = None
 
-    def _shared(self, store: dict) -> dict:
-        """This table's part of a process-wide store (_CHECKED, _CHAINS), kept
-        under its ring key: what the stable ring reads, the stems' degrees and
-        ids, the products and the stem generator names and degrees (the parser
-        derives these from the stems; a TableSet built by hand need not).  The
-        key is built once per instance; the stored value holds the stems, so
-        no id is reused while the key is stored.  It is one flat tuple, led by
-        the lengths that fix where each run of it starts: CPython keeps up to
-        2000 freed tuples of each length up to 20 for reuse, so the short
-        tuples of a nested key, dropped with each session, would stay resident
-        (about 0.4 MB with the bundled table's 20 stems)."""
-        key = self._ring
-        if key is None:
-            raw = self.raw
-            key = self._ring = (
-                len(raw.stems), len(raw.products), *raw.stems, *map(id, raw.stems.values()),
-                *raw.products, *raw.products.values(),
-                *raw.stem_gen_degrees, *raw.stem_gen_degrees.values())
-        held = store.get(key)
+    def _record(self) -> tuple:
+        """This table's _RINGS record; its key is built once per instance."""
+        held = self._held
         if held is None:
-            held = store[key] = tuple(self.raw.stems.values()), {}
-        return held[1]
+            raw = self.raw
+            key = (len(raw.stems), len(raw.products), *raw.stems, *map(id, raw.stems.values()),
+                   *raw.products, *raw.products.values(),
+                   *raw.stem_gen_degrees, *raw.stem_gen_degrees.values())
+            held = _RINGS.get(key)
+            if held is None:
+                held = _RINGS[key] = tuple(raw.stems.values()), {}, {}
+            self._held = held
+        return held
 
     # ------------------------------------------------------------- lookup
 
@@ -440,15 +423,13 @@ class SphereTables:
         a Subgroup or the Unknown of its own first gap, so a gap in one leaves
         the other known.  When both are known, a table that breaks Ker Gamma <=
         Ker(h_K . E^inf) raises SchemaError.  Each answer is computed once per
-        process for its entry, stems, Hopf class and products (see _CHAINS),
+        process for its entry, stems, Hopf class and products (see _RINGS),
         so a fresh SphereTables over a table that shares them with an earlier
         one builds none of its chains; a raise is not kept."""
         if q < 2:
             raise FgAbError("the Hopf-James invariant needs q >= 2")
         entry = self.lookup(m, q)
-        chains = self._chain_store
-        if chains is None:
-            chains = self._chain_store = self._shared(_CHAINS)
+        chains = self._record()[2]
         key = m, q, field_tag, id(entry)
         held = chains.get(key)
         if held is None:
@@ -528,7 +509,7 @@ class SphereTables:
         Images are integer vectors; objects and text are made for violations.
 
         The checks of one entry (_entry_violations) run once per process
-        for each distinct set of the inputs they read, kept in _CHECKED: a
+        for each distinct set of the inputs they read, kept in _RINGS: a
         table that shares all but one group block with an earlier one
         re-checks only that block's entry and the entry whose susp lands in
         it.  The Hopf-class and registry checks run on every call.
@@ -554,7 +535,7 @@ class SphereTables:
             else:
                 hopfs.append((tag, hopf.degree, hopf.value.coeffs))
 
-        checked = self._shared(_CHECKED)
+        checked = self._record()[1]
         for key, entry in sorted(raw.entries.items()):
             # The susp target, or None where (m + 1, q + 1) is not curated:
             # a closed form is then decided by the entry's own degrees.
@@ -620,7 +601,7 @@ class SphereTables:
         hopfs holds (tag, degree, coefficients) of each registered Hopf class.
         Besides the entry, the checks read only its susp target, the stems
         (which fix hopfs), the stem generator degrees and the products: the
-        inputs that _CHECKED keys."""
+        inputs that _RINGS keys."""
         v: list[Violation] = []
 
         def bad(message, gen=None):

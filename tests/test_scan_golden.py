@@ -81,7 +81,7 @@ def test_table_free_values_are_built_once_per_process(tables, monkeypatch):
     monkeypatch.setattr(SphereEntry, "__init__", counting("entry", SphereEntry.__init__))
     monkeypatch.setattr(SphereTables, "_build_chain", counting("chain", SphereTables._build_chain))
     for module, memo in ((tables_module, "_CLOSED_FORMS"), (fgab, "_TRIVIALS"), (fgab, "_WHOLES"),
-                         (spheres, "_CHAINS")):
+                         (spheres, "_RINGS")):
         monkeypatch.setattr(module, memo, {})
     for kind in ("trivial", "whole"):
         name = f"_{kind}_subgroup"

@@ -204,7 +204,7 @@ class TestGamma:
         # A zero component adds no condition to Ker Gamma; its value is made
         # only when gamma() first needs it, then kept.  The chain store starts
         # empty, so that every chain is built here and reads the Gamma records.
-        monkeypatch.setattr(spheres_module, "_CHAINS", {})
+        monkeypatch.setattr(spheres_module, "_RINGS", {})
         ts = SphereTables(tables.raw)
         for m, q in sorted(tables.raw.entries):
             ts.kernel_chain(m, q, "C")
@@ -721,7 +721,7 @@ class TestCheckStore:
         tables = [raw for raw in map(_parsed, texts) if raw is not None]
         bundled = parse_tables(table_text)
         store = {}
-        monkeypatch.setattr(spheres_module, "_CHECKED", store)
+        monkeypatch.setattr(spheres_module, "_RINGS", store)
         cold = []
         for raw in tables:
             store.clear()
@@ -742,7 +742,7 @@ class TestCheckStore:
     def test_an_entry_is_checked_again_only_when_what_it_reads_changes(
         self, table_text, monkeypatch
     ):
-        monkeypatch.setattr(spheres_module, "_CHECKED", {})
+        monkeypatch.setattr(spheres_module, "_RINGS", {})
         checked = _count_checks(monkeypatch)
         raw = parse_tables(table_text)
         assert _report(raw) == [] and len(checked) == len(raw.entries) == 19
@@ -778,7 +778,7 @@ class TestCheckStore:
         raw = parse_tables(text.replace("susp 1\n", ""))
         ann = GenAnnotations(susp=(1,), stab=(1,))
         raw.entries[3, 2] = SphereEntry(3, 2, FgAbGroup.free(1), ("a",), (ann,))
-        monkeypatch.setattr(spheres_module, "_CHECKED", {})
+        monkeypatch.setattr(spheres_module, "_RINGS", {})
         for _store in ("cold", "warm"):
             report = _report(raw)
             assert (path, "susp target pi_4(S^3) is not tabulated") in report, report
@@ -827,9 +827,9 @@ class TestCheckStore:
             ann = GenAnnotations(stab=(c % 2,), gammas=((1, (c,)),))
             entry = SphereEntry(3, 2, FgAbGroup.free(1), ("eta_2",), (ann,))
             raw = TableSet({(3, 2): entry}, stems, stem_gen_degrees={"iota": 0, "eta": 1})
-            monkeypatch.setattr(spheres_module, "_CHECKED", store)
+            monkeypatch.setattr(spheres_module, "_RINGS", store)
             warm = _report(raw)
-            monkeypatch.setattr(spheres_module, "_CHECKED", {})
+            monkeypatch.setattr(spheres_module, "_RINGS", {})
             assert warm == _report(raw)
             del stems, ann, entry, raw
         assert len(store) == (40 if new_stems else 1)
@@ -897,7 +897,7 @@ class TestChainStore:
                           small.products, small.named, small.stem_gen_degrees)]
         bundled = parse_tables(table_text)
         store = {}
-        monkeypatch.setattr(spheres_module, "_CHAINS", store)
+        monkeypatch.setattr(spheres_module, "_RINGS", store)
         asked = [sorted(set(pairs) | set(raw.entries)) for raw in raws]
         cold = []
         for raw, own in zip(raws, asked):
@@ -917,7 +917,7 @@ class TestChainStore:
     def test_a_chain_is_built_again_only_when_what_it_reads_changes(
         self, table_text, monkeypatch
     ):
-        monkeypatch.setattr(spheres_module, "_CHAINS", {})
+        monkeypatch.setattr(spheres_module, "_RINGS", {})
         built = _count_builds(monkeypatch)
         raw = parse_tables(table_text)
         pairs = sorted(key for key in raw.entries if key[1] >= 2) + [(q, q) for q in range(2, 8)]
@@ -964,9 +964,9 @@ class TestChainStore:
             else:
                 stems, entry = shared_stems, sphere_entry(c % 3)
             raw = TableSet({(4, 3): entry}, stems, stem_gen_degrees={"iota": 0, "eta": 1})
-            monkeypatch.setattr(spheres_module, "_CHAINS", store)
+            monkeypatch.setattr(spheres_module, "_RINGS", store)
             warm = _chain_answers(raw, [(4, 3)])
-            monkeypatch.setattr(spheres_module, "_CHAINS", {})
+            monkeypatch.setattr(spheres_module, "_RINGS", {})
             assert warm == _chain_answers(raw, [(4, 3)])
             del stems, entry, raw
         assert len(store) == (40 if new_stems else 1)
@@ -984,7 +984,7 @@ class TestChainStore:
                 assert text.count(row) == 1
                 text = text.replace(row, bad)
             return parse_tables(text)
-        monkeypatch.setattr(spheres_module, "_CHAINS", {})
+        monkeypatch.setattr(spheres_module, "_RINGS", {})
         for raw in (parse_tables(table_text), edited(edits[0]), edited(edits[1])):
             answers = _chain_answers(raw, sorted(raw.entries))
             assert not any(isinstance(answer[0], type) for answer in answers)
@@ -996,3 +996,34 @@ class TestChainStore:
                 with pytest.raises(SchemaError, match=re.escape(message)) as caught:
                     tables.kernel_chain(5, 3, "C")
                 assert caught.value.path == "pi_5(S^3)"
+
+
+class TestRingStore:
+    def test_two_parses_of_one_text_share_one_record(self, table_text, monkeypatch):
+        monkeypatch.setattr(spheres_module, "_RINGS", {})
+        first, second = SphereTables(parse_tables(table_text)), SphereTables(parse_tables(table_text))
+        assert first.raw is not second.raw
+        first.validate()
+        first.kernel_chain(5, 3, "C")
+        assert len(spheres_module._RINGS) == 1
+        stems, checked, chains = second._record()
+        assert second._record() is first._record() and len(spheres_module._RINGS) == 1
+        assert stems == tuple(first.raw.stems.values()) and checked and chains
+
+    def test_a_stem_citation_edit_gives_a_new_record(self, table_text, monkeypatch):
+        monkeypatch.setattr(spheres_module, "_RINGS", {})
+        source = 'src "[Toda] p.186: pi_1^S = Z/2, generated by eta"\n'
+        assert table_text.count(source) == 1
+        edited = table_text.replace(source, source.replace("p.186", "p. 186"))
+        bundled = SphereTables(parse_tables(table_text))._record()
+        assert SphereTables(parse_tables(edited))._record() is not bundled
+        assert len(spheres_module._RINGS) == 2
+
+    def test_the_curation_variants_leave_twelve_records(self, table_text, monkeypatch):
+        monkeypatch.setattr(spheres_module, "_RINGS", {})
+        lines = table_text.splitlines()
+        texts = [wl.variant_text(lines, item["edit"]) for item in EXPECTED["table_curation"]]
+        for raw in map(_parsed, texts):
+            if raw is not None:
+                _report(raw)
+        assert len(spheres_module._RINGS) == 12
