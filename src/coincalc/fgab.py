@@ -5,11 +5,10 @@ elements are integer coefficient vectors with torsion coordinates reduced to
 [0, t), and homomorphisms are integer matrices acting on generator coordinates.
 The one lattice algorithm at run time is a canonical Hermite normal form
 (HNF) taken modulo the torsion orders: a subgroup value is its HNF basis, so
-membership is a row reduction and equality is equality of values, and a
-kernel is read off the HNF of the graph of its map, or, for a cyclic
-domain, from the order of the generator's image.  The Smith normal form,
-one pivot loop over the diagonal places, stays as a library function and as
-the oracle the tests check against.
+membership is a row reduction and equality is equality of values, and
+every kernel is read off the HNF of the graph of its map.  The Smith
+normal form, one pivot loop over the diagonal places, stays as a library
+function and as the oracle the tests check against.
 Every answer is exact, and all values are immutable after construction.
 """
 
@@ -343,8 +342,15 @@ class GroupElement(_Value):
         return not any(self.coeffs)
 
     def order(self) -> Optional[int]:
-        """Least k >= 1 with k*x == 0; None if the free part is nonzero."""
-        return _order(self.coeffs, self.group.coord_orders()) or None
+        """Least k >= 1 with k*x == 0, the lcm of t / gcd(c, t) over the
+        torsion coordinates; None if the free part is nonzero."""
+        k = 1
+        for c, t in zip(self.coeffs, self.group.coord_orders()):
+            if t:
+                k = lcm(k, t // gcd(c, t))
+            elif c:
+                return None
+        return k
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -517,22 +523,15 @@ class Subgroup(_Value, compare=("ambient", "generators_")):
 
     @classmethod
     def trivial(cls, ambient: FgAbGroup) -> "Subgroup":
-        """The zero subgroup, built once and shared by the whole process: one
-        value per group value that it names.  The key compares by value, so
-        the ambient of the value returned may be an equal group of another
-        table; nothing may rely on its identity."""
-        sub = _TRIVIALS.get(ambient)
-        if sub is None:
-            sub = _TRIVIALS[ambient] = _trivial_subgroup(ambient)
-        return sub
+        """The zero subgroup, built on each call: its canonical basis is the
+        ambient's relation rows."""
+        return cls._canonical(ambient, _relations(ambient.coord_orders()).values())
 
     @classmethod
     def whole(cls, ambient: FgAbGroup) -> "Subgroup":
-        """The whole group as a subgroup, shared as `trivial` is."""
-        sub = _WHOLES.get(ambient)
-        if sub is None:
-            sub = _WHOLES[ambient] = _whole_subgroup(ambient)
-        return sub
+        """The whole group as a subgroup, built on each call: its canonical
+        basis is the identity, each row of it a nonzero element."""
+        return cls._canonical(ambient, _identity(ambient.rank))
 
     def contains(self, x: GroupElement) -> bool:
         if x.group != self.ambient:
@@ -575,34 +574,6 @@ class Subgroup(_Value, compare=("ambient", "generators_")):
         return "<" + ", ".join(str(g) for g in self.generators_) + ">"
 
 
-# The trivial and the whole subgroup of each group value the process names.
-# No table decides them, so they are shared across tables; kernels are not.
-_TRIVIALS: dict[FgAbGroup, Subgroup] = {}
-_WHOLES: dict[FgAbGroup, Subgroup] = {}
-
-
-def _trivial_subgroup(ambient: FgAbGroup) -> Subgroup:
-    return Subgroup._canonical(ambient, _relations(ambient.coord_orders()).values())
-
-
-def _whole_subgroup(ambient: FgAbGroup) -> Subgroup:
-    # The identity is canonical, and each of its rows a nonzero element.
-    return Subgroup._canonical(ambient, _identity(ambient.rank))
-
-
-def _order(coeffs: Sequence[int], coord_orders: Sequence[int]) -> int:
-    """The order of a vector in coordinates of these orders (0 = free): the
-    lcm of t / gcd(c, t) over the torsion coordinates, or 0, for infinite
-    order, once a free coordinate is nonzero."""
-    k = 1
-    for c, t in zip(coeffs, coord_orders):
-        if t:
-            k = lcm(k, t // gcd(c, t))
-        elif c:
-            return 0
-    return k
-
-
 def kernel(h: Homomorphism) -> Subgroup:
     """The kernel of a homomorphism, as a subgroup of its domain."""
     return kernel_into_coords(h.domain, h.matrix, h.codomain.coord_orders())
@@ -615,24 +586,14 @@ def kernel_into_coords(
     orders (0 = free).  Used when the codomain is a plain coordinate block,
     e.g. a direct sum of tabulated stems, without renormalizing it.
 
-    A cyclic domain (Z, or Z/d) needs no lattice.  Its kernel is generated
-    by k and d, where k is the order of the generator's image: the lcm of
-    t / gcd(v, t) over the torsion coordinates, or 0 once a free coordinate
-    has v != 0.  Its canonical basis is the one row (gcd(k, d),), taking
-    d = 0 for Z, or no row when that gcd is 0.  The rows need not be well
-    defined on Z/d; the answer is the one the graph HNF below gives.
-
-    A domain of rank >= 2 takes the graph rows (M e_j | e_j), with the
-    torsion relations of both sides.  They span a lattice whose HNF rows
+    Every domain, a cyclic one too, takes the graph rows (M e_j | e_j), with
+    the torsion relations of both sides.  They span a lattice whose HNF rows
     with a zero codomain part are exactly the kernel's canonical basis."""
     if len(rows) != len(coord_orders):
         raise FgAbError("one coordinate order per matrix row required")
     for row in rows:
         if len(row) != domain.rank:
             raise FgAbError("matrix width must match domain rank")
-    if domain.rank == 1:
-        g = gcd(_order([v for (v,) in rows], coord_orders), domain.coord_orders()[0])
-        return Subgroup._canonical(domain, ((g,),) if g else ())
     c_dim = len(rows)
     graph = [
         [row[j] for row in rows] + [int(i == j) for i in range(domain.rank)]

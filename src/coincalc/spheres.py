@@ -146,10 +146,6 @@ def _touched(group: FgAbGroup, coeffs, columns) -> Union[tuple[int, ...], Unknow
     return group.combine(terms)
 
 
-# A Gamma record's value for a component that is zero on every class, until
-# gamma() first needs that zero.
-_ZERO = object()
-
 # What a table's stable ring decides, once per process for each distinct set
 # of the inputs it reads: ring key -> (the stems, checked, chains).  The ring
 # key is what the stable ring reads, the stems' degrees and ids, the products
@@ -179,13 +175,12 @@ class SphereTables:
     that gamma() and the kernel chain read) and each suspension image is
     computed once and kept.  These stay with this instance.  What no table
     decides is shared by the whole process instead: each closed-form entry
-    (see tables.closed_form_entry) and the trivial and whole subgroups of a
-    group (Subgroup.trivial, Subgroup.whole), so a fresh SphereTables builds
-    none of those that an earlier one has.  The parsed entries themselves
-    are shared by text: TableSets parsed from one group or stem block hold
-    its one entry (see tables._BLOCKS), each in dicts of its own, and the
-    checks and chains of an entry under the same stems and products are
-    shared through _RINGS.
+    (see tables.closed_form_entry), so a fresh SphereTables builds none that
+    an earlier one has; no trivial or whole subgroup is shared, each chain
+    builds its own.  The parsed entries themselves are shared by text:
+    TableSets parsed from one group or stem block hold its one entry (see
+    tables._BLOCKS), each in dicts of its own, and the checks and chains of
+    an entry under the same stems and products are shared through _RINGS.
     """
 
     def __init__(self, tables: TableSet):
@@ -211,7 +206,7 @@ class SphereTables:
         if held is None:
             raw = self.raw
             key = (len(raw.stems), len(raw.products), *raw.stems, *map(id, raw.stems.values()),
-                   *raw.products, *raw.products.values(),
+                   *raw.products, *map(tuple, raw.products.values()),
                    *raw.stem_gen_degrees, *raw.stem_gen_degrees.values())
             held = _RINGS.get(key)
             if held is None:
@@ -344,9 +339,9 @@ class SphereTables:
         """The Gamma record of entry, built once: for each k = 1..k_max the
         _map record (stem, columns, first gap) and the value the component
         takes on every class, if it has one.  That value is the gap's Unknown
-        of an untabulated stem, or _ZERO where every column is zero (also in
-        a trivial stem), replaced by the stem's zero when gamma() first needs
-        it; a component that depends on the class has None."""
+        of an untabulated stem, or the stem's zero StableElement where every
+        column is zero (also in a trivial stem); a component that depends on
+        the class has None."""
         record = self._gammas.get((entry.m, entry.q))
         if record is None:
             record = []
@@ -355,7 +350,7 @@ class SphereTables:
                 if stem is None:
                     value = gap
                 elif gap is None and not any(map(any, columns)):
-                    value = _ZERO
+                    value = StableElement(stem.degree, stem.group.zero())
                 else:
                     value = None
                 record.append((stem, columns, gap, value))
@@ -377,9 +372,6 @@ class SphereTables:
                 value = _touched(stem.group, coeffs, columns)
                 if not isinstance(value, Unknown):
                     value = StableElement(stem.degree, GroupElement._reduced(stem.group, value))
-            elif value is _ZERO:
-                value = StableElement(stem.degree, stem.group.zero())
-                record[k - 1] = stem, columns, gap, value
             comps.append((k, value))
         return GammaValue(x.m, x.q, tuple(comps))
 

@@ -13,7 +13,8 @@ Regenerate the file, after a deliberate change of an answer, with
 import os
 import sys
 
-from coincalc import fgab, spheres, tables as tables_module
+from coincalc import spheres, tables as tables_module
+from coincalc.fgab import Subgroup
 from coincalc.invariants import SCAN_KEYS, equivalence_scan
 from coincalc.projective import space
 from coincalc.spheres import SphereTables
@@ -80,12 +81,10 @@ def test_table_free_values_are_built_once_per_process(tables, monkeypatch):
 
     monkeypatch.setattr(SphereEntry, "__init__", counting("entry", SphereEntry.__init__))
     monkeypatch.setattr(SphereTables, "_build_chain", counting("chain", SphereTables._build_chain))
-    for module, memo in ((tables_module, "_CLOSED_FORMS"), (fgab, "_TRIVIALS"), (fgab, "_WHOLES"),
-                         (spheres, "_RINGS")):
+    for module, memo in ((tables_module, "_CLOSED_FORMS"), (spheres, "_RINGS")):
         monkeypatch.setattr(module, memo, {})
     for kind in ("trivial", "whole"):
-        name = f"_{kind}_subgroup"
-        monkeypatch.setattr(fgab, name, counting(kind, getattr(fgab, name)))
+        monkeypatch.setattr(Subgroup, kind, counting(kind, getattr(Subgroup, kind)))
     sessions, dumps = [], []
     for run in range(2):
         sessions.append(SphereTables(tables.raw))

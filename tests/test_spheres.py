@@ -1,8 +1,11 @@
 """Unstable operations: suspension, stabilization, Gamma, antipode, kernels."""
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,6 @@ from coincalc import spheres as spheres_module
 from coincalc.fgab import Cmp, FgAbError, FgAbGroup, subgroup_cmp
 from coincalc.invariants import sphere_report
 from coincalc.spheres import GammaValue, SphereTables, Unknown
-from coincalc.stable import StableElement
 from coincalc.tables import (
     GenAnnotations,
     NamedClass,
@@ -199,25 +201,6 @@ class TestGamma:
                 assert all(v is values[0] for v in values), (m, q, k)
                 shared += 1
         assert (shared, varying) == (34, 23)
-
-    def test_chain_makes_no_zero_component_values(self, tables, monkeypatch):
-        # A zero component adds no condition to Ker Gamma; its value is made
-        # only when gamma() first needs it, then kept.  The chain store starts
-        # empty, so that every chain is built here and reads the Gamma records.
-        monkeypatch.setattr(spheres_module, "_RINGS", {})
-        ts = SphereTables(tables.raw)
-        for m, q in sorted(tables.raw.entries):
-            ts.kernel_chain(m, q, "C")
-        records = [(m, q, record) for (m, q), record in ts._gammas.items()]
-        assert not any(isinstance(item[3], StableElement) for _m, _q, record in records
-                       for item in record)
-        zeros = [(m, q, k) for m, q, record in records
-                 for k, item in enumerate(record, 1) if item[3] is not None
-                 and not isinstance(item[3], Unknown)]
-        assert zeros
-        m, q, k = zeros[0]
-        first = ts.gamma(ts.zero(m, q)).component(k)
-        assert first.is_zero and ts.gamma(ts.zero(m, q)).component(k) is first
 
     @staticmethod
     def target_shape(tables, m, q):
@@ -1027,3 +1010,36 @@ class TestRingStore:
             if raw is not None:
                 _report(raw)
         assert len(spheres_module._RINGS) == 12
+
+    def test_list_product_vectors_answer_as_tuples(self, tables, monkeypatch):
+        # A TableSet built by hand is not checked: its product vectors may be
+        # lists, which the ring key reads as tuples.
+        raw = tables.raw
+        listed = TableSet(raw.entries, raw.stems, {k: list(v) for k, v in raw.products.items()},
+                          raw.named, raw.stem_gen_degrees)
+        answers = []
+        for table in (listed, raw):
+            monkeypatch.setattr(spheres_module, "_RINGS", {})
+            ts = SphereTables(table)
+            report = [(v.path, v.message) for v in ts.validate().violations]
+            answers.append((report, [ts.kernel_chain(m, q, tag) for m, q in ((5, 3), (7, 4))
+                                     for tag in ("R", "C", "H")]))
+        assert answers[0] == answers[1]
+        assert all(not isinstance(kernel, Unknown) for chain in answers[0][1] for kernel in chain)
+
+
+class TestStoreInventory:
+    def test_a_fresh_import_holds_five_stores(self):
+        # Every coincalc module-level dict that is empty at import is a store
+        # that the process fills and nothing empties.
+        code = (
+            "import sys, coincalc.cli\n"
+            "print(' '.join(sorted(name.rpartition('.')[2] + '.' + attr\n"
+            "    for name, mod in list(sys.modules.items()) if name.partition('.')[0] == 'coincalc'\n"
+            "    for attr, value in vars(mod).items() if type(value) is dict and not value)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spheres_module.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+        assert out.split() == ["projective._SPACES", "spheres._RINGS", "tables._BLOCKS",
+                               "tables._CLOSED_FORMS", "tables._TEXTS"]
