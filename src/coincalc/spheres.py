@@ -33,6 +33,8 @@ from .tables import (
     UnregisteredName,
     map_target,
     resolve_entry,
+    row_fault,
+    stem_gap,
 )
 
 
@@ -134,6 +136,15 @@ def _unit(rank: int, i: int) -> tuple[int, ...]:
     return (0,) * i + (1,) + (0,) * (rank - 1 - i)
 
 
+def _row_faults(raw: TableSet, entry: SphereEntry) -> list[tuple]:
+    """(generator, map, fault) of each susp, stab and gamma row of entry that
+    does not fit its target, in the parser's words (tables.row_fault): each
+    query that reads that map raises FgAbError."""
+    return [(name, kind, fault) for name, ann in zip(entry.gen_names, entry.annotations)
+            for kind, row in (("susp", ann.susp), ("stab", ann.stab), *ann.gammas)
+            if row is not None and (fault := row_fault(raw, entry, kind, len(row)))]
+
+
 def _touched(group: FgAbGroup, coeffs, columns) -> Union[tuple[int, ...], Unknown]:
     """Reduced coordinates in group of the sum of the _map columns the class
     coeffs touches, or the Unknown of the first gap it touches."""
@@ -147,20 +158,20 @@ def _touched(group: FgAbGroup, coeffs, columns) -> Union[tuple[int, ...], Unknow
 
 
 # What a table's stable ring decides, once per process for each distinct set
-# of the inputs it reads: ring key -> (the stems, checked, chains).  The ring
-# key is what the stable ring reads, the stems' degrees and ids, the products
-# and the stem generator names and degrees (the parser derives these from the
-# stems; a TableSet built by hand need not), in one flat tuple led by the
-# lengths that fix where each run of it starts: CPython keeps up to 2000 freed
-# tuples of each length up to 20 for reuse, so the short tuples of a nested
-# key, dropped with each session, would stay resident (about 0.4 MB with the
-# bundled table's 20 stems).  checked maps ((m, q), id of the entry, id of its
-# curated susp target or of None) to (entry, target, the violations of the
-# entry's own checks; see SphereTables._entry_violations).  chains maps (m, q,
-# field_tag, id of the curated or closed-form entry) to (entry, kernel chain);
-# a raise is never stored.  Each value holds the objects whose ids its key
-# has, so no id is reused while the key is stored.
-_RINGS: dict[tuple, tuple[tuple, dict, dict]] = {}
+# of the inputs it reads: ring key -> (the StableRing, checked, chains).  The
+# ring key is what the ring reads, the stems' degrees and ids and the products'
+# pairs and vectors, in one flat tuple led by the lengths that fix where each
+# run of it starts: CPython keeps up to 2000 freed tuples of each length up to
+# 20 for reuse, so the short tuples of a nested key, dropped with each session,
+# would stay resident (about 0.4 MB with the bundled table's 20 stems).  The
+# ring holds its own copy of those stems and products (see StableRing), so
+# what it answers is what its key says.  checked maps ((m, q), id of the
+# entry, id of its curated susp target or of None) to (entry, target, the
+# violations of the entry's own checks; see SphereTables._entry_violations).
+# chains maps (m, q, field_tag, id of the curated or closed-form entry) to
+# (entry, kernel chain); a raise is never stored.  Each value holds the
+# objects whose ids its key has, so no id is reused while the key is stored.
+_RINGS: dict[tuple, tuple[StableRing, dict, dict]] = {}
 
 Kernel = Union[Subgroup, Unknown]
 Chain = tuple[Kernel, Kernel, Subgroup]
@@ -180,12 +191,19 @@ class SphereTables:
     builds its own.  The parsed entries themselves are shared by text:
     TableSets parsed from one group or stem block hold its one entry (see
     tables._BLOCKS), each in dicts of its own, and the checks and chains of
-    an entry under the same stems and products are shared through _RINGS.
+    an entry under the same stems and products are shared through _RINGS,
+    with the StableRing that reads them.
     """
 
     def __init__(self, tables: TableSet):
         self.raw = tables
-        self.ring = StableRing(tables)
+        stems, products = tables.stems, tables.products
+        key = (len(stems), len(products), *stems, *map(id, stems.values()),
+               *products, *map(tuple, products.values()))
+        record = _RINGS.get(key)
+        if record is None:
+            record = _RINGS[key] = StableRing(tables), {}, {}
+        self.ring, self._checked, self._chains = record
         # Each memo holds only what was asked for: at most one value per
         # resolved (m, q), times each kind of map.
         # (m, q) -> its entry; an untabulated (m, q) raises and is not kept.
@@ -197,22 +215,6 @@ class SphereTables:
         # (m, q) -> (Im E from the known susp columns of pi_{m-1}(S^{q-1}), the
         # first missing column or None); (None, why) if the source is untabulated.
         self._susp_images: dict[tuple[int, int], tuple[Optional[Subgroup], Optional[Unknown]]] = {}
-        # This table's _RINGS record, found when first needed.
-        self._held: Optional[tuple] = None
-
-    def _record(self) -> tuple:
-        """This table's _RINGS record; its key is built once per instance."""
-        held = self._held
-        if held is None:
-            raw = self.raw
-            key = (len(raw.stems), len(raw.products), *raw.stems, *map(id, raw.stems.values()),
-                   *raw.products, *map(tuple, raw.products.values()),
-                   *raw.stem_gen_degrees, *raw.stem_gen_degrees.values())
-            held = _RINGS.get(key)
-            if held is None:
-                held = _RINGS[key] = tuple(raw.stems.values()), {}, {}
-            self._held = held
-        return held
 
     # ------------------------------------------------------------- lookup
 
@@ -421,11 +423,10 @@ class SphereTables:
         if q < 2:
             raise FgAbError("the Hopf-James invariant needs q >= 2")
         entry = self.lookup(m, q)
-        chains = self._record()[2]
         key = m, q, field_tag, id(entry)
-        held = chains.get(key)
+        held = self._chains.get(key)
         if held is None:
-            held = chains[key] = entry, self._build_chain(m, q, field_tag)
+            held = self._chains[key] = entry, self._build_chain(m, q, field_tag)
         return held[1]
 
     def _build_chain(self, m: int, q: int, field_tag: str) -> Chain:
@@ -486,18 +487,23 @@ class SphereTables:
         """Deep internal-consistency check of the loaded dataset.
 
         Checks, in report order:
+        - the stems run from 0 without a gap;
         - the Hopf classes two, eta, nu are registered (if any entry is);
-        - per generator g of each curated pi_m(S^q): a gamma k=1 row needs
-          and equals the stab row; h_K . E^inf(g) is computable (degree
-          within the stems, every generator product stored); E^inf(g) =
-          E^inf(E g) through the susp row and the stab rows above; for odd
-          q, the antip row is g;
+        - per curated pi_m(S^q): each susp, stab and gamma row fits its
+          target (a map with a row that does not is read by no check below,
+          as every query on it raises);
+        - per generator g of it: a gamma k=1 row needs and equals the stab
+          row; h_K . E^inf(g) is computable (degree within the stems, every
+          generator product stored; not checked across a gap in the stems);
+          E^inf(g) = E^inf(E g) through the susp row and the stab rows above;
+          for odd q, the antip row is g;
         - for even q with every antip row present: antip is an involution;
         - whitehead<q> lives in pi_{2q-1}(S^q), has order <= 2 for odd q and
           is zero exactly for q = 1, 3, 7; any other whitehead... name fails;
         - alpha1_3 lives in pi_6(S^3), with a stable image of order 3;
-        - each of these two names lies in a tabulated group (the parser
-          refuses any other name; a TableSet built by hand is told so).
+        - each of these two names lies in a tabulated group.
+        The parser refuses a table that fails the stem, row or name checks;
+        a TableSet built by hand is told so in the parser's words.
         Images are integer vectors; objects and text are made for violations.
 
         The checks of one entry (_entry_violations) run once per process
@@ -506,10 +512,11 @@ class SphereTables:
         re-checks only that block's entry and the entry whose susp lands in
         it.  The Hopf-class and registry checks run on every call.
 
-        It cannot catch a Hopf-James component with k >= 2 (never read) or a
-        product row no identity constrains (`prod eta eta -> 2 1` shifted to
-        0): of the 204 +-1 shifts of one annotation, product or name coefficient
-        in the bundled table, 113 pass, 14 of them changing a tabulated-range scan.
+        It cannot catch a Hopf-James component with k >= 2 (only its length
+        is read) or a product row no identity constrains (`prod eta eta -> 2
+        1` shifted to 0): of the 204 +-1 shifts of one annotation, product or
+        name coefficient in the bundled table, 113 pass, 14 of them changing
+        a tabulated-range scan.
         """
         v: list[Violation] = []
 
@@ -517,17 +524,21 @@ class SphereTables:
             v.append(Violation(path, message))
 
         raw = self.raw
-        # Each generator's h_K . E^inf is checked below; a table without
-        # generators needs no Hopf class.
+        gap = stem_gap(raw.stems)
+        if gap is not None:
+            bad(*gap)
+        # Each generator's h_K . E^inf is checked below, unless a product may
+        # land in a gap of the stems; a table without generators needs no
+        # Hopf class.
         hopfs = []
         for tag in ("R", "C", "H") if raw.entries else ():
             hopf = self.ring.hopf_stable(tag)
             if isinstance(hopf, Unknown):
                 bad(f"h_{tag}", hopf.reason)
-            else:
+            elif gap is None:
                 hopfs.append((tag, hopf.degree, hopf.value.coeffs))
 
-        checked = self._record()[1]
+        checked = self._checked
         for key, entry in sorted(raw.entries.items()):
             # The susp target, or None where (m + 1, q + 1) is not curated:
             # a closed form is then decided by the entry's own degrees.
@@ -582,8 +593,11 @@ class SphereTables:
             if (a13.m, a13.q) != (6, 3):
                 bad("name alpha1_3", "must live in pi_6(S^3)")
             else:
-                stab = self.stabilize(a13)
-                if isinstance(stab, Unknown) or stab.order() != 3:
+                try:
+                    stab = self.stabilize(a13)
+                except FgAbError:  # a stab row that does not fit, reported with its entry
+                    stab = None
+                if isinstance(stab, Unknown) or stab is not None and stab.order() != 3:
                     bad("name alpha1_3", "stable image must have order 3")
         return ValidationReport(v)
 
@@ -592,8 +606,8 @@ class SphereTables:
         report order: its generators' checks, then the involution check.
         hopfs holds (tag, degree, coefficients) of each registered Hopf class.
         Besides the entry, the checks read only its susp target, the stems
-        (which fix hopfs), the stem generator degrees and the products: the
-        inputs that _RINGS keys."""
+        (which fix hopfs) and the products: the inputs that _RINGS keys.  The
+        row checks come first, so no call walks the rows of a stored entry."""
         v: list[Violation] = []
 
         def bad(message, gen=None):
@@ -603,9 +617,13 @@ class SphereTables:
         m, q = key
         rank, stem = entry.group.rank, m - q
         max_degree, product = self.ring.max_degree, self.ring.product
+        faults = _row_faults(self.raw, entry)
+        for name, _kind, fault in faults:
+            bad(fault, name)
+        unfit = {kind for _name, kind, _fault in faults}
         # The susp and antip columns are read once, when a check first needs them.
         susp_map = antips = None
-        stabs = self._map(entry, 1)[1]
+        stabs = (None,) * rank if "stab" in unfit else self._map(entry, 1)[1]
         for i, (name, ann, stab) in enumerate(zip(entry.gen_names, entry.annotations, stabs)):
             gamma1 = ann.gamma_component(1)
             if gamma1 is not None:
@@ -617,7 +635,7 @@ class SphereTables:
                         f"({list(gamma1)} vs {list(ann.stab)})",
                         name,
                     )
-            s1 = None if isinstance(stab, Unknown) else stab
+            s1 = stab if type(stab) is tuple else None  # not missing, nor unfit
             for tag, degree, coeffs in hopfs if s1 is not None else ():
                 if stem + degree > max_degree:
                     bad(f"h_{tag} product degree exceeds tabulated stems", name)
@@ -625,15 +643,15 @@ class SphereTables:
                 prod = product(degree, coeffs, stem, s1)
                 if isinstance(prod, Unknown):
                     bad(f"h_{tag} . E^inf not computable: {prod.reason}", name)
-            if ann.susp is not None:
+            if s1 is not None and ann.susp is not None and "susp" not in unfit:
                 if susp_map is None:
-                    susp_map = self._map(entry, "susp")
-                above, susps, gap = susp_map
-                if above is None:
-                    # The parser refuses such a row; a TableSet built by hand
-                    # is told so in the parser's words.
-                    bad(f"susp target {gap.reason}", name)
-                elif s1 is not None:
+                    above, susps, _gap = self._map(entry, "susp")
+                    # The stab map above is read only if its rows fit; that
+                    # entry's own check reports a row that does not.
+                    unfit_above = {kind for _name, kind, _fault in _row_faults(self.raw, above)}
+                    susp_map = above, susps, "stab" not in unfit_above
+                above, susps, fits = susp_map
+                if fits:
                     s2 = self._image(above, susps[i], 1)
                     if not isinstance(s2, Unknown) and s1 != s2[1]:
                         bad(

@@ -65,12 +65,17 @@ ProductResult = Union[StableElement, Unknown]
 
 
 class StableRing:
-    """Query view over the tabulated stems and the partial product table."""
+    """Query view over the tabulated stems and the partial product table.
+
+    The ring holds its own copy of the TableSet's stems and products, which
+    is all it reads: a generator's degree is the key of the stem that names
+    it.  So one ring answers for every TableSet with the same stems and
+    products, and a later edit of a TableSet's dicts does not reach it."""
 
     def __init__(self, tables: TableSet):
-        self._tables = tables
-        self._gen_degrees = tables.stem_gen_degrees
-        self.max_degree = max(tables.stems, default=-1)
+        self._stems = dict(tables.stems)
+        self._products = {pair: tuple(coeffs) for pair, coeffs in tables.products.items()}
+        self.max_degree = max(self._stems, default=-1)
         # field tag -> its Hopf class, or the Unknown of an unregistered one.
         self._hopf: dict[str, ProductResult] = {}
 
@@ -78,7 +83,7 @@ class StableRing:
         """The tabulated stem pi_k^S; errors outside the curated range."""
         if k < 0:
             raise OutOfTabulatedRange(f"stable stem degree {k} < 0")
-        stem = self._tables.stems.get(k)
+        stem = self._stems.get(k)
         if stem is None:
             raise OutOfTabulatedRange(f"pi_{k}^S is not tabulated")
         return stem
@@ -90,20 +95,20 @@ class StableRing:
         """(degree, coefficients) of a derived class whose stem is tabulated
         with the rank of its vector, else None."""
         k, coeffs = _DERIVED_NAMES.get(name, (-1, ()))
-        stem = self._tables.stems.get(k)
+        stem = self._stems.get(k)
         return (k, coeffs) if stem is not None and stem.group.rank == len(coeffs) else None
 
     def available_names(self) -> list[str]:
-        return sorted(set(self._gen_degrees) | set(filter(self._derived, _DERIVED_NAMES)))
+        names = {name for stem in self._stems.values() for name in stem.gen_names}
+        return sorted(names | set(filter(self._derived, _DERIVED_NAMES)))
 
     def named(self, name: str) -> StableElement:
         """Resolve a registered stable class by name."""
-        if name in self._gen_degrees:
-            k = self._gen_degrees[name]
-            stem = self.stem(k)
-            coeffs = [0] * stem.group.rank
-            coeffs[stem.gen_names.index(name)] = 1
-            return self.element(k, coeffs)
+        for k, stem in self._stems.items():
+            if name in stem.gen_names:
+                coeffs = [0] * stem.group.rank
+                coeffs[stem.gen_names.index(name)] = 1
+                return self.element(k, coeffs)
         derived = self._derived(name)
         if derived is not None:
             return self.element(*derived)
@@ -129,14 +134,14 @@ class StableRing:
         return hopf
 
     def _gen_product(
-        self, name_a: str, name_b: str
+        self, name_a: str, ka: int, name_b: str, kb: int
     ) -> Union[tuple[int, tuple[int, ...]], Unknown]:
-        """(sign, stored vector) of A*B: as stored, or from B*A with the graded sign."""
-        ka, kb = self._gen_degrees[name_a], self._gen_degrees[name_b]
-        coeffs = self._tables.products.get((name_a, name_b))
+        """(sign, stored vector) of A*B, for generators A of pi_ka^S and B of
+        pi_kb^S: as stored, or from B*A with the graded sign."""
+        coeffs = self._products.get((name_a, name_b))
         if coeffs is not None:
             return 1, coeffs
-        coeffs = self._tables.products.get((name_b, name_a))
+        coeffs = self._products.get((name_b, name_a))
         if coeffs is not None:
             return (-1 if (ka % 2 == 1 and kb % 2 == 1) else 1), coeffs
         return Unknown(
@@ -166,7 +171,7 @@ class StableRing:
             for j, cb in enumerate(b):
                 if cb == 0:
                     continue
-                part = self._gen_product(names_a[i], names_b[j])
+                part = self._gen_product(names_a[i], ka, names_b[j], kb)
                 if isinstance(part, Unknown):
                     return part
                 sign, coeffs = part

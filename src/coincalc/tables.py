@@ -180,18 +180,18 @@ class NamedClass(_Value):
 
 class TableSet(_Value):
     """Everything parsed from one table file.  Each omitted dict is a new one.
-    products maps stem generators (A, B) to A*B's vector in stem deg A + deg B."""
+    products maps stem generators (A, B) to A*B's vector in stem deg A + deg B,
+    the degree of a generator being the key of the stem that names it."""
 
-    __slots__ = ("entries", "stems", "products", "named", "stem_gen_degrees")
+    __slots__ = ("entries", "stems", "products", "named")
 
     def __init__(
         self, entries: Optional[dict[tuple[int, int], SphereEntry]] = None,
         stems: Optional[dict[int, StemEntry]] = None,
         products: Optional[dict[tuple[str, str], tuple[int, ...]]] = None,
         named: Optional[dict[str, NamedClass]] = None,
-        stem_gen_degrees: Optional[dict[str, int]] = None,  # generator -> k
     ):
-        fields = (entries, stems, products, named, stem_gen_degrees)
+        fields = (entries, stems, products, named)
         for name, value in zip(self.__slots__, fields):
             _setattr(self, name, {} if value is None else value)
 
@@ -266,6 +266,30 @@ def map_target(tables: TableSet, entry: SphereEntry, kind) -> Union[SphereEntry,
             return str(exc)
     degree = entry.gamma_degree(1 if kind == "stab" else kind)
     return tables.stems.get(degree) or f"pi_{degree}^S is not tabulated"
+
+
+def stem_gap(stems: dict) -> Optional[tuple[str, str]]:
+    """(path, message) of the first degree missing below the highest stem, in
+    the parser's words, or None: the stems run from 0 without a gap."""
+    for k in range(len(stems)):
+        if k not in stems:
+            return _path(k), (f"missing below pi_{max(stems)}^S: "
+                              "stems must run from 0 without a gap")
+    return None
+
+
+def row_fault(tables: TableSet, entry: SphereEntry, kind, length: int) -> Optional[str]:
+    """Why a row of this length, stored on entry for the map kind ("susp",
+    "stab" or Gamma component k), does not fit its target, in the parser's
+    words; None where it fits."""
+    target = map_target(tables, entry, kind)
+    if isinstance(target, str):
+        fault = f"target {target}"
+    elif target.group.rank != length:
+        fault = f"vector length {length} != rank {target.group.rank}"
+    else:
+        return None
+    return f"{_label(kind)} {fault}"
 
 
 _INT = re.compile(r"-?[0-9]+")
@@ -599,7 +623,7 @@ def parse_tables(text: str) -> TableSet:
     loop."""
     tables = TableSet()
     entries, stems, named = tables.entries, tables.stems, tables.named
-    stem_gen_degrees = tables.stem_gen_degrees
+    gen_degrees: dict[str, int] = {}  # stem generator -> its stem's degree
     groups: list[tuple] = []  # the (key, entry, demands) of each group, in order
     raw_products: list[tuple[str, str, int, tuple[int, ...]]] = []
     if text[:1] == "\ufeff":  # a byte order mark, kept by the utf-8 codec
@@ -622,11 +646,11 @@ def parse_tables(text: str) -> TableSet:
             if k in stems:
                 raise SchemaError("duplicate stem", _path(k))
             for name in value.gen_names:
-                if name in stem_gen_degrees:
+                if name in gen_degrees:
                     raise SchemaError(
                         f"stem generator name {name!r} reused across stems", _path(k)
                     )
-                stem_gen_degrees[name] = k
+                gen_degrees[name] = k
             stems[k] = value
         elif kind == "prod":
             raw_products.append(value)
@@ -642,12 +666,9 @@ def parse_tables(text: str) -> TableSet:
     # File stage: what refers to entities declared anywhere in the file.
     # Every lookup of a stem up to the highest one relies on the stems
     # having no gap.
-    for k in range(len(stems)):
-        if k not in stems:
-            raise SchemaError(
-                f"missing below pi_{max(stems)}^S: stems must run from 0 without a gap",
-                f"pi_{k}^S",
-            )
+    gap = stem_gap(stems)
+    if gap is not None:
+        raise SchemaError(gap[1], gap[0])
     for (m, q), entry, demands in groups:
         # Each vector must fit the group its map lands in (see _OpenEntity.close).
         fields = iter(demands)
@@ -655,21 +676,16 @@ def parse_tables(text: str) -> TableSet:
             found = (stems if type(target) is int else entries).get(target)
             if found is not None and found.group.rank == length:
                 continue
-            target = map_target(tables, entry, key)
-            if isinstance(target, str):
-                fault = f"target {target}"
-            elif target.group.rank != length:
-                fault = f"vector length {length} != rank {target.group.rank}"
-            else:
-                continue
-            raise SchemaError(f"{_label(key)} {fault}", _gen_path(m, q, name))
+            fault = row_fault(tables, entry, key, length)
+            if fault is not None:
+                raise SchemaError(fault, _gen_path(m, q, name))
 
     for a, b, degree, coeffs in raw_products:
-        unknown = [g for g in (a, b) if g not in stem_gen_degrees]
+        unknown = [g for g in (a, b) if g not in gen_degrees]
         stem = stems.get(degree)
         if unknown:
             fault = f"unknown stem generator {unknown[0]!r}"
-        elif degree != (expected := stem_gen_degrees[a] + stem_gen_degrees[b]):
+        elif degree != (expected := gen_degrees[a] + gen_degrees[b]):
             fault = f"declares degree {degree}, expected {expected}"
         elif stem is None:
             fault = f"product degree {degree} outside tabulated stems"
@@ -757,7 +773,8 @@ def _kept_text(fmt, key, entity) -> str:
 def serialize_tables(tables: TableSet) -> str:
     """Emit a canonical text form; parse(serialize(parse(x))) == parse(x).
     Each stem and group is formatted once per process (see _TEXTS)."""
-    stems, entries, degrees = tables.stems, tables.entries, tables.stem_gen_degrees
+    stems, entries = tables.stems, tables.entries
+    degrees = {name: k for k, stem in stems.items() for name in stem.gen_names}
     out = [_kept_text(_fmt_stem, k, stems[k]) for k in sorted(stems)]
     for (a, b), coeffs in sorted(tables.products.items()):
         out.append(_fmt_tail(f"prod {a} {b} -> {degrees[a] + degrees[b]}", coeffs))

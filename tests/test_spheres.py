@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coincalc import spheres as spheres_module
-from coincalc.fgab import Cmp, FgAbError, FgAbGroup, subgroup_cmp
+from coincalc.fgab import Cmp, FgAbError, FgAbGroup, Subgroup, subgroup_cmp
 from coincalc.invariants import sphere_report
 from coincalc.spheres import GammaValue, SphereTables, Unknown
 from coincalc.tables import (
@@ -766,6 +766,56 @@ class TestCheckStore:
             report = _report(raw)
             assert (path, "susp target pi_4(S^3) is not tabulated") in report, report
 
+    @pytest.mark.parametrize("kind, m, q, row", [
+        ("stab", 5, 3, "gen eta_3_sq\nstab 2 1\n"), ("susp", 4, 2, "gen eta_2_eta\nsusp 1\n"),
+        ("stab", 6, 3, "gen nu_p\nsusp 0,1\nstab 3 2\n"),
+    ], ids=["stab", "susp", "stab-of-alpha1_3"])
+    def test_a_row_that_does_not_fit_its_target_is_a_violation(
+        self, table_text, kind, m, q, row, monkeypatch
+    ):
+        # The parser refuses the row, so only a TableSet built by hand holds
+        # one; validate() reports it in the parser's words, cold and warm,
+        # and reads no map with such a row (pi_4(S^2)'s check reads pi_5(S^3)'s
+        # stab map through its susp row, the alpha1_3 check pi_6(S^3)'s).  A
+        # query on that map still raises.
+        assert table_text.count(row) == 1
+        with pytest.raises(SchemaError) as err:
+            parse_tables(table_text.replace(row, row[:-1] + ",0\n"))
+        path, message = f"pi_{m}(S^{q}) gen {row.split()[1]}", f"{kind} vector length 2 != rank 1"
+        assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+        raw = parse_tables(table_text)
+        entry = raw.entries[m, q]
+        (ann,) = entry.annotations
+        fields = {slot: getattr(ann, slot) for slot in GenAnnotations.__slots__}
+        fields[kind] += (0,)
+        raw.entries[m, q] = SphereEntry(m, q, entry.group, entry.gen_names,
+                                        (GenAnnotations(**fields),), entry.source)
+        monkeypatch.setattr(spheres_module, "_RINGS", {})
+        for _store in ("cold", "warm"):
+            assert _report(raw) == [(path, message)]
+        tables = SphereTables(raw)
+        query = tables.stabilize if kind == "stab" else tables.suspend
+        with pytest.raises(FgAbError, match="coefficient vector of length 2 for group of rank 1"):
+            query(tables.generator(m, q, entry.gen_names[0]))
+
+    def test_a_gap_in_the_stems_is_a_violation(self, table_text, monkeypatch):
+        # The parser refuses the table, so only a TableSet built by hand has
+        # a gap; validate() reports it in the parser's words instead of
+        # raising where a product lands in the gap.
+        block = "stem 5 0\n"
+        assert table_text.count(block) == 1
+        start = table_text.index(block)
+        gapped = table_text[:start] + table_text[table_text.index("stem 6", start):]
+        with pytest.raises(SchemaError) as err:
+            parse_tables(gapped)
+        path, message = "pi_5^S", "missing below pi_19^S: stems must run from 0 without a gap"
+        assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+        raw = parse_tables(table_text)
+        del raw.stems[5]
+        monkeypatch.setattr(spheres_module, "_RINGS", {})
+        for _store in ("cold", "warm"):
+            assert _report(raw) == [(path, message)]
+
     @pytest.mark.parametrize("name, m, q", [("whitehead3", 5, 3), ("alpha1_3", 6, 3)])
     def test_a_name_in_an_untabulated_group_is_a_violation(self, name, m, q):
         # The parser refuses the name, so only a TableSet built by hand holds
@@ -809,7 +859,7 @@ class TestCheckStore:
             stems = stem_entries() if new_stems else shared
             ann = GenAnnotations(stab=(c % 2,), gammas=((1, (c,)),))
             entry = SphereEntry(3, 2, FgAbGroup.free(1), ("eta_2",), (ann,))
-            raw = TableSet({(3, 2): entry}, stems, stem_gen_degrees={"iota": 0, "eta": 1})
+            raw = TableSet({(3, 2): entry}, stems)
             monkeypatch.setattr(spheres_module, "_RINGS", store)
             warm = _report(raw)
             monkeypatch.setattr(spheres_module, "_RINGS", {})
@@ -859,9 +909,9 @@ class TestChainStore:
         # The tables of test_partial_scans_match_pointwise_reports (one stab,
         # gamma or prod line dropped; eta or nu renamed), a shifted product,
         # the two stem edits, and tables built by hand that share the second
-        # one's stems and entries but not its stem generators' names, or that
-        # hold its stem 1 at degree 2: every chain of kernel_chain_cases and
-        # of each table's own entries.
+        # one's entries but name its stem 1 generator eta1, or that hold its
+        # stem 1 at degree 2: every chain of kernel_chain_cases and of each
+        # table's own entries.
         pairs = sorted({(m, sp.q) for sp, m in kernel_chain_cases(tables)})
         lines = table_text.splitlines(keepends=True)
         texts = ["".join(lines[:i] + lines[i + 1:]) for i, line in enumerate(lines)
@@ -875,9 +925,11 @@ class TestChainStore:
         texts += [table_text.replace(product, "prod eta eta -> 2 0\n"), *_STEM_CHAINS]
         raws = [parse_tables(text) for text in texts]
         small = raws[-1]
-        raws += [TableSet(dict(small.entries), small.stems, small.products, small.named, {"iota": 0}),
+        renamed = StemEntry(1, small.stems[1].group, ("eta1",))
+        raws += [TableSet(dict(small.entries), {0: small.stems[0], 1: renamed}, small.products,
+                          small.named),
                  TableSet(dict(small.entries), {0: small.stems[0], 2: small.stems[1]},
-                          small.products, small.named, small.stem_gen_degrees)]
+                          small.products, small.named)]
         bundled = parse_tables(table_text)
         store = {}
         monkeypatch.setattr(spheres_module, "_RINGS", store)
@@ -946,7 +998,7 @@ class TestChainStore:
                 stems, entry = stem_entries(2 ** (1 + c % 3)), shared_entry
             else:
                 stems, entry = shared_stems, sphere_entry(c % 3)
-            raw = TableSet({(4, 3): entry}, stems, stem_gen_degrees={"iota": 0, "eta": 1})
+            raw = TableSet({(4, 3): entry}, stems)
             monkeypatch.setattr(spheres_module, "_RINGS", store)
             warm = _chain_answers(raw, [(4, 3)])
             monkeypatch.setattr(spheres_module, "_RINGS", {})
@@ -989,18 +1041,35 @@ class TestRingStore:
         first.validate()
         first.kernel_chain(5, 3, "C")
         assert len(spheres_module._RINGS) == 1
-        stems, checked, chains = second._record()
-        assert second._record() is first._record() and len(spheres_module._RINGS) == 1
-        assert stems == tuple(first.raw.stems.values()) and checked and chains
+        ring, checked, chains = next(iter(spheres_module._RINGS.values()))
+        assert second.ring is first.ring is ring and len(spheres_module._RINGS) == 1
+        assert second._checked is first._checked is checked and checked
+        assert second._chains is first._chains is chains and chains
 
     def test_a_stem_citation_edit_gives_a_new_record(self, table_text, monkeypatch):
         monkeypatch.setattr(spheres_module, "_RINGS", {})
         source = 'src "[Toda] p.186: pi_1^S = Z/2, generated by eta"\n'
         assert table_text.count(source) == 1
         edited = table_text.replace(source, source.replace("p.186", "p. 186"))
-        bundled = SphereTables(parse_tables(table_text))._record()
-        assert SphereTables(parse_tables(edited))._record() is not bundled
+        bundled = SphereTables(parse_tables(table_text))
+        other = SphereTables(parse_tables(edited))
+        assert other.ring is not bundled.ring and other._chains is not bundled._chains
         assert len(spheres_module._RINGS) == 2
+
+    def test_a_products_edit_after_construction_stays_out_of_the_store(
+        self, table_text, monkeypatch
+    ):
+        # The ring copies the stems and products it is keyed by, so an edit
+        # of the TableSet's products dict after construction reaches neither
+        # that session's chains nor the chains a later parse reads.
+        monkeypatch.setattr(spheres_module, "_RINGS", {})
+        raw = parse_tables(table_text)
+        tables = SphereTables(raw)
+        assert tables.validate().ok
+        raw.products[("eta", "eta")] = (0,)
+        zero = Subgroup.trivial(tables.lookup(4, 3).group)
+        assert tables.kernel_chain(4, 3, "C")[1] == zero
+        assert SphereTables(parse_tables(table_text)).kernel_chain(4, 3, "C")[1] == zero
 
     def test_the_curation_variants_leave_twelve_records(self, table_text, monkeypatch):
         monkeypatch.setattr(spheres_module, "_RINGS", {})
@@ -1016,7 +1085,7 @@ class TestRingStore:
         # lists, which the ring key reads as tuples.
         raw = tables.raw
         listed = TableSet(raw.entries, raw.stems, {k: list(v) for k, v in raw.products.items()},
-                          raw.named, raw.stem_gen_degrees)
+                          raw.named)
         answers = []
         for table in (listed, raw):
             monkeypatch.setattr(spheres_module, "_RINGS", {})

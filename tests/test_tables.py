@@ -790,7 +790,7 @@ def _serialize_oracle(tables: TableSet) -> str:
             out.append(f'src "{stem.source}"')
         for g in stem.gen_names:
             out.append(f"gen {g}")
-    degrees = tables.stem_gen_degrees
+    degrees = {name: k for k, stem in tables.stems.items() for name in stem.gen_names}
     for (a, b), coeffs in sorted(tables.products.items()):
         out.append(tables_module._fmt_tail(f"prod {a} {b} -> {degrees[a] + degrees[b]}", coeffs))
     for (m, q) in sorted(tables.entries):
@@ -830,7 +830,7 @@ def _hand_built() -> list[TableSet]:
     entry = SphereEntry(3, 2, FgAbGroup(1, (2,)), ("g",), (ann,), "group (3, 2)")
     return [
         TableSet({(5, 2): entry, (3, 2): entry}, {0: iota, 1: stem},
-                 {("eta", "eta"): (1,)}, stem_gen_degrees={"eta": 1}),
+                 {("eta", "eta"): (1,)}),
         TableSet({(5.0, 2): entry, (3, True): entry}, {False: iota, 1.0: stem}),
         TableSet(),
     ]

@@ -83,7 +83,7 @@ VALUES = {
                   lambda other: StemEntry(1, Z2, ("eta",), "other" if other else "src")),
     "NamedClass": (("m", "q", "coeffs", "source"),
                    lambda other: NamedClass(3, 2, (2,) if other else (1,), "src")),
-    "TableSet": (("entries", "stems", "products", "named", "stem_gen_degrees"),
+    "TableSet": (("entries", "stems", "products", "named"),
                  lambda other: TableSet(named={"x": NamedClass(3, 2, (1,))} if other else {})),
     "Unknown": (("reason", "cause"), lambda other: Unknown("gap b" if other else "gap a")),
     "StableElement": (("degree", "value"),
